@@ -7,8 +7,6 @@ Library layout:
 - :mod:`coposos.cones`      cone membership tests and SoS certificates
 - :mod:`coposos.relax`      conic-program relaxation assembly and solving
 - :mod:`coposos.apps`       quadratic-program, stability and chromatic bounds
-- :mod:`coposos.pathology`  pathological program generators and verifiers
-- :mod:`coposos.cli`        command-line front end and file formats
 """
 
 __version__ = "0.1.0"

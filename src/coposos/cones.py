@@ -16,6 +16,13 @@ scalar per degree-(r+2) monomial.
 At level 0 both families coincide with the cone of matrices decomposable as
 (positive semidefinite) + (entrywise nonnegative).
 
+:class:`GramLayout` is the one owner of this Gram structure: its bases, its
+blocks, the rows matching lifted coefficients and the extraction of a
+certificate from a solution.  The membership SDP here and every cone
+constraint of a :mod:`coposos.relax` relaxation are built from it.  The
+exact audit (:func:`certificate_expansion`, :func:`validate_certificate`)
+re-expands a certificate without its rows.
+
 Verdicts: MEMBER comes with an extracted Gram certificate whose exact
 re-expansion residual is checked; NOT_MEMBER is backed by the solver's
 infeasibility ray; everything on the numerical boundary is INCONCLUSIVE.
@@ -42,7 +49,15 @@ from .polycore import (
     quadratic_form,
     quartic_form,
 )
-from .sdpcore import BlockSdp, SdpBuilder, SdpStatus, nonneg_block, psd_block, solve
+from .sdpcore import (
+    BlockSdp,
+    BlockSpec,
+    SdpBuilder,
+    SdpStatus,
+    nonneg_block,
+    psd_block,
+    solve,
+)
 
 
 class ConeKind(str, Enum):
@@ -68,17 +83,6 @@ def lifted_poly(m: SymMatrix, r: int, kind: ConeKind) -> Poly:
     if kind is ConeKind.K:
         return polya_lift(quartic_form(m), r, LiftKind.QUADRATIC)
     return polya_lift(quadratic_form(m), r, LiftKind.LINEAR)
-
-
-@dataclass
-class MembershipProblem:
-    matrix: SymMatrix
-    r: int
-    kind: ConeKind
-    sdp: BlockSdp
-    index_map: dict[MultiIndex, int]  # lifted monomial -> constraint row
-    basis: list[MultiIndex]  # Gram basis (K: degree r+2; Q: degree r)
-    scalar_basis: list[MultiIndex] | None = None  # Q only: degree r+2 monomials
 
 
 @dataclass
@@ -135,83 +139,107 @@ class SosCertificate:
         return cert
 
 
-def build_K_membership(m: SymMatrix, r: int) -> MembershipProblem:
-    """SDP feasibility: find a PSD Gram matrix reproducing the quartic lift."""
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    n = m.n
-    basis = gram_basis(n, r, ConeKind.K)
-    pos = {mono: t for t, mono in enumerate(basis)}
-    lifted = lifted_poly(m, r, ConeKind.K)
+class GramLayout:
+    """The Gram structure of one level-r cone constraint in a block SDP.
 
-    # Row per monomial of degree 2r+4: sum of Gram entries over all splittings
-    # equals the lifted coefficient (zero for monomials absent from the lift).
-    rows: dict[MultiIndex, list] = {
-        gamma: [] for gamma in monomial_basis(n, 2 * r + 4, exact_degree=True)
-    }
-    for ti, beta in enumerate(basis):
-        for tj in range(ti, len(basis)):
-            gamma = tuple(a + b for a, b in zip(beta, basis[tj]))
-            # entry counted once; the builder doubles off-diagonal pairs
-            rows[gamma].append((0, ti, tj, 1.0))
+    kind K: one PSD block over the exact-degree-(r+2) basis, matched row by
+    row against the lift's degree-(2r+4) monomials.  kind Q: one PSD(n)
+    block per degree-r monomial, then one NONNEG block holding a scalar per
+    degree-(r+2) monomial, matched against the lift's degree-(r+2)
+    monomials.  The blocks are numbered from ``first`` inside the SDP.
+    """
 
-    builder = SdpBuilder([psd_block(len(basis))])
-    index_map: dict[MultiIndex, int] = {}
-    for gamma, entries in rows.items():
-        rhs = float(lifted.coeff(gamma))
-        index_map[gamma] = builder.add_row(entries, rhs, label=gamma)
-    sdp = builder.build()
-    return MembershipProblem(
-        matrix=m, r=r, kind=ConeKind.K, sdp=sdp, index_map=index_map, basis=basis
-    )
-
-
-def build_Q_membership(m: SymMatrix, r: int) -> MembershipProblem:
-    """SDP feasibility for the linear-lift representation with split multipliers."""
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    n = m.n
-    basis = gram_basis(n, r, ConeKind.Q)  # degree-r monomials, one PSD(n) each
-    scalar_basis = monomial_basis(n, r + 2, exact_degree=True)
-    scalar_pos = {mono: t for t, mono in enumerate(scalar_basis)}
-    lifted = lifted_poly(m, r, ConeKind.Q)
-
-    blocks = [psd_block(n) for _ in basis] + [nonneg_block(len(scalar_basis))]
-    builder = SdpBuilder(blocks)
-    scalar_block = len(basis)
-
-    rows: dict[MultiIndex, list] = {gamma: [] for gamma in scalar_basis}
-    for bi, beta in enumerate(basis):
-        for i in range(n):
-            for j in range(i, n):
-                gamma = list(beta)
-                gamma[i] += 1
-                gamma[j] += 1
-                rows[tuple(gamma)].append((bi, i, j, 1.0))
-    for gamma in scalar_basis:
-        rows[gamma].append((scalar_block, scalar_pos[gamma], scalar_pos[gamma], 1.0))
-
-    index_map: dict[MultiIndex, int] = {}
-    for gamma, entries in rows.items():
-        index_map[gamma] = builder.add_row(
-            entries, float(lifted.coeff(gamma)), label=gamma
+    def __init__(self, n: int, r: int, kind: ConeKind, first: int = 0):
+        if r < 0:
+            raise ValueError("level must be >= 0")
+        self.n, self.r, self.kind, self.first = n, r, kind, first
+        self.basis = gram_basis(n, r, kind)
+        self.scalar_basis = (
+            monomial_basis(n, r + 2, exact_degree=True) if kind is ConeKind.Q else None
         )
-    sdp = builder.build()
-    return MembershipProblem(
-        matrix=m,
-        r=r,
-        kind=ConeKind.Q,
-        sdp=sdp,
-        index_map=index_map,
-        basis=basis,
-        scalar_basis=scalar_basis,
-    )
+
+    def blocks(self) -> list[BlockSpec]:
+        if self.kind is ConeKind.K:
+            return [psd_block(len(self.basis))]
+        return [psd_block(self.n) for _ in self.basis] + [
+            nonneg_block(len(self.scalar_basis))
+        ]
+
+    def rows(self) -> dict[MultiIndex, list]:
+        """Lifted monomial -> the Gram entries (block, i, j, 1.0) summing to
+        its coefficient, for every monomial of the lift's degree (rows for
+        monomials absent from the lift match zero).  Each off-diagonal entry
+        is listed once; the SDP builder doubles symmetric pairs."""
+        first, basis = self.first, self.basis
+        if self.kind is ConeKind.K:
+            rows = {
+                gamma: []
+                for gamma in monomial_basis(self.n, 2 * self.r + 4, exact_degree=True)
+            }
+            for ti, beta in enumerate(basis):
+                for tj in range(ti, len(basis)):
+                    gamma = tuple(a + b for a, b in zip(beta, basis[tj]))
+                    rows[gamma].append((first, ti, tj, 1.0))
+            return rows
+        rows = {gamma: [] for gamma in self.scalar_basis}
+        for bi, beta in enumerate(basis):
+            for i in range(self.n):
+                for j in range(i, self.n):
+                    gamma = list(beta)
+                    gamma[i] += 1
+                    gamma[j] += 1
+                    rows[tuple(gamma)].append((first + bi, i, j, 1.0))
+        scalar_block = first + len(basis)
+        for t, gamma in enumerate(self.scalar_basis):
+            rows[gamma].append((scalar_block, t, t, 1.0))
+        return rows
+
+    def certificate(self, sol, **provenance) -> SosCertificate:
+        """The certificate held in a solution's blocks; the solver's residuals
+        and gap join the caller's provenance."""
+        provenance = {
+            "primal_res": sol.primal_res,
+            "dual_res": sol.dual_res,
+            "gap": sol.gap,
+            **provenance,
+        }
+        cert = SosCertificate(self.kind, self.r, self.n, provenance=provenance)
+        x_blocks = sol.x_blocks[self.first :]
+        if self.kind is ConeKind.K:
+            cert.gram = np.asarray(x_blocks[0])
+        else:
+            k = len(self.basis)
+            cert.gram_blocks = [np.asarray(b) for b in x_blocks[:k]]
+            cert.scalars = np.asarray(x_blocks[k])
+        return cert
+
+
+@dataclass
+class MembershipProblem:
+    matrix: SymMatrix
+    layout: GramLayout
+    sdp: BlockSdp
+    index_map: dict[MultiIndex, int]  # lifted monomial -> constraint row
 
 
 def build_membership(m: SymMatrix, r: int, kind: ConeKind) -> MembershipProblem:
-    if kind is ConeKind.K:
-        return build_K_membership(m, r)
-    return build_Q_membership(m, r)
+    """SDP feasibility: find Gram data reproducing the level-r lift of M."""
+    layout = GramLayout(m.n, r, kind)
+    lifted = lifted_poly(m, r, kind)
+    builder = SdpBuilder(layout.blocks())
+    index_map = {
+        gamma: builder.add_row(entries, float(lifted.coeff(gamma)), label=gamma)
+        for gamma, entries in layout.rows().items()
+    }
+    return MembershipProblem(m, layout, builder.build(), index_map)
+
+
+def build_K_membership(m: SymMatrix, r: int) -> MembershipProblem:
+    return build_membership(m, r, ConeKind.K)
+
+
+def build_Q_membership(m: SymMatrix, r: int) -> MembershipProblem:
+    return build_membership(m, r, ConeKind.Q)
 
 
 @dataclass
@@ -225,32 +253,6 @@ class MembershipResult:
     message: str = ""
 
 
-def _extract_certificate(problem: MembershipProblem, sol, eps: float) -> SosCertificate:
-    provenance = {
-        "eps": eps,
-        "primal_res": sol.primal_res,
-        "dual_res": sol.dual_res,
-        "gap": sol.gap,
-        "iterations": sol.iterations,
-    }
-    if problem.kind is ConeKind.K:
-        return SosCertificate(
-            kind=ConeKind.K,
-            r=problem.r,
-            n=problem.matrix.n,
-            gram=np.asarray(sol.x_blocks[0]),
-            provenance=provenance,
-        )
-    return SosCertificate(
-        kind=ConeKind.Q,
-        r=problem.r,
-        n=problem.matrix.n,
-        gram_blocks=[np.asarray(b) for b in sol.x_blocks[:-1]],
-        scalars=np.asarray(sol.x_blocks[-1]),
-        provenance=provenance,
-    )
-
-
 def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> MembershipResult:
     """MEMBER with validated certificate, certified NOT_MEMBER, or INCONCLUSIVE.
 
@@ -260,7 +262,7 @@ def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> Membersh
     """
     sol = solve(problem.sdp, eps=min(eps, 1e-8))
     if sol.status == SdpStatus.OPTIMAL:
-        cert = _extract_certificate(problem, sol, eps)
+        cert = problem.layout.certificate(sol, eps=eps, iterations=sol.iterations)
         report = validate_certificate(problem.matrix, cert, tol=eps)
         if report.residual <= eps and report.min_gram_eig >= -eps:
             return MembershipResult(

@@ -9,7 +9,11 @@ diagonal block D = (d_1+, d_1-, ..., d_m+, d_m-) with
     d_i+  encodes  2R + y_i,       d_i- = 4R - d_i+,
 
 R being a caller-supplied box bound on the optimum, and objective block
-B = Diag(b_1/2, -b_1/2, ...) so that <D, B> = b^T y holds exactly.
+B = Diag(b_1/2, -b_1/2, ...) so that <D, B> = b^T y holds exactly.  Each
+cone constraint's Gram blocks, its rows and the extraction of its
+certificate come from one :class:`coposos.cones.GramLayout`, the one owner
+of the Gram structure, whose blocks follow those of the constraints before
+it.
 
 The module also provides the interior-point seed construction used for
 feasible-region diagnostics: given a feasible split  sum_i ybar_i A_i - C
@@ -29,18 +33,15 @@ from math import comb
 
 import numpy as np
 
-from .cones import ConeKind, SosCertificate, gram_basis, validate_certificate
-from .polycore import (
-    LiftKind,
-    Poly,
-    SymMatrix,
-    is_psd_exact,
-    monomial_basis,
-    multinomial,
-    polya_lift,
-    quadratic_form,
-    quartic_form,
+from .cones import (
+    ConeKind,
+    GramLayout,
+    SosCertificate,
+    gram_basis,
+    lifted_poly,
+    validate_certificate,
 )
+from .polycore import Poly, SymMatrix, is_psd_exact, monomial_basis, multinomial
 from .sdpcore import (
     SdpBuilder,
     SdpStatus,
@@ -104,18 +105,6 @@ class ConicProgram:
 
 
 @dataclass
-class GramLayout:
-    """Where one cone constraint's certificate lives inside the block SDP."""
-
-    constraint: int
-    kind: ConeKind
-    psd_blocks: list[int]
-    scalar_block: int | None
-    basis: list
-    scalar_basis: list | None
-
-
-@dataclass
 class RelaxationSdp:
     sdp: object
     prog: ConicProgram
@@ -134,18 +123,6 @@ class RelaxationSdp:
         return [(vals[2 * i] - vals[2 * i + 1]) / 2 for i in range(self.prog.m)]
 
 
-def _lift_kind(kind: ConeKind) -> LiftKind:
-    return LiftKind.QUADRATIC if kind is ConeKind.K else LiftKind.LINEAR
-
-
-def _constraint_lifts(cons: ConeConstraint, r: int, kind: ConeKind):
-    """Exact lifted polynomials of each A_i and of C for one constraint."""
-    form = quartic_form if kind is ConeKind.K else quadratic_form
-    lifts_a = [polya_lift(form(a), r, _lift_kind(kind)) for a in cons.a_mats]
-    lift_c = polya_lift(form(cons.c_mat), r, _lift_kind(kind))
-    return lifts_a, lift_c
-
-
 def build_relaxation_sdp(
     prog: ConicProgram, r: int, kind: ConeKind, box_bound
 ) -> RelaxationSdp:
@@ -158,66 +135,20 @@ def build_relaxation_sdp(
     m = prog.m
 
     blocks = []
-    layouts: list[GramLayout] = []
-    row_plan = []  # (constraint index, gamma, entries) resolved after blocks fixed
-    for ci, cons in enumerate(prog.constraints):
-        n = cons.n
-        if kind is ConeKind.K:
-            basis = gram_basis(n, r, ConeKind.K)
-            pos = {mono: t for t, mono in enumerate(basis)}
-            gram_block = len(blocks)
-            blocks.append(psd_block(len(basis)))
-            layouts.append(
-                GramLayout(ci, kind, [gram_block], None, basis, None)
-            )
-            rows: dict = {
-                gamma: [] for gamma in monomial_basis(n, 2 * r + 4, exact_degree=True)
-            }
-            for ti, beta in enumerate(basis):
-                for tj in range(ti, len(basis)):
-                    gamma = tuple(x + y for x, y in zip(beta, basis[tj]))
-                    rows[gamma].append((gram_block, ti, tj, 1.0))
-            row_plan.append((ci, rows))
-        else:
-            basis = gram_basis(n, r, ConeKind.Q)
-            scalar_basis = monomial_basis(n, r + 2, exact_degree=True)
-            scalar_pos = {mono: t for t, mono in enumerate(scalar_basis)}
-            first = len(blocks)
-            for _ in basis:
-                blocks.append(psd_block(n))
-            scalar_block = len(blocks)
-            blocks.append(nonneg_block(len(scalar_basis)))
-            layouts.append(
-                GramLayout(
-                    ci,
-                    kind,
-                    list(range(first, first + len(basis))),
-                    scalar_block,
-                    basis,
-                    scalar_basis,
-                )
-            )
-            rows = {gamma: [] for gamma in scalar_basis}
-            for bi, beta in enumerate(basis):
-                for i in range(n):
-                    for j in range(i, n):
-                        gamma = list(beta)
-                        gamma[i] += 1
-                        gamma[j] += 1
-                        rows[tuple(gamma)].append((first + bi, i, j, 1.0))
-            for gamma in scalar_basis:
-                rows[gamma].append(
-                    (scalar_block, scalar_pos[gamma], scalar_pos[gamma], 1.0)
-                )
-            row_plan.append((ci, rows))
+    layouts = []
+    for cons in prog.constraints:
+        layout = GramLayout(cons.n, r, kind, first=len(blocks))
+        blocks += layout.blocks()
+        layouts.append(layout)
 
     d_block = len(blocks)
     blocks.append(nonneg_block(2 * m))
     builder = SdpBuilder(blocks)
 
-    for (ci, rows), cons in zip(row_plan, prog.constraints):
-        lifts_a, lift_c = _constraint_lifts(cons, r, kind)
-        for gamma, entries in rows.items():
+    for ci, (layout, cons) in enumerate(zip(layouts, prog.constraints)):
+        lifts_a = [lifted_poly(a, r, kind) for a in cons.a_mats]
+        lift_c = lifted_poly(cons.c_mat, r, kind)
+        for gamma, entries in layout.rows().items():
             full = list(entries)
             for i, lift in enumerate(lifts_a):
                 coef = lift.coeff(gamma)
@@ -247,14 +178,6 @@ def build_relaxation_sdp(
         d_block=d_block,
         layouts=layouts,
     )
-
-
-def build_cpk_sdp(prog: ConicProgram, r: int, box_bound) -> RelaxationSdp:
-    return build_relaxation_sdp(prog, r, ConeKind.K, box_bound)
-
-
-def build_cpq_sdp(prog: ConicProgram, r: int, box_bound) -> RelaxationSdp:
-    return build_relaxation_sdp(prog, r, ConeKind.Q, box_bound)
 
 
 # -- interior feasible points -------------------------------------------------
@@ -393,7 +316,7 @@ def _interior_gram_k(witness: SpnWitness, r: int, b: Fraction):
             for j in range(n):
                 gram[spots[i]][spots[j]] += weight * p_b.entry(i, j)
     remainder = SymMatrix.ones(n).scale(b) + witness.n_mat
-    diag_poly = polya_lift(quartic_form(remainder), r, LiftKind.QUADRATIC)
+    diag_poly = lifted_poly(remainder, r, ConeKind.K)
     for alpha in basis:
         t = pos[alpha]
         gram[t][t] += diag_poly.coeff(tuple(2 * a for a in alpha))
@@ -403,19 +326,18 @@ def _interior_gram_k(witness: SpnWitness, r: int, b: Fraction):
 def _interior_blocks_q(witness: SpnWitness, r: int, b: Fraction):
     """Exact Q-side seed: blocks a_beta*(P - bJ) + (b/2n) I and scalars."""
     n = witness.p_mat.n
-    basis = gram_basis(n, r, ConeKind.Q)
-    scalar_basis = monomial_basis(n, r + 2, exact_degree=True)
+    layout = GramLayout(n, r, ConeKind.Q)
     p_b = witness.p_mat - SymMatrix.ones(n).scale(b)
     eye_shift = SymMatrix.identity(n).scale(b / (2 * n))
     gram_blocks = [
-        p_b.scale(multinomial(beta)) + eye_shift for beta in basis
+        p_b.scale(multinomial(beta)) + eye_shift for beta in layout.basis
     ]
     remainder = SymMatrix.ones(n).scale(b) + witness.n_mat
-    scalars_poly = polya_lift(quadratic_form(remainder), r, LiftKind.LINEAR)
-    basis_sum = Poly(n, {beta: 1 for beta in basis})
+    scalars_poly = lifted_poly(remainder, r, ConeKind.Q)
+    basis_sum = Poly(n, {beta: 1 for beta in layout.basis})
     correction = basis_sum * Poly.sum_of_variables(n, power=2)
     scalars = []
-    for gamma in scalar_basis:
+    for gamma in layout.scalar_basis:
         val = scalars_poly.coeff(gamma) - (b / (2 * n)) * correction.coeff(gamma)
         if 2 * val < b:
             raise ArithmeticError("scalar seed dropped below b/2; check witness")
@@ -429,7 +351,6 @@ def build_interior_start(
     r: int,
     kind: ConeKind,
     box_bound,
-    rel: RelaxationSdp | None = None,
 ) -> InteriorStart:
     """Exactly feasible SDP point from per-constraint P + N witnesses.
 
@@ -560,36 +481,7 @@ class RelaxationResult:
 
 
 def extract_certificates(rel: RelaxationSdp, sol) -> list[SosCertificate]:
-    certs = []
-    provenance = {
-        "primal_res": sol.primal_res,
-        "dual_res": sol.dual_res,
-        "gap": sol.gap,
-    }
-    for layout in rel.layouts:
-        n = rel.prog.constraints[layout.constraint].n
-        if layout.kind is ConeKind.K:
-            certs.append(
-                SosCertificate(
-                    kind=ConeKind.K,
-                    r=rel.r,
-                    n=n,
-                    gram=np.asarray(sol.x_blocks[layout.psd_blocks[0]]),
-                    provenance=dict(provenance),
-                )
-            )
-        else:
-            certs.append(
-                SosCertificate(
-                    kind=ConeKind.Q,
-                    r=rel.r,
-                    n=n,
-                    gram_blocks=[np.asarray(sol.x_blocks[b]) for b in layout.psd_blocks],
-                    scalars=np.asarray(sol.x_blocks[layout.scalar_block]),
-                    provenance=dict(provenance),
-                )
-            )
-    return certs
+    return [layout.certificate(sol) for layout in rel.layouts]
 
 
 def solve_relaxation(
@@ -613,7 +505,7 @@ def solve_relaxation(
     rel = build_relaxation_sdp(prog, r, kind, box_bound)
     sandwich = None
     if witnesses is not None:
-        start = build_interior_start(prog, witnesses, r, kind, box_bound, rel)
+        start = build_interior_start(prog, witnesses, r, kind, box_bound)
         sandwich = sandwich_diagnostics(
             rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
         )
@@ -633,11 +525,10 @@ def solve_relaxation(
     reports = []
     y_exact = [Fraction(float(v)) for v in y]
     tol = validate_tol if validate_tol is not None else max(100 * eps, 1e-6)
-    for layout, cert in zip(rel.layouts, certs):
-        slack = rel.prog.constraints[layout.constraint].slack(y_exact)
-        reports.append(validate_certificate(slack, cert, tol=tol))
+    for cons, cert in zip(prog.constraints, certs):
+        reports.append(validate_certificate(cons.slack(y_exact), cert, tol=tol))
     failed = []
-    for layout, rep in zip(rel.layouts, reports):
+    for ci, rep in enumerate(reports):
         if not rep.ok:
             audit = (
                 f"residual {float(rep.residual):.3g}, "
@@ -645,7 +536,7 @@ def solve_relaxation(
             )
             if rep.min_scalar is not None:
                 audit += f", least scalar {rep.min_scalar:.3g}"
-            failed.append(f"constraint {layout.constraint} ({audit})")
+            failed.append(f"constraint {ci} ({audit})")
     status, value, message = sol.status, float(sol.objective), ""
     if failed:
         status, value = SdpStatus.INCONCLUSIVE, None

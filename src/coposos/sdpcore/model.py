@@ -112,9 +112,6 @@ class BlockSdp:
     def num_constraints(self) -> int:
         return self.b.size
 
-    def block_vec(self, x: np.ndarray, index: int) -> np.ndarray:
-        return x[self.slices[index]]
-
     def unpack(self, x: np.ndarray) -> list[np.ndarray]:
         """Split a flat svec vector into per-block matrices / vectors."""
         out = []

@@ -258,14 +258,27 @@ def _chol_with_regularization(k_mat: np.ndarray):
 
 
 def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray, rounds: int = 5):
-    """Cholesky solve with iterative refinement against the unregularized K."""
+    """Cholesky solve with iterative refinement against the unregularized K.
+
+    Refinement stops at the target or once a round fails to halve the
+    residual: at the noise floor of an ill-conditioned K further rounds only
+    wander.  The iterate with the smaller residual is returned.
+    """
     u = cho_solve(factor, rhs, check_finite=False)
+    resid = rhs - k_mat @ u
+    norm = float(np.linalg.norm(resid))
     target = 1e-13 * (float(np.linalg.norm(rhs)) + 1.0)
     for _ in range(rounds):
-        resid = rhs - k_mat @ u
-        if float(np.linalg.norm(resid)) <= target:
+        if norm <= target:
             break
-        u = u + cho_solve(factor, resid, check_finite=False)
+        trial = u + cho_solve(factor, resid, check_finite=False)
+        trial_resid = rhs - k_mat @ trial
+        trial_norm = float(np.linalg.norm(trial_resid))
+        if trial_norm < norm:
+            u, resid = trial, trial_resid
+        if not trial_norm <= 0.5 * norm:
+            break
+        norm = trial_norm
     return u
 
 
@@ -276,7 +289,6 @@ def solve(
     feastol: float | None = None,
     gaptol: float | None = None,
     inftol: float | None = None,
-    verbose: bool = False,
 ) -> SdpSolution:
     """Solve a block SDP via the homogeneous self-dual embedding.
 
@@ -406,12 +418,6 @@ def solve(
             best_err = err
             best_point = point
             best_iteration = iteration
-        if verbose:
-            print(
-                f"iter {iteration:3d}  mu {mu:9.2e}  pres {pres:9.2e} "
-                f"dres {dres:9.2e}  gap {relgap:9.2e}  tau {tau:8.2e}  "
-                f"kappa {kappa:8.2e}"
-            )
         if converged(metrics):
             return report(SdpStatus.OPTIMAL, iteration, point)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import c5_matrix, c5_padded_matrix, planted_spn
+from coposos.apps import chromatic_box_bound, chromatic_program, complete_graph
 from coposos.cones import (
     ConeKind,
     SosCertificate,
@@ -20,6 +21,7 @@ from coposos.cones import (
     validate_certificate,
 )
 from coposos.polycore import SymMatrix, coeff_norm
+from coposos.relax import build_relaxation_sdp, extract_certificates, to_bounded
 
 
 class TestBuilders:
@@ -28,7 +30,7 @@ class TestBuilders:
             prob = build_K_membership(SymMatrix.identity(n), r)
             side = comb(n + r + 1, r + 2)
             assert prob.sdp.blocks[0].size == side
-            assert len(prob.basis) == side
+            assert len(prob.layout.basis) == side
 
     def test_q_block_structure(self):
         for n, r in [(3, 0), (3, 1), (4, 2)]:
@@ -43,6 +45,65 @@ class TestBuilders:
     def test_index_map_covers_all_rows(self):
         prob = build_K_membership(SymMatrix.identity(2), 1)
         assert len(prob.index_map) == prob.sdp.num_constraints
+
+
+class _IntegerPoint:
+    """Small-integer data in every block (zero in ``zero_blocks``), shaped like
+    a solver solution."""
+
+    primal_res = dual_res = gap = 0.0
+
+    def __init__(self, sdp, seed, zero_blocks=()):
+        rng = np.random.default_rng(seed)
+        self.x_blocks = []
+        for bi, blk in enumerate(sdp.blocks):
+            if blk.kind == "psd":
+                upper = np.triu(rng.integers(-50, 51, size=(blk.size, blk.size)), 1)
+                val = upper + upper.T + np.diag(rng.integers(-50, 51, size=blk.size))
+            else:
+                val = rng.integers(-50, 51, size=blk.size)
+            self.x_blocks.append(0.0 * val if bi in zero_blocks else val.astype(float))
+
+
+def _assert_rows_match_audit(sdp, point, rows):
+    # rows: (certificate, {lifted monomial: row index}) per cone constraint.
+    # The rows come from GramLayout.rows(); the expansion is the independent
+    # exact audit, so a row-map fault cannot validate itself here.
+    lhs = sdp.A @ sdp.pack(point.x_blocks)
+    for cert, index in rows:
+        expansion = certificate_expansion(cert)
+        assert {gamma for gamma, _ in expansion.items()} <= set(index)
+        for gamma, row in index.items():
+            want = float(expansion.coeff(gamma))
+            # integer data: the only rounding is sqrt(2) * sqrt(2) != 2
+            assert abs(lhs[row] - want) <= 1e-9 * (1.0 + abs(want)), gamma
+
+
+class TestGramRowsMatchAudit:
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_membership_rows(self, kind, r):
+        prob = build_membership(SymMatrix.identity(3), r, kind)
+        point = _IntegerPoint(prob.sdp, seed=r)
+        cert = prob.layout.certificate(point)
+        _assert_rows_match_audit(prob.sdp, point, [(cert, prob.index_map)])
+
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_relaxation_rows_with_offset_blocks(self, kind, r):
+        # three cone constraints (sides 2, 4, 4), so all but the first start
+        # past block 0; the variable block is zeroed to leave the Gram part
+        g = complete_graph(2)
+        prog = to_bounded(chromatic_program(g), chromatic_box_bound(g))
+        rel = build_relaxation_sdp(prog, r, kind, chromatic_box_bound(g))
+        assert all(layout.first > 0 for layout in rel.layouts[1:])
+        point = _IntegerPoint(rel.sdp, seed=10 + r, zero_blocks={rel.d_block})
+        index = [{} for _ in rel.layouts]
+        for row, (ci, gamma) in enumerate(rel.sdp.row_labels):
+            if ci != "box":
+                index[ci][gamma] = row
+        certs = extract_certificates(rel, point)
+        _assert_rows_match_audit(rel.sdp, point, list(zip(certs, index)))
 
 
 class TestDecideK:

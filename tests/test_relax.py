@@ -12,9 +12,8 @@ from coposos.relax import (
     ConicProgram,
     SpnRefusal,
     SpnWitness,
-    build_cpk_sdp,
-    build_cpq_sdp,
     build_interior_start,
+    build_relaxation_sdp,
     check_intspn,
     solve_relaxation,
     to_bounded,
@@ -33,7 +32,7 @@ def sqp_like_program(m_mat: SymMatrix) -> ConicProgram:
 class TestBuilders:
     def test_objective_identity_exact(self):
         prog = sqp_like_program(SymMatrix.identity(2))
-        rel = build_cpk_sdp(prog, 0, 10)
+        rel = build_relaxation_sdp(prog, 0, ConeKind.K, 10)
         # telescoping: <D, B> - b^T y == 0 for any D with the box coupling
         y = Fraction(-1, 3)
         d = [2 * Fraction(10) + y, 2 * Fraction(10) - y]
@@ -104,7 +103,7 @@ class TestBuilders:
 
     def test_cpq_block_count(self):
         prog = sqp_like_program(SymMatrix.identity(3))
-        rel = build_cpq_sdp(prog, 2, 5)
+        rel = build_relaxation_sdp(prog, 2, ConeKind.Q, 5)
         psd = [b for b in rel.sdp.blocks if b.kind == "psd"]
         assert len(psd) == 6  # binom(3+2-1, 2) degree-2 monomials in 3 vars
         assert all(b.size == 3 for b in psd)
@@ -166,8 +165,6 @@ class TestInteriorStart:
     @pytest.mark.parametrize("r", [0, 1])
     def test_seed_is_exactly_feasible(self, kind, r):
         prog, w = self._witness_for_sqp_identity(3)
-        from coposos.relax import build_relaxation_sdp
-
         rel = build_relaxation_sdp(prog, r, kind, 10)
         start = build_interior_start(prog, [w], r, kind, 10)
         rep = sandwich_diagnostics(

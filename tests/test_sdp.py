@@ -19,6 +19,7 @@ from coposos.sdpcore import (
     solve,
     svec,
 )
+from coposos.sdpcore import solver
 from coposos.sdpcore.solver import _Cone
 
 
@@ -265,3 +266,24 @@ def test_min_eig_matches_per_block_reference():
         v = rng.normal(size=dim)
         reference = _least_eigenvalue(sdp, sdp.unpack(v))
         assert abs(cone.min_eig(v) - reference) <= 1e-12
+
+
+def test_refinement_stops_at_the_noise_floor(monkeypatch):
+    # Hilbert(12) has condition number about 1.6e16: refinement cannot reach
+    # its 1e-13 target, so it must stop once a round fails to halve the
+    # residual and keep the better iterate.
+    k_mat = 1.0 / (np.arange(12)[:, None] + np.arange(12)[None, :] + 1.0)
+    rhs = np.ones(12)
+    factor = solver._chol_with_regularization(k_mat)
+    original = solver.cho_solve
+    first = original(factor, rhs, check_finite=False)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "cho_solve", counting)
+    u = solver._refined_solve(factor, k_mat, rhs)
+    assert len(calls) <= 3
+    assert np.linalg.norm(rhs - k_mat @ u) <= np.linalg.norm(rhs - k_mat @ first)
