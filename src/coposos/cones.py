@@ -306,15 +306,7 @@ def _ray_quality(sdp: BlockSdp, sol) -> float:
     if scale <= 0:
         return float("inf")
     y = y / scale
-    v = -(sdp.A.T @ y)
-    worst = 0.0
-    for blk, part in zip(sdp.blocks, sdp.unpack(v)):
-        if blk.kind == "psd":
-            w = np.linalg.eigvalsh(part)
-            worst = max(worst, float(max(0.0, -w[0])))
-        else:
-            worst = max(worst, float(max(0.0, -np.min(part))))
-    return worst
+    return max(0.0, -min(sdp.least_eigenvalues(-(sdp.A.T @ y))))
 
 
 @dataclass

@@ -53,12 +53,7 @@ def sandwich_diagnostics(
     eq_residual = float(np.max(np.abs(residuals))) if residuals.size else 0.0
     worst_row = int(np.argmax(np.abs(residuals))) if residuals.size else None
 
-    margins = []
-    for blk, val in zip(sdp.blocks, x0_blocks):
-        if blk.kind == "psd":
-            margins.append(float(np.linalg.eigvalsh(np.asarray(val, dtype=float))[0]))
-        else:
-            margins.append(float(np.min(np.asarray(val, dtype=float))))
+    margins = sdp.least_eigenvalues(x0)
     margin = min(margins) if margins else float("inf")
 
     violations = []

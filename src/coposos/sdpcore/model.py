@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,28 +56,36 @@ def nonneg_block(k: int) -> BlockSpec:
     return BlockSpec("nonneg", k)
 
 
-def _triu(k: int):
-    return np.triu_indices(k)
+@lru_cache(maxsize=None)
+def _svec_index(k: int):
+    """Index maps of svec for side k, shared by every caller (read-only):
+    the flat k*k position of each svec entry (the upper triangle,
+    row-major), the svec entry of each flat position, and the svec scale."""
+    iu, ju = np.triu_indices(k)
+    upper = iu * k + ju
+    entry = np.empty((k, k), dtype=np.intp)
+    entry[iu, ju] = entry[ju, iu] = np.arange(iu.size)
+    scale = np.where(iu == ju, 1.0, SQRT2)
+    maps = (upper, entry.reshape(-1), scale)
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
-    """Symmetric vectorization with sqrt(2)-scaled off-diagonals."""
+    """Symmetric vectorization with sqrt(2)-scaled off-diagonals:
+    (..., k, k) stacks -> (..., k(k+1)/2)."""
     mat = np.asarray(mat, dtype=float)
-    k = mat.shape[0]
-    iu, ju = _triu(k)
-    scale = np.where(iu == ju, 1.0, SQRT2)
-    return mat[iu, ju] * scale
+    k = mat.shape[-1]
+    upper, _, scale = _svec_index(k)
+    return mat.reshape(mat.shape[:-2] + (k * k,)).take(upper, axis=-1) * scale
 
 
 def smat(vec: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`svec`."""
-    iu, ju = _triu(k)
-    scale = np.where(iu == ju, 1.0, 1.0 / SQRT2)
-    out = np.zeros((k, k))
-    out[iu, ju] = np.asarray(vec, dtype=float) * scale
-    out = out + out.T
-    out[np.arange(k), np.arange(k)] /= 2.0
-    return out
+    """Inverse of :func:`svec`: (..., k(k+1)/2) -> (..., k, k)."""
+    _, entry, scale = _svec_index(k)
+    vals = np.asarray(vec, dtype=float) / scale
+    return vals.take(entry, axis=-1).reshape(vals.shape[:-1] + (k, k))
 
 
 class SdpStatus(str, Enum):
@@ -135,6 +144,14 @@ class BlockSdp:
             raise ValueError("block values do not conform to the block pattern")
         return out
 
+    def least_eigenvalues(self, x: np.ndarray) -> list[float]:
+        """Least eigenvalue of each PSD block and least entry of each NONNEG
+        block of a flat svec vector, in block order."""
+        return [
+            float(np.linalg.eigvalsh(part)[0] if blk.kind == "psd" else np.min(part))
+            for blk, part in zip(self.blocks, self.unpack(x))
+        ]
+
     @classmethod
     def from_blocks(cls, blocks, objective_blocks, constraints):
         """Build from per-block dense data.
@@ -185,26 +202,22 @@ class SdpBuilder:
         self._rhs: list[float] = []
         self._labels: list[object] = []
         self._obj: dict[int, float] = {}
-        # per-PSD-block map from (i, j) i<=j to svec coordinate
-        self._tri_pos = {}
-        for bi, blk in enumerate(self.blocks):
-            if blk.kind == "psd":
-                k = blk.size
-                iu, ju = np.triu_indices(k)
-                self._tri_pos[bi] = {
-                    (int(i), int(j)): t for t, (i, j) in enumerate(zip(iu, ju))
-                }
 
     def _coord(self, block: int, i: int, j: int) -> tuple[int, float]:
         blk = self.blocks[block]
+        if i > j:
+            i, j = j, i
+        if not 0 <= i <= j < blk.size:
+            raise ValueError(
+                f"entry ({i}, {j}) outside block {block} of size {blk.size}"
+            )
         if blk.kind == "nonneg":
             if i != j:
                 raise ValueError("NONNEG blocks are diagonal")
             return self._offsets[block] + i, 1.0
-        if i > j:
-            i, j = j, i
-        scale = 1.0 if i == j else SQRT2
-        return self._offsets[block] + self._tri_pos[block][(i, j)], scale
+        # svec position of (i, j), i <= j: the upper triangle, row-major
+        pos = i * blk.size - i * (i - 1) // 2 + (j - i)
+        return self._offsets[block] + pos, 1.0 if i == j else SQRT2
 
     def add_row(self, entries, rhs, label=None) -> int:
         """entries: iterable of (block, i, j, value); returns the row index."""

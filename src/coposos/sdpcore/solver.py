@@ -21,222 +21,146 @@ x / tau itself, which is interior.  Its gap is the larger of the unclamped
 x.s and |c^T x - b^T y|, so OPTIMAL means an in-cone x, residuals within
 feastol and a primal-dual objective gap within gaptol.
 
-Search directions come from a dense Schur-complement solve: per iteration
-the constraint matrix is congruence-scaled block by block (W^T A_i W for
-PSD blocks, elementwise for NONNEG blocks), the m x m Gram matrix of the
-scaled rows is factorized by Cholesky (with escalating diagonal
-regularization on breakdown), and the 2 x 2 (y, tau) system of the
-embedding is back-substituted.  Problem sizes here are at most a few
-hundred rows, so no sparsity is exploited.
+Search directions come from a dense Schur-complement solve.  The cone
+blocks are grouped by side, a NONNEG(k) block counting as k PSD(1)
+blocks, and every cone operation runs once per group on stacked
+(nblk, k, k) arrays.  The constraint rows are unpacked into these stacks
+once per solve; per iteration they are congruence-scaled (W^T A_i W,
+elementwise w^2 a_i on the side-1 group) a fixed chunk of rows at a time,
+which bounds the temporaries, into one m x dim matrix of scaled svec rows.
+Its m x m Gram matrix, one matrix product, is factorized by Cholesky (with
+escalating diagonal regularization on breakdown), and the 2 x 2 (y, tau)
+system of the embedding is back-substituted.  Problem sizes here are at
+most a few hundred rows, so no sparsity is exploited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import BlockSdp, SdpSolution, SdpStatus
+from .model import BlockSdp, SdpSolution, SdpStatus, smat, svec
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-9
-
-
-class _PsdOps:
-    """Cached index machinery for one PSD block."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.dim = k * (k + 1) // 2
-        self.iu, self.ju = np.triu_indices(k)
-        self.scale = np.where(self.iu == self.ju, 1.0, np.sqrt(2.0))
-
-    def mat(self, v: np.ndarray) -> np.ndarray:
-        k = self.k
-        out = np.zeros((k, k))
-        out[self.iu, self.ju] = v / self.scale
-        out = out + out.T
-        out[np.arange(k), np.arange(k)] /= 2.0
-        return out
-
-    def vec(self, m: np.ndarray) -> np.ndarray:
-        return m[self.iu, self.ju] * self.scale
-
-    def mats(self, rows: np.ndarray) -> np.ndarray:
-        """(m, dim) svec rows -> (m, k, k) symmetric matrices."""
-        k = self.k
-        out = np.zeros((rows.shape[0], k, k))
-        out[:, self.iu, self.ju] = rows / self.scale
-        out = out + np.transpose(out, (0, 2, 1))
-        out[:, np.arange(k), np.arange(k)] /= 2.0
-        return out
-
-    def vecs(self, mats: np.ndarray) -> np.ndarray:
-        return mats[:, self.iu, self.ju] * self.scale
-
-
-@dataclass
-class _Scaling:
-    """Per-block Nesterov-Todd scaling at the current iterate."""
-
-    w_half: list  # PSD: k x k matrix; NONNEG: length-k vector
-    lam: list  # scaled point: PSD: eigenvalue vector; NONNEG: vector
+# Scaled constraint rows are formed this many at a time, which bounds the
+# (rows, nblk, k, k) temporaries of the row congruence.
+_ROW_CHUNK = 64
 
 
 class _Cone:
-    """Block-structured cone operations on flat svec vectors."""
+    """Cone operations on svec vectors, run once per group of equal-side
+    blocks on stacked (nblk, k, k) arrays.  A NONNEG(k) block joins the
+    side-1 group as k PSD(1) blocks.  Per-iteration state is one
+    Nesterov-Todd scaling (w, lam) per group: W and the eigenvalues lam of
+    the scaled point."""
 
     def __init__(self, sdp: BlockSdp):
-        self.sdp = sdp
-        self.ops = []
-        for blk in sdp.blocks:
-            self.ops.append(_PsdOps(blk.size) if blk.kind == "psd" else None)
-        self.degree = sum(blk.cone_degree for blk in sdp.blocks)
-        # svec positions of the PSD blocks, stacked per side, and of all
-        # NONNEG entries: a whole-cone membership test is one eigvalsh call
-        # per distinct side.
-        psd_pos: dict = {}
-        nonneg_pos = [np.zeros(0, dtype=int)]
+        sides: dict = {}
         for blk, sl in zip(sdp.blocks, sdp.slices):
             pos = np.arange(sl.start, sl.stop)
             if blk.kind == "psd":
-                psd_pos.setdefault(blk.size, []).append(pos)
+                sides.setdefault(blk.size, []).append(pos[None, :])
             else:
-                nonneg_pos.append(pos)
-        self.psd_stacks = [(_PsdOps(k), np.stack(p)) for k, p in psd_pos.items()]
-        self.nonneg_pos = np.concatenate(nonneg_pos)
+                sides.setdefault(1, []).append(pos[:, None])
+        # (k, nblk, svec positions of the group's blocks in order); positions
+        # are increasing, and a slice when contiguous, which indexes as a view
+        self.groups = []
+        for k, parts in sides.items():
+            pos = np.concatenate(parts)
+            nblk, pos = len(pos), pos.reshape(-1)
+            if pos[-1] - pos[0] == pos.size - 1:
+                pos = slice(pos[0], pos[-1] + 1)
+            self.groups.append((k, nblk, pos))
+        self.dim = sdp.dim
+        self.degree = sum(blk.cone_degree for blk in sdp.blocks)
+
+    def stacks(self, v: np.ndarray) -> list:
+        """(..., dim) svec vectors -> one (..., nblk, k, k) stack per group."""
+        lead = v.shape[:-1]
+        return [
+            smat(v[..., pos].reshape(lead + (nblk, -1)), k)
+            for k, nblk, pos in self.groups
+        ]
+
+    def flat(self, stacks: list) -> np.ndarray:
+        """Inverse of :meth:`stacks`."""
+        lead = stacks[0].shape[:-3]
+        out = np.empty(lead + (self.dim,))
+        for (_, _, pos), st in zip(self.groups, stacks):
+            out[..., pos] = svec(st).reshape(lead + (-1,))
+        return out
 
     def identity(self) -> np.ndarray:
-        parts = []
-        for blk, op in zip(self.sdp.blocks, self.ops):
-            if op is None:
-                parts.append(np.ones(blk.size))
+        eyes = [np.broadcast_to(np.eye(k), (nblk, k, k)) for k, nblk, _ in self.groups]
+        return self.flat(eyes)
+
+    def scaling(self, x: np.ndarray, s: np.ndarray) -> list:
+        """W = Lx V diag(sig)^-1/2 from the SVD Ls^T Lx = U diag(sig) V^T of
+        the Cholesky factors, and lam = sig, per group."""
+        sc = []
+        for xs in self.stacks(np.stack([x, s])):
+            lx, ls = np.linalg.cholesky(xs)
+            prod = np.swapaxes(ls, -1, -2) @ lx
+            if prod.shape[-1] == 1:  # a positive 1 x 1 matrix is its own SVD
+                sig, w = prod[:, 0], lx
             else:
-                parts.append(op.vec(np.eye(blk.size)))
-        return np.concatenate(parts)
+                _, sig, vt = np.linalg.svd(prod)
+                w = lx @ np.swapaxes(vt, -1, -2)
+            sig = np.maximum(sig, 1e-300)
+            sc.append((w * sig[:, None, :] ** -0.5, sig))
+        return sc
 
-    def blocks_of(self, v: np.ndarray):
-        return [v[sl] for sl in self.sdp.slices]
-
-    def scaling(self, x: np.ndarray, s: np.ndarray) -> _Scaling:
-        w_half, lam = [], []
-        for blk, op, sl in zip(self.sdp.blocks, self.ops, self.sdp.slices):
-            if op is None:
-                xb, sb = x[sl], s[sl]
-                w_half.append(np.sqrt(xb / sb))
-                lam.append(np.sqrt(xb * sb))
+    def congruence(self, sc: list, stacks: list, adjoint: bool = False) -> np.ndarray:
+        """W^T M W per block of (..., nblk, k, k) group stacks, or W M W^T if
+        ``adjoint``, as (..., dim) svec vectors.  Side-1 blocks scale
+        elementwise by w^2, which avoids one 1 x 1 matmul per scalar and row."""
+        out = []
+        for (w, _), mats in zip(sc, stacks):
+            if adjoint:
+                w = np.swapaxes(w, -1, -2)
+            if w.shape[-1] == 1:
+                out.append(w * w * mats)
             else:
-                xm, sm = op.mat(x[sl]), op.mat(s[sl])
-                lx = np.linalg.cholesky(xm)
-                ls = np.linalg.cholesky(sm)
-                u, sig, vt = np.linalg.svd(ls.T @ lx)
-                sig = np.maximum(sig, 1e-300)
-                w = lx @ vt.T @ np.diag(sig**-0.5)
-                w_half.append(w)
-                lam.append(sig)
-        return _Scaling(w_half, lam)
+                out.append(np.swapaxes(w, -1, -2) @ mats @ w)
+        return self.flat(out)
 
-    def scale_s(self, sc: _Scaling, v: np.ndarray) -> np.ndarray:
-        """Congruence W^T . W per PSD block, elementwise for NONNEG."""
-        parts = []
-        for op, w, sl in zip(self.ops, sc.w_half, self.sdp.slices):
-            if op is None:
-                parts.append(w * v[sl])
-            else:
-                parts.append(op.vec(w.T @ op.mat(v[sl]) @ w))
-        return np.concatenate(parts)
+    def scale_s(self, sc: list, v: np.ndarray) -> np.ndarray:
+        """Congruence W^T . W per block of (..., dim) svec vectors."""
+        return self.congruence(sc, self.stacks(v))
 
-    def scale_x(self, sc: _Scaling, v: np.ndarray) -> np.ndarray:
-        """Congruence W . W^T per PSD block (adjoint of :meth:`scale_s`)."""
-        parts = []
-        for op, w, sl in zip(self.ops, sc.w_half, self.sdp.slices):
-            if op is None:
-                parts.append(w * v[sl])
-            else:
-                parts.append(op.vec(w @ op.mat(v[sl]) @ w.T))
-        return np.concatenate(parts)
+    def scale_x(self, sc: list, v: np.ndarray) -> np.ndarray:
+        """Congruence W . W^T per block (adjoint of :meth:`scale_s`)."""
+        return self.congruence(sc, self.stacks(v), adjoint=True)
 
-    def scale_rows(self, sc: _Scaling, a_mats: list) -> np.ndarray:
-        """Apply scale_s to every constraint row at once."""
-        parts = []
-        for op, w, pre in zip(self.ops, sc.w_half, a_mats):
-            if op is None:
-                parts.append(pre * w[None, :])
-            else:
-                parts.append(op.vecs(np.matmul(np.matmul(w.T[None], pre), w)))
-        return np.concatenate(parts, axis=1)
-
-    def lam_vec(self, sc: _Scaling) -> np.ndarray:
-        parts = []
-        for op, lam in zip(self.ops, sc.lam):
-            if op is None:
-                parts.append(lam)
-            else:
-                parts.append(op.vec(np.diag(lam)))
-        return np.concatenate(parts)
-
-    def jordan_solve(self, sc: _Scaling, rhs_blocks: list) -> np.ndarray:
+    def jordan_solve(self, sc: list, rhs: list) -> np.ndarray:
         """Solve lam o U = RHS in scaled coordinates (lam is diagonal)."""
-        parts = []
-        for op, lam, rhs in zip(self.ops, sc.lam, rhs_blocks):
-            if op is None:
-                parts.append(rhs / lam)
-            else:
-                denom = 0.5 * (lam[:, None] + lam[None, :])
-                parts.append(op.vec(rhs / denom))
-        return np.concatenate(parts)
+        denoms = [0.5 * (lam[:, :, None] + lam[:, None, :]) for _, lam in sc]
+        return self.flat([r / d for r, d in zip(rhs, denoms)])
 
-    def jordan_product(self, sc: _Scaling, u: np.ndarray, v: np.ndarray) -> list:
-        """Symmetrized product of two scaled-space vectors, per block."""
-        out = []
-        for op, sl in zip(self.ops, self.sdp.slices):
-            if op is None:
-                out.append(u[sl] * v[sl])
-            else:
-                um, vm = op.mat(u[sl]), op.mat(v[sl])
-                prod = um @ vm
-                out.append(0.5 * (prod + prod.T))
-        return out
+    def jordan_product(self, u: np.ndarray, v: np.ndarray) -> list:
+        """Symmetrized product of two scaled-space vectors, per group."""
+        prods = [um @ vm for um, vm in zip(self.stacks(u), self.stacks(v))]
+        return [0.5 * (p + np.swapaxes(p, -1, -2)) for p in prods]
 
-    def comp_rhs(self, sc: _Scaling, sigma_mu: float, corr: list | None) -> list:
-        """sigma*mu*e - lam o lam - corr, per block, in scaled coordinates."""
-        out = []
-        for op, lam, idx in zip(self.ops, sc.lam, range(len(self.ops))):
-            if op is None:
-                r = sigma_mu - lam * lam
-            else:
-                r = np.diag(sigma_mu - lam * lam)
-            if corr is not None:
-                r = r - corr[idx]
-            out.append(r)
-        return out
+    def comp_rhs(self, sc: list, sigma_mu: float, corr: list | None) -> list:
+        """sigma*mu*e - lam o lam - corr, per group, in scaled coordinates."""
+        rhs = [(sigma_mu - lam**2)[:, :, None] * np.eye(lam.shape[1]) for _, lam in sc]
+        return rhs if corr is None else [r - q for r, q in zip(rhs, corr)]
 
-    def max_step(self, sc: _Scaling, direction_scaled: np.ndarray) -> float:
-        """sup alpha with lam + alpha * direction in the cone (scaled space)."""
-        alpha = np.inf
-        for op, lam, sl in zip(self.ops, sc.lam, self.sdp.slices):
-            d = direction_scaled[sl]
-            if op is None:
-                neg = d < 0
-                if np.any(neg):
-                    alpha = min(alpha, float(np.min(-lam[neg] / d[neg])))
-            else:
-                dm = op.mat(d)
-                root = 1.0 / np.sqrt(lam)
-                scaled = dm * root[:, None] * root[None, :]
-                w = np.linalg.eigvalsh(scaled)
-                if w[0] < 0:
-                    alpha = min(alpha, -1.0 / float(w[0]))
-        return alpha
+    def max_step(self, sc: list, *directions: np.ndarray) -> float:
+        """sup alpha with lam + alpha * d in the cone for every scaled-space
+        direction d."""
+        least = np.inf
+        for (_, lam), dm in zip(sc, self.stacks(np.stack(directions))):
+            root = 1.0 / np.sqrt(lam)
+            scaled = dm * root[:, :, None] * root[:, None, :]
+            least = min(least, float(np.min(np.linalg.eigvalsh(scaled)[..., 0])))
+        return -1.0 / least if least < 0 else np.inf
 
     def min_eig(self, v: np.ndarray) -> float:
         """Least eigenvalue over all blocks (least entry for NONNEG)."""
-        worst = float(np.min(v[self.nonneg_pos])) if self.nonneg_pos.size else np.inf
-        for op, pos in self.psd_stacks:
-            least = np.linalg.eigvalsh(op.mats(v[pos]))[:, 0]
-            worst = min(worst, float(np.min(least)))
-        return worst
+        return min(float(np.min(np.linalg.eigvalsh(m)[:, 0])) for m in self.stacks(v))
 
 
 def _chol_with_regularization(k_mat: np.ndarray):
@@ -310,14 +234,7 @@ def solve(
     m = sdp.num_constraints
     nu = cone.degree + 1
 
-    # Pre-unpacked constraint rows per PSD block (constant across iterations).
-    a_mats = []
-    for blk, op, sl in zip(sdp.blocks, cone.ops, sdp.slices):
-        if op is None:
-            a_mats.append(np.ascontiguousarray(a[:, sl]))
-        else:
-            a_mats.append(op.mats(a[:, sl]))
-
+    a_stacks = cone.stacks(a)  # the constraint rows, unpacked once per solve
     e = cone.identity()
     x = e.copy()
     s = e.copy()
@@ -476,7 +393,10 @@ def solve(
             sc = cone.scaling(x, s)
         except np.linalg.LinAlgError:
             return inconclusive(iteration, "scaling breakdown (iterate left cone)")
-        abar = cone.scale_rows(sc, a_mats)
+        abar = np.empty_like(a)
+        for r0 in range(0, m, _ROW_CHUNK):
+            rows = slice(r0, r0 + _ROW_CHUNK)
+            abar[rows] = cone.congruence(sc, [st[rows] for st in a_stacks])
         cbar = cone.scale_s(sc, c)
         k_mat = abar @ abar.T
         factor = _chol_with_regularization(k_mat)
@@ -526,8 +446,7 @@ def solve(
             1.0, comp_aff, -tau * kappa
         )
 
-        alpha_a = cone.max_step(sc, dxs_a)
-        alpha_a = min(alpha_a, cone.max_step(sc, dss_a))
+        alpha_a = cone.max_step(sc, dxs_a, dss_a)
         if dtau_a < 0:
             alpha_a = min(alpha_a, -tau / dtau_a)
         if dkap_a < 0:
@@ -541,13 +460,12 @@ def solve(
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
 
         # -- corrector (combined) -----------------------------------------
-        corr = cone.jordan_product(sc, dxs_a, dss_a)
+        corr = cone.jordan_product(dxs_a, dss_a)
         comp = cone.comp_rhs(sc, sigma * mu, corr)
         rtk = sigma * mu - tau * kappa - dtau_a * dkap_a
         (dx, dy, ds, dtau, dkappa, dxs, dss) = solve_kkt(1.0 - sigma, comp, rtk)
 
-        alpha = cone.max_step(sc, dxs)
-        alpha = min(alpha, cone.max_step(sc, dss))
+        alpha = cone.max_step(sc, dxs, dss)
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
         if dkappa < 0:

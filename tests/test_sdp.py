@@ -178,6 +178,17 @@ def test_nonneg_matches_psd1_blocks():
         s2 = solve(as_psd)
         assert s1.status == s2.status == SdpStatus.OPTIMAL
         assert abs(s1.objective - s2.objective) <= 1e-6
+        # both take the solver's one side-1 path
+        assert s1.iterations == s2.iterations
+
+
+def test_builder_rejects_entries_outside_their_block():
+    builder = SdpBuilder([nonneg_block(2), psd_block(2)])
+    for entry in [(0, 2, 2, 1.0), (1, 0, 2, 1.0), (1, -1, 0, 1.0)]:
+        with pytest.raises(ValueError):
+            builder.add_row([entry], 1.0)
+    with pytest.raises(ValueError):
+        parse_sparse("blocks nonneg:2 psd:2\n1 0 2 2 1.0\n")
 
 
 def test_export_parse_roundtrip():
@@ -256,16 +267,57 @@ def test_early_exit_reports_in_cone_point(n, r, kind):
         assert _least_eigenvalue(sdp, sol.x_blocks) >= 0.0
 
 
+_MIXED_BLOCKS = [
+    psd_block(3), nonneg_block(2), psd_block(1), psd_block(3), psd_block(4)
+]
+
+
 def test_min_eig_matches_per_block_reference():
     rng = np.random.default_rng(13)
-    blocks = [psd_block(3), nonneg_block(2), psd_block(1), psd_block(3), psd_block(4)]
-    dim = sum(b.vec_dim for b in blocks)
-    sdp = BlockSdp(blocks, np.zeros((0, dim)), [], np.zeros(dim))
+    dim = sum(b.vec_dim for b in _MIXED_BLOCKS)
+    sdp = BlockSdp(_MIXED_BLOCKS, np.zeros((0, dim)), [], np.zeros(dim))
     cone = _Cone(sdp)
+    # one group per side; NONNEG(2) and PSD(1) share the side-1 group
+    assert {k: nblk for k, nblk, _ in cone.groups} == {3: 2, 1: 3, 4: 1}
     for _ in range(20):
         v = rng.normal(size=dim)
         reference = _least_eigenvalue(sdp, sdp.unpack(v))
         assert abs(cone.min_eig(v) - reference) <= 1e-12
+
+
+def _shuffled(sdp, perm):
+    """The same SDP with its blocks in the order ``perm``."""
+    cols = np.concatenate([np.arange(sdp.dim)[sdp.slices[i]] for i in perm])
+    return BlockSdp([sdp.blocks[i] for i in perm], sdp.A[:, cols], sdp.b, sdp.c[cols])
+
+
+@pytest.mark.parametrize("case", ["planted", "C5-Q-r1"])
+def test_block_order_does_not_matter(case):
+    # The solver gathers blocks into groups by side and scatters them back,
+    # so permuting the blocks must permute the solution and change nothing
+    # else.  x is compared after four iterations, where the iterate is
+    # unique: the optimal face of a planted instance is generally not a
+    # point, and two orders' rounding lands x on it up to 1e-5 apart.
+    if case == "planted":
+        sdp, _ = _planted_instance(np.random.default_rng(17), _MIXED_BLOCKS, m=6)
+    else:
+        sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    perm = np.random.default_rng(19).permutation(len(sdp.blocks))
+    shuffled = _shuffled(sdp, perm)
+    for max_iter in (4, 200):
+        sol = solve(sdp, max_iter=max_iter)
+        other = solve(shuffled, max_iter=max_iter)
+        assert sol.status == other.status
+        assert abs(sol.objective - other.objective) <= 1e-7
+        dobj = sol.diagnostics["dual_objective"]
+        assert abs(dobj - other.diagnostics["dual_objective"]) <= 1e-7
+        if max_iter == 4:
+            unshuffled = [None] * len(perm)
+            for j, i in enumerate(perm):
+                unshuffled[i] = other.x_blocks[j]
+            for mine, theirs in zip(sol.x_blocks, unshuffled):
+                assert np.max(np.abs(mine - theirs)) <= 1e-6
+    assert sol.status == SdpStatus.OPTIMAL
 
 
 def test_refinement_stops_at_the_noise_floor(monkeypatch):
