@@ -3,9 +3,13 @@
 Two families are supported, selected by :class:`ConeKind`:
 
 ``K`` (quartic lift): M is a member at level r when
-``(sum x_i^2)^r * (x o2)^T M x o2`` is a sum of squares; the test is an SDP
-feasibility problem over a single Gram block indexed by the exact-degree
-``r+2`` monomial basis.
+``(sum x_i^2)^r * (x o2)^T M x o2`` is a sum of squares of forms in the
+exact-degree ``r+2`` monomial basis.  The lift is invariant under every
+sign flip x_i -> -x_i, so averaging a Gram matrix over the flips zeroes
+each entry pairing monomials of different exponent parity (Gatermann and
+Parrilo 2004): the Gram matrix splits into one PSD block per parity class,
+the singleton classes together forming one NONNEG block, and only the even
+monomials 2*delta are matched.  At level 0 this is PSD(n) + NONNEG(C(n,2)).
 
 ``Q`` (linear lift): M is a member at level r when
 ``(sum x_i)^r * x^T M x`` equals ``sum_{|b|=r} x^b * sigma_b + sum_{|b|=r+2}
@@ -89,7 +93,8 @@ def lifted_poly(m: SymMatrix, r: int, kind: ConeKind) -> Poly:
 class SosCertificate:
     """Gram data witnessing a lifted-polynomial representation.
 
-    kind K: one Gram matrix over the exact-degree-(r+2) monomial basis.
+    kind K: one dense Gram matrix over the exact-degree-(r+2) monomial
+    basis (parity-block-diagonal when taken from a solution).
     kind Q: one n x n Gram matrix per degree-r monomial plus one nonnegative
     scalar per degree-(r+2) monomial.
     """
@@ -142,11 +147,14 @@ class SosCertificate:
 class GramLayout:
     """The Gram structure of one level-r cone constraint in a block SDP.
 
-    kind K: one PSD block over the exact-degree-(r+2) basis, matched row by
-    row against the lift's degree-(2r+4) monomials.  kind Q: one PSD(n)
-    block per degree-r monomial, then one NONNEG block holding a scalar per
-    degree-(r+2) monomial, matched against the lift's degree-(r+2)
-    monomials.  The blocks are numbered from ``first`` inside the SDP.
+    kind K: the exact-degree-(r+2) basis is grouped by exponent parity in
+    first-seen order; each class of two or more monomials is one PSD block
+    and the singleton classes together form one trailing NONNEG block, all
+    matched row by row against the even degree-(2r+4) monomials 2*delta.
+    kind Q: one PSD(n) block per degree-r monomial, then one NONNEG block
+    holding a scalar per degree-(r+2) monomial, matched against the lift's
+    degree-(r+2) monomials.  The blocks are numbered from ``first`` inside
+    the SDP.
     """
 
     def __init__(self, n: int, r: int, kind: ConeKind, first: int = 0):
@@ -157,29 +165,40 @@ class GramLayout:
         self.scalar_basis = (
             monomial_basis(n, r + 2, exact_degree=True) if kind is ConeKind.Q else None
         )
+        if kind is ConeKind.K:
+            # basis positions per parity class: PSD blocks, then the singletons
+            classes: dict[tuple, list[int]] = {}
+            for t, beta in enumerate(self.basis):
+                classes.setdefault(tuple(a % 2 for a in beta), []).append(t)
+            self.classes = [c for c in classes.values() if len(c) > 1]
+            self.singles = [c[0] for c in classes.values() if len(c) == 1]
 
     def blocks(self) -> list[BlockSpec]:
         if self.kind is ConeKind.K:
-            return [psd_block(len(self.basis))]
+            return [psd_block(len(c)) for c in self.classes] + (
+                [nonneg_block(len(self.singles))] if self.singles else []
+            )
         return [psd_block(self.n) for _ in self.basis] + [
             nonneg_block(len(self.scalar_basis))
         ]
 
     def rows(self) -> dict[MultiIndex, list]:
         """Lifted monomial -> the Gram entries (block, i, j, 1.0) summing to
-        its coefficient, for every monomial of the lift's degree (rows for
-        monomials absent from the lift match zero).  Each off-diagonal entry
-        is listed once; the SDP builder doubles symmetric pairs."""
+        its coefficient, for every monomial the Gram structure can reach
+        (rows for monomials absent from the lift match zero).  Each
+        off-diagonal entry is listed once; the SDP builder doubles symmetric
+        pairs."""
         first, basis = self.first, self.basis
         if self.kind is ConeKind.K:
-            rows = {
-                gamma: []
-                for gamma in monomial_basis(self.n, 2 * self.r + 4, exact_degree=True)
-            }
-            for ti, beta in enumerate(basis):
-                for tj in range(ti, len(basis)):
-                    gamma = tuple(a + b for a, b in zip(beta, basis[tj]))
-                    rows[gamma].append((first, ti, tj, 1.0))
+            rows = {tuple(2 * a for a in delta): [] for delta in basis}
+            for k, cls in enumerate(self.classes):
+                for a, ti in enumerate(cls):
+                    for b in range(a, len(cls)):
+                        gamma = tuple(u + v for u, v in zip(basis[ti], basis[cls[b]]))
+                        rows[gamma].append((first + k, a, b, 1.0))
+            scalar_block = first + len(self.classes)
+            for t, ti in enumerate(self.singles):
+                rows[tuple(2 * a for a in basis[ti])].append((scalar_block, t, t, 1.0))
             return rows
         rows = {gamma: [] for gamma in self.scalar_basis}
         for bi, beta in enumerate(basis):
@@ -194,6 +213,23 @@ class GramLayout:
             rows[gamma].append((scalar_block, t, t, 1.0))
         return rows
 
+    def embed(self, blocks) -> np.ndarray:
+        """kind K: the dense Gram matrix over ``basis`` holding the blocks."""
+        side = len(self.basis)
+        gram = np.zeros((side, side))
+        for cls, blk in zip(self.classes, blocks):
+            gram[np.ix_(cls, cls)] = blk
+        if self.singles:
+            gram[self.singles, self.singles] = blocks[len(self.classes)]
+        return gram
+
+    def split(self, gram: np.ndarray) -> list[np.ndarray]:
+        """kind K: the blocks of a dense Gram matrix; inverse of :meth:`embed`
+        on parity-block-diagonal matrices."""
+        gram = np.asarray(gram)
+        out = [gram[np.ix_(cls, cls)] for cls in self.classes]
+        return out + ([gram[self.singles, self.singles]] if self.singles else [])
+
     def certificate(self, sol, **provenance) -> SosCertificate:
         """The certificate held in a solution's blocks; the solver's residuals
         and gap join the caller's provenance."""
@@ -206,7 +242,7 @@ class GramLayout:
         cert = SosCertificate(self.kind, self.r, self.n, provenance=provenance)
         x_blocks = sol.x_blocks[self.first :]
         if self.kind is ConeKind.K:
-            cert.gram = np.asarray(x_blocks[0])
+            cert.gram = self.embed(x_blocks)
         else:
             k = len(self.basis)
             cert.gram_blocks = [np.asarray(b) for b in x_blocks[:k]]
@@ -318,24 +354,16 @@ class CertificateReport:
     ok: bool
 
 
-def _rationalize(arr: np.ndarray) -> list[list[Fraction]]:
-    return [[Fraction(float(v)) for v in row] for row in np.atleast_2d(arr)]
-
-
 def certificate_expansion(cert: SosCertificate) -> Poly:
     """Exact re-expansion of the certificate's polynomial."""
     n = cert.n
     if cert.kind is ConeKind.K:
         basis = gram_basis(n, cert.r, ConeKind.K)
+        gram = np.asarray(cert.gram, dtype=float)
         terms: dict[MultiIndex, Fraction] = {}
-        rational = _rationalize(cert.gram)
-        for i, beta in enumerate(basis):
-            for j, beta2 in enumerate(basis):
-                c = rational[i][j]
-                if c == 0:
-                    continue
-                gamma = tuple(a + b for a, b in zip(beta, beta2))
-                terms[gamma] = terms.get(gamma, Fraction(0)) + c
+        for i, j in zip(*np.nonzero(gram)):
+            gamma = tuple(a + b for a, b in zip(basis[i], basis[j]))
+            terms[gamma] = terms.get(gamma, Fraction(0)) + Fraction(float(gram[i, j]))
         return Poly(n, terms)
     basis = gram_basis(n, cert.r, ConeKind.Q)
     scalar_basis = monomial_basis(n, cert.r + 2, exact_degree=True)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -298,7 +297,8 @@ def _shift_for(witness: SpnWitness, max_halvings: int = 60) -> Fraction:
 
 
 def _interior_gram_k(witness: SpnWitness, r: int, b: Fraction):
-    """Exact Gram block of the quartic-lift seed: padded P-bJ plus diagonal."""
+    """Exact dense Gram matrix of the quartic-lift seed: padded P-bJ plus
+    diagonal.  Padding keeps parity, so the matrix is parity-block-diagonal."""
     n = witness.p_mat.n
     basis = gram_basis(n, r, ConeKind.K)
     pos = {mono: t for t, mono in enumerate(basis)}
@@ -378,9 +378,10 @@ def build_interior_start(
         b_shifts.append(b)
         if kind is ConeKind.K:
             gram = _interior_gram_k(witness, r, b)
-            blocks.append(np.array([[float(v) for v in row] for row in gram]))
-            side = comb(cons.n + r + 1, r + 2)
-            radius = min(b / side, big_r)
+            layout = GramLayout(cons.n, r, kind)
+            blocks += layout.split([[float(v) for v in row] for row in gram])
+            # the blocks' spectra together are the dense seed's spectrum
+            radius = min(b / len(layout.basis), big_r)
         else:
             gram_blocks, scalars = _interior_blocks_q(witness, r, b)
             for g in gram_blocks:

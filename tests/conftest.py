@@ -1,11 +1,17 @@
-"""Shared corpus generators (seeded, exact-rational where it matters)."""
+"""Shared corpus generators (seeded, exact-rational where it matters) and the
+unreduced K layout kept as a differential oracle."""
 
+import contextlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from coposos.polycore import SymMatrix
+from coposos import cones, relax
+from coposos.cones import ConeKind, GramLayout
+from coposos.polycore import SymMatrix, monomial_basis
+from coposos.sdpcore import psd_block
 
 
 def cycle_edges(n):
@@ -21,6 +27,16 @@ def c5_matrix() -> SymMatrix:
                 1 if i == j else (1 if (min(i, j), max(i, j)) in edges else -1)
                 for j in range(5)
             ]
+            for i in range(5)
+        ]
+    )
+
+
+def horn_matrix() -> SymMatrix:
+    """The Horn matrix: copositive, not in K^(0), in K^(1)."""
+    return SymMatrix.from_rows(
+        [
+            [1 if i == j or (i - j) % 5 in (1, 4) else -1 for j in range(5)]
             for i in range(5)
         ]
     )
@@ -76,3 +92,44 @@ def random_symmetric(rnd: random.Random, n: int, lo=-2, hi=2) -> SymMatrix:
 @pytest.fixture
 def rnd():
     return random.Random(20240811)
+
+
+class DenseKLayout(GramLayout):
+    """The unreduced K layout: one PSD block over the whole exact-degree-(r+2)
+    basis, one row per degree-(2r+4) monomial.  A differential oracle for the
+    parity-block layout of :class:`coposos.cones.GramLayout`."""
+
+    def __init__(self, n, r, kind, first=0):
+        assert kind is ConeKind.K
+        super().__init__(n, r, kind, first)
+
+    def blocks(self):
+        return [psd_block(len(self.basis))]
+
+    def rows(self):
+        basis = self.basis
+        rows = {
+            gamma: []
+            for gamma in monomial_basis(self.n, 2 * self.r + 4, exact_degree=True)
+        }
+        for ti, beta in enumerate(basis):
+            for tj in range(ti, len(basis)):
+                gamma = tuple(a + b for a, b in zip(beta, basis[tj]))
+                rows[gamma].append((self.first, ti, tj, 1.0))
+        return rows
+
+    def embed(self, blocks):
+        return np.asarray(blocks[0])
+
+    def split(self, gram):
+        return [np.asarray(gram)]
+
+
+@contextlib.contextmanager
+def dense_k():
+    """Within the block, every K membership SDP and relaxation is built with
+    :class:`DenseKLayout`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "GramLayout", DenseKLayout)
+        mp.setattr(relax, "GramLayout", DenseKLayout)
+        yield

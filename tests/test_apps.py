@@ -189,13 +189,15 @@ class TestStabilityBounds:
         nu = stability_bound_value(stability_bound(g, 1, ConeKind.Q))
         assert nu >= theta - 1e-6
 
-    # Cases that came back OPTIMAL below alpha with a failed certificate, or
-    # stalled, while the primal polish could leave the cone and a clamped
-    # gap hid it.
+    # Regression corpus: C5-C8 with K at r=0-2 and Q at r=1-2, and K at r=1
+    # for C10 and C12.  Several of these came back OPTIMAL below alpha with a
+    # failed certificate, or stalled, while the primal polish could leave
+    # the cone and a clamped gap hid it.
     @pytest.mark.parametrize(
         "n,r,kind",
-        [(5, 1, ConeKind.K), (5, 2, ConeKind.K), (7, 1, ConeKind.Q)]
-        + [(n, 2, ConeKind.Q) for n in (5, 6, 7, 8)],
+        [(n, r, ConeKind.K) for n in (5, 6, 7, 8) for r in (0, 1, 2)]
+        + [(n, r, ConeKind.Q) for n in (5, 6, 7, 8) for r in (1, 2)]
+        + [(10, 1, ConeKind.K), (12, 1, ConeKind.K)],
     )
     def test_certified_bound_not_below_alpha(self, n, r, kind):
         g = cycle_graph(n)
@@ -254,6 +256,14 @@ class TestChromatic:
         bound, res = chromatic_bound(g, 0, ConeKind.Q)
         assert res.status == SdpStatus.OPTIMAL
         assert bound <= expected_chi + 1e-6
+
+    def test_p3_level1_k_bound(self):
+        g = path_graph(3)
+        bound, res = chromatic_bound(g, 1, ConeKind.K)
+        assert res.status == SdpStatus.OPTIMAL
+        assert bound <= brute_chi(g) + 1e-6
+        assert res.certificate_reports
+        assert all(rep.ok for rep in res.certificate_reports)
 
     def test_c4_certified_bound(self):
         # once OPTIMAL at 2.0004-2.0257 with a failed certificate report

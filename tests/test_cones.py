@@ -5,8 +5,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import c5_matrix, c5_padded_matrix, planted_spn
-from coposos.apps import chromatic_box_bound, chromatic_program, complete_graph
+from conftest import c5_matrix, c5_padded_matrix, dense_k, horn_matrix, planted_spn
+from coposos.apps import (
+    chromatic_box_bound,
+    chromatic_program,
+    complete_graph,
+    cycle_graph,
+    stability_bound,
+    stability_bound_value,
+)
 from coposos.cones import (
     ConeKind,
     SosCertificate,
@@ -20,17 +27,25 @@ from coposos.cones import (
     lifted_poly,
     validate_certificate,
 )
-from coposos.polycore import SymMatrix, coeff_norm
+from coposos.polycore import Poly, SymMatrix, coeff_norm
 from coposos.relax import build_relaxation_sdp, extract_certificates, to_bounded
+from coposos.sdpcore import SdpStatus, nonneg_block, psd_block
 
 
 class TestBuilders:
     def test_k_block_side(self):
-        for n, r in [(3, 0), (4, 1), (6, 1)]:
+        # one PSD block per parity class of two or more monomials, then one
+        # NONNEG block of the singleton classes; one row per even monomial
+        for n, r in [(3, 0), (4, 0), (2, 1), (4, 1), (6, 1)]:
             prob = build_K_membership(SymMatrix.identity(n), r)
-            side = comb(n + r + 1, r + 2)
-            assert prob.sdp.blocks[0].size == side
-            assert len(prob.layout.basis) == side
+            if r == 0:
+                want = [psd_block(n), nonneg_block(comb(n, 2))]
+            else:
+                want = [psd_block(n)] * n
+                want += [nonneg_block(comb(n, 3))] if n >= 3 else []
+            assert list(prob.sdp.blocks) == want
+            assert prob.sdp.num_constraints == comb(n + r + 1, r + 2)
+            assert len(prob.layout.basis) == comb(n + r + 1, r + 2)
 
     def test_q_block_structure(self):
         for n, r in [(3, 0), (3, 1), (4, 2)]:
@@ -104,6 +119,41 @@ class TestGramRowsMatchAudit:
                 index[ci][gamma] = row
         certs = extract_certificates(rel, point)
         _assert_rows_match_audit(rel.sdp, point, list(zip(certs, index)))
+
+
+class TestReducedVsDense:
+    """The parity-block K layout against the unreduced one-block layout."""
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_c5_stability_objectives(self, r):
+        reduced = stability_bound(cycle_graph(5), r, ConeKind.K)
+        with dense_k():
+            dense = stability_bound(cycle_graph(5), r, ConeKind.K)
+        assert len(dense.relaxation.sdp.blocks) == 2  # one Gram block, then D
+        assert len(reduced.relaxation.sdp.blocks) > 2
+        assert reduced.status == dense.status == SdpStatus.OPTIMAL
+        assert abs(stability_bound_value(reduced) - stability_bound_value(dense)) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "r,want", [(0, Verdict.NOT_MEMBER), (1, Verdict.MEMBER)]
+    )
+    def test_horn_verdicts(self, r, want):
+        reduced = decide_membership(build_K_membership(horn_matrix(), r))
+        with dense_k():
+            dense = decide_membership(build_K_membership(horn_matrix(), r))
+        assert reduced.verdict == dense.verdict == want
+
+    def test_planted_level1_member(self, rnd):
+        m, _, _, _ = planted_spn(rnd, 4)
+        reduced = build_K_membership(m, 1)
+        with dense_k():
+            dense = build_K_membership(m, 1)
+        assert dense.sdp.num_constraints == comb(4 + 5, 6)
+        assert reduced.sdp.num_constraints == comb(4 + 2, 3)
+        for prob in (reduced, dense):
+            res = decide_membership(prob)
+            assert res.verdict == Verdict.MEMBER
+            assert validate_certificate(m, res.certificate).ok
 
 
 class TestDecideK:
@@ -248,6 +298,28 @@ class TestValidation:
         res = decide_membership(build_K_membership(SymMatrix.identity(2), 0))
         with pytest.raises(ValueError):
             validate_certificate(SymMatrix.identity(3), res.certificate)
+
+    def test_expansion_skips_only_zero_entries(self):
+        # exact zeros and -0.0 must add nothing; every other entry adds its
+        # exact rational value, as in the loop over all side^2 entries
+        n, r = 3, 1
+        basis = gram_basis(n, r, ConeKind.K)
+        side = len(basis)
+        rng = np.random.default_rng(7)
+        gram = rng.normal(size=(side, side))
+        gram = gram + gram.T
+        mask = rng.random((side, side)) < 0.4
+        gram[mask | mask.T] = 0.0
+        mask = rng.random((side, side)) < 0.2
+        gram[mask | mask.T] = -0.0
+        assert np.any(np.signbit(gram) & (gram == 0)) and np.any(gram != 0)
+        terms = {}
+        for i, beta in enumerate(basis):
+            for j, beta2 in enumerate(basis):
+                gamma = tuple(a + b for a, b in zip(beta, beta2))
+                terms[gamma] = terms.get(gamma, Fraction(0)) + Fraction(float(gram[i, j]))
+        cert = SosCertificate(kind=ConeKind.K, r=r, n=n, gram=gram)
+        assert dict(certificate_expansion(cert).items()) == dict(Poly(n, terms).items())
 
     def test_expansion_matches_lift_for_member(self, rnd):
         m, _, _, _ = planted_spn(rnd, 3)

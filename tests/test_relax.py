@@ -12,6 +12,7 @@ from coposos.relax import (
     ConicProgram,
     SpnRefusal,
     SpnWitness,
+    _interior_gram_k,
     build_interior_start,
     build_relaxation_sdp,
     check_intspn,
@@ -172,6 +173,24 @@ class TestInteriorStart:
         )
         assert rep.eq_residual <= 1e-10
         assert rep.margin > 0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_k_seed_maps_onto_parity_blocks(self, n, r):
+        prog, w = self._witness_for_sqp_identity(n)
+        rel = build_relaxation_sdp(prog, r, ConeKind.K, 10)
+        start = build_interior_start(prog, [w], r, ConeKind.K, 10)
+        layout = rel.layouts[0]
+        dense = np.array(
+            [[float(v) for v in row] for row in _interior_gram_k(w, r, start.b_shifts[0])]
+        )
+        # the dense seed is parity-block-diagonal: the blocks hold all of it
+        assert np.array_equal(layout.embed(layout.split(dense)), dense)
+        rep = sandwich_diagnostics(
+            rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
+        )
+        assert rep.ok
+        assert min(rep.block_margins[: rel.d_block]) >= start.inner_radius
 
     def test_gram_margin_positive_on_corpus(self, rnd):
         for _ in range(3):
