@@ -355,28 +355,29 @@ class CertificateReport:
 
 
 def certificate_expansion(cert: SosCertificate) -> Poly:
-    """Exact re-expansion of the certificate's polynomial."""
+    """Exact re-expansion of the certificate's polynomial: Gram entry (i, j)
+    over half-monomials u_i, u_j, shifted by beta, adds its exact rational
+    value to the coefficient of beta + u_i + u_j (K: beta = 0 and u the
+    basis; Q: one Gram block per degree-r monomial beta, u the unit
+    vectors), and each Q scalar adds to its own monomial."""
     n = cert.n
+    basis = gram_basis(n, cert.r, cert.kind)
     if cert.kind is ConeKind.K:
-        basis = gram_basis(n, cert.r, ConeKind.K)
-        gram = np.asarray(cert.gram, dtype=float)
-        terms: dict[MultiIndex, Fraction] = {}
+        grams = [((0,) * n, basis, cert.gram)]
+        scalars = []
+    else:
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        grams = [(beta, units, block) for beta, block in zip(basis, cert.gram_blocks)]
+        scalars = zip(monomial_basis(n, cert.r + 2, exact_degree=True), cert.scalars)
+    terms: dict[MultiIndex, Fraction] = {}
+    for beta, half, gram in grams:
+        gram = np.asarray(gram, dtype=float)
         for i, j in zip(*np.nonzero(gram)):
-            gamma = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            terms[gamma] = terms.get(gamma, Fraction(0)) + Fraction(float(gram[i, j]))
-        return Poly(n, terms)
-    basis = gram_basis(n, cert.r, ConeKind.Q)
-    scalar_basis = monomial_basis(n, cert.r + 2, exact_degree=True)
-    total = Poly.zero(n)
-    for beta, block in zip(basis, cert.gram_blocks):
-        sigma = quadratic_form(SymMatrix.from_float(np.asarray(block)))
-        total = total + Poly(n, {tuple(beta): 1}) * sigma
-    terms = {}
-    for gamma, c in zip(scalar_basis, np.asarray(cert.scalars)):
-        val = Fraction(float(c))
-        if val != 0:
-            terms[gamma] = val
-    return total + Poly(n, terms)
+            gamma = tuple(a + b + c for a, b, c in zip(beta, half[i], half[j]))
+            terms[gamma] = terms.get(gamma, 0) + Fraction(float(gram[i, j]))
+    for gamma, c in scalars:
+        terms[gamma] = terms.get(gamma, 0) + Fraction(float(c))
+    return Poly(n, terms)
 
 
 def validate_certificate(

@@ -184,7 +184,8 @@ class BlockSdp:
 
 
 class SdpBuilder:
-    """Incremental sparse assembly of a BlockSdp.
+    """Incremental assembly of a BlockSdp: rows are collected as sparse
+    {svec position: value} maps, and :meth:`build` fills a dense A.
 
     Entries are given per (block, i, j); for PSD blocks (i, j) with i != j
     sets the symmetric pair, and the svec scaling is handled here.
@@ -279,32 +280,20 @@ class SdpSolution:
 
 
 def export_sparse(sdp: BlockSdp) -> str:
-    lines = []
-    lines.append(
-        "blocks " + " ".join(f"{blk.kind}:{blk.size}" for blk in sdp.blocks)
-    )
-    for i, b_i in enumerate(sdp.b):
-        if b_i != 0.0:
-            lines.append(f"rhs {i + 1} {float(b_i)!r}")
-
-    def emit(cons_index: int, vec: np.ndarray):
-        for bi, (blk, sl) in enumerate(zip(sdp.blocks, sdp.slices)):
-            part = vec[sl]
-            if blk.kind == "psd":
-                mat = smat(part, blk.size)
-                for r in range(blk.size):
-                    for cidx in range(r, blk.size):
-                        v = mat[r, cidx]
-                        if v != 0.0:
-                            lines.append(f"{cons_index} {bi} {r} {cidx} {float(v)!r}")
-            else:
-                for r, v in enumerate(part):
-                    if v != 0.0:
-                        lines.append(f"{cons_index} {bi} {r} {r} {float(v)!r}")
-
-    emit(0, sdp.c)
-    for i in range(sdp.num_constraints):
-        emit(i + 1, sdp.A[i])
+    lines = ["blocks " + " ".join(f"{blk.kind}:{blk.size}" for blk in sdp.blocks)]
+    lines += [f"rhs {i + 1} {float(b_i)!r}" for i, b_i in enumerate(sdp.b) if b_i != 0.0]
+    # (block, row, column, svec scale) of every svec position
+    where = []
+    for bi, blk in enumerate(sdp.blocks):
+        if blk.kind == "psd":
+            upper, _, scale = _svec_index(blk.size)
+            where += zip([bi] * scale.size, upper // blk.size, upper % blk.size, scale)
+        else:
+            where += [(bi, r, r, 1.0) for r in range(blk.size)]
+    for cons, vec in enumerate([sdp.c, *sdp.A]):
+        for pos in np.flatnonzero(vec):
+            bi, r, col, scale = where[pos]
+            lines.append(f"{cons} {bi} {r} {col} {float(vec[pos] / scale)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,20 +21,24 @@ x / tau itself, which is interior.  Its gap is the larger of the unclamped
 x.s and |c^T x - b^T y|, so OPTIMAL means an in-cone x, residuals within
 feastol and a primal-dual objective gap within gaptol.
 
-Search directions come from a dense Schur-complement solve.  The cone
-blocks are grouped by side, a NONNEG(k) block counting as k PSD(1)
-blocks, and every cone operation runs once per group on stacked
-(nblk, k, k) arrays.  The constraint rows are unpacked into these stacks
-once per solve; per iteration they are congruence-scaled (W^T A_i W,
-elementwise w^2 a_i on the side-1 group) a fixed chunk of rows at a time,
-which bounds the temporaries, into one m x dim matrix of scaled svec rows.
-Its m x m Gram matrix, one matrix product, is factorized by Cholesky (with
-escalating diagonal regularization on breakdown), and the 2 x 2 (y, tau)
-system of the embedding is back-substituted.  Problem sizes here are at
-most a few hundred rows, so no sparsity is exploited.
+Search directions come from a Schur-complement solve.  The cone blocks
+are grouped by side, a NONNEG(k) block counting as k PSD(1) blocks, and
+every cone operation runs once per group on stacked (nblk, k, k) arrays.
+The constraint rows stay block-sparse (Fujisawa, Kojima and Nakata 1997,
+Math. Program. 79): each touches only a few blocks, so each iteration
+scales only the k x k pieces of the (row, block) pairs that touch, forms
+the Schur matrix K_ij = <W^T A_i W, W^T A_j W> from one small Gram matrix
+per block, and applies A and the scaled rows as COO products.  K is
+factorized by Cholesky (with escalating diagonal regularization on
+breakdown), and the 2 x 2 (y, tau) system of the embedding is
+back-substituted.  The seconds spent forming K, in Cholesky and
+refinement, and in cone operations are reported in
+``diagnostics["timings"]``.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -43,9 +47,6 @@ from .model import BlockSdp, SdpSolution, SdpStatus, smat, svec
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-9
-# Scaled constraint rows are formed this many at a time, which bounds the
-# (rows, nblk, k, k) temporaries of the row congruence.
-_ROW_CHUNK = 64
 
 
 class _Cone:
@@ -111,12 +112,12 @@ class _Cone:
             sc.append((w * sig[:, None, :] ** -0.5, sig))
         return sc
 
-    def congruence(self, sc: list, stacks: list, adjoint: bool = False) -> np.ndarray:
-        """W^T M W per block of (..., nblk, k, k) group stacks, or W M W^T if
-        ``adjoint``, as (..., dim) svec vectors.  Side-1 blocks scale
-        elementwise by w^2, which avoids one 1 x 1 matmul per scalar and row."""
+    def congruence(self, sc: list, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """W^T V W per block of (..., dim) svec vectors, or W V W^T if
+        ``adjoint``.  Side-1 blocks scale elementwise by w^2, which avoids one
+        1 x 1 matmul per scalar."""
         out = []
-        for (w, _), mats in zip(sc, stacks):
+        for (w, _), mats in zip(sc, self.stacks(v)):
             if adjoint:
                 w = np.swapaxes(w, -1, -2)
             if w.shape[-1] == 1:
@@ -124,14 +125,6 @@ class _Cone:
             else:
                 out.append(np.swapaxes(w, -1, -2) @ mats @ w)
         return self.flat(out)
-
-    def scale_s(self, sc: list, v: np.ndarray) -> np.ndarray:
-        """Congruence W^T . W per block of (..., dim) svec vectors."""
-        return self.congruence(sc, self.stacks(v))
-
-    def scale_x(self, sc: list, v: np.ndarray) -> np.ndarray:
-        """Congruence W . W^T per block (adjoint of :meth:`scale_s`)."""
-        return self.congruence(sc, self.stacks(v), adjoint=True)
 
     def jordan_solve(self, sc: list, rhs: list) -> np.ndarray:
         """Solve lam o U = RHS in scaled coordinates (lam is diagonal)."""
@@ -161,6 +154,96 @@ class _Cone:
     def min_eig(self, v: np.ndarray) -> float:
         """Least eigenvalue over all blocks (least entry for NONNEG)."""
         return min(float(np.min(np.linalg.eigvalsh(m)[:, 0])) for m in self.stacks(v))
+
+
+class _Coo:
+    """A sparse matrix as (row, column, value) triplets; ``dot`` and ``tdot``
+    take its products with a vector by one bincount."""
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.vals * v[self.cols], minlength=self.shape[0])
+
+    def tdot(self, u: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, self.vals * u[self.rows], minlength=self.shape[1])
+
+
+class _Rows:
+    """The constraint rows, block-sparse, set up once per solve: A as a
+    :class:`_Coo` of its nonzeros, and per group the pieces of the rows that
+    touch its blocks, as padded (nblk, L, ...) parts, L the most rows
+    touching one block, padding rows being zero pieces charged to row 0.  A
+    PSD group has one part of k x k pieces.  The side-1 group has a part of
+    the columns touching one row, and one of the few touching several rows
+    (the split free variables of a boxed program) over their row support."""
+
+    def __init__(self, cone: _Cone, a: np.ndarray):
+        m, dim = a.shape
+        flat = np.flatnonzero(a.ravel() != 0)  # a boolean mask finds them fastest
+        rows, cols = np.divmod(flat, dim)
+        vals = a.ravel()[flat]
+        self.a = _Coo(rows, cols, vals, a.shape)
+        # each column's group, block in the group and svec entry in the block
+        group, block, entry = (np.empty(dim, dtype=np.intp) for _ in range(3))
+        at = [np.arange(dim)[pos].reshape(nblk, -1) for _, nblk, pos in cone.groups]
+        for g, cols_g in enumerate(at):
+            group[cols_g] = g
+            block[cols_g] = np.arange(cols_g.shape[0])[:, None]
+            entry[cols_g] = np.arange(cols_g.shape[1])
+        self.parts, bar_at, k_idx = [], [], []
+        for g, (k, nblk, _) in enumerate(cone.groups):
+            nz = group[cols] == g
+            r, b, v = rows[nz], block[cols[nz]], vals[nz]
+            if k == 1:
+                count = np.bincount(b, minlength=nblk)
+                one, many = count[b] == 1, np.flatnonzero(count > 1)
+                parts = [(b[one][:, None, None], v[one][:, None, None], r[one][:, None],
+                          at[g][b[one]])]
+                if many.size:
+                    sup, sup_at = np.unique(r[~one], return_inverse=True)
+                    dense = np.zeros((1, sup.size, many.size))
+                    dense[0, sup_at, np.searchsorted(many, b[~one])] = v[~one]
+                    parts.append((many, dense, sup[None], at[g][many, 0][None]))
+            else:
+                # the (block, row) pairs that touch, sorted by block, and each
+                # pair's slot among its block's rows
+                pair, inv = np.unique(b * m + r, return_inverse=True)
+                pair_blk, pair_row = np.divmod(pair, m)
+                count = np.bincount(pair_blk, minlength=nblk)
+                slot = np.arange(pair.size) - (np.cumsum(count) - count)[pair_blk]
+                touch = np.zeros((nblk, count.max()), dtype=np.intp)
+                touch[pair_blk, slot] = pair_row
+                piece = np.zeros(touch.shape + at[g].shape[1:])
+                piece[pair_blk[inv], slot[inv], entry[cols[nz]]] = v
+                parts = [(None, piece, touch, at[g])]
+            for sel, piece, touch, entries in parts:
+                self.parts.append((g, sel, smat(piece, k) if sel is None else piece))
+                shape = touch.shape + entries.shape[-1:]
+                bar_at.append((np.broadcast_to(touch[:, :, None], shape).ravel(),
+                               np.broadcast_to(entries[:, None, :], shape).ravel()))
+                k_idx.append((touch[:, :, None] * m + touch[:, None, :]).ravel())
+        # the scaled rows' nonzero pattern, in the order scale() lists them
+        self.bar_at = [np.concatenate(ix) for ix in zip(*bar_at)]
+        self.k_idx = np.concatenate(k_idx)
+
+    def scale(self, sc: list) -> tuple[_Coo, np.ndarray]:
+        """The scaled rows svec(W^T A_i W) and the Schur matrix K, their Gram
+        matrix, scattered in from one small Gram matrix per block."""
+        scaled = []
+        for g, sel, piece in self.parts:
+            w = sc[g][0]
+            if sel is None:
+                w = w[:, None]
+                scaled.append(svec(np.swapaxes(w, -1, -2) @ piece @ w))
+            else:  # a side-1 entry scales by the w^2 of its column
+                scaled.append(piece * w[sel, 0, 0] ** 2)
+        grams = [(s @ np.swapaxes(s, -1, -2)).ravel() for s in scaled]
+        m = self.a.shape[0]
+        k_mat = np.bincount(self.k_idx, np.concatenate(grams), minlength=m * m)
+        bar = np.concatenate([v.ravel() for v in scaled])
+        return _Coo(*self.bar_at, bar, self.a.shape), k_mat.reshape(m, m)
 
 
 def _chol_with_regularization(k_mat: np.ndarray):
@@ -228,13 +311,33 @@ def solve(
     inftol = eps if inftol is None else inftol
 
     cone = _Cone(sdp)
-    a = sdp.A
+    rows = _Rows(cone, sdp.A)
+    a = rows.a
     b = sdp.b
     c = sdp.c
     m = sdp.num_constraints
     nu = cone.degree + 1
 
-    a_stacks = cone.stacks(a)  # the constraint rows, unpacked once per solve
+    # seconds per stage, charged by wrapping the calls that do its work
+    timings = {"schur_s": 0.0, "cholesky_s": 0.0, "cone_s": 0.0}
+
+    def clocked(stage, fn):
+        def run(*args):
+            t0 = perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                timings[stage] += perf_counter() - t0
+
+        return run
+
+    scale_rows = clocked("schur_s", rows.scale)
+    factorize = clocked("cholesky_s", _chol_with_regularization)
+    refined_solve = clocked("cholesky_s", _refined_solve)
+    for name in ("scaling", "congruence", "jordan_solve", "jordan_product", "comp_rhs",
+                 "max_step", "min_eig"):
+        setattr(cone, name, clocked("cone_s", getattr(cone, name)))
+
     e = cone.identity()
     x = e.copy()
     s = e.copy()
@@ -261,10 +364,10 @@ def solve(
         if step is None:
             return xhat
         sc, abar, k_mat, factor = step
-        resid = a @ xhat - b
-        u = _refined_solve(factor, k_mat, resid)
-        corrected = xhat - cone.scale_x(sc, abar.T @ u)
-        new = float(np.linalg.norm(a @ corrected - b))
+        resid = a.dot(xhat) - b
+        u = refined_solve(factor, k_mat, resid)
+        corrected = xhat - cone.congruence(sc, abar.tdot(u), True)
+        new = float(np.linalg.norm(a.dot(corrected) - b))
         if new < float(np.linalg.norm(resid)) and cone.min_eig(corrected) >= 0.0:
             return corrected
         return xhat
@@ -273,12 +376,12 @@ def solve(
         xhat = x / tau
         yhat = y / tau
         shat = s / tau
-        dres = float(np.linalg.norm(a.T @ yhat + shat - c)) / norm_c
+        dres = float(np.linalg.norm(a.tdot(yhat) + shat - c)) / norm_c
         if dres <= feastol:
             # the polish leaves (y, s) alone, so only a point that can be
             # accepted is worth polishing
             xhat = polish_primal(xhat)
-        pres = float(np.linalg.norm(a @ xhat - b)) / norm_b
+        pres = float(np.linalg.norm(a.dot(xhat) - b)) / norm_b
         pobj = float(c @ xhat)
         dobj = float(b @ yhat)
         # honest gap: x.s unclamped, and the objective gap it stands for
@@ -309,7 +412,8 @@ def solve(
             tau=tau_p,
             kappa=kappa_p,
             message=message,
-            diagnostics={"dual_objective": dobj, "mu": mu_p, "mu0": mu0},
+            diagnostics={"dual_objective": dobj, "mu": mu_p, "mu0": mu0,
+                         "timings": timings},
         )
 
     def inconclusive(iteration, message):
@@ -340,7 +444,7 @@ def solve(
 
         bty = float(b @ y)
         if bty > 0:
-            qual = float(np.linalg.norm(a.T @ y + s)) / bty
+            qual = float(np.linalg.norm(a.tdot(y) + s)) / bty
             if qual <= inftol:
                 yn = y / bty
                 sn = s / bty
@@ -357,10 +461,11 @@ def solve(
                         "quality": qual,
                     },
                     message="dual improving ray found",
+                    diagnostics={"timings": timings},
                 )
         ctx = float(c @ x)
         if ctx < 0:
-            qual = float(np.linalg.norm(a @ x)) / (-ctx)
+            qual = float(np.linalg.norm(a.dot(x))) / (-ctx)
             if qual <= inftol:
                 xn = x / (-ctx)
                 return SdpSolution(
@@ -375,6 +480,7 @@ def solve(
                         "quality": qual,
                     },
                     message="primal improving ray found",
+                    diagnostics={"timings": timings},
                 )
 
         stalled = iteration - best_iteration >= 12
@@ -393,31 +499,27 @@ def solve(
             sc = cone.scaling(x, s)
         except np.linalg.LinAlgError:
             return inconclusive(iteration, "scaling breakdown (iterate left cone)")
-        abar = np.empty_like(a)
-        for r0 in range(0, m, _ROW_CHUNK):
-            rows = slice(r0, r0 + _ROW_CHUNK)
-            abar[rows] = cone.congruence(sc, [st[rows] for st in a_stacks])
-        cbar = cone.scale_s(sc, c)
-        k_mat = abar @ abar.T
-        factor = _chol_with_regularization(k_mat)
+        abar, k_mat = scale_rows(sc)
+        cbar = cone.congruence(sc, c)
+        factor = factorize(k_mat)
         if factor is None:
             return inconclusive(iteration, "Schur complement factorization failed")
         step = (sc, abar, k_mat, factor)
 
         # residual vectors of the embedding
-        r_p = a @ x - b * tau
-        r_d = a.T @ y + s - c * tau
+        r_p = a.dot(x) - b * tau
+        r_d = a.tdot(y) + s - c * tau
         r_g = float(b @ y - c @ x) - kappa
 
-        ahc = abar @ cbar  # A H c with H the NT scaling operator
+        ahc = abar.dot(cbar)  # A H c with H the NT scaling operator
         bhc = b - ahc
-        u_b = _refined_solve(factor, k_mat, b)
-        u_g = _refined_solve(factor, k_mat, ahc)
+        u_b = refined_solve(factor, k_mat, b)
+        u_g = refined_solve(factor, k_mat, ahc)
         u1 = u_b + u_g
         # (b - g)^T K^{-1} (b + g) + c^T H c telescopes to
         # b^T K^{-1} b + || (I - P) cbar ||^2 with P the projection onto the
         # scaled row space; the residual form avoids catastrophic cancellation.
-        proj_resid = cbar - abar.T @ u_g
+        proj_resid = cbar - abar.tdot(u_g)
         denom = kappa / tau + float(b @ u_b) + float(proj_resid @ proj_resid)
         if not np.isfinite(denom) or denom < 1e-300:
             return inconclusive(iteration, "singular embedding system")
@@ -428,15 +530,15 @@ def solve(
             r2_vec = eta * r_d  # enters the eliminated system with a flipped sign
             r3 = -eta * r_g
             d2 = cone.jordan_solve(sc, comp_rhs_blocks)
-            r2bar = cone.scale_s(sc, r2_vec)
-            u2 = _refined_solve(factor, k_mat, r1 - abar @ (d2 + r2bar))
+            r2bar = cone.congruence(sc, r2_vec)
+            u2 = refined_solve(factor, k_mat, r1 - abar.dot(d2 + r2bar))
             rhs2 = r3 + rtk / tau + float(cbar @ (d2 + r2bar))
             dtau = (rhs2 - float(bhc @ u2)) / denom
             dy = u2 + dtau * u1
-            ds = -r2_vec - a.T @ dy + c * dtau
-            ds_scaled = cone.scale_s(sc, ds)
+            ds = -r2_vec - a.tdot(dy) + c * dtau
+            ds_scaled = cone.congruence(sc, ds)
             dx_scaled = d2 - ds_scaled
-            dx = cone.scale_x(sc, dx_scaled)
+            dx = cone.congruence(sc, dx_scaled, True)
             dkappa = (rtk - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa, dx_scaled, ds_scaled
 

@@ -133,3 +133,16 @@ def dense_k():
         mp.setattr(cones, "GramLayout", DenseKLayout)
         mp.setattr(relax, "GramLayout", DenseKLayout)
         yield
+
+
+def dense_scaled_rows(cone, sc, a, chunk=64):
+    """The dense scaled-row path the solver had before its rows were kept
+    block-sparse, as a differential oracle: the rows of ``a`` unpacked into
+    the cone's group stacks and congruence-scaled by the NT scaling ``sc`` a
+    chunk of rows at a time into one m x dim matrix abar of svec rows.
+    Returns abar and the Schur matrix abar abar^T, one matrix product."""
+    abar = np.empty_like(a)
+    for r0 in range(0, a.shape[0], chunk):
+        rows = slice(r0, r0 + chunk)
+        abar[rows] = cone.congruence(sc, a[rows])
+    return abar, abar @ abar.T

@@ -27,7 +27,7 @@ from coposos.cones import (
     lifted_poly,
     validate_certificate,
 )
-from coposos.polycore import Poly, SymMatrix, coeff_norm
+from coposos.polycore import Poly, SymMatrix, coeff_norm, monomial_basis, quadratic_form
 from coposos.relax import build_relaxation_sdp, extract_certificates, to_bounded
 from coposos.sdpcore import SdpStatus, nonneg_block, psd_block
 
@@ -320,6 +320,37 @@ class TestValidation:
                 terms[gamma] = terms.get(gamma, Fraction(0)) + Fraction(float(gram[i, j]))
         cert = SosCertificate(kind=ConeKind.K, r=r, n=n, gram=gram)
         assert dict(certificate_expansion(cert).items()) == dict(Poly(n, terms).items())
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_q_expansion_matches_polynomial_sum(self, r):
+        # against the expansion as a sum of Polys, x^beta times the exact
+        # quadratic form of each symmetrised block, plus the scalars; with
+        # exact zeros, -0.0 and a slightly asymmetric block
+        n = 4
+        basis = gram_basis(n, r, ConeKind.Q)
+        rng = np.random.default_rng(11 + r)
+        blocks = []
+        for _ in basis:
+            block = rng.normal(size=(n, n))
+            block = block + block.T
+            mask = rng.random((n, n)) < 0.3
+            block[mask | mask.T] = 0.0
+            mask = rng.random((n, n)) < 0.2
+            block[mask | mask.T] = -0.0
+            blocks.append(block)
+        blocks[0][0, 1] += 1e-9
+        scalars = rng.random(comb(n + r + 1, r + 2))
+        scalars[::3] = 0.0
+        scalars[1::5] = -0.0
+        assert any(np.any(np.signbit(b) & (b == 0)) for b in blocks)
+        total = Poly.zero(n)
+        for beta, block in zip(basis, blocks):
+            sigma = quadratic_form(SymMatrix.from_float(block))
+            total = total + Poly(n, {tuple(beta): 1}) * sigma
+        scalar_basis = monomial_basis(n, r + 2, exact_degree=True)
+        total = total + Poly(n, {g: Fraction(float(c)) for g, c in zip(scalar_basis, scalars)})
+        cert = SosCertificate(kind=ConeKind.Q, r=r, n=n, gram_blocks=blocks, scalars=scalars)
+        assert dict(certificate_expansion(cert).items()) == dict(total.items())
 
     def test_expansion_matches_lift_for_member(self, rnd):
         m, _, _, _ = planted_spn(rnd, 3)

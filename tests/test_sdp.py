@@ -1,11 +1,19 @@
 from fractions import Fraction
+from time import perf_counter
 
 import numpy as np
 import pytest
 
-from coposos.apps import cycle_graph, sqp_reciprocal_program, stability_qp_matrix
+from conftest import dense_scaled_rows
+from coposos.apps import (
+    chromatic_program,
+    complete_graph,
+    cycle_graph,
+    sqp_reciprocal_program,
+    stability_qp_matrix,
+)
 from coposos.cones import ConeKind
-from coposos.relax import build_relaxation_sdp
+from coposos.relax import build_relaxation_sdp, to_bounded
 from coposos.sdpcore import (
     BlockSdp,
     SdpBuilder,
@@ -20,7 +28,7 @@ from coposos.sdpcore import (
     svec,
 )
 from coposos.sdpcore import solver
-from coposos.sdpcore.solver import _Cone
+from coposos.sdpcore.solver import _Cone, _Rows
 
 
 def test_svec_roundtrip_preserves_inner_products():
@@ -191,6 +199,31 @@ def test_builder_rejects_entries_outside_their_block():
         parse_sparse("blocks nonneg:2 psd:2\n1 0 2 2 1.0\n")
 
 
+def _export_sparse_reference(sdp):
+    """export_sparse as a loop over every entry of every block."""
+    lines = ["blocks " + " ".join(f"{blk.kind}:{blk.size}" for blk in sdp.blocks)]
+    lines += [f"rhs {i + 1} {float(b_i)!r}" for i, b_i in enumerate(sdp.b) if b_i != 0.0]
+    for cons, vec in enumerate([sdp.c, *sdp.A]):
+        for bi, (blk, sl) in enumerate(zip(sdp.blocks, sdp.slices)):
+            if blk.kind == "psd":
+                mat = smat(vec[sl], blk.size)
+                entries = [(r, col, mat[r, col]) for r in range(blk.size)
+                           for col in range(r, blk.size)]
+            else:
+                entries = [(r, r, v) for r, v in enumerate(vec[sl])]
+            lines += [f"{cons} {bi} {r} {col} {float(v)!r}"
+                      for r, col, v in entries if v != 0.0]
+    return "\n".join(lines) + "\n"
+
+
+def test_export_sparse_matches_entrywise_reference():
+    sdp = _sparse_mixed_sdp(0)
+    sdp.A[sdp.A == 0.0] = -0.0  # signed zeros must be skipped as zeros are
+    planted, _ = _planted_instance(np.random.default_rng(2), _MIXED_BLOCKS, m=3)
+    for case in (sdp, planted):
+        assert export_sparse(case) == _export_sparse_reference(case)
+
+
 def test_export_parse_roundtrip():
     rng = np.random.default_rng(2)
     sdp, _ = _planted_instance(rng, [psd_block(2), nonneg_block(2)], m=2)
@@ -339,3 +372,84 @@ def test_refinement_stops_at_the_noise_floor(monkeypatch):
     u = solver._refined_solve(factor, k_mat, rhs)
     assert len(calls) <= 3
     assert np.linalg.norm(rhs - k_mat @ u) <= np.linalg.norm(rhs - k_mat @ first)
+
+
+# PSD sides 1-6, a NONNEG block, then three blocks with a set touching
+# pattern: NONNEG(2) whose columns touch every row (like the split free
+# variables of a boxed program), PSD(3) that no row touches and PSD(2) that
+# exactly one row touches.
+_SPARSE_BLOCKS = [psd_block(k) for k in range(1, 7)] + [
+    nonneg_block(4), nonneg_block(2), psd_block(3), psd_block(2)
+]
+
+
+def _sparse_mixed_sdp(seed, m=15):
+    rng = np.random.default_rng(seed)
+    dim = sum(blk.vec_dim for blk in _SPARSE_BLOCKS)
+    sl = BlockSdp(_SPARSE_BLOCKS, np.zeros((0, dim)), [], np.zeros(dim)).slices
+    a = np.zeros((m, dim))
+    for i in range(1, m):
+        for part in sl[:7]:
+            if rng.random() < 0.4:
+                cols = np.arange(dim)[part]
+                picked = rng.choice(cols, size=rng.integers(1, cols.size + 1), replace=False)
+                a[i, picked] = rng.normal(size=picked.size)
+    a[0, sl[6]] = rng.normal(size=4)  # row 0 touches NONNEG entries only
+    a[:, sl[7]] = rng.choice([-1.0, 1.0], size=(m, 2))
+    a[rng.integers(1, m), sl[9]] = rng.normal(size=3)
+    return BlockSdp(_SPARSE_BLOCKS, a, rng.normal(size=m), rng.normal(size=dim))
+
+
+def _interior_point(cone, rng):
+    return cone.flat([g @ np.swapaxes(g, -1, -2) + np.eye(g.shape[-1])
+                      for g in cone.stacks(rng.normal(size=cone.dim))])
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "C5-Q-r1", "chi-K2"])
+def test_block_sparse_rows_match_dense_oracle(case):
+    # The Schur matrix, the scaled-row products and the products with A
+    # must agree with the dense scaled-row path to rounding.
+    if case == "C5-Q-r1":
+        sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    elif case == "chi-K2":
+        prog = to_bounded(chromatic_program(complete_graph(2)), 5)
+        sdp = build_relaxation_sdp(prog, 0, ConeKind.Q, 5).sdp
+    else:
+        sdp = _sparse_mixed_sdp(case)
+        touched = [np.any(sdp.A[:, sl] != 0, axis=1) for sl in sdp.slices]
+        assert touched[7].all() and not touched[8].any() and touched[9].sum() == 1
+        assert not np.any(sdp.A[0, :sdp.slices[6].start])
+    rng = np.random.default_rng(31)
+    cone = _Cone(sdp)
+    rows = _Rows(cone, sdp.A)
+    sc = cone.scaling(_interior_point(cone, rng), _interior_point(cone, rng))
+    abar, k_ref = dense_scaled_rows(cone, sc, sdp.A)
+    bar, k_mat = rows.scale(sc)
+    v = rng.normal(size=sdp.dim)
+    u = rng.normal(size=sdp.num_constraints)
+    for got, ref in [
+        (k_mat, k_ref),
+        (bar.dot(v), abar @ v),
+        (bar.tdot(u), abar.T @ u),
+        (rows.a.dot(v), sdp.A @ v),
+        (rows.a.tdot(u), sdp.A.T @ u),
+    ]:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["C5-Q-r1", "infeasible"])
+def test_stage_timings_fit_in_the_solve(case):
+    if case == "infeasible":
+        sdp = BlockSdp.from_blocks(
+            [psd_block(1)], [np.array([[0.0]])], [([np.array([[1.0]])], -1.0)]
+        )
+    else:
+        sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    start = perf_counter()
+    sol = solve(sdp)
+    wall = perf_counter() - start
+    timings = sol.diagnostics["timings"]
+    assert set(timings) == {"schur_s", "cholesky_s", "cone_s"}
+    assert all(t >= 0.0 for t in timings.values())
+    assert sum(timings.values()) <= wall
