@@ -12,6 +12,11 @@ The bounds all route through the conic relaxations of :mod:`coposos.relax`:
 - ``chromatic_bound``       two-variable program over products with complete
                             graphs, boxed and relaxed constraint-wise
 
+Relaxations are reduced by a group (:class:`coposos.cones.GramLayout`):
+``stability_bound`` passes ``g.symmetry`` with the canonical B and the
+trivial group with a user-supplied B, ``chromatic_bound`` the symmetry of
+G times S_t per product constraint, the SQP bounds the trivial group.
+
 ``brute_alpha`` / ``brute_chi`` are the exact enumeration oracles used by
 the test suites.
 """
@@ -40,12 +45,16 @@ BRUTE_CHI_CAP = 12
 
 @dataclass(frozen=True)
 class Graph:
+    """A simple graph with positive vertex weights; ``symmetry`` holds
+    automorphisms i -> g[i], checked exactly by :meth:`make`."""
+
     n: int
     edges: frozenset[tuple[int, int]]
     weights: tuple[Fraction, ...]
+    symmetry: tuple[tuple[int, ...], ...] = ()
 
     @classmethod
-    def make(cls, n: int, edges, weights=None) -> "Graph":
+    def make(cls, n: int, edges, weights=None, symmetry=()) -> "Graph":
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
@@ -64,7 +73,13 @@ class Graph:
                 raise ValueError("one weight per vertex is required")
             if any(v <= 0 for v in w):
                 raise ValueError("weights must be positive")
-        return cls(n=n, edges=frozenset(norm), weights=w)
+        symmetry = tuple(tuple(int(v) for v in g) for g in symmetry)
+        for g in symmetry:
+            if sorted(g) != list(range(n)) or any(w[g[i]] != w[i] for i in range(n)):
+                raise ValueError(f"{g} is not a weight-preserving vertex permutation")
+            if {(min(g[i], g[j]), max(g[i], g[j])) for i, j in norm} != norm:
+                raise ValueError(f"{g} is not an automorphism of the graph")
+        return cls(n=n, edges=frozenset(norm), weights=w, symmetry=symmetry)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -81,16 +96,38 @@ class Graph:
         return [j for j in range(self.n) if self.has_edge(i, j)]
 
 
+def _cyclic(n: int) -> tuple[int, ...]:
+    return tuple((i + 1) % n for i in range(n))
+
+
 def cycle_graph(n: int) -> Graph:
-    return Graph.make(n, [(i, (i + 1) % n) for i in range(n)])
+    """C_n with the dihedral group: rotation and reflection."""
+    return Graph.make(n, [(i, (i + 1) % n) for i in range(n)],
+                      symmetry=(_cyclic(n), tuple(-i % n for i in range(n))))
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.make(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    """K_n with the symmetric group: a transposition and an n-cycle."""
+    return Graph.make(n, [(i, j) for i in range(n) for j in range(i + 1, n)],
+                      symmetry=((1, 0, *range(2, n)), _cyclic(n)) if n > 1 else ())
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.make(n, [(i, i + 1) for i in range(n - 1)])
+    """P_n with its reversal."""
+    return Graph.make(n, [(i, i + 1) for i in range(n - 1)],
+                      symmetry=(tuple(range(n - 1, -1, -1)),))
+
+
+def paley_graph(q: int) -> Graph:
+    """Paley graph on Z_q, q a prime = 1 mod 4: x ~ y when x - y is a nonzero
+    square; symmetry x -> x + 1 and x -> s*x, s a primitive root squared."""
+    if q < 5 or q % 4 != 1 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+        raise ValueError("Paley graphs need a prime q = 1 mod 4")
+    squares = {x * x % q for x in range(1, q)}
+    s = next(a * a % q for a in range(2, q)
+             if len({pow(a, k, q) for k in range(q)}) == q - 1)
+    edges = [(x, y) for x in range(q) for y in range(x + 1, q) if (y - x) % q in squares]
+    return Graph.make(q, edges, symmetry=(_cyclic(q), tuple(s * x % q for x in range(q))))
 
 
 def empty_graph(n: int) -> Graph:
@@ -203,11 +240,12 @@ def sqp_bound_value(result: RelaxationResult) -> float:
     return -result.value
 
 
-def sqp_reciprocal_program(m_mat: SymMatrix) -> ConicProgram:
-    """min { lambda : lambda * M - J in COP }, the reciprocal-value program."""
+def sqp_reciprocal_program(m_mat: SymMatrix, symmetry=()) -> ConicProgram:
+    """min { lambda : lambda * M - J in COP }, the reciprocal-value program;
+    ``symmetry`` holds variable permutations fixing M."""
     n = m_mat.n
     return ConicProgram.make(
-        [1], [ConeConstraint(n, (m_mat,), SymMatrix.ones(n))]
+        [1], [ConeConstraint(n, (m_mat,), SymMatrix.ones(n), symmetry)]
     )
 
 
@@ -217,15 +255,17 @@ def sqp_reciprocal_bound(
     kind: ConeKind,
     witness_split: tuple[SymMatrix, SymMatrix, Fraction] | None = None,
     eps: float = 1e-8,
+    symmetry=(),
 ) -> RelaxationResult:
     """Level-r bound on 1 / min { x^T M x : x in simplex }.
 
     Requires a split M = P + N with P positive definite: pass
     ``witness_split = (P, N, lambda_min_lower_bound)``; when omitted, the
     split is searched for and a ValueError is raised on refusal.  The box
-    bound is 4n over half the certified eigenvalue lower bound.
+    bound is 4n over half the certified eigenvalue lower bound.  The
+    relaxation is reduced by ``symmetry``, variable permutations fixing M.
     """
-    prog = sqp_reciprocal_program(m_mat)
+    prog = sqp_reciprocal_program(m_mat, symmetry)
     if witness_split is None:
         from .relax import check_intspn
 
@@ -268,18 +308,22 @@ def stability_bound(
 ) -> RelaxationResult:
     """min { t : t*B - J in cone } at level r; upper-bounds alpha(G, w).
 
-    Decreasing in r.  B defaults to the canonical family member and may be
-    overridden with any validated member.
+    Decreasing in r.  B defaults to the canonical family member, which every
+    automorphism in ``g.symmetry`` fixes, so the relaxation is reduced by
+    that group.  B may be overridden with any validated member, which gets
+    the trivial group.
     """
+    symmetry = g.symmetry
     if b_mat is None:
         b_mat = stability_qp_matrix(g)
     else:
         validate_stability_matrix(g, b_mat)
+        symmetry = ()
     diag = SymMatrix.diag([1 / w for w in g.weights])
     off = b_mat - diag  # entrywise nonnegative by the family constraints
     lb = min(1 / w for w in g.weights)
     return sqp_reciprocal_bound(
-        b_mat, r, kind, witness_split=(diag, off, lb), eps=eps
+        b_mat, r, kind, witness_split=(diag, off, lb), eps=eps, symmetry=symmetry
     )
 
 
@@ -296,7 +340,8 @@ def product_graph(g: Graph, t: int) -> Graph:
     """Cartesian product of the complete graph on t vertices with G.
 
     Vertex (p, i) maps to index p * n + i; (p, i) ~ (q, j) when p != q and
-    i == j, or p == q and ij is an edge of G.
+    i == j, or p == q and ij is an edge of G.  Its symmetry is that of G,
+    acting in every copy, times S_t permuting the copies.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -309,12 +354,16 @@ def product_graph(g: Graph, t: int) -> Graph:
         for p in range(t):
             for q in range(p + 1, t):
                 edges.append((p * n + i, q * n + i))
-    return Graph.make(t * n, edges)
+    copies = [tuple(q * n + i for q in perm for i in range(n))
+              for perm in complete_graph(t).symmetry]
+    inside = [tuple(p * n + a[i] for p in range(t) for i in range(n)) for a in g.symmetry]
+    return Graph.make(t * n, edges, symmetry=inside + copies)
 
 
 def chromatic_program(g: Graph) -> ConicProgram:
     """Two-variable program max y over (y, z) with one cone constraint per
-    t = 1..n on matrices of side n*t; stated as min -y."""
+    t = 1..n on matrices of side n*t; stated as min -y.  Constraint t
+    carries the symmetry of G times S_t (see :func:`product_graph`)."""
     n = g.n
     constraints = []
     for t in range(1, n + 1):
@@ -324,7 +373,7 @@ def chromatic_program(g: Graph) -> ConicProgram:
         a_y = ones.scale(Fraction(-1, n * n))
         a_z = gt.adjacency().scale(n) + SymMatrix.identity(size).scale(n) - ones
         c_t = ones.scale(Fraction(-t, n * n))
-        constraints.append(ConeConstraint(size, (a_y, a_z), c_t))
+        constraints.append(ConeConstraint(size, (a_y, a_z), c_t, gt.symmetry))
     return ConicProgram.make([-1, 0], constraints)
 
 

@@ -17,6 +17,9 @@ c_b x^b`` with each sigma_b a quadratic sum of squares and each c_b >= 0;
 the test uses one PSD(n) Gram block per degree-r monomial and a nonnegative
 scalar per degree-(r+2) monomial.
 
+Given variable permutations that fix the matrices, the layout keeps one
+block, scalar and row per orbit; membership tests use the trivial group.
+
 At level 0 both families coincide with the cone of matrices decomposable as
 (positive semidefinite) + (entrywise nonnegative).
 
@@ -144,20 +147,63 @@ class SosCertificate:
         return cert
 
 
+def _images(monos: list[MultiIndex], gens) -> list[np.ndarray]:
+    """Per generator g, the position in ``monos`` of each monomial's image
+    under x_i -> x_g[i]."""
+    index = {m: t for t, m in enumerate(monos)} if len(gens) else {}
+    return [np.array([index[tuple(m[k] for k in inv)] for m in monos], np.intp)
+            for inv in (np.argsort(g).tolist() for g in gens)]
+
+
+def _components(size: int, src: np.ndarray, dst: np.ndarray):
+    """Connected component of each of ``size`` nodes under the edges src-dst,
+    numbered in order of their first nodes, and those first nodes:
+    union-find by min-label propagation with pointer jumping."""
+    label = np.arange(size)
+    if not src.size:  # no edges: every node is its own component
+        return label, label
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        np.minimum.at(new, dst, label[src])
+        new = new[new]
+        if np.array_equal(new, label):
+            first = label == np.arange(size)
+            return (np.cumsum(first) - 1)[label], np.flatnonzero(first)
+        label = new
+
+
+def _orbits(perms, size: int):
+    """Orbit of each of ``size`` points under the group the permutations
+    generate, and each orbit's first point, joining each point to its
+    images: no group enumeration."""
+    src = np.tile(np.arange(size), len(perms))
+    return _components(size, src, np.concatenate([src[:0], *perms]))
+
+
 class GramLayout:
     """The Gram structure of one level-r cone constraint in a block SDP.
 
     kind K: the exact-degree-(r+2) basis is grouped by exponent parity in
-    first-seen order; each class of two or more monomials is one PSD block
-    and the singleton classes together form one trailing NONNEG block, all
-    matched row by row against the even degree-(2r+4) monomials 2*delta.
-    kind Q: one PSD(n) block per degree-r monomial, then one NONNEG block
-    holding a scalar per degree-(r+2) monomial, matched against the lift's
-    degree-(r+2) monomials.  The blocks are numbered from ``first`` inside
-    the SDP.
+    first-seen order; each class of two or more monomials is a Gram block
+    and each singleton class a scalar cell, all matched row by row against
+    the even degree-(2r+4) monomials 2*delta.
+    kind Q: one n x n Gram block per degree-r monomial and a scalar cell per
+    degree-(r+2) monomial, matched against the lift's degree-(r+2) monomials.
+
+    ``symmetry`` holds permutations x_i -> x_g[i] fixing the constraint's
+    matrices, so an invariant Gram point exists whenever any does (Gatermann
+    and Parrilo 2004).  The SDP has one PSD block per orbit of Gram blocks, a
+    trailing NONNEG block with a scalar per orbit of scalar cells, and one
+    row per orbit of lifted monomials, the mean of the orbit's rows.  A
+    reduced block is scaled like one full block of its orbit: a full entry
+    is the mean of the reduced entries in its orbit, i.e. the reduced block
+    averaged over its stabiliser and moved onto the orbit.  The trivial
+    group gives one SDP block per Gram block and unit weights.  The blocks
+    are numbered from ``first`` inside the SDP.
     """
 
-    def __init__(self, n: int, r: int, kind: ConeKind, first: int = 0):
+    def __init__(self, n: int, r: int, kind: ConeKind, first: int = 0, symmetry=()):
         if r < 0:
             raise ValueError("level must be >= 0")
         self.n, self.r, self.kind, self.first = n, r, kind, first
@@ -165,74 +211,124 @@ class GramLayout:
         self.scalar_basis = (
             monomial_basis(n, r + 2, exact_degree=True) if kind is ConeKind.Q else None
         )
+        gens = [np.asarray(g, dtype=np.intp) for g in symmetry]
+        act = _images(self.basis, gens)
+        basis = np.array(self.basis, dtype=np.intp)
+        # slots: Gram block rows and scalar cells; an entry's lifted monomial
+        # is its two slots' monomials plus its block's shift
         if kind is ConeKind.K:
-            # basis positions per parity class: PSD blocks, then the singletons
             classes: dict[tuple, list[int]] = {}
             for t, beta in enumerate(self.basis):
                 classes.setdefault(tuple(a % 2 for a in beta), []).append(t)
             self.classes = [c for c in classes.values() if len(c) > 1]
             self.singles = [c[0] for c in classes.values() if len(c) == 1]
+            grams, cells, slot_act, row_act = self.classes, self.singles, act, act
+            self._lifted = [tuple(2 * a for a in beta) for beta in self.basis]
+            slot_mono, shift = basis, np.zeros((len(grams) + len(cells), n), np.intp)
+        else:
+            # slot b*n + i is x_i in the block of monomial b; scalar slots follow
+            nb = len(self.basis) * n
+            self._lifted = self.scalar_basis
+            row_act = _images(self._lifted, gens)
+            grams = [list(range(b * n, b * n + n)) for b in range(len(self.basis))]
+            cells = list(range(nb, nb + len(self._lifted)))
+            slot_act = [np.concatenate([(p[:, None] * n + g).ravel(), nb + q])
+                        for p, g, q in zip(act, gens, row_act)]
+            slot_mono = np.vstack([np.tile(np.eye(n, dtype=np.intp), (len(basis), 1)),
+                                   np.zeros((len(cells), n), np.intp)])
+            shift = np.vstack([basis, np.array(self._lifted, dtype=np.intp)])
+        blocks = grams + [[c] for c in cells]
+        side = np.array([len(b) for b in blocks])
+        first_slot = np.cumsum(side) - side
+        slots = np.array([s for b in blocks for s in b], dtype=np.intp)  # increasing in a block
+        blk_of, self._pos = np.empty_like(slots), np.empty_like(slots)
+        blk_of[slots] = np.repeat(np.arange(side.size), side)
+        self._pos[slots] = np.arange(slots.size) - np.repeat(first_slot, side)
+        orbit, reps = _orbits([blk_of[p[slots[first_slot]]] for p in slot_act], side.size)
+        # every entry of every Gram block and scalar cell, row-major by block
+        off = np.cumsum(side * side) - side * side
+        self._blk = np.repeat(np.arange(side.size), side * side)
+        within = np.arange(self._blk.size) - off[self._blk]
+        self._si = slots[first_slot[self._blk] + within // side[self._blk]]
+        self._sj = slots[first_slot[self._blk] + within % side[self._blk]]
+
+        def entry(a, b):
+            return off[blk_of[a]] + self._pos[a] * side[blk_of[a]] + self._pos[b]
+
+        self._label = _orbits([entry(p[self._si], p[self._sj]) for p in slot_act],
+                              self._blk.size)[0]
+        self._gamma = slot_mono[self._si] + slot_mono[self._sj] + shift[self._blk]
+        # each orbit's first block stands for it in the SDP, in orbit order
+        self._rank = np.full(side.size, -1)
+        self._rank[reps] = np.arange(reps.size)
+        self._rep = np.flatnonzero(self._rank[self._blk] >= 0)
+        self._count = np.bincount(orbit)[orbit]
+        self._sides = side[reps[reps < len(grams)]].tolist()
+        self._nscalar = reps.size - len(self._sides)
+        self._row_orbit, self._row_reps = _orbits(row_act, len(self._lifted))
 
     def blocks(self) -> list[BlockSpec]:
-        if self.kind is ConeKind.K:
-            return [psd_block(len(c)) for c in self.classes] + (
-                [nonneg_block(len(self.singles))] if self.singles else []
-            )
-        return [psd_block(self.n) for _ in self.basis] + [
-            nonneg_block(len(self.scalar_basis))
-        ]
+        return [psd_block(k) for k in self._sides] + (
+            [nonneg_block(self._nscalar)] if self._nscalar else []
+        )
 
     def rows(self) -> dict[MultiIndex, list]:
-        """Lifted monomial -> the Gram entries (block, i, j, 1.0) summing to
-        its coefficient, for every monomial the Gram structure can reach
-        (rows for monomials absent from the lift match zero).  Each
+        """Lifted monomial -> the Gram entries (block, i, j, weight) whose
+        weighted sum is its coefficient, one row per orbit of the monomials
+        the Gram structure can reach (rows for monomials absent from the
+        lift match zero), keyed by the orbit's first monomial.  Each
         off-diagonal entry is listed once; the SDP builder doubles symmetric
         pairs."""
-        first, basis = self.first, self.basis
-        if self.kind is ConeKind.K:
-            rows = {tuple(2 * a for a in delta): [] for delta in basis}
-            for k, cls in enumerate(self.classes):
-                for a, ti in enumerate(cls):
-                    for b in range(a, len(cls)):
-                        gamma = tuple(u + v for u, v in zip(basis[ti], basis[cls[b]]))
-                        rows[gamma].append((first + k, a, b, 1.0))
-            scalar_block = first + len(self.classes)
-            for t, ti in enumerate(self.singles):
-                rows[tuple(2 * a for a in basis[ti])].append((scalar_block, t, t, 1.0))
-            return rows
-        rows = {gamma: [] for gamma in self.scalar_basis}
-        for bi, beta in enumerate(basis):
-            for i in range(self.n):
-                for j in range(i, self.n):
-                    gamma = list(beta)
-                    gamma[i] += 1
-                    gamma[j] += 1
-                    rows[tuple(gamma)].append((first + bi, i, j, 1.0))
-        scalar_block = first + len(basis)
-        for t, gamma in enumerate(self.scalar_basis):
-            rows[gamma].append((scalar_block, t, t, 1.0))
-        return rows
+        index = {gamma: t for t, gamma in enumerate(self._lifted)}
+        size = np.bincount(self._row_orbit)
+        rep = self._rep[self._si[self._rep] <= self._sj[self._rep]]
+        row = self._row_orbit[[index[g] for g in map(tuple, self._gamma[rep].tolist())]]
+        weight = self._count[self._blk[rep]] / size[row]
+        rank = self._rank[self._blk[rep]]
+        scalar = np.maximum(rank - len(self._sides), 0)  # a NONNEG entry's index
+        block = self.first + np.minimum(rank, len(self._sides))
+        i, j = self._pos[self._si[rep]] + scalar, self._pos[self._sj[rep]] + scalar
+        out = [[] for _ in size]
+        entries = zip(*(v.tolist() for v in (block, i, j, weight)))
+        for o, entry in zip(row.tolist(), entries):
+            out[o].append(entry)
+        return {self._lifted[t]: row for t, row in zip(self._row_reps.tolist(), out)}
 
-    def embed(self, blocks) -> np.ndarray:
-        """kind K: the dense Gram matrix over ``basis`` holding the blocks."""
-        side = len(self.basis)
-        gram = np.zeros((side, side))
-        for cls, blk in zip(self.classes, blocks):
-            gram[np.ix_(cls, cls)] = blk
-        if self.singles:
-            gram[self.singles, self.singles] = blocks[len(self.classes)]
+    def embed(self, blocks):
+        """The full Gram data of SDP blocks: kind K the dense Gram matrix
+        over ``basis``, kind Q the Gram blocks and the scalars.  Each entry
+        is the mean of the SDP entries in its orbit."""
+        nsdp = len(self._sides) + (self._nscalar > 0)
+        red = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks[:nsdp]])
+        label = self._label[self._rep]
+        vals = (np.bincount(label, red) / np.bincount(label))[self._label]
+        if self.kind is ConeKind.Q:
+            cut = len(self.basis) * self.n * self.n
+            return list(vals[:cut].reshape(-1, self.n, self.n)), vals[cut:]
+        gram = np.zeros((len(self.basis), len(self.basis)))
+        gram[self._si, self._sj] = vals
         return gram
 
-    def split(self, gram: np.ndarray) -> list[np.ndarray]:
-        """kind K: the blocks of a dense Gram matrix; inverse of :meth:`embed`
-        on parity-block-diagonal matrices."""
-        gram = np.asarray(gram)
-        out = [gram[np.ix_(cls, cls)] for cls in self.classes]
-        return out + ([gram[self.singles, self.singles]] if self.singles else [])
+    def split(self, full) -> list[np.ndarray]:
+        """The SDP blocks of full Gram data given as :meth:`embed` returns
+        it: the data averaged over the group, that is each orbit's mean, at
+        the representatives.  The inverse of :meth:`embed` on invariant
+        data."""
+        if self.kind is ConeKind.Q:
+            vals = np.concatenate([np.ravel(np.asarray(f, dtype=float)) for f in full])
+        else:
+            vals = np.asarray(full, dtype=float)[self._si, self._sj]
+        red = (np.bincount(self._label, vals) / np.bincount(self._label))[
+            self._label[self._rep]
+        ]
+        parts = np.split(red, np.cumsum([k * k for k in self._sides]))
+        return [p.reshape(k, k) for p, k in zip(parts, self._sides)] + (
+            parts[-1:] if self._nscalar else []
+        )
 
     def certificate(self, sol, **provenance) -> SosCertificate:
-        """The certificate held in a solution's blocks; the solver's residuals
-        and gap join the caller's provenance."""
+        """The full certificate held in a solution's blocks; the solver's
+        residuals and gap join the caller's provenance."""
         provenance = {
             "primal_res": sol.primal_res,
             "dual_res": sol.dual_res,
@@ -240,13 +336,11 @@ class GramLayout:
             **provenance,
         }
         cert = SosCertificate(self.kind, self.r, self.n, provenance=provenance)
-        x_blocks = sol.x_blocks[self.first :]
+        full = self.embed(sol.x_blocks[self.first :])
         if self.kind is ConeKind.K:
-            cert.gram = self.embed(x_blocks)
+            cert.gram = full
         else:
-            k = len(self.basis)
-            cert.gram_blocks = [np.asarray(b) for b in x_blocks[:k]]
-            cert.scalars = np.asarray(x_blocks[k])
+            cert.gram_blocks, cert.scalars = full
         return cert
 
 
@@ -380,6 +474,24 @@ def certificate_expansion(cert: SosCertificate) -> Poly:
     return Poly(n, terms)
 
 
+def _least_eigenvalue(gram: np.ndarray) -> float:
+    """The least eigenvalue of a symmetric matrix (its lower triangle, as
+    ``eigvalsh`` reads it), taken per connected component of its nonzero
+    pattern, such as the parity blocks of a K certificate; components of
+    one size share one batched ``eigvalsh``."""
+    nonzero = np.flatnonzero(gram.ravel() != 0)  # faster than np.nonzero
+    label = _components(len(gram), *np.divmod(nonzero, len(gram)))[0]
+    members = np.argsort(label, kind="stable")  # increasing within a component
+    size = np.bincount(label)
+    start = np.cumsum(size) - size
+    least = np.inf
+    for k in np.unique(size):
+        idx = members[start[size == k][:, None] + np.arange(k)]
+        sub = gram[idx[:, :, None], idx[:, None, :]]
+        least = min(least, float(np.linalg.eigvalsh(sub)[:, 0].min()))
+    return least
+
+
 def validate_certificate(
     m: SymMatrix, cert: SosCertificate, tol: float = 1e-6
 ) -> CertificateReport:
@@ -400,8 +512,7 @@ def validate_certificate(
     residual = coeff_norm(diff)
 
     if cert.kind is ConeKind.K:
-        eigs = np.linalg.eigvalsh(np.asarray(cert.gram, dtype=float))
-        min_eig = float(eigs[0])
+        min_eig = _least_eigenvalue(np.asarray(cert.gram, dtype=float))
         min_scalar = None
         max_entry = float(np.max(np.abs(cert.gram))) if cert.gram.size else 0.0
     else:

@@ -13,7 +13,9 @@ B = Diag(b_1/2, -b_1/2, ...) so that <D, B> = b^T y holds exactly.  Each
 cone constraint's Gram blocks, its rows and the extraction of its
 certificate come from one :class:`coposos.cones.GramLayout`, the one owner
 of the Gram structure, whose blocks follow those of the constraints before
-it.
+it.  A constraint's exactly checked ``symmetry`` is the group its layout
+reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, with the box
+slots of :func:`to_bounded` fixed, and the trivial group otherwise.
 
 The module also provides the interior-point seed construction used for
 feasible-region diagnostics: given a feasible split  sum_i ybar_i A_i - C
@@ -53,13 +55,24 @@ from .sdpcore import (
 
 @dataclass(frozen=True)
 class ConeConstraint:
+    """sum_i y_i A_i - C in COP; each ``symmetry`` generator g must fix every
+    A_i and C exactly: entry (g[i], g[j]) equals entry (i, j)."""
+
     n: int
     a_mats: tuple[SymMatrix, ...]
     c_mat: SymMatrix
+    symmetry: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         if self.c_mat.n != self.n or any(a.n != self.n for a in self.a_mats):
             raise ValueError("constraint matrices have inconsistent dimensions")
+        for g in self.symmetry:
+            if sorted(g) != list(range(self.n)):
+                raise ValueError(f"symmetry generator {g} is not a permutation")
+            for rows in (m.rows for m in (*self.a_mats, self.c_mat)):
+                if any(rows[g[i]][g[j]] != v for i, row in enumerate(rows)
+                       for j, v in enumerate(row)):
+                    raise ValueError(f"symmetry generator {g} moves a constraint matrix")
 
     def slack(self, y) -> SymMatrix:
         """sum_i y_i A_i - C, exact when y is rational."""
@@ -136,7 +149,7 @@ def build_relaxation_sdp(
     blocks = []
     layouts = []
     for cons in prog.constraints:
-        layout = GramLayout(cons.n, r, kind, first=len(blocks))
+        layout = GramLayout(cons.n, r, kind, first=len(blocks), symmetry=cons.symmetry)
         blocks += layout.blocks()
         layouts.append(layout)
 
@@ -376,17 +389,17 @@ def build_interior_start(
             raise ValueError("witness fails its exact feasibility check")
         b = _shift_for(witness)
         b_shifts.append(b)
+        # folded onto the layout's blocks, the seed becomes principal
+        # submatrices of its group average: no smaller least eigenvalue
+        layout = GramLayout(cons.n, r, kind, symmetry=cons.symmetry)
         if kind is ConeKind.K:
             gram = _interior_gram_k(witness, r, b)
-            layout = GramLayout(cons.n, r, kind)
             blocks += layout.split([[float(v) for v in row] for row in gram])
-            # the blocks' spectra together are the dense seed's spectrum
             radius = min(b / len(layout.basis), big_r)
         else:
             gram_blocks, scalars = _interior_blocks_q(witness, r, b)
-            for g in gram_blocks:
-                blocks.append(np.array(g.to_float()))
-            blocks.append(np.array([float(v) for v in scalars]))
+            blocks += layout.split(([g.to_float() for g in gram_blocks],
+                                    [float(v) for v in scalars]))
             radius = min(b / (4 * cons.n * cons.n), big_r)
         inner = radius if inner is None else min(inner, radius)
 
@@ -415,9 +428,11 @@ def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
     For a single-constraint program the constraint matrices become
     (n + 2m)-dimensional with the A_i carrying -+1 diagonal extensions in
     slot order (2R - y_i, 2R + y_i) and C carrying -2R entries; the optimal
-    value is preserved whenever the box contains an optimal solution.  For
+    value is preserved whenever the box contains an optimal solution, and
+    the symmetry generators extend by fixing the box slots.  For
     multi-constraint programs the same diagonal is appended as one extra
-    2m-dimensional cone constraint, which is equivalent blockwise.
+    2m-dimensional cone constraint with the trivial group, which is
+    equivalent blockwise.
     """
     big_r = Fraction(box_bound)
     if big_r <= 0:
@@ -448,10 +463,11 @@ def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
         for slot in range(2 * m):
             c_rows[n + slot][n + slot] = -2 * big_r
         new_c = SymMatrix.from_rows(c_rows)
+        symmetry = tuple(tuple(g) + tuple(range(n, size)) for g in cons.symmetry)
         return ConicProgram(
             m=m,
             b=prog.b,
-            constraints=(ConeConstraint(size, tuple(new_a), new_c),),
+            constraints=(ConeConstraint(size, tuple(new_a), new_c, symmetry),),
         )
 
     extra_a = []
@@ -501,7 +517,9 @@ def solve_relaxation(
     these programs dual degenerate); pass a smaller eps to insist.  A value
     is returned only when every cone constraint's certificate passes exact
     validation; otherwise an OPTIMAL solve is downgraded to INCONCLUSIVE
-    with ``value=None``, keeping the certificates and reports for audit.
+    with ``value=None``, keeping the certificates and reports for audit.  A constraint's exactly checked ``symmetry`` is the group its layout
+reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, with the box
+slots of :func:`to_bounded` fixed, and the trivial group otherwise.
     """
     rel = build_relaxation_sdp(prog, r, kind, box_bound)
     sandwich = None

@@ -247,10 +247,12 @@ class _Rows:
 
 
 def _chol_with_regularization(k_mat: np.ndarray):
-    """Cholesky of K + delta*I with a small static delta, escalating on failure.
+    """Cholesky of K, retried on breakdown with K + delta*I, delta starting
+    at 1e-12 times K's mean diagonal (at least 1e-12) and growing 1000-fold,
+    for up to eight attempts; None if all fail.
 
-    The static shift keeps the factor well conditioned when K degenerates at
-    the path's endgame; accuracy is recovered by refinement against K itself.
+    The shift keeps the factor usable when K degenerates at the path's
+    endgame; accuracy is recovered by refinement against K itself.
     """
     scale = max(float(np.trace(k_mat)) / max(k_mat.shape[0], 1), 1.0)
     reg = 0.0
@@ -360,28 +362,28 @@ def solve(
     # unpolished x / tau is interior.  The iteration state is never polished.
     step = None  # (scaling, scaled rows, Schur matrix, its factor)
 
-    def polish_primal(xhat):
+    def polish_primal(xhat, resid):  # resid = A xhat - b; returns both, polished
         if step is None:
-            return xhat
+            return xhat, resid
         sc, abar, k_mat, factor = step
-        resid = a.dot(xhat) - b
         u = refined_solve(factor, k_mat, resid)
         corrected = xhat - cone.congruence(sc, abar.tdot(u), True)
-        new = float(np.linalg.norm(a.dot(corrected) - b))
-        if new < float(np.linalg.norm(resid)) and cone.min_eig(corrected) >= 0.0:
-            return corrected
-        return xhat
+        new = a.dot(corrected) - b
+        if np.linalg.norm(new) < np.linalg.norm(resid) and cone.min_eig(corrected) >= 0.0:
+            return corrected, new
+        return xhat, resid
 
-    def current_metrics():
+    def current_metrics(ax, aty):
         xhat = x / tau
         yhat = y / tau
         shat = s / tau
-        dres = float(np.linalg.norm(a.tdot(yhat) + shat - c)) / norm_c
+        resid = ax / tau - b
+        dres = float(np.linalg.norm(aty / tau + shat - c)) / norm_c
         if dres <= feastol:
             # the polish leaves (y, s) alone, so only a point that can be
             # accepted is worth polishing
-            xhat = polish_primal(xhat)
-        pres = float(np.linalg.norm(a.dot(xhat) - b)) / norm_b
+            xhat, resid = polish_primal(xhat, resid)
+        pres = float(np.linalg.norm(resid)) / norm_b
         pobj = float(c @ xhat)
         dobj = float(b @ yhat)
         # honest gap: x.s unclamped, and the objective gap it stands for
@@ -431,7 +433,10 @@ def solve(
         mu = (float(x @ s) + tau * kappa) / nu
 
         # -- convergence / certificate checks ---------------------------
-        metrics = current_metrics()
+        # A x and A^T y, taken once here, serve the metrics, the ray checks
+        # and the residuals of the step
+        ax, aty = a.dot(x), a.tdot(y)
+        metrics = current_metrics(ax, aty)
         _, _, _, pres, dres, pobj, dobj, gap, relgap = metrics
         point = (metrics, tau, kappa, mu)
         err = max(pres, dres, min(gap, relgap))
@@ -444,7 +449,7 @@ def solve(
 
         bty = float(b @ y)
         if bty > 0:
-            qual = float(np.linalg.norm(a.tdot(y) + s)) / bty
+            qual = float(np.linalg.norm(aty + s)) / bty
             if qual <= inftol:
                 yn = y / bty
                 sn = s / bty
@@ -465,7 +470,7 @@ def solve(
                 )
         ctx = float(c @ x)
         if ctx < 0:
-            qual = float(np.linalg.norm(a.dot(x))) / (-ctx)
+            qual = float(np.linalg.norm(ax)) / (-ctx)
             if qual <= inftol:
                 xn = x / (-ctx)
                 return SdpSolution(
@@ -507,8 +512,8 @@ def solve(
         step = (sc, abar, k_mat, factor)
 
         # residual vectors of the embedding
-        r_p = a.dot(x) - b * tau
-        r_d = a.tdot(y) + s - c * tau
+        r_p = ax - b * tau
+        r_d = aty + s - c * tau
         r_g = float(b @ y - c @ x) - kappa
 
         ahc = abar.dot(cbar)  # A H c with H the NT scaling operator

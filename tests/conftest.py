@@ -97,9 +97,10 @@ def rnd():
 class DenseKLayout(GramLayout):
     """The unreduced K layout: one PSD block over the whole exact-degree-(r+2)
     basis, one row per degree-(2r+4) monomial.  A differential oracle for the
-    parity-block layout of :class:`coposos.cones.GramLayout`."""
+    parity-block and orbit reduction of :class:`coposos.cones.GramLayout`: it
+    takes the constraint's symmetry generators and ignores them."""
 
-    def __init__(self, n, r, kind, first=0):
+    def __init__(self, n, r, kind, first=0, symmetry=()):
         assert kind is ConeKind.K
         super().__init__(n, r, kind, first)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -11,8 +12,10 @@ from coposos.apps import (
     chromatic_program,
     complete_graph,
     cycle_graph,
+    sqp_reciprocal_program,
     stability_bound,
     stability_bound_value,
+    stability_qp_matrix,
 )
 from coposos.cones import (
     ConeKind,
@@ -28,7 +31,7 @@ from coposos.cones import (
     validate_certificate,
 )
 from coposos.polycore import Poly, SymMatrix, coeff_norm, monomial_basis, quadratic_form
-from coposos.relax import build_relaxation_sdp, extract_certificates, to_bounded
+from coposos.relax import ConicProgram, build_relaxation_sdp, extract_certificates, to_bounded
 from coposos.sdpcore import SdpStatus, nonneg_block, psd_block
 
 
@@ -80,18 +83,38 @@ class _IntegerPoint:
             self.x_blocks.append(0.0 * val if bi in zero_blocks else val.astype(float))
 
 
+def _orbit(gamma, gens):
+    """Every image of a monomial under the group the generators generate,
+    by closure (x_i -> x_g[i] moves exponent i to position g[i])."""
+    seen, todo = {gamma}, [gamma]
+    while todo:
+        mono = todo.pop()
+        for g in gens:
+            image = [0] * len(mono)
+            for i, a in enumerate(mono):
+                image[g[i]] = a
+            if tuple(image) not in seen:
+                seen.add(tuple(image))
+                todo.append(tuple(image))
+    return seen
+
+
 def _assert_rows_match_audit(sdp, point, rows):
-    # rows: (certificate, {lifted monomial: row index}) per cone constraint.
-    # The rows come from GramLayout.rows(); the expansion is the independent
-    # exact audit, so a row-map fault cannot validate itself here.
+    # rows: (certificate, {lifted monomial: row index}, generators) per cone
+    # constraint.  The rows come from GramLayout.rows(); the expansion is the
+    # independent exact audit, so a row-map fault cannot validate itself
+    # here.  A row stands for the orbit of its monomial, and the expanded
+    # certificate is invariant, so every monomial of the orbit must match.
     lhs = sdp.A @ sdp.pack(point.x_blocks)
-    for cert, index in rows:
+    for cert, index, gens in rows:
         expansion = certificate_expansion(cert)
-        assert {gamma for gamma, _ in expansion.items()} <= set(index)
+        orbits = {gamma: _orbit(gamma, gens) for gamma in index}
+        assert {gamma for gamma, _ in expansion.items()} <= set().union(*orbits.values())
         for gamma, row in index.items():
-            want = float(expansion.coeff(gamma))
-            # integer data: the only rounding is sqrt(2) * sqrt(2) != 2
-            assert abs(lhs[row] - want) <= 1e-9 * (1.0 + abs(want)), gamma
+            for image in orbits[gamma]:
+                want = float(expansion.coeff(image))
+                # integer data: only the orbit weights and sqrt(2) round
+                assert abs(lhs[row] - want) <= 1e-9 * (1.0 + abs(want)), image
 
 
 class TestGramRowsMatchAudit:
@@ -101,24 +124,47 @@ class TestGramRowsMatchAudit:
         prob = build_membership(SymMatrix.identity(3), r, kind)
         point = _IntegerPoint(prob.sdp, seed=r)
         cert = prob.layout.certificate(point)
-        _assert_rows_match_audit(prob.sdp, point, [(cert, prob.index_map)])
+        _assert_rows_match_audit(prob.sdp, point, [(cert, prob.index_map, ())])
 
     @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_relaxation_rows_with_offset_blocks(self, kind, r):
         # three cone constraints (sides 2, 4, 4), so all but the first start
-        # past block 0; the variable block is zeroed to leave the Gram part
+        # past block 0; the variable block is zeroed to leave the Gram part.
+        # The program is checked as built, with the symmetry of K2 times S_t
+        # on the product constraints, and with every generator removed.
         g = complete_graph(2)
         prog = to_bounded(chromatic_program(g), chromatic_box_bound(g))
-        rel = build_relaxation_sdp(prog, r, kind, chromatic_box_bound(g))
-        assert all(layout.first > 0 for layout in rel.layouts[1:])
-        point = _IntegerPoint(rel.sdp, seed=10 + r, zero_blocks={rel.d_block})
-        index = [{} for _ in rel.layouts]
-        for row, (ci, gamma) in enumerate(rel.sdp.row_labels):
-            if ci != "box":
-                index[ci][gamma] = row
+        plain = ConicProgram(prog.m, prog.b, tuple(
+            dataclasses.replace(c, symmetry=()) for c in prog.constraints))
+        assert [bool(c.symmetry) for c in prog.constraints] == [True, True, False]
+        for p in (plain, prog):
+            rel = build_relaxation_sdp(p, r, kind, chromatic_box_bound(g))
+            assert all(layout.first > 0 for layout in rel.layouts[1:])
+            point = _IntegerPoint(rel.sdp, seed=10 + r, zero_blocks={rel.d_block})
+            index = [{} for _ in rel.layouts]
+            for row, (ci, gamma) in enumerate(rel.sdp.row_labels):
+                if ci != "box":
+                    index[ci][gamma] = row
+            certs = extract_certificates(rel, point)
+            gens = [cons.symmetry for cons in p.constraints]
+            _assert_rows_match_audit(rel.sdp, point, list(zip(certs, index, gens)))
+
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_reduced_rows_under_the_dihedral_group(self, kind, r):
+        # C6's dihedral group has orbits of several sizes and Gram blocks
+        # with nontrivial stabilisers; the block data is not invariant
+        prog = sqp_reciprocal_program(stability_qp_matrix(cycle_graph(6)),
+                                      cycle_graph(6).symmetry)
+        rel = build_relaxation_sdp(prog, r, kind, 100)
+        full = build_relaxation_sdp(sqp_reciprocal_program(prog.constraints[0].a_mats[0]),
+                                    r, kind, 100)
+        assert rel.sdp.num_constraints < full.sdp.num_constraints
+        point = _IntegerPoint(rel.sdp, seed=20 + r, zero_blocks={rel.d_block})
+        index = {gamma: row for row, (_, gamma) in enumerate(rel.sdp.row_labels[:-1])}
         certs = extract_certificates(rel, point)
-        _assert_rows_match_audit(rel.sdp, point, list(zip(certs, index)))
+        _assert_rows_match_audit(rel.sdp, point, [(certs[0], index, prog.constraints[0].symmetry)])
 
 
 class TestReducedVsDense:

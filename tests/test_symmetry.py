@@ -1,0 +1,275 @@
+"""Orbit reduction by symmetry generators: exact checks of the generators,
+the trivial group's bit-identical SDPs, reduced against trivial-group
+values, and the per-component eigenvalue audit."""
+
+import dataclasses
+import hashlib
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conftest import planted_spn
+from coposos.apps import (
+    Graph,
+    chromatic_box_bound,
+    chromatic_bound,
+    chromatic_program,
+    complete_graph,
+    cycle_graph,
+    paley_graph,
+    path_graph,
+    product_graph,
+    sqp_reciprocal_program,
+    stability_bound,
+    stability_qp_matrix,
+)
+from coposos.cones import ConeKind, _least_eigenvalue, build_membership
+from coposos.polycore import SymMatrix
+from coposos.relax import (
+    ConeConstraint,
+    ConicProgram,
+    SpnWitness,
+    build_interior_start,
+    build_relaxation_sdp,
+    to_bounded,
+)
+from coposos.sdpcore import SdpStatus, sandwich_diagnostics
+
+
+def _trivial(prog: ConicProgram) -> ConicProgram:
+    cons = tuple(dataclasses.replace(c, symmetry=()) for c in prog.constraints)
+    return ConicProgram(prog.m, prog.b, cons)
+
+
+class TestGenerators:
+    def test_generator_moving_a_matrix_is_rejected(self):
+        a = SymMatrix.from_rows([[1, 2, 0], [2, 1, 0], [0, 0, 3]])
+        c = SymMatrix.identity(3)
+        ConeConstraint(3, (a,), c, ((1, 0, 2),))  # swaps the two equal rows
+        with pytest.raises(ValueError, match="moves"):
+            ConeConstraint(3, (a,), c, ((0, 2, 1),))  # moves A
+        with pytest.raises(ValueError, match="moves"):
+            ConeConstraint(3, (c,), a, ((1, 2, 0),))  # moves C
+        with pytest.raises(ValueError, match="permutation"):
+            ConeConstraint(3, (a,), c, ((1, 1, 2),))
+
+    def test_graph_rejects_non_automorphisms(self):
+        with pytest.raises(ValueError, match="automorphism"):
+            Graph.make(4, [(0, 1), (1, 2), (2, 3)], symmetry=[(1, 0, 2, 3)])
+        with pytest.raises(ValueError, match="weight"):
+            Graph.make(2, [(0, 1)], weights=[1, 2], symmetry=[(1, 0)])
+        with pytest.raises(ValueError):
+            Graph.make(3, [(0, 1)], symmetry=[(0, 1)])
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(6), path_graph(4), complete_graph(4), paley_graph(13),
+         product_graph(cycle_graph(5), 3), product_graph(path_graph(3), 2)],
+    )
+    def test_closed_form_generators_are_automorphisms(self, g):
+        assert g.symmetry
+        assert Graph.make(g.n, g.edges, g.weights, g.symmetry) == g
+
+    def test_paley_graph(self):
+        g = paley_graph(13)
+        assert len(g.edges) == 13 * 6 // 2
+        with pytest.raises(ValueError):
+            paley_graph(7)  # 7 = 3 mod 4
+
+    def test_symmetry_follows_the_programs(self):
+        g = cycle_graph(5)
+        prog = chromatic_program(g)
+        assert all(c.symmetry == product_graph(g, t + 1).symmetry
+                   for t, c in enumerate(prog.constraints))
+        boxed = to_bounded(sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 7)
+        assert boxed.constraints[0].symmetry == tuple(
+            tuple(p) + (5, 6) for p in g.symmetry
+        )
+        assert not to_bounded(prog, 26).constraints[-1].symmetry
+        b = stability_qp_matrix(g)
+        assert stability_bound(g, 0, b_mat=b).relaxation.layouts[0].blocks() == (
+            build_relaxation_sdp(sqp_reciprocal_program(b), 0, ConeKind.K, 1).layouts[0].blocks()
+        )
+
+
+# SHA-256 (first 16 hex digits) of A, b, c and the block pattern of SDPs
+# built with the trivial group, recorded before the orbit reduction existed:
+# membership of planted P + N matrices, stability relaxations of C5 and C7,
+# and boxed chromatic relaxations of P3 and C4 with their generators removed.
+_PARENT_DIGESTS = {
+    "member-K-n3-r0": "d1f2f14c2efe8916",
+    "member-K-n3-r1": "99eb2b3babed5fbc",
+    "member-K-n3-r2": "89cabad2b659fa98",
+    "member-K-n4-r0": "d2338b6dea1e55f3",
+    "member-K-n4-r1": "74953d0d0ddf2485",
+    "member-K-n4-r2": "09b720d250d8f712",
+    "member-K-n5-r0": "4bdd87f99a4d5140",
+    "member-K-n5-r1": "5612337cda9767fd",
+    "member-K-n5-r2": "47642a8cb8c8dbf7",
+    "member-K-n6-r0": "74a302994ddff248",
+    "member-K-n6-r1": "79b35e69b719544c",
+    "member-K-n6-r2": "f8c80f0e8bb69740",
+    "alpha-C5-K-r0": "b8f18c54d3cac226",
+    "alpha-C5-K-r1": "807d1f04bdab45d7",
+    "alpha-C7-K-r0": "b027bdf5de685d65",
+    "alpha-C7-K-r1": "0efb31105b4188de",
+    "chi-P3-K-r0": "879362a8dcab2695",
+    "chi-C4-K-r0": "826a9f3f278f69e2",
+    "member-Q-n3-r0": "40dcae3ca2fd6820",
+    "member-Q-n3-r1": "be8ec4cd629130c5",
+    "member-Q-n3-r2": "303524a62a8bff0e",
+    "member-Q-n4-r0": "2ca0689fe2f62fd5",
+    "member-Q-n4-r1": "65ac12e3fb831158",
+    "member-Q-n4-r2": "b67b09ef4193ebd2",
+    "member-Q-n5-r0": "602cfbfea4ce89ac",
+    "member-Q-n5-r1": "27b94b6e94cbb862",
+    "member-Q-n5-r2": "da7f6b4bee0a2f5a",
+    "member-Q-n6-r0": "4f8016d8e65bb820",
+    "member-Q-n6-r1": "9fff8923027ba5a1",
+    "member-Q-n6-r2": "f742a533dde08bd4",
+    "alpha-C5-Q-r0": "259bc842a3333992",
+    "alpha-C5-Q-r1": "2e508899f62f1dbf",
+    "alpha-C7-Q-r0": "5f045dbf6480b7b4",
+    "alpha-C7-Q-r1": "76d58b4ac5f23e53",
+    "chi-P3-Q-r0": "e460d73750f59517",
+    "chi-C4-Q-r0": "5c21f2527c38610a",
+    "chi-P3-Q-r1": "7784d99377cdb65e",
+}
+
+
+def _digest(sdp) -> str:
+    h = hashlib.sha256()
+    for arr in (sdp.A, sdp.b, sdp.c):
+        h.update(arr.tobytes())
+    h.update(repr(sdp.blocks).encode())
+    return h.hexdigest()[:16]
+
+
+def _build(name: str):
+    family, first, second, level = name.split("-")
+    kind, case = (first, second) if family == "member" else (second, first)
+    kind, r = ConeKind(kind), int(level[1:])
+    if family == "member":
+        n = int(case[1:])
+        m = planted_spn(random.Random(100 * n + r), n)[0]
+        return build_membership(m, r, kind).sdp
+    if family == "alpha":
+        n = int(case[1:])
+        prog = sqp_reciprocal_program(stability_qp_matrix(cycle_graph(n)))
+        return build_relaxation_sdp(prog, r, kind, 40 * n).sdp
+    g = {"P3": path_graph(3), "C4": cycle_graph(4)}[case]
+    prog = to_bounded(_trivial(chromatic_program(g)), chromatic_box_bound(g))
+    return build_relaxation_sdp(prog, r, kind, chromatic_box_bound(g)).sdp
+
+
+@pytest.mark.parametrize("name", list(_PARENT_DIGESTS))
+def test_trivial_group_sdp_is_bit_identical(name):
+    assert _digest(_build(name)) == _PARENT_DIGESTS[name]
+
+
+class TestReducedVsTrivial:
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    @pytest.mark.parametrize("n,r", [(n, r) for n in (5, 6, 7) for r in (0, 1, 2)])
+    def test_stability_values_agree(self, n, r, kind):
+        g = cycle_graph(n)
+        reduced = stability_bound(g, r, kind)
+        full = stability_bound(dataclasses.replace(g, symmetry=()), r, kind)
+        assert reduced.relaxation.sdp.num_constraints < full.relaxation.sdp.num_constraints
+        assert reduced.status == full.status == SdpStatus.OPTIMAL
+        assert abs(reduced.value - full.value) <= 1e-7
+        assert all(rep.ok for rep in reduced.certificate_reports + full.certificate_reports)
+
+    def test_paley13_level1_k(self):
+        g = paley_graph(13)
+        reduced = stability_bound(g, 1, ConeKind.K)
+        full = stability_bound(dataclasses.replace(g, symmetry=()), 1, ConeKind.K)
+        assert reduced.relaxation.sdp.num_constraints < full.relaxation.sdp.num_constraints
+        assert reduced.status == full.status == SdpStatus.OPTIMAL
+        assert abs(reduced.value - full.value) <= 1e-7
+        assert abs(reduced.value - 3.0) <= 1e-6  # alpha(Paley(13)) = 3
+        assert all(rep.ok for rep in reduced.certificate_reports + full.certificate_reports)
+
+    @pytest.mark.parametrize("name", ["K2", "P3", "C4", "C5"])
+    def test_chromatic_values_agree(self, name, monkeypatch):
+        g = {"K2": complete_graph(2), "P3": path_graph(3), "C4": cycle_graph(4),
+             "C5": cycle_graph(5)}[name]
+        bound, reduced = chromatic_bound(g, 0)
+        monkeypatch.setattr("coposos.apps.chromatic_program",
+                            lambda g, make=chromatic_program: _trivial(make(g)))
+        full_bound, full = chromatic_bound(g, 0)
+        assert len(reduced.relaxation.sdp.b) < len(full.relaxation.sdp.b)
+        assert reduced.status == full.status == SdpStatus.OPTIMAL
+        assert abs(bound - full_bound) <= 1e-6
+        assert all(rep.ok for rep in reduced.certificate_reports + full.certificate_reports)
+
+    def test_c7_chromatic_never_confidently_off(self):
+        # once INCONCLUSIVE after about 90 s on 3540 rows; chi(C7) = 3
+        bound, res = chromatic_bound(cycle_graph(7), 0)
+        if res.status == SdpStatus.OPTIMAL:
+            assert abs(bound - 3.0) <= 1e-6
+        if res.value is not None:
+            assert all(rep.ok for rep in res.certificate_reports)
+
+
+class TestFoldAndExpand:
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("bump", [0, Fraction(1, 2)])
+    def test_seed_folds_onto_reduced_blocks(self, kind, r, bump):
+        # slack I + 2J at ybar = 2 split as P = I + bump*E_11, N = 2J -
+        # bump*E_11; the program is invariant under S_4, the split is not
+        # when bump > 0, and the seed is folded onto the orbits by averaging
+        n = 4
+        prog = ConicProgram.make([1], [ConeConstraint(
+            n, (SymMatrix.ones(n),), SymMatrix.identity(n).scale(-1),
+            complete_graph(n).symmetry)])
+        e11 = SymMatrix.diag([0, bump, 0, 0])
+        w = SpnWitness((Fraction(2),), SymMatrix.identity(n) + e11,
+                       SymMatrix.ones(n).scale(2) - e11, Fraction(1))
+        assert w.check_exact(prog.constraints[0])
+        rel = build_relaxation_sdp(prog, r, kind, 10)
+        assert rel.sdp.num_constraints < build_relaxation_sdp(
+            _trivial(prog), r, kind, 10).sdp.num_constraints
+        start = build_interior_start(prog, [w], r, kind, 10)
+        rep = sandwich_diagnostics(rel.sdp, start.x0_blocks, start.inner_radius,
+                                   start.outer_radius)
+        assert rep.ok and rep.eq_residual <= 1e-10
+        assert min(rep.block_margins[: rel.d_block]) >= start.inner_radius
+
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    def test_embed_inverts_split_on_invariant_data(self, kind):
+        g = cycle_graph(6)
+        layout = build_relaxation_sdp(
+            sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 1, kind, 10
+        ).layouts[0]
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal((b.size, b.size)) if b.kind == "psd"
+                  else rng.standard_normal(b.size) for b in layout.blocks()]
+        full = layout.embed(blocks)  # invariant by construction
+        again = layout.embed(layout.split(full))
+        if kind is ConeKind.K:
+            assert np.allclose(again, full, atol=1e-12)
+        else:
+            assert all(np.allclose(u, v, atol=1e-12) for u, v in zip(again[0], full[0]))
+            assert np.allclose(again[1], full[1], atol=1e-12)
+
+
+class TestLeastEigenvalue:
+    def test_matches_dense_eigvalsh(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            sides = rng.integers(1, 5, size=6)
+            mat = np.zeros((sides.sum(), sides.sum()))
+            pos = 0
+            for k in sides:
+                blk = rng.standard_normal((k, k))
+                mat[pos : pos + k, pos : pos + k] = blk + blk.T
+                pos += k
+            perm = rng.permutation(mat.shape[0])
+            mat = mat[np.ix_(perm, perm)]  # block-diagonal up to a permutation
+            dense = rng.standard_normal(mat.shape)
+            for m in (mat, dense + dense.T, np.diag(np.diag(mat))):
+                want = float(np.linalg.eigvalsh(m)[0])
+                assert abs(_least_eigenvalue(m) - want) <= 1e-12 * (1 + abs(want))
