@@ -28,7 +28,10 @@ blocks, the rows matching lifted coefficients and the extraction of a
 certificate from a solution.  The membership SDP here and every cone
 constraint of a :mod:`coposos.relax` relaxation are built from it.  The
 exact audit (:func:`certificate_expansion`, :func:`validate_certificate`)
-re-expands a certificate without its rows.
+re-expands a certificate without its rows.  Lifts and audits run on
+Python-integer numerators from one lift table per (n, r), built once and
+cached (:func:`coposos.polycore.lift_table`): float certificate entries
+enter the audit as exact dyadic integers.
 
 Verdicts: MEMBER comes with an extracted Gram certificate whose exact
 re-expansion residual is checked; NOT_MEMBER is backed by the solver's
@@ -41,20 +44,20 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
 from .polycore import (
-    LiftKind,
+    LiftTable,
     MultiIndex,
     Poly,
     SymMatrix,
     coeff_norm,
+    lift_table,
     monomial_basis,
-    polya_lift,
-    quadratic_form,
-    quartic_form,
+    monomial_keys,
+    monomial_positions,
 )
 from .sdpcore import (
     BlockSdp,
@@ -78,7 +81,7 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def gram_basis(n: int, r: int, kind: ConeKind) -> list[MultiIndex]:
+def gram_basis(n: int, r: int, kind: ConeKind) -> tuple[MultiIndex, ...]:
     """Monomial basis indexing the Gram structure of a level-r membership SDP."""
     if kind is ConeKind.K:
         return monomial_basis(n, r + 2, exact_degree=True)
@@ -86,10 +89,13 @@ def gram_basis(n: int, r: int, kind: ConeKind) -> list[MultiIndex]:
 
 
 def lifted_poly(m: SymMatrix, r: int, kind: ConeKind) -> Poly:
-    """The exact lifted polynomial whose representation is being certified."""
-    if kind is ConeKind.K:
-        return polya_lift(quartic_form(m), r, LiftKind.QUADRATIC)
-    return polya_lift(quadratic_form(m), r, LiftKind.LINEAR)
+    """The exact lifted polynomial whose representation is being certified:
+    the lift table's row delta at x^delta (Q) or x^(2 delta) (K)."""
+    table = lift_table(m.n, r)
+    num, den = table.lift(m)
+    step = 2 if kind is ConeKind.K else 1
+    return Poly(m.n, {tuple(step * a for a in delta): Fraction(c, den)
+                      for delta, c in zip(table.basis, num.tolist()) if c})
 
 
 @dataclass
@@ -119,12 +125,10 @@ class SosCertificate:
             "provenance": self.provenance,
         }
         if self.kind is ConeKind.K:
-            doc["gram"] = [[float(v) for v in row] for row in self.gram]
+            doc["gram"] = np.asarray(self.gram, dtype=float).tolist()
         else:
-            doc["gram_blocks"] = [
-                [[float(v) for v in row] for row in blk] for blk in self.gram_blocks
-            ]
-            doc["scalars"] = [float(v) for v in self.scalars]
+            doc["gram_blocks"] = [np.asarray(b, dtype=float).tolist() for b in self.gram_blocks]
+            doc["scalars"] = np.asarray(self.scalars, dtype=float).tolist()
         return json.dumps(doc, indent=1)
 
     @classmethod
@@ -133,12 +137,7 @@ class SosCertificate:
         if doc.get("format") != "coposos-certificate-v1":
             raise ValueError("unrecognized certificate format")
         kind = ConeKind(doc["kind"])
-        cert = cls(
-            kind=kind,
-            r=int(doc["r"]),
-            n=int(doc["n"]),
-            provenance=doc.get("provenance", {}),
-        )
+        cert = cls(kind, int(doc["r"]), int(doc["n"]), provenance=doc.get("provenance", {}))
         if kind is ConeKind.K:
             cert.gram = np.array(doc["gram"], dtype=float)
         else:
@@ -147,12 +146,10 @@ class SosCertificate:
         return cert
 
 
-def _images(monos: list[MultiIndex], gens) -> list[np.ndarray]:
-    """Per generator g, the position in ``monos`` of each monomial's image
+def _images(exps: np.ndarray, gens) -> list[np.ndarray]:
+    """Per generator g, the row of ``exps`` holding each monomial's image
     under x_i -> x_g[i]."""
-    index = {m: t for t, m in enumerate(monos)} if len(gens) else {}
-    return [np.array([index[tuple(m[k] for k in inv)] for m in monos], np.intp)
-            for inv in (np.argsort(g).tolist() for g in gens)]
+    return [monomial_positions(exps, exps[:, np.argsort(g)]) for g in gens]
 
 
 def _components(size: int, src: np.ndarray, dst: np.ndarray):
@@ -208,12 +205,10 @@ class GramLayout:
             raise ValueError("level must be >= 0")
         self.n, self.r, self.kind, self.first = n, r, kind, first
         self.basis = gram_basis(n, r, kind)
-        self.scalar_basis = (
-            monomial_basis(n, r + 2, exact_degree=True) if kind is ConeKind.Q else None
-        )
         gens = [np.asarray(g, dtype=np.intp) for g in symmetry]
-        act = _images(self.basis, gens)
         basis = np.array(self.basis, dtype=np.intp)
+        act = _images(basis, gens)
+        lifted = lift_table(n, r).exps  # the lifted monomials: 2 * row (K) or row (Q)
         # slots: Gram block rows and scalar cells; an entry's lifted monomial
         # is its two slots' monomials plus its block's shift
         if kind is ConeKind.K:
@@ -223,20 +218,20 @@ class GramLayout:
             self.classes = [c for c in classes.values() if len(c) > 1]
             self.singles = [c[0] for c in classes.values() if len(c) == 1]
             grams, cells, slot_act, row_act = self.classes, self.singles, act, act
-            self._lifted = [tuple(2 * a for a in beta) for beta in self.basis]
+            self._lifted = 2 * lifted
             slot_mono, shift = basis, np.zeros((len(grams) + len(cells), n), np.intp)
         else:
             # slot b*n + i is x_i in the block of monomial b; scalar slots follow
             nb = len(self.basis) * n
-            self._lifted = self.scalar_basis
-            row_act = _images(self._lifted, gens)
+            self._lifted = lifted
+            row_act = _images(lifted, gens)
             grams = [list(range(b * n, b * n + n)) for b in range(len(self.basis))]
             cells = list(range(nb, nb + len(self._lifted)))
             slot_act = [np.concatenate([(p[:, None] * n + g).ravel(), nb + q])
                         for p, g, q in zip(act, gens, row_act)]
             slot_mono = np.vstack([np.tile(np.eye(n, dtype=np.intp), (len(basis), 1)),
                                    np.zeros((len(cells), n), np.intp)])
-            shift = np.vstack([basis, np.array(self._lifted, dtype=np.intp)])
+            shift = np.vstack([basis, lifted])
         blocks = grams + [[c] for c in cells]
         side = np.array([len(b) for b in blocks])
         first_slot = np.cumsum(side) - side
@@ -267,6 +262,12 @@ class GramLayout:
         self._nscalar = reps.size - len(self._sides)
         self._row_orbit, self._row_reps = _orbits(row_act, len(self._lifted))
 
+    def lift(self, m: SymMatrix) -> tuple[list[int], int]:
+        """The lift of M at the monomial of each row of :meth:`rows`, in its
+        order, as integer numerators over one common denominator."""
+        num, den = lift_table(self.n, self.r).lift(m)
+        return num[self._row_reps].tolist(), den
+
     def blocks(self) -> list[BlockSpec]:
         return [psd_block(k) for k in self._sides] + (
             [nonneg_block(self._nscalar)] if self._nscalar else []
@@ -279,10 +280,9 @@ class GramLayout:
         lift match zero), keyed by the orbit's first monomial.  Each
         off-diagonal entry is listed once; the SDP builder doubles symmetric
         pairs."""
-        index = {gamma: t for t, gamma in enumerate(self._lifted)}
         size = np.bincount(self._row_orbit)
         rep = self._rep[self._si[self._rep] <= self._sj[self._rep]]
-        row = self._row_orbit[[index[g] for g in map(tuple, self._gamma[rep].tolist())]]
+        row = self._row_orbit[monomial_positions(self._lifted, self._gamma[rep])]
         weight = self._count[self._blk[rep]] / size[row]
         rank = self._rank[self._blk[rep]]
         scalar = np.maximum(rank - len(self._sides), 0)  # a NONNEG entry's index
@@ -292,7 +292,7 @@ class GramLayout:
         entries = zip(*(v.tolist() for v in (block, i, j, weight)))
         for o, entry in zip(row.tolist(), entries):
             out[o].append(entry)
-        return {self._lifted[t]: row for t, row in zip(self._row_reps.tolist(), out)}
+        return {tuple(g): row for g, row in zip(self._lifted[self._row_reps].tolist(), out)}
 
     def embed(self, blocks):
         """The full Gram data of SDP blocks: kind K the dense Gram matrix
@@ -355,11 +355,11 @@ class MembershipProblem:
 def build_membership(m: SymMatrix, r: int, kind: ConeKind) -> MembershipProblem:
     """SDP feasibility: find Gram data reproducing the level-r lift of M."""
     layout = GramLayout(m.n, r, kind)
-    lifted = lifted_poly(m, r, kind)
+    lift, den = layout.lift(m)
     builder = SdpBuilder(layout.blocks())
     index_map = {
-        gamma: builder.add_row(entries, float(lifted.coeff(gamma)), label=gamma)
-        for gamma, entries in layout.rows().items()
+        gamma: builder.add_row(entries, num / den, label=gamma)
+        for num, (gamma, entries) in zip(lift, layout.rows().items())
     }
     return MembershipProblem(m, layout, builder.build(), index_map)
 
@@ -394,35 +394,22 @@ def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> Membersh
     if sol.status == SdpStatus.OPTIMAL:
         cert = problem.layout.certificate(sol, eps=eps, iterations=sol.iterations)
         report = validate_certificate(problem.matrix, cert, tol=eps)
-        if report.residual <= eps and report.min_gram_eig >= -eps:
-            return MembershipResult(
-                verdict=Verdict.MEMBER,
-                certificate=cert,
-                residual=report.residual,
-                min_gram_eig=report.min_gram_eig,
-                solution=sol,
-            )
+        member = report.residual <= eps and report.min_gram_eig >= -eps
         return MembershipResult(
-            verdict=Verdict.INCONCLUSIVE,
+            verdict=Verdict.MEMBER if member else Verdict.INCONCLUSIVE,
             certificate=cert,
             residual=report.residual,
             min_gram_eig=report.min_gram_eig,
             solution=sol,
-            message="solution found but certificate fails the membership bar",
+            message="" if member else "solution found but certificate fails the membership bar",
         )
     if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
         quality = _ray_quality(problem.sdp, sol)
-        if quality <= eps:
-            return MembershipResult(
-                verdict=Verdict.NOT_MEMBER,
-                infeasibility_quality=quality,
-                solution=sol,
-            )
         return MembershipResult(
-            verdict=Verdict.INCONCLUSIVE,
+            verdict=Verdict.NOT_MEMBER if quality <= eps else Verdict.INCONCLUSIVE,
             infeasibility_quality=quality,
             solution=sol,
-            message="infeasibility ray below certificate quality bar",
+            message="" if quality <= eps else "infeasibility ray below certificate quality bar",
         )
     return MembershipResult(
         verdict=Verdict.INCONCLUSIVE, solution=sol, message=sol.message
@@ -448,30 +435,57 @@ class CertificateReport:
     ok: bool
 
 
-def certificate_expansion(cert: SosCertificate) -> Poly:
-    """Exact re-expansion of the certificate's polynomial: Gram entry (i, j)
-    over half-monomials u_i, u_j, shifted by beta, adds its exact rational
-    value to the coefficient of beta + u_i + u_j (K: beta = 0 and u the
-    basis; Q: one Gram block per degree-r monomial beta, u the unit
-    vectors), and each Q scalar adds to its own monomial."""
-    n = cert.n
-    basis = gram_basis(n, cert.r, cert.kind)
+def _expansion_terms(cert: SosCertificate, table: LiftTable):
+    """The certificate's nonzero entries and the exponents of the monomial
+    each adds to: Gram entry (i, j) over half-monomials u_i, u_j, shifted by
+    beta, adds to beta + u_i + u_j (K: beta = 0 and u the basis; Q: one Gram
+    block per degree-r monomial beta and u the unit vectors, read off the
+    lift table), and each Q scalar to its own monomial."""
     if cert.kind is ConeKind.K:
-        grams = [((0,) * n, basis, cert.gram)]
-        scalars = []
-    else:
-        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        grams = [(beta, units, block) for beta, block in zip(basis, cert.gram_blocks)]
-        scalars = zip(monomial_basis(n, cert.r + 2, exact_degree=True), cert.scalars)
-    terms: dict[MultiIndex, Fraction] = {}
-    for beta, half, gram in grams:
-        gram = np.asarray(gram, dtype=float)
-        for i, j in zip(*np.nonzero(gram)):
-            gamma = tuple(a + b + c for a, b, c in zip(beta, half[i], half[j]))
-            terms[gamma] = terms.get(gamma, 0) + Fraction(float(gram[i, j]))
-    for gamma, c in scalars:
-        terms[gamma] = terms.get(gamma, 0) + Fraction(float(c))
-    return Poly(n, terms)
+        gram = np.asarray(cert.gram, dtype=float).ravel()
+        s, t = np.divmod(np.flatnonzero(gram), len(table.exps))
+        return table.exps[s] + table.exps[t], gram[s * len(table.exps) + t]
+    flat = np.concatenate([np.asarray(b, dtype=float).ravel() for b in cert.gram_blocks]
+                          + [np.asarray(cert.scalars, dtype=float).ravel()])
+    rows = np.concatenate([table.target.ravel(), np.arange(len(table.basis))])
+    if flat.size != rows.size:
+        raise ValueError("Gram blocks and scalars do not match the level")
+    k = np.flatnonzero(flat)
+    return table.exps[rows[k]], flat[k]
+
+
+def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python ints k and one exponent e <= 0 with values == k * 2**e
+    exactly: each 53-bit mantissa shifted by its exponent less e, the least
+    exponent (or 0)."""
+    if not np.isfinite(values).all():
+        raise ValueError("certificate has an entry that is NaN or infinite")
+    mantissa, exponent = np.frexp(values)
+    exponent = exponent.astype(np.int64) - 53
+    e = int(exponent.min(initial=0))
+    ints = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
+    return np.left_shift(ints, (exponent - e).astype(object)), e
+
+
+def _grouped(exps: np.ndarray, values: np.ndarray):
+    """The distinct monomials among the rows of ``exps`` and the sum of
+    ``values`` (Python ints) on each."""
+    _, first, inverse = np.unique(monomial_keys(exps), return_index=True,
+                                  return_inverse=True)
+    sums = np.zeros(first.size, dtype=object)
+    np.add.at(sums, inverse.ravel(), values)
+    return exps[first], sums
+
+
+def certificate_expansion(cert: SosCertificate) -> Poly:
+    """Exact re-expansion of the certificate's polynomial: each nonzero
+    entry adds its exact dyadic value to its monomial (see
+    :func:`_expansion_terms`)."""
+    exps, values = _expansion_terms(cert, lift_table(cert.n, cert.r))
+    ints, e = _dyadic(values)
+    exps, sums = _grouped(exps, ints)
+    scale = Fraction(2) ** e
+    return Poly(cert.n, {tuple(g): c * scale for g, c in zip(exps.tolist(), sums.tolist())})
 
 
 def _least_eigenvalue(gram: np.ndarray) -> float:
@@ -508,30 +522,32 @@ def validate_certificate(
         expected_side = comb(m.n + cert.r + 1, cert.r + 2)
         if np.asarray(cert.gram).shape != (expected_side, expected_side):
             raise ValueError("Gram matrix side does not match the level")
-    diff = lifted_poly(m, cert.r, cert.kind) - certificate_expansion(cert)
-    residual = coeff_norm(diff)
+    table = lift_table(m.n, cert.r)
+    lift, den = table.lift(m)
+    exps, values = _expansion_terms(cert, table)
+    ints, e = _dyadic(values)
+    # lift / den - ints * 2**e over the common denominator den * 2**-e
+    exps, diff = _grouped(
+        np.vstack([table.exps * (2 if cert.kind is ConeKind.K else 1), exps]),
+        np.concatenate([np.left_shift(lift, -e), -den * ints]),
+    )
+    degree = int(exps[0].sum())
+    fact = np.array([factorial(k) for k in range(degree + 1)], dtype=np.int64)
+    weights = (factorial(degree) // fact[exps].prod(axis=1)).tolist()
+    residual = coeff_norm(zip(diff.tolist(), weights), den << -e)
 
     if cert.kind is ConeKind.K:
-        min_eig = _least_eigenvalue(np.asarray(cert.gram, dtype=float))
-        min_scalar = None
-        max_entry = float(np.max(np.abs(cert.gram))) if cert.gram.size else 0.0
+        min_eig, min_scalar = _least_eigenvalue(np.asarray(cert.gram, dtype=float)), None
     else:
-        min_eig = min(
-            float(np.linalg.eigvalsh(np.asarray(b, dtype=float))[0])
-            for b in cert.gram_blocks
-        )
+        blocks = np.asarray(cert.gram_blocks, dtype=float)
+        min_eig = float(np.linalg.eigvalsh(blocks)[:, 0].min())
         min_scalar = float(np.min(cert.scalars)) if len(cert.scalars) else 0.0
-        max_entry = max(
-            max(float(np.max(np.abs(b))) for b in cert.gram_blocks),
-            float(np.max(np.abs(cert.scalars))) if len(cert.scalars) else 0.0,
-        )
-    ok = residual <= Fraction(float(tol)) and min_eig >= -tol
-    if min_scalar is not None:
-        ok = ok and min_scalar >= -tol
+    ok = (residual <= Fraction(float(tol)) and min_eig >= -tol
+          and (min_scalar is None or min_scalar >= -tol))
     return CertificateReport(
         residual=residual,
         min_gram_eig=min_eig,
         min_scalar=min_scalar,
-        max_abs_entry=max_entry,
+        max_abs_entry=float(np.abs(values).max(initial=0.0)),
         ok=bool(ok),
     )

@@ -6,24 +6,31 @@ this module is exact; conversion to floating point happens only at the SDP
 boundary.  This makes identity tests (e.g. re-expanding a Gram certificate
 and comparing coefficients) fully reliable.
 
-The module also provides the monomial bases, multinomial coefficients,
-quadratic/quartic matrix forms and the two lift operations
+The module also provides the monomial bases (cached tuples), multinomial
+coefficients, quadratic/quartic matrix forms and the two lift operations
 
     LINEAR:     p  ->  (x_1 + ... + x_n)^r * p
     QUADRATIC:  p  ->  (x_1^2 + ... + x_n^2)^r * p
 
 used throughout the package, plus coefficient-norm bounds with certified
 suprema on the unit box and on Euclidean balls.
+
+The lifts of matrices, which every SDP row and certificate audit reads,
+run on Python-integer numerators from one table per (n, r), built once and
+cached (:func:`lift_table`); :func:`coeff_norm` takes such numerators.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, isqrt
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from itertools import combinations
+from math import factorial, isqrt, lcm
+from typing import Iterable, Mapping
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
@@ -64,18 +71,18 @@ def multinomial(alpha: MultiIndex) -> int:
     return out
 
 
-def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
-    """All exponent tuples of given total degree, in descending-lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> list[MultiIndex]:
+    """All exponent tuples of given total degree, in descending-lex order:
+    stars and bars, the bar positions in reverse lexicographic order."""
+    top = total + parts - 1
+    bars = [(-1, *c, top) for c in combinations(range(top), parts - 1)][::-1]
+    return list(map(tuple, (np.diff(np.array(bars), axis=1) - 1).tolist()))
 
 
-def monomial_basis(nvars: int, d: int, exact_degree: bool = False) -> list[MultiIndex]:
-    """Monomials with |alpha| <= d (or == d) in graded lexicographic order.
+@lru_cache(maxsize=64)
+def monomial_basis(nvars: int, d: int, exact_degree: bool = False) -> tuple[MultiIndex, ...]:
+    """Monomials with |alpha| <= d (or == d) in graded lexicographic order,
+    cached per argument tuple.
 
     Counts: binom(n+d, d) for the <= variant, binom(n+d-1, d) for exact degree.
     """
@@ -84,10 +91,7 @@ def monomial_basis(nvars: int, d: int, exact_degree: bool = False) -> list[Multi
     if d < 0:
         raise ValueError("degree must be >= 0")
     degrees = [d] if exact_degree else range(d + 1)
-    out: list[MultiIndex] = []
-    for dd in degrees:
-        out.extend(_compositions(dd, nvars))
-    return out
+    return tuple(alpha for dd in degrees for alpha in _compositions(dd, nvars))
 
 
 class Poly:
@@ -129,16 +133,6 @@ class Poly:
         exp[i] = 1
         return cls(nvars, {tuple(exp): 1})
 
-    @classmethod
-    def sum_of_variables(cls, nvars: int, power: int = 1) -> "Poly":
-        """x_1^power + ... + x_n^power (power 1 or 2 are the lift multipliers)."""
-        terms = {}
-        for i in range(nvars):
-            exp = [0] * nvars
-            exp[i] = power
-            terms[tuple(exp)] = Fraction(1)
-        return cls(nvars, terms)
-
     # -- basic queries -------------------------------------------------
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
@@ -149,9 +143,6 @@ class Poly:
 
     def monomials(self) -> list[MultiIndex]:
         return sorted(self._terms, key=grlex_key)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -172,18 +163,11 @@ class Poly:
         return hash((self.nvars, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "Poly(0)"
-        parts = []
-        for alpha in self.monomials():
-            c = self._terms[alpha]
-            mono = "*".join(
-                f"x{i}^{e}" if e > 1 else f"x{i}"
-                for i, e in enumerate(alpha)
-                if e > 0
-            )
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "Poly(" + " + ".join(parts) + ")"
+        def mono(alpha):
+            return "".join(f"*x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(alpha) if e)
+
+        parts = [f"{self._terms[alpha]}{mono(alpha)}" for alpha in self.monomials()]
+        return "Poly(" + (" + ".join(parts) or "0") + ")"
 
     # -- arithmetic ------------------------------------------------------
 
@@ -253,21 +237,19 @@ class SymMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "SymMatrix":
-        data = tuple(tuple(_rat(v) for v in row) for row in rows)
+        data = tuple([tuple([_rat(v) for v in row]) for row in rows])
         n = len(data)
         if any(len(row) != n for row in data):
             raise ValueError("matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if data[i][j] != data[j][i]:
-                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
+        if any(row != col for row, col in zip(data, zip(*data))):  # then find the first
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if data[i][j] != data[j][i])
+            raise ValueError(f"matrix is not symmetric at ({i},{j})")
         return cls(n, data)
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return cls.diag([1] * n)
 
     @classmethod
     def ones(cls, n: int) -> "SymMatrix":
@@ -279,24 +261,18 @@ class SymMatrix:
 
     @classmethod
     def diag(cls, values) -> "SymMatrix":
-        vals = [_rat(v) for v in values]
-        n = len(vals)
-        return cls.from_rows(
-            [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        vals = list(values)
+        return cls.from_rows([[v if i == j else 0 for j in range(len(vals))]
+                              for i, v in enumerate(vals)])
 
     @classmethod
     def from_float(cls, array) -> "SymMatrix":
         """Exact rationalization of a (nearly) symmetric float matrix."""
         n = len(array)
-        sym = [
-            [
-                (Fraction(float(array[i][j])) + Fraction(float(array[j][i]))) / 2
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return cls.from_rows(sym)
+        return cls.from_rows(
+            [[(Fraction(float(array[i][j])) + Fraction(float(array[j][i]))) / 2
+              for j in range(n)] for i in range(n)]
+        )
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
@@ -305,10 +281,7 @@ class SymMatrix:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         return SymMatrix.from_rows(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
+            [[a + b for a, b in zip(u, v)] for u, v in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
@@ -316,9 +289,7 @@ class SymMatrix:
 
     def scale(self, c: RatLike) -> "SymMatrix":
         c = _rat(c)
-        return SymMatrix.from_rows(
-            [[c * v for v in row] for row in self.rows]
-        )
+        return SymMatrix.from_rows([[c * v for v in row] for row in self.rows])
 
     def to_float(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.rows]
@@ -409,14 +380,79 @@ def polya_lift(p: Poly, r: int, kind: LiftKind) -> Poly:
     return lift_multiplier(p.nvars, r, kind) * p
 
 
-def coeff_norm(p: Poly) -> Fraction:
-    """max over monomials of |coefficient| / multinomial(alpha); 0 for p = 0."""
-    best = Fraction(0)
-    for alpha, c in p.items():
-        val = abs(c) / multinomial(alpha)
-        if val > best:
-            best = val
-    return best
+def monomial_keys(exps: np.ndarray) -> np.ndarray:
+    """One bytes key per row of exponents (each below 128), equal exactly
+    when the monomials are, for ``np.unique`` and ``np.searchsorted``."""
+    exps = np.ascontiguousarray(exps, dtype=np.int8)
+    return exps.view(np.dtype((np.void, exps.shape[1]))).ravel()
+
+
+def monomial_positions(exps: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The row of ``exps`` equal to each row of ``queries``; every query
+    must occur."""
+    keys = monomial_keys(exps)
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys[order], monomial_keys(queries))]
+
+
+class LiftTable:
+    """The level-r lift of quadratic forms in n variables, on integers.
+
+    Row t is the degree-(r+2) monomial delta = ``basis[t]`` (``exps[t]``).
+    Both lifts of a symmetric M have there the sum over tau + e_i + e_j =
+    delta of multinomial(tau) * M_ij: LINEAR at x^delta of (sum x_i)^r
+    x^T M x, QUADRATIC at x^(2 delta) of (sum x_i^2)^r sum M_ij x_i^2 x_j^2.
+    ``target[tau, i, j]`` is the row of tau + e_i + e_j and ``weight[tau]``
+    the integer multinomial(tau).
+    """
+
+    def __init__(self, n: int, r: int):
+        self.n, self.r = n, r
+        self.basis = monomial_basis(n, r + 2, exact_degree=True)
+        self.exps = np.array(self.basis, dtype=np.int8)
+        taus = monomial_basis(n, r, exact_degree=True)
+        eye = np.eye(n, dtype=np.int8)
+        grown = np.array(taus, dtype=np.int8)[:, None, None] + eye[:, None] + eye[None, :]
+        self.target = monomial_positions(self.exps, grown.reshape(-1, n)).reshape(-1, n, n)
+        self.weight = np.array([multinomial(tau) for tau in taus], dtype=object)
+        for shared in (self.exps, self.target, self.weight):  # cached: read-only
+            shared.flags.writeable = False
+
+    def lift(self, m: SymMatrix) -> tuple[np.ndarray, int]:
+        """(numerators, D): row t of the lift of M is numerators[t] / D, with
+        D the least common multiple of M's denominators; the numerators are
+        Python ints, summed exactly."""
+        if m.n != self.n:
+            raise ValueError("matrix dimension does not match the table")
+        entries = [(i, j, v) for i, row in enumerate(m.rows)
+                   for j, v in enumerate(row[i:], i) if v]
+        den = lcm(*(v.denominator for _, _, v in entries))
+        out = np.zeros(len(self.basis), dtype=object)
+        if entries:
+            i, j, _ = zip(*entries)
+            num = np.array([(1 if a == b else 2) * c.numerator * (den // c.denominator)
+                            for a, b, c in entries], dtype=object)
+            np.add.at(out, self.target[:, i, j], self.weight[:, None] * num)
+        return out, den
+
+
+lift_table = lru_cache(maxsize=16)(LiftTable)  # lift_table(n, r): built once, cached
+
+
+def coeff_norm(p: Poly | Iterable[tuple[int, int]], denominator: int = 1) -> Fraction:
+    """max over monomials of |coefficient| / multinomial(alpha); 0 for p = 0.
+
+    ``p`` is a Poly, or pairs (numerator, multinomial(alpha)) of coefficients
+    over one ``denominator``; the maximum is taken on integers.
+    """
+    if isinstance(p, Poly):
+        denominator = lcm(*(c.denominator for _, c in p.items()))
+        p = [(c.numerator * (denominator // c.denominator), multinomial(alpha))
+             for alpha, c in p.items()]
+    terms = list(p)
+    scale = lcm(*{w for _, w in terms})
+    top = max((abs(c) * (scale // w) for c, w in terms), default=0)
+    return Fraction(top, scale * denominator)
 
 
 # -- suprema and coefficient bounds -----------------------------------------

@@ -34,15 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import (
-    ConeKind,
-    GramLayout,
-    SosCertificate,
-    gram_basis,
-    lifted_poly,
-    validate_certificate,
-)
-from .polycore import Poly, SymMatrix, is_psd_exact, monomial_basis, multinomial
+from .cones import ConeKind, GramLayout, SosCertificate, validate_certificate
+from .polycore import SymMatrix, is_psd_exact, lift_table
 from .sdpcore import (
     SdpBuilder,
     SdpStatus,
@@ -69,17 +62,23 @@ class ConeConstraint:
         for g in self.symmetry:
             if sorted(g) != list(range(self.n)):
                 raise ValueError(f"symmetry generator {g} is not a permutation")
-            for rows in (m.rows for m in (*self.a_mats, self.c_mat)):
-                if any(rows[g[i]][g[j]] != v for i, row in enumerate(rows)
-                       for j, v in enumerate(row)):
-                    raise ValueError(f"symmetry generator {g} moves a constraint matrix")
+            # one exact pass per matrix: row g[i], permuted by g, is row i
+            if any([rows[gi][gj] for gj in g] != list(row)
+                   for rows in (m.rows for m in (*self.a_mats, self.c_mat))
+                   for gi, row in zip(g, rows)):
+                raise ValueError(f"symmetry generator {g} moves a constraint matrix")
 
     def slack(self, y) -> SymMatrix:
-        """sum_i y_i A_i - C, exact when y is rational."""
-        acc = self.c_mat.scale(-1)
-        for yi, a in zip(y, self.a_mats):
-            acc = acc + a.scale(yi)
-        return acc
+        """sum_i y_i A_i - C, exact when y is rational, in one pass over the
+        upper triangle."""
+        terms = [(Fraction(yi), a.rows) for yi, a in zip(y, self.a_mats) if yi]
+        upper = [
+            [sum((yi * a[i][j] for yi, a in terms), -c) for j, c in enumerate(row[i:], i)]
+            for i, row in enumerate(self.c_mat.rows)
+        ]
+        return SymMatrix(self.n, tuple([
+            tuple([upper[j][i - j] for j in range(i)] + upper[i]) for i in range(self.n)
+        ]))
 
 
 @dataclass(frozen=True)
@@ -100,16 +99,8 @@ class ConicProgram:
     @classmethod
     def make(cls, b, constraints) -> "ConicProgram":
         b = tuple(Fraction(v) for v in b)
-        cons = tuple(
-            ConeConstraint(
-                n=c[0],
-                a_mats=tuple(c[1]),
-                c_mat=c[2],
-            )
-            if not isinstance(c, ConeConstraint)
-            else c
-            for c in constraints
-        )
+        cons = tuple(c if isinstance(c, ConeConstraint)
+                     else ConeConstraint(c[0], tuple(c[1]), c[2]) for c in constraints)
         return cls(m=len(b), b=b, constraints=cons)
 
     def objective_value(self, y) -> Fraction:
@@ -158,17 +149,17 @@ def build_relaxation_sdp(
     builder = SdpBuilder(blocks)
 
     for ci, (layout, cons) in enumerate(zip(layouts, prog.constraints)):
-        lifts_a = [lifted_poly(a, r, kind) for a in cons.a_mats]
-        lift_c = lifted_poly(cons.c_mat, r, kind)
-        for gamma, entries in layout.rows().items():
+        lifts_a = [layout.lift(a) for a in cons.a_mats]
+        lift_c, den_c = layout.lift(cons.c_mat)
+        for t, (gamma, entries) in enumerate(layout.rows().items()):
             full = list(entries)
-            for i, lift in enumerate(lifts_a):
-                coef = lift.coeff(gamma)
-                if coef != 0:
+            for i, (lift, den) in enumerate(lifts_a):
+                if lift[t]:
                     # subtract y_i * coef written via (d_i+ - d_i-) / 2
-                    full.append((d_block, 2 * i, 2 * i, -float(coef) / 2.0))
-                    full.append((d_block, 2 * i + 1, 2 * i + 1, float(coef) / 2.0))
-            builder.add_row(full, -float(lift_c.coeff(gamma)), label=(ci, gamma))
+                    coef = lift[t] / den
+                    full.append((d_block, 2 * i, 2 * i, -coef / 2.0))
+                    full.append((d_block, 2 * i + 1, 2 * i + 1, coef / 2.0))
+            builder.add_row(full, -(lift_c[t] / den_c), label=(ci, gamma))
 
     for i in range(m):
         builder.add_row(
@@ -270,12 +261,9 @@ def check_intspn(
     # Round N to exact nonnegative rationals, take P as the exact remainder,
     # then certify a rational eigenvalue lower bound by exact factorization.
     n_float = np.asarray(sol.x_blocks[1])
-    n_rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), t in pair_pos.items():
-        val = max(Fraction(float(n_float[t])), Fraction(0))
-        n_rows[i][j] = val
-        n_rows[j][i] = val
-    n_exact = SymMatrix.from_rows(n_rows)
+    n_val = {p: max(Fraction(float(n_float[t])), Fraction(0)) for p, t in pair_pos.items()}
+    n_exact = SymMatrix.from_rows([[n_val[min(i, j), max(i, j)] for j in range(n)]
+                                   for i in range(n)])
     p_exact = s_exact - n_exact
 
     lb = Fraction(float(lam_star)) * Fraction(9, 10)
@@ -283,8 +271,7 @@ def check_intspn(
         if lb <= 0:
             break
         if is_psd_exact(p_exact - SymMatrix.identity(n).scale(lb)):
-            witness = SpnWitness(ybar, p_exact, n_exact, lb)
-            return witness
+            return SpnWitness(ybar, p_exact, n_exact, lb)
         lb /= 2
     return SpnRefusal(lambda_star=lam_star, message="could not certify the rounding")
 
@@ -310,48 +297,35 @@ def _shift_for(witness: SpnWitness, max_halvings: int = 60) -> Fraction:
 
 
 def _interior_gram_k(witness: SpnWitness, r: int, b: Fraction):
-    """Exact dense Gram matrix of the quartic-lift seed: padded P-bJ plus
-    diagonal.  Padding keeps parity, so the matrix is parity-block-diagonal."""
+    """Exact dense Gram matrix of the quartic-lift seed: P-bJ padded into
+    rows tau + 2e_i with weight multinomial(tau), plus the diagonal lift of
+    bJ + N.  Padding keeps parity, so the matrix is parity-block-diagonal."""
     n = witness.p_mat.n
-    basis = gram_basis(n, r, ConeKind.K)
-    pos = {mono: t for t, mono in enumerate(basis)}
-    side = len(basis)
-    p_b = witness.p_mat - SymMatrix.ones(n).scale(b)
-    gram = [[Fraction(0)] * side for _ in range(side)]
-    for tau in monomial_basis(n, r, exact_degree=True):
-        weight = multinomial(tau)
-        spots = []
-        for i in range(n):
-            padded = list(tau)
-            padded[i] += 2
-            spots.append(pos[tuple(padded)])
-        for i in range(n):
-            for j in range(n):
-                gram[spots[i]][spots[j]] += weight * p_b.entry(i, j)
-    remainder = SymMatrix.ones(n).scale(b) + witness.n_mat
-    diag_poly = lifted_poly(remainder, r, ConeKind.K)
-    for alpha in basis:
-        t = pos[alpha]
-        gram[t][t] += diag_poly.coeff(tuple(2 * a for a in alpha))
+    table = lift_table(n, r)
+    p_b = (witness.p_mat - SymMatrix.ones(n).scale(b)).rows
+    gram = [[Fraction(0)] * len(table.basis) for _ in table.basis]
+    for spots, weight in zip(table.target.diagonal(axis1=1, axis2=2).tolist(), table.weight):
+        for i, si in enumerate(spots):
+            for j, sj in enumerate(spots):
+                gram[si][sj] += weight * p_b[i][j]
+    diag, den = table.lift(SymMatrix.ones(n).scale(b) + witness.n_mat)
+    for t, c in enumerate(diag.tolist()):
+        gram[t][t] += Fraction(c, den)
     return gram
 
 
 def _interior_blocks_q(witness: SpnWitness, r: int, b: Fraction):
-    """Exact Q-side seed: blocks a_beta*(P - bJ) + (b/2n) I and scalars."""
+    """Exact Q-side seed: blocks a_beta*(P - bJ) + (b/2n) I and scalars, the
+    lift of bJ + N less b/2n per square x_i^2 dividing the monomial."""
     n = witness.p_mat.n
-    layout = GramLayout(n, r, ConeKind.Q)
+    table = lift_table(n, r)
     p_b = witness.p_mat - SymMatrix.ones(n).scale(b)
     eye_shift = SymMatrix.identity(n).scale(b / (2 * n))
-    gram_blocks = [
-        p_b.scale(multinomial(beta)) + eye_shift for beta in layout.basis
-    ]
-    remainder = SymMatrix.ones(n).scale(b) + witness.n_mat
-    scalars_poly = lifted_poly(remainder, r, ConeKind.Q)
-    basis_sum = Poly(n, {beta: 1 for beta in layout.basis})
-    correction = basis_sum * Poly.sum_of_variables(n, power=2)
+    gram_blocks = [p_b.scale(weight) + eye_shift for weight in table.weight]
+    lift, den = table.lift(SymMatrix.ones(n).scale(b) + witness.n_mat)
     scalars = []
-    for gamma in layout.scalar_basis:
-        val = scalars_poly.coeff(gamma) - (b / (2 * n)) * correction.coeff(gamma)
+    for gamma, c in zip(table.basis, lift.tolist()):
+        val = Fraction(c, den) - (b / (2 * n)) * sum(a >= 2 for a in gamma)
         if 2 * val < b:
             raise ArithmeticError("scalar seed dropped below b/2; check witness")
         scalars.append(val)
@@ -439,45 +413,29 @@ def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
         raise ValueError("box bound must be positive")
     m = prog.m
 
-    def extension_rows(i):
-        # variable y_i hits slots (2i, 2i+1) with signs (-1, +1)
-        return [(2 * i, Fraction(-1)), (2 * i + 1, Fraction(1))]
+    def box(i):  # variable y_i hits slots (2i, 2i+1) with signs (-1, +1)
+        return [(-1 if k == 2 * i else 1 if k == 2 * i + 1 else 0) for k in range(2 * m)]
 
     if len(prog.constraints) == 1:
         cons = prog.constraints[0]
         n = cons.n
-        size = n + 2 * m
-        new_a = []
-        for i, a in enumerate(cons.a_mats):
-            rows = [[Fraction(0)] * size for _ in range(size)]
-            for p in range(n):
-                for q in range(n):
-                    rows[p][q] = a.entry(p, q)
-            for slot, sign in extension_rows(i):
-                rows[n + slot][n + slot] = sign
-            new_a.append(SymMatrix.from_rows(rows))
-        c_rows = [[Fraction(0)] * size for _ in range(size)]
-        for p in range(n):
-            for q in range(n):
-                c_rows[p][q] = cons.c_mat.entry(p, q)
-        for slot in range(2 * m):
-            c_rows[n + slot][n + slot] = -2 * big_r
-        new_c = SymMatrix.from_rows(c_rows)
-        symmetry = tuple(tuple(g) + tuple(range(n, size)) for g in cons.symmetry)
+
+        def padded(mat, tail):  # mat in the top-left corner, tail on the box diagonal
+            rows = [list(row) + [0] * (2 * m) for row in mat.rows]
+            return SymMatrix.from_rows(rows + [[0] * (n + k) + [v] + [0] * (2 * m - k - 1)
+                                               for k, v in enumerate(tail)])
+
+        new_a = tuple(padded(a, box(i)) for i, a in enumerate(cons.a_mats))
+        new_c = padded(cons.c_mat, [-2 * big_r] * (2 * m))
+        symmetry = tuple(tuple(g) + tuple(range(n, n + 2 * m)) for g in cons.symmetry)
         return ConicProgram(
             m=m,
             b=prog.b,
-            constraints=(ConeConstraint(size, tuple(new_a), new_c, symmetry),),
+            constraints=(ConeConstraint(n + 2 * m, new_a, new_c, symmetry),),
         )
 
-    extra_a = []
-    for i in range(m):
-        rows = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
-        for slot, sign in extension_rows(i):
-            rows[slot][slot] = sign
-        extra_a.append(SymMatrix.from_rows(rows))
-    extra_c = SymMatrix.diag([-2 * big_r] * (2 * m))
-    extra = ConeConstraint(2 * m, tuple(extra_a), extra_c)
+    extra_a = tuple(SymMatrix.diag(box(i)) for i in range(m))
+    extra = ConeConstraint(2 * m, extra_a, SymMatrix.diag([-2 * big_r] * (2 * m)))
     return ConicProgram(m=m, b=prog.b, constraints=prog.constraints + (extra,))
 
 
@@ -517,9 +475,7 @@ def solve_relaxation(
     these programs dual degenerate); pass a smaller eps to insist.  A value
     is returned only when every cone constraint's certificate passes exact
     validation; otherwise an OPTIMAL solve is downgraded to INCONCLUSIVE
-    with ``value=None``, keeping the certificates and reports for audit.  A constraint's exactly checked ``symmetry`` is the group its layout
-reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, with the box
-slots of :func:`to_bounded` fixed, and the trivial group otherwise.
+    with ``value=None``, keeping the certificates and reports for audit.
     """
     rel = build_relaxation_sdp(prog, r, kind, box_bound)
     sandwich = None
@@ -541,11 +497,10 @@ slots of :func:`to_bounded` fixed, and the trivial group otherwise.
         )
     y = rel.decode_y(sol)
     certs = extract_certificates(rel, sol)
-    reports = []
     y_exact = [Fraction(float(v)) for v in y]
     tol = validate_tol if validate_tol is not None else max(100 * eps, 1e-6)
-    for cons, cert in zip(prog.constraints, certs):
-        reports.append(validate_certificate(cons.slack(y_exact), cert, tol=tol))
+    reports = [validate_certificate(cons.slack(y_exact), cert, tol=tol)
+               for cons, cert in zip(prog.constraints, certs)]
     failed = []
     for ci, rep in enumerate(reports):
         if not rep.ok:

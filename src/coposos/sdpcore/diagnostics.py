@@ -28,13 +28,6 @@ class SandwichReport:
     violations: list[str] = field(default_factory=list)
     ok: bool = True
 
-    def summary(self) -> str:
-        status = "ok" if self.ok else "FLAGGED"
-        return (
-            f"sandwich[{status}] residual={self.eq_residual:.3e} "
-            f"margin={self.margin:.3e} log(R2/R1)={self.log_ratio:.3f}"
-        )
-
 
 def sandwich_diagnostics(
     sdp: BlockSdp,

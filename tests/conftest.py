@@ -1,5 +1,6 @@
-"""Shared corpus generators (seeded, exact-rational where it matters) and the
-unreduced K layout kept as a differential oracle."""
+"""Shared corpus generators (seeded, exact-rational where it matters), the
+unreduced K layout and the Fraction route of the exact audit, kept as
+differential oracles."""
 
 import contextlib
 import random
@@ -10,7 +11,17 @@ import pytest
 
 from coposos import cones, relax
 from coposos.cones import ConeKind, GramLayout
-from coposos.polycore import SymMatrix, monomial_basis
+from coposos.polycore import (
+    LiftKind,
+    Poly,
+    SymMatrix,
+    lift_table,
+    monomial_basis,
+    multinomial,
+    polya_lift,
+    quadratic_form,
+    quartic_form,
+)
 from coposos.sdpcore import psd_block
 
 
@@ -119,6 +130,11 @@ class DenseKLayout(GramLayout):
                 rows[gamma].append((self.first, ti, tj, 1.0))
         return rows
 
+    def lift(self, m):
+        num, den = lift_table(self.n, self.r).lift(m)
+        coef = {tuple(2 * a for a in d): c for d, c in zip(self.basis, num.tolist())}
+        return [coef.get(gamma, 0) for gamma in self.rows()], den
+
     def embed(self, blocks):
         return np.asarray(blocks[0])
 
@@ -147,3 +163,41 @@ def dense_scaled_rows(cone, sc, a, chunk=64):
         rows = slice(r0, r0 + chunk)
         abar[rows] = cone.congruence(sc, a[rows])
     return abar, abar @ abar.T
+
+
+def fraction_lift(m: SymMatrix, r: int, kind: ConeKind) -> Poly:
+    """The level-r lift of M by exact ``Poly`` products."""
+    if kind is ConeKind.K:
+        return polya_lift(quartic_form(m), r, LiftKind.QUADRATIC)
+    return polya_lift(quadratic_form(m), r, LiftKind.LINEAR)
+
+
+def fraction_expansion(cert) -> Poly:
+    """The re-expansion of a certificate with one ``Fraction`` per nonzero
+    entry, summed in a dict: the route the exact audit took before it ran
+    on integer numerators, kept as its differential oracle."""
+    n = cert.n
+    if cert.kind is ConeKind.K:
+        basis = monomial_basis(n, cert.r + 2, exact_degree=True)
+        grams, scalars = [((0,) * n, basis, cert.gram)], []
+    else:
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        grams = [(beta, units, block) for beta, block in
+                 zip(monomial_basis(n, cert.r, exact_degree=True), cert.gram_blocks)]
+        scalars = zip(monomial_basis(n, cert.r + 2, exact_degree=True), cert.scalars)
+    terms = {}
+    for beta, half, gram in grams:
+        gram = np.asarray(gram, dtype=float)
+        for i, j in zip(*np.nonzero(gram)):
+            gamma = tuple(a + b + c for a, b, c in zip(beta, half[i], half[j]))
+            terms[gamma] = terms.get(gamma, 0) + Fraction(float(gram[i, j]))
+    for gamma, c in scalars:
+        terms[gamma] = terms.get(gamma, 0) + Fraction(float(c))
+    return Poly(n, terms)
+
+
+def fraction_residual(m: SymMatrix, cert) -> Fraction:
+    """max |c| / multinomial(alpha) over the coefficients of the Fraction
+    lift less the Fraction expansion."""
+    diff = fraction_lift(m, cert.r, cert.kind) - fraction_expansion(cert)
+    return max((abs(c) / multinomial(a) for a, c in diff.items()), default=Fraction(0))

@@ -1,0 +1,165 @@
+"""The exact lift and certificate audit on integer numerators, against the
+``Fraction`` route they replaced (kept in conftest): table lifts of random
+rational matrices, audits of certificates whose entries span the whole
+double range, non-finite entries, the cached bases and tables, and the
+one-pass exact matrix checks."""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fraction_expansion, fraction_lift, fraction_residual, random_symmetric
+from coposos.cones import (
+    ConeKind,
+    SosCertificate,
+    certificate_expansion,
+    gram_basis,
+    lifted_poly,
+    validate_certificate,
+)
+from coposos.polycore import SymMatrix, coeff_norm, lift_table, monomial_basis, multinomial
+from coposos.relax import ConeConstraint
+
+BIG = 2**70
+
+
+@st.composite
+def rational_matrices(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    entry = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    return SymMatrix.from_rows([[upper[min(i, j), max(i, j)] for j in range(n)]
+                                for i in range(n)])
+
+
+class TestTableLift:
+    @settings(max_examples=60, deadline=None)
+    @given(m=rational_matrices(), r=st.integers(0, 2))
+    def test_matches_poly_products(self, m, r):
+        for kind in ConeKind:
+            want = fraction_lift(m, r, kind)
+            assert lifted_poly(m, r, kind) == want
+            assert coeff_norm(want) == max(
+                (abs(c) / multinomial(a) for a, c in want.items()), default=Fraction(0))
+        num, den = lift_table(m.n, r).lift(m)
+        assert den == math.lcm(*(v.denominator for row in m.rows for v in row))
+        assert all(type(c) is int for c in num)
+
+    def test_zero_matrix(self):
+        num, den = lift_table(3, 1).lift(SymMatrix.zero(3))
+        assert den == 1 and not any(num)
+        assert len(lifted_poly(SymMatrix.zero(3), 1, ConeKind.K)) == 0
+
+
+# every kind of double: huge, tiny, subnormal, signed zero, ordinary
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+             1e300, -1e300, 1.0, -0.1, 3.0]
+_entries = st.one_of(st.sampled_from(_EXTREMES),
+                     st.floats(min_value=-1e300, max_value=1e300))
+
+
+def _certificate(kind, n, r, draw_values):
+    if kind is ConeKind.K:
+        side = len(gram_basis(n, r, kind))
+        return SosCertificate(kind, r, n, gram=np.array(draw_values(side * side)).reshape(side, side))
+    blocks = len(gram_basis(n, r, kind))
+    scalars = len(monomial_basis(n, r + 2, exact_degree=True))
+    vals = np.array(draw_values(blocks * n * n + scalars))
+    return SosCertificate(kind, r, n, gram_blocks=list(vals[:blocks * n * n].reshape(-1, n, n)),
+                          scalars=vals[blocks * n * n:])
+
+
+class TestDyadicAudit:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(list(ConeKind)), n=st.integers(2, 3),
+           r=st.integers(0, 1), seed=st.integers(0, 1000))
+    def test_residual_matches_fraction_oracle(self, data, kind, n, r, seed):
+        m = random_symmetric(random.Random(seed), n)
+        cert = _certificate(kind, n, r,
+                            lambda k: data.draw(st.lists(_entries, min_size=k, max_size=k)))
+        assert certificate_expansion(cert) == fraction_expansion(cert)
+        assert validate_certificate(m, cert).residual == fraction_residual(m, cert)
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    def test_exact_certificate_has_zero_residual(self, kind):
+        # dyadic entries chosen so the expansion reproduces the lift exactly
+        m = SymMatrix.from_rows([[Fraction(1, 4), Fraction(-3, 8)], [Fraction(-3, 8), 2]])
+        cert = _certificate(kind, 2, 0, lambda k: [0.0] * k)
+        if kind is ConeKind.K:  # over (x1^2, x1 x2, x2^2)
+            assert gram_basis(2, 0, kind) == ((2, 0), (1, 1), (0, 2))
+            cert.gram = np.array([[0.25, 0.0, -0.375], [0.0, 0.0, 0.0], [-0.375, 0.0, 2.0]])
+        else:
+            cert.gram_blocks = [np.array([[0.25, -0.375], [-0.375, 2.0]])]
+        report = validate_certificate(m, cert)
+        assert report.residual == 0 == fraction_residual(m, cert)
+        assert report.max_abs_entry == 2.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["K gram", "Q block", "Q scalar"])
+    def test_non_finite_entry_raises(self, value, where):
+        kind = ConeKind.K if where == "K gram" else ConeKind.Q
+        cert = _certificate(kind, 3, 1, lambda k: [0.5] * k)
+        if where == "K gram":
+            cert.gram[1, 2] = value
+        elif where == "Q block":
+            cert.gram_blocks[2][0, 1] = value
+        else:
+            cert.scalars[3] = value
+        with pytest.raises(ValueError):
+            certificate_expansion(cert)
+        with pytest.raises(ValueError):
+            validate_certificate(SymMatrix.identity(3), cert)
+
+
+class TestCaches:
+    def test_bases_are_cached_tuples(self):
+        basis = monomial_basis(4, 3, exact_degree=True)
+        assert isinstance(basis, tuple) and all(isinstance(b, tuple) for b in basis)
+        assert monomial_basis(4, 3, exact_degree=True) is basis
+        assert gram_basis(4, 1, ConeKind.K) is basis
+
+    def test_lift_table_is_cached_and_read_only(self):
+        table = lift_table(4, 1)
+        assert lift_table(4, 1) is table
+        for arr in (table.exps, table.target, table.weight):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0
+
+    def test_table_rows(self):
+        table = lift_table(3, 1)
+        taus = monomial_basis(3, 1, exact_degree=True)
+        for t, tau in enumerate(taus):
+            assert table.weight[t] == multinomial(tau)
+            for i in range(3):
+                for j in range(3):
+                    grown = list(tau)
+                    grown[i] += 1
+                    grown[j] += 1
+                    assert table.basis[table.target[t, i, j]] == tuple(grown)
+
+
+class TestExactMatrixChecks:
+    def test_first_asymmetric_entry_is_reported(self):
+        with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+            SymMatrix.from_rows([[1, 0, 5], [0, 1, 7], [4, 6, 1]])
+
+    @pytest.mark.parametrize("y", [[Fraction(3, 7), Fraction(-2)], [0.1, 2.5], [0, 0]])
+    def test_slack_matches_matrix_arithmetic(self, y):
+        rnd = random.Random(7)
+        a_mats = (random_symmetric(rnd, 4), random_symmetric(rnd, 4))
+        c_mat = random_symmetric(rnd, 4)
+        want = c_mat.scale(-1)
+        for yi, a in zip(y, a_mats):
+            want = want + a.scale(yi)
+        assert ConeConstraint(4, a_mats, c_mat).slack(y) == want
+
+    def test_generator_moving_c_is_rejected(self):
+        ring = SymMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]])  # path, not a cycle
+        with pytest.raises(ValueError, match="moves a constraint matrix"):
+            ConeConstraint(3, (SymMatrix.identity(3),), ring, ((1, 2, 0),))
+        ConeConstraint(3, (SymMatrix.identity(3),), ring, ((2, 1, 0),))  # its reversal

@@ -51,7 +51,7 @@ class TestMultinomial:
 
 class TestMonomialBasis:
     def test_graded_lex_listing(self):
-        assert monomial_basis(2, 1) == [(0, 0), (1, 0), (0, 1)]
+        assert monomial_basis(2, 1) == ((0, 0), (1, 0), (0, 1))
 
     def test_exact_degree_count_6_3(self):
         assert len(monomial_basis(6, 3, exact_degree=True)) == 56

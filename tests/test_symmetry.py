@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import planted_spn
+from conftest import planted_spn, random_symmetric
 from coposos.apps import (
     Graph,
     chromatic_box_bound,
@@ -97,7 +97,9 @@ class TestGenerators:
 # SHA-256 (first 16 hex digits) of A, b, c and the block pattern of SDPs
 # built with the trivial group, recorded before the orbit reduction existed:
 # membership of planted P + N matrices, stability relaxations of C5 and C7,
-# and boxed chromatic relaxations of P3 and C4 with their generators removed.
+# and boxed chromatic relaxations of P3 and C4 with their generators removed;
+# then, recorded while the lifts were Fraction Poly products, membership of
+# random rational matrices and the boxed chromatic relaxations of K2 and C5.
 _PARENT_DIGESTS = {
     "member-K-n3-r0": "d1f2f14c2efe8916",
     "member-K-n3-r1": "99eb2b3babed5fbc",
@@ -136,6 +138,33 @@ _PARENT_DIGESTS = {
     "chi-P3-Q-r0": "e460d73750f59517",
     "chi-C4-Q-r0": "5c21f2527c38610a",
     "chi-P3-Q-r1": "7784d99377cdb65e",
+    "random-K-n4-r0": "eb62232e5e9d5dbc",
+    "random-K-n4-r1": "b7f7a806e4e1517c",
+    "random-K-n4-r2": "462d7ee64b051a9a",
+    "random-K-n5-r0": "1cfcfa7bbf506e1e",
+    "random-K-n5-r1": "4921af745d9689fc",
+    "random-K-n5-r2": "1b309506ea4d00a7",
+    "random-K-n6-r0": "030181700c51be66",
+    "random-K-n6-r1": "a1daf77277420821",
+    "random-K-n6-r2": "e02d9b59c6054165",
+    "random-K-n7-r0": "67ad8d89c92e7bc8",
+    "random-K-n7-r1": "679ab533d83a5681",
+    "chi-K2-K-r0": "1ae859b3537b799c",
+    "chi-C5-K-r0": "79c0c52125fd7a7e",
+    "random-Q-n4-r0": "a46606085f2d77bc",
+    "random-Q-n4-r1": "dc79a517cbccf90a",
+    "random-Q-n4-r2": "4634ef54585b5def",
+    "random-Q-n5-r0": "9570f90c3b6295dd",
+    "random-Q-n5-r1": "d51ecf972178b0fe",
+    "random-Q-n5-r2": "b819ac7d7e949c1c",
+    "random-Q-n6-r0": "ba0d24c55a2158e0",
+    "random-Q-n6-r1": "eccd20cdb6a608ed",
+    "random-Q-n6-r2": "a3e550b99a46af3b",
+    "random-Q-n7-r0": "28537b6de83486b0",
+    "random-Q-n7-r1": "a7a1d2371f870b0e",
+    "random-Q-n7-r2": "4071c89ddbb1a609",
+    "chi-K2-Q-r0": "5d168acbe3596a8d",
+    "chi-C5-Q-r0": "b0be74b917cfde79",
 }
 
 
@@ -149,17 +178,19 @@ def _digest(sdp) -> str:
 
 def _build(name: str):
     family, first, second, level = name.split("-")
-    kind, case = (first, second) if family == "member" else (second, first)
+    kind, case = (first, second) if family in ("member", "random") else (second, first)
     kind, r = ConeKind(kind), int(level[1:])
-    if family == "member":
+    if family in ("member", "random"):
         n = int(case[1:])
-        m = planted_spn(random.Random(100 * n + r), n)[0]
+        rnd = random.Random(100 * n + r)
+        m = planted_spn(rnd, n)[0] if family == "member" else random_symmetric(rnd, n)
         return build_membership(m, r, kind).sdp
     if family == "alpha":
         n = int(case[1:])
         prog = sqp_reciprocal_program(stability_qp_matrix(cycle_graph(n)))
         return build_relaxation_sdp(prog, r, kind, 40 * n).sdp
-    g = {"P3": path_graph(3), "C4": cycle_graph(4)}[case]
+    g = {"K2": complete_graph(2), "P3": path_graph(3), "C4": cycle_graph(4),
+         "C5": cycle_graph(5)}[case]
     prog = to_bounded(_trivial(chromatic_program(g)), chromatic_box_bound(g))
     return build_relaxation_sdp(prog, r, kind, chromatic_box_bound(g)).sdp
 
