@@ -7,9 +7,10 @@ Two families are supported, selected by :class:`ConeKind`:
 exact-degree ``r+2`` monomial basis.  The lift is invariant under every
 sign flip x_i -> -x_i, so averaging a Gram matrix over the flips zeroes
 each entry pairing monomials of different exponent parity (Gatermann and
-Parrilo 2004): the Gram matrix splits into one PSD block per parity class,
-the singleton classes together forming one NONNEG block, and only the even
-monomials 2*delta are matched.  At level 0 this is PSD(n) + NONNEG(C(n,2)).
+Parrilo 2004): the Gram matrix splits into one PSD block per parity class
+of two or more monomials (:func:`parity_classes`) and a nonnegative scalar
+per singleton class, and only the even monomials 2*delta are matched.  At
+level 0 this is PSD(n) + NONNEG(C(n,2)).
 
 ``Q`` (linear lift): M is a member at level r when
 ``(sum x_i)^r * x^T M x`` equals ``sum_{|b|=r} x^b * sigma_b + sum_{|b|=r+2}
@@ -28,10 +29,12 @@ blocks, the rows matching lifted coefficients and the extraction of a
 certificate from a solution.  The membership SDP here and every cone
 constraint of a :mod:`coposos.relax` relaxation are built from it.  The
 exact audit (:func:`certificate_expansion`, :func:`validate_certificate`)
-re-expands a certificate without its rows.  Lifts and audits run on
-Python-integer numerators from one lift table per (n, r), built once and
-cached (:func:`coposos.polycore.lift_table`): float certificate entries
-enter the audit as exact dyadic integers.
+re-expands a certificate without its rows.  A certificate has one shape
+for both kinds, Gram blocks plus scalars (:class:`GramShape`, cached per
+(n, r, kind)), and every entry of it adds to one row of the lift table of
+(n, r) (:func:`coposos.polycore.lift_table`).  Lifts and audits run on
+Python-integer numerators: float certificate entries enter the audit as
+exact dyadic integers, summed onto those rows.
 
 Verdicts: MEMBER comes with an extracted Gram certificate whose exact
 re-expansion residual is checked; NOT_MEMBER is backed by the solver's
@@ -44,19 +47,18 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
 from .polycore import (
-    LiftTable,
     MultiIndex,
     Poly,
     SymMatrix,
     coeff_norm,
     lift_table,
     monomial_basis,
-    monomial_keys,
     monomial_positions,
 )
 from .sdpcore import (
@@ -88,62 +90,132 @@ def gram_basis(n: int, r: int, kind: ConeKind) -> tuple[MultiIndex, ...]:
     return monomial_basis(n, r, exact_degree=True)
 
 
+def parity_classes(basis) -> list[list[int]]:
+    """The positions of ``basis`` grouped by exponent parity, the classes
+    and their members in first-seen order."""
+    classes: dict[tuple, list[int]] = {}
+    for t, beta in enumerate(basis):
+        classes.setdefault(tuple([a % 2 for a in beta]), []).append(t)
+    return list(classes.values())
+
+
+class GramShape:
+    """The shape of every level-r certificate of one kind in n variables:
+    ``sides`` of its Gram blocks and ``nscalar`` scalars.
+
+    ``slots`` holds the slots of each Gram block, then the one slot of each
+    scalar cell.  kind K: a slot is a position in the exact-degree-(r+2)
+    basis; the blocks are the parity classes of two or more monomials and
+    the cells the singleton classes.  kind Q: slot b*n + i is x_i in the
+    block of degree-r monomial b, and slot nb + t the scalar of lift-table
+    row t.  Every entry of every block and cell, row-major by block, is
+    entry (``si``, ``sj``) of block ``blk``; ``row`` is the lift-table row
+    it adds to: (u_s + u_t)/2 for K (monomials of one parity class have an
+    even sum), ``target`` for Q.  ``lifted`` holds each row's lifted
+    monomial (2 delta for K, delta for Q) and ``weight`` its multinomial
+    coefficient.
+    """
+
+    def __init__(self, n: int, r: int, kind: ConeKind):
+        table = lift_table(n, r)
+        exps = table.exps.astype(np.intp)
+        if kind is ConeKind.K:
+            classes = parity_classes(table.basis)
+            self.slots = [c for c in classes if len(c) > 1] + [c for c in classes if len(c) == 1]
+            self.nscalar = sum(len(c) == 1 for c in classes)
+            self.lifted = 2 * exps
+        else:
+            nb = len(table.weight) * n
+            self.slots = ([list(range(s, s + n)) for s in range(0, nb, n)]
+                          + [[nb + t] for t in range(len(table.basis))])
+            self.nscalar = len(table.basis)
+            self.lifted = exps
+        self.width = np.array([len(b) for b in self.slots])  # of every block and cell
+        self.sides = self.width[: self.width.size - self.nscalar].tolist()
+        start = np.cumsum(self.width) - self.width
+        slots = np.concatenate(self.slots)  # increasing in a block
+        self.lead = slots[start]  # each block's first slot
+        self.blk_of, self.pos = np.empty_like(slots), np.empty_like(slots)
+        self.blk_of[slots] = np.repeat(np.arange(self.width.size), self.width)
+        self.pos[slots] = np.arange(slots.size) - np.repeat(start, self.width)
+        self.off = np.cumsum(self.width**2) - self.width**2
+        self.blk = np.repeat(np.arange(self.width.size), self.width**2)
+        within = np.arange(self.blk.size) - self.off[self.blk]
+        self.si = slots[start[self.blk] + within // self.width[self.blk]]
+        self.sj = slots[start[self.blk] + within % self.width[self.blk]]
+        if kind is ConeKind.K:
+            self.row = monomial_positions(exps, (exps[self.si] + exps[self.sj]) // 2)
+        else:
+            self.row = np.concatenate([table.target.ravel(), np.arange(len(table.basis))])
+        degree = int(self.lifted[0].sum())
+        fact = np.array([factorial(k) for k in range(degree + 1)], dtype=np.int64)
+        self.weight = (factorial(degree) // fact[self.lifted].prod(axis=1)).tolist()
+        for shared in vars(self).values():  # cached: read-only
+            if isinstance(shared, np.ndarray):
+                shared.flags.writeable = False
+
+
+gram_shape = lru_cache(maxsize=16)(GramShape)  # gram_shape(n, r, kind): built once, cached
+
+
 def lifted_poly(m: SymMatrix, r: int, kind: ConeKind) -> Poly:
     """The exact lifted polynomial whose representation is being certified:
     the lift table's row delta at x^delta (Q) or x^(2 delta) (K)."""
-    table = lift_table(m.n, r)
-    num, den = table.lift(m)
-    step = 2 if kind is ConeKind.K else 1
-    return Poly(m.n, {tuple(step * a for a in delta): Fraction(c, den)
-                      for delta, c in zip(table.basis, num.tolist()) if c})
+    num, den = lift_table(m.n, r).lift(m)
+    return Poly(m.n, {tuple(g): Fraction(c, den) for g, c in
+                      zip(gram_shape(m.n, r, kind).lifted.tolist(), num.tolist()) if c})
+
+
+_FORMAT = "coposos-certificate-v2"
 
 
 @dataclass
 class SosCertificate:
-    """Gram data witnessing a lifted-polynomial representation.
+    """Gram data witnessing a lifted-polynomial representation: PSD
+    ``gram_blocks`` and nonnegative ``scalars``, shaped as
+    :class:`GramShape` says for (n, r, kind).
 
-    kind K: one dense Gram matrix over the exact-degree-(r+2) monomial
-    basis (parity-block-diagonal when taken from a solution).
-    kind Q: one n x n Gram matrix per degree-r monomial plus one nonnegative
-    scalar per degree-(r+2) monomial.
+    kind K: one Gram block per exponent-parity class of two or more
+    exact-degree-(r+2) monomials and one scalar per singleton class, both in
+    first-seen order; the Gram matrix over the whole basis is their direct
+    sum, zero between classes.
+    kind Q: one n x n Gram block per degree-r monomial plus one scalar per
+    degree-(r+2) monomial.
     """
 
     kind: ConeKind
     r: int
     n: int
-    gram: np.ndarray | None = None
-    gram_blocks: list[np.ndarray] | None = None
-    scalars: np.ndarray | None = None
+    gram_blocks: list[np.ndarray]
+    scalars: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        doc = {
-            "format": "coposos-certificate-v1",
+        return json.dumps({
+            "format": _FORMAT,
             "kind": self.kind.value,
             "r": self.r,
             "n": self.n,
             "provenance": self.provenance,
-        }
-        if self.kind is ConeKind.K:
-            doc["gram"] = np.asarray(self.gram, dtype=float).tolist()
-        else:
-            doc["gram_blocks"] = [np.asarray(b, dtype=float).tolist() for b in self.gram_blocks]
-            doc["scalars"] = np.asarray(self.scalars, dtype=float).tolist()
-        return json.dumps(doc, indent=1)
+            "gram_blocks": [np.asarray(b, dtype=float).tolist() for b in self.gram_blocks],
+            "scalars": np.asarray(self.scalars, dtype=float).tolist(),
+        }, indent=1)
 
     @classmethod
     def from_text(cls, text: str) -> "SosCertificate":
         doc = json.loads(text)
-        if doc.get("format") != "coposos-certificate-v1":
+        if doc.get("format") != _FORMAT:
             raise ValueError("unrecognized certificate format")
-        kind = ConeKind(doc["kind"])
-        cert = cls(kind, int(doc["r"]), int(doc["n"]), provenance=doc.get("provenance", {}))
-        if kind is ConeKind.K:
-            cert.gram = np.array(doc["gram"], dtype=float)
-        else:
-            cert.gram_blocks = [np.array(b, dtype=float) for b in doc["gram_blocks"]]
-            cert.scalars = np.array(doc["scalars"], dtype=float)
-        return cert
+        return cls(ConeKind(doc["kind"]), int(doc["r"]), int(doc["n"]),
+                   [np.array(b, dtype=float) for b in doc["gram_blocks"]],
+                   np.array(doc["scalars"], dtype=float), doc.get("provenance", {}))
+
+
+def _unflatten(vals: np.ndarray, sides) -> tuple[list[np.ndarray], np.ndarray]:
+    """Blocks of the given sides read row-major from ``vals``, and the
+    entries left after them."""
+    parts = np.split(vals, np.cumsum([k * k for k in sides]))
+    return [p.reshape(k, k) for p, k in zip(parts, sides)], parts[-1]
 
 
 def _images(exps: np.ndarray, gens) -> list[np.ndarray]:
@@ -152,13 +224,15 @@ def _images(exps: np.ndarray, gens) -> list[np.ndarray]:
     return [monomial_positions(exps, exps[:, np.argsort(g)]) for g in gens]
 
 
-def _components(size: int, src: np.ndarray, dst: np.ndarray):
-    """Connected component of each of ``size`` nodes under the edges src-dst,
-    numbered in order of their first nodes, and those first nodes:
-    union-find by min-label propagation with pointer jumping."""
+def _orbits(perms, size: int):
+    """Orbit of each of ``size`` points under the group the permutations
+    generate, numbered in order of their first points, and those first
+    points: union-find over the edges from each point to its images, by
+    min-label propagation with pointer jumping; no group enumeration."""
     label = np.arange(size)
-    if not src.size:  # no edges: every node is its own component
+    if not perms:  # the trivial group: every point is its own orbit
         return label, label
+    src, dst = np.tile(label, len(perms)), np.concatenate(perms)
     while True:
         new = label.copy()
         np.minimum.at(new, src, label[dst])
@@ -170,23 +244,10 @@ def _components(size: int, src: np.ndarray, dst: np.ndarray):
         label = new
 
 
-def _orbits(perms, size: int):
-    """Orbit of each of ``size`` points under the group the permutations
-    generate, and each orbit's first point, joining each point to its
-    images: no group enumeration."""
-    src = np.tile(np.arange(size), len(perms))
-    return _components(size, src, np.concatenate([src[:0], *perms]))
-
-
 class GramLayout:
-    """The Gram structure of one level-r cone constraint in a block SDP.
-
-    kind K: the exact-degree-(r+2) basis is grouped by exponent parity in
-    first-seen order; each class of two or more monomials is a Gram block
-    and each singleton class a scalar cell, all matched row by row against
-    the even degree-(2r+4) monomials 2*delta.
-    kind Q: one n x n Gram block per degree-r monomial and a scalar cell per
-    degree-(r+2) monomial, matched against the lift's degree-(r+2) monomials.
+    """The Gram structure of one level-r cone constraint in a block SDP: the
+    Gram blocks and scalar cells of :class:`GramShape`, matched row by row
+    against the lifted monomials (kind K only the even ones, 2*delta).
 
     ``symmetry`` holds permutations x_i -> x_g[i] fixing the constraint's
     matrices, so an invariant Gram point exists whenever any does (Gatermann
@@ -205,62 +266,34 @@ class GramLayout:
             raise ValueError("level must be >= 0")
         self.n, self.r, self.kind, self.first = n, r, kind, first
         self.basis = gram_basis(n, r, kind)
+        self._shape = shape = gram_shape(n, r, kind)
         gens = [np.asarray(g, dtype=np.intp) for g in symmetry]
-        basis = np.array(self.basis, dtype=np.intp)
-        act = _images(basis, gens)
-        lifted = lift_table(n, r).exps  # the lifted monomials: 2 * row (K) or row (Q)
-        # slots: Gram block rows and scalar cells; an entry's lifted monomial
-        # is its two slots' monomials plus its block's shift
-        if kind is ConeKind.K:
-            classes: dict[tuple, list[int]] = {}
-            for t, beta in enumerate(self.basis):
-                classes.setdefault(tuple(a % 2 for a in beta), []).append(t)
-            self.classes = [c for c in classes.values() if len(c) > 1]
-            self.singles = [c[0] for c in classes.values() if len(c) == 1]
-            grams, cells, slot_act, row_act = self.classes, self.singles, act, act
-            self._lifted = 2 * lifted
-            slot_mono, shift = basis, np.zeros((len(grams) + len(cells), n), np.intp)
+        act = _images(np.array(self.basis, dtype=np.intp), gens)
+        # each generator's action on the slots and on the lifted monomials
+        if kind is ConeKind.K:  # both indexed by the basis
+            slot_act = row_act = act
         else:
-            # slot b*n + i is x_i in the block of monomial b; scalar slots follow
             nb = len(self.basis) * n
-            self._lifted = lifted
-            row_act = _images(lifted, gens)
-            grams = [list(range(b * n, b * n + n)) for b in range(len(self.basis))]
-            cells = list(range(nb, nb + len(self._lifted)))
+            row_act = _images(shape.lifted, gens)
             slot_act = [np.concatenate([(p[:, None] * n + g).ravel(), nb + q])
                         for p, g, q in zip(act, gens, row_act)]
-            slot_mono = np.vstack([np.tile(np.eye(n, dtype=np.intp), (len(basis), 1)),
-                                   np.zeros((len(cells), n), np.intp)])
-            shift = np.vstack([basis, lifted])
-        blocks = grams + [[c] for c in cells]
-        side = np.array([len(b) for b in blocks])
-        first_slot = np.cumsum(side) - side
-        slots = np.array([s for b in blocks for s in b], dtype=np.intp)  # increasing in a block
-        blk_of, self._pos = np.empty_like(slots), np.empty_like(slots)
-        blk_of[slots] = np.repeat(np.arange(side.size), side)
-        self._pos[slots] = np.arange(slots.size) - np.repeat(first_slot, side)
-        orbit, reps = _orbits([blk_of[p[slots[first_slot]]] for p in slot_act], side.size)
-        # every entry of every Gram block and scalar cell, row-major by block
-        off = np.cumsum(side * side) - side * side
-        self._blk = np.repeat(np.arange(side.size), side * side)
-        within = np.arange(self._blk.size) - off[self._blk]
-        self._si = slots[first_slot[self._blk] + within // side[self._blk]]
-        self._sj = slots[first_slot[self._blk] + within % side[self._blk]]
+        orbit, reps = _orbits([shape.blk_of[p[shape.lead]] for p in slot_act],
+                              shape.width.size)
 
-        def entry(a, b):
-            return off[blk_of[a]] + self._pos[a] * side[blk_of[a]] + self._pos[b]
+        def entry(a, b):  # the index of entry (a, b) of the block of slots a and b
+            blk = shape.blk_of[a]
+            return shape.off[blk] + shape.pos[a] * shape.width[blk] + shape.pos[b]
 
-        self._label = _orbits([entry(p[self._si], p[self._sj]) for p in slot_act],
-                              self._blk.size)[0]
-        self._gamma = slot_mono[self._si] + slot_mono[self._sj] + shift[self._blk]
+        self._label = _orbits([entry(p[shape.si], p[shape.sj]) for p in slot_act],
+                              shape.blk.size)[0]
         # each orbit's first block stands for it in the SDP, in orbit order
-        self._rank = np.full(side.size, -1)
+        self._rank = np.full(shape.width.size, -1)
         self._rank[reps] = np.arange(reps.size)
-        self._rep = np.flatnonzero(self._rank[self._blk] >= 0)
+        self._rep = np.flatnonzero(self._rank[shape.blk] >= 0)
         self._count = np.bincount(orbit)[orbit]
-        self._sides = side[reps[reps < len(grams)]].tolist()
+        self._sides = shape.width[reps[reps < len(shape.sides)]].tolist()
         self._nscalar = reps.size - len(self._sides)
-        self._row_orbit, self._row_reps = _orbits(row_act, len(self._lifted))
+        self._row_orbit, self._row_reps = _orbits(row_act, len(shape.lifted))
 
     def lift(self, m: SymMatrix) -> tuple[list[int], int]:
         """The lift of M at the monomial of each row of :meth:`rows`, in its
@@ -280,51 +313,43 @@ class GramLayout:
         lift match zero), keyed by the orbit's first monomial.  Each
         off-diagonal entry is listed once; the SDP builder doubles symmetric
         pairs."""
+        shape = self._shape
         size = np.bincount(self._row_orbit)
-        rep = self._rep[self._si[self._rep] <= self._sj[self._rep]]
-        row = self._row_orbit[monomial_positions(self._lifted, self._gamma[rep])]
-        weight = self._count[self._blk[rep]] / size[row]
-        rank = self._rank[self._blk[rep]]
+        rep = self._rep[shape.si[self._rep] <= shape.sj[self._rep]]
+        row = self._row_orbit[shape.row[rep]]
+        weight = self._count[shape.blk[rep]] / size[row]
+        rank = self._rank[shape.blk[rep]]
         scalar = np.maximum(rank - len(self._sides), 0)  # a NONNEG entry's index
         block = self.first + np.minimum(rank, len(self._sides))
-        i, j = self._pos[self._si[rep]] + scalar, self._pos[self._sj[rep]] + scalar
+        i, j = shape.pos[shape.si[rep]] + scalar, shape.pos[shape.sj[rep]] + scalar
         out = [[] for _ in size]
         entries = zip(*(v.tolist() for v in (block, i, j, weight)))
         for o, entry in zip(row.tolist(), entries):
             out[o].append(entry)
-        return {tuple(g): row for g, row in zip(self._lifted[self._row_reps].tolist(), out)}
+        return {tuple(g): row for g, row in zip(shape.lifted[self._row_reps].tolist(), out)}
 
-    def embed(self, blocks):
-        """The full Gram data of SDP blocks: kind K the dense Gram matrix
-        over ``basis``, kind Q the Gram blocks and the scalars.  Each entry
-        is the mean of the SDP entries in its orbit."""
+    def embed(self, blocks) -> tuple[list[np.ndarray], np.ndarray]:
+        """The Gram blocks and the scalars of a certificate from SDP blocks,
+        each entry the mean of the SDP entries in its orbit."""
         nsdp = len(self._sides) + (self._nscalar > 0)
         red = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks[:nsdp]])
         label = self._label[self._rep]
         vals = (np.bincount(label, red) / np.bincount(label))[self._label]
-        if self.kind is ConeKind.Q:
-            cut = len(self.basis) * self.n * self.n
-            return list(vals[:cut].reshape(-1, self.n, self.n)), vals[cut:]
-        gram = np.zeros((len(self.basis), len(self.basis)))
-        gram[self._si, self._sj] = vals
-        return gram
+        return _unflatten(vals, self._shape.sides)
 
     def split(self, full) -> list[np.ndarray]:
-        """The SDP blocks of full Gram data given as :meth:`embed` returns
-        it: the data averaged over the group, that is each orbit's mean, at
-        the representatives.  The inverse of :meth:`embed` on invariant
-        data."""
-        if self.kind is ConeKind.Q:
-            vals = np.concatenate([np.ravel(np.asarray(f, dtype=float)) for f in full])
-        else:
-            vals = np.asarray(full, dtype=float)[self._si, self._sj]
+        """The SDP blocks of the Gram blocks and scalars ``full`` (as
+        :meth:`embed` returns them): the data averaged over the group, that
+        is each orbit's mean, at the representatives.  The inverse of
+        :meth:`embed` on invariant data."""
+        grams, scalars = full
+        vals = np.concatenate([np.asarray(g, dtype=float).ravel() for g in grams]
+                              + [np.asarray(scalars, dtype=float)])
         red = (np.bincount(self._label, vals) / np.bincount(self._label))[
             self._label[self._rep]
         ]
-        parts = np.split(red, np.cumsum([k * k for k in self._sides]))
-        return [p.reshape(k, k) for p, k in zip(parts, self._sides)] + (
-            parts[-1:] if self._nscalar else []
-        )
+        reduced, rest = _unflatten(red, self._sides)
+        return reduced + ([rest] if self._nscalar else [])
 
     def certificate(self, sol, **provenance) -> SosCertificate:
         """The full certificate held in a solution's blocks; the solver's
@@ -335,13 +360,8 @@ class GramLayout:
             "gap": sol.gap,
             **provenance,
         }
-        cert = SosCertificate(self.kind, self.r, self.n, provenance=provenance)
-        full = self.embed(sol.x_blocks[self.first :])
-        if self.kind is ConeKind.K:
-            cert.gram = full
-        else:
-            cert.gram_blocks, cert.scalars = full
-        return cert
+        return SosCertificate(self.kind, self.r, self.n,
+                              *self.embed(sol.x_blocks[self.first :]), provenance)
 
 
 @dataclass
@@ -386,22 +406,23 @@ class MembershipResult:
 def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> MembershipResult:
     """MEMBER with validated certificate, certified NOT_MEMBER, or INCONCLUSIVE.
 
-    MEMBER requires re-expansion residual <= eps and smallest Gram eigenvalue
-    >= -eps; NOT_MEMBER requires an infeasibility ray of quality <= eps.
+    MEMBER requires a certificate passing :func:`validate_certificate` at
+    tolerance eps (re-expansion residual <= eps, least Gram eigenvalue and
+    least scalar >= -eps); NOT_MEMBER requires an infeasibility ray of
+    quality <= eps.
     Boundary cases meeting neither bar are INCONCLUSIVE, never guessed.
     """
     sol = solve(problem.sdp, eps=min(eps, 1e-8))
     if sol.status == SdpStatus.OPTIMAL:
         cert = problem.layout.certificate(sol, eps=eps, iterations=sol.iterations)
         report = validate_certificate(problem.matrix, cert, tol=eps)
-        member = report.residual <= eps and report.min_gram_eig >= -eps
         return MembershipResult(
-            verdict=Verdict.MEMBER if member else Verdict.INCONCLUSIVE,
+            verdict=Verdict.MEMBER if report.ok else Verdict.INCONCLUSIVE,
             certificate=cert,
             residual=report.residual,
             min_gram_eig=report.min_gram_eig,
             solution=sol,
-            message="" if member else "solution found but certificate fails the membership bar",
+            message="" if report.ok else "solution found but certificate fails the membership bar",
         )
     if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
         quality = _ray_quality(problem.sdp, sol)
@@ -429,29 +450,24 @@ def _ray_quality(sdp: BlockSdp, sol) -> float:
 @dataclass
 class CertificateReport:
     residual: Fraction  # coefficient norm of (lift - re-expansion), exact
-    min_gram_eig: float
-    min_scalar: float | None
+    min_gram_eig: float  # +inf without Gram blocks
+    min_scalar: float  # +inf without scalars
     max_abs_entry: float
     ok: bool
 
 
-def _expansion_terms(cert: SosCertificate, table: LiftTable):
-    """The certificate's nonzero entries and the exponents of the monomial
-    each adds to: Gram entry (i, j) over half-monomials u_i, u_j, shifted by
-    beta, adds to beta + u_i + u_j (K: beta = 0 and u the basis; Q: one Gram
-    block per degree-r monomial beta and u the unit vectors, read off the
-    lift table), and each Q scalar to its own monomial."""
-    if cert.kind is ConeKind.K:
-        gram = np.asarray(cert.gram, dtype=float).ravel()
-        s, t = np.divmod(np.flatnonzero(gram), len(table.exps))
-        return table.exps[s] + table.exps[t], gram[s * len(table.exps) + t]
-    flat = np.concatenate([np.asarray(b, dtype=float).ravel() for b in cert.gram_blocks]
-                          + [np.asarray(cert.scalars, dtype=float).ravel()])
-    rows = np.concatenate([table.target.ravel(), np.arange(len(table.basis))])
-    if flat.size != rows.size:
-        raise ValueError("Gram blocks and scalars do not match the level")
+def _entries(cert: SosCertificate):
+    """The certificate's Gram blocks, and its nonzero entries with the
+    lift-table row each adds to (see :class:`GramShape`)."""
+    shape = gram_shape(cert.n, cert.r, cert.kind)
+    grams = [np.asarray(b, dtype=float) for b in cert.gram_blocks]
+    scalars = np.asarray(cert.scalars, dtype=float)
+    want = [(k, k) for k in shape.sides] + [(shape.nscalar,)]
+    if [g.shape for g in grams] + [scalars.shape] != want:
+        raise ValueError("Gram blocks and scalars do not match the kind and level")
+    flat = np.concatenate([g.ravel() for g in grams] + [scalars])
     k = np.flatnonzero(flat)
-    return table.exps[rows[k]], flat[k]
+    return grams, shape.row[k], flat[k]
 
 
 def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -467,43 +483,16 @@ def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.left_shift(ints, (exponent - e).astype(object)), e
 
 
-def _grouped(exps: np.ndarray, values: np.ndarray):
-    """The distinct monomials among the rows of ``exps`` and the sum of
-    ``values`` (Python ints) on each."""
-    _, first, inverse = np.unique(monomial_keys(exps), return_index=True,
-                                  return_inverse=True)
-    sums = np.zeros(first.size, dtype=object)
-    np.add.at(sums, inverse.ravel(), values)
-    return exps[first], sums
-
-
 def certificate_expansion(cert: SosCertificate) -> Poly:
     """Exact re-expansion of the certificate's polynomial: each nonzero
-    entry adds its exact dyadic value to its monomial (see
-    :func:`_expansion_terms`)."""
-    exps, values = _expansion_terms(cert, lift_table(cert.n, cert.r))
+    entry adds its exact dyadic value to the lifted monomial of its row."""
+    _, rows, values = _entries(cert)
     ints, e = _dyadic(values)
-    exps, sums = _grouped(exps, ints)
+    lifted = gram_shape(cert.n, cert.r, cert.kind).lifted
+    sums = np.zeros(len(lifted), dtype=object)
+    np.add.at(sums, rows, ints)
     scale = Fraction(2) ** e
-    return Poly(cert.n, {tuple(g): c * scale for g, c in zip(exps.tolist(), sums.tolist())})
-
-
-def _least_eigenvalue(gram: np.ndarray) -> float:
-    """The least eigenvalue of a symmetric matrix (its lower triangle, as
-    ``eigvalsh`` reads it), taken per connected component of its nonzero
-    pattern, such as the parity blocks of a K certificate; components of
-    one size share one batched ``eigvalsh``."""
-    nonzero = np.flatnonzero(gram.ravel() != 0)  # faster than np.nonzero
-    label = _components(len(gram), *np.divmod(nonzero, len(gram)))[0]
-    members = np.argsort(label, kind="stable")  # increasing within a component
-    size = np.bincount(label)
-    start = np.cumsum(size) - size
-    least = np.inf
-    for k in np.unique(size):
-        idx = members[start[size == k][:, None] + np.arange(k)]
-        sub = gram[idx[:, :, None], idx[:, None, :]]
-        least = min(least, float(np.linalg.eigvalsh(sub)[:, 0].min()))
-    return least
+    return Poly(cert.n, {tuple(g): c * scale for g, c in zip(lifted.tolist(), sums.tolist()) if c})
 
 
 def validate_certificate(
@@ -513,37 +502,29 @@ def validate_certificate(
 
     Recomputes the lifted polynomial exactly, subtracts the certificate's
     expansion and reports the coefficient-norm residual; also reports the
-    smallest Gram eigenvalue, the smallest scalar multiplier (kind Q) and
-    the largest entry magnitude (certificate bit-size audit).
+    smallest eigenvalue of the Gram blocks' symmetric parts (the expansion
+    reads every entry, so it sees only those parts), the smallest scalar
+    and the largest entry magnitude (certificate bit-size audit).  Blocks
+    or scalars that do not match (kind, n, r) raise ``ValueError``.
     """
     if cert.n != m.n:
         raise ValueError("certificate dimension does not match the matrix")
-    if cert.kind is ConeKind.K:
-        expected_side = comb(m.n + cert.r + 1, cert.r + 2)
-        if np.asarray(cert.gram).shape != (expected_side, expected_side):
-            raise ValueError("Gram matrix side does not match the level")
-    table = lift_table(m.n, cert.r)
-    lift, den = table.lift(m)
-    exps, values = _expansion_terms(cert, table)
+    grams, rows, values = _entries(cert)
+    lift, den = lift_table(m.n, cert.r).lift(m)
     ints, e = _dyadic(values)
     # lift / den - ints * 2**e over the common denominator den * 2**-e
-    exps, diff = _grouped(
-        np.vstack([table.exps * (2 if cert.kind is ConeKind.K else 1), exps]),
-        np.concatenate([np.left_shift(lift, -e), -den * ints]),
-    )
-    degree = int(exps[0].sum())
-    fact = np.array([factorial(k) for k in range(degree + 1)], dtype=np.int64)
-    weights = (factorial(degree) // fact[exps].prod(axis=1)).tolist()
+    diff = np.left_shift(lift, -e)
+    np.add.at(diff, rows, -den * ints)
+    weights = gram_shape(m.n, cert.r, cert.kind).weight
     residual = coeff_norm(zip(diff.tolist(), weights), den << -e)
 
-    if cert.kind is ConeKind.K:
-        min_eig, min_scalar = _least_eigenvalue(np.asarray(cert.gram, dtype=float)), None
-    else:
-        blocks = np.asarray(cert.gram_blocks, dtype=float)
-        min_eig = float(np.linalg.eigvalsh(blocks)[:, 0].min())
-        min_scalar = float(np.min(cert.scalars)) if len(cert.scalars) else 0.0
-    ok = (residual <= Fraction(float(tol)) and min_eig >= -tol
-          and (min_scalar is None or min_scalar >= -tol))
+    min_eig = np.inf  # one batched eigvalsh per block side
+    for side in {len(g) for g in grams}:
+        stack = np.array([g for g in grams if len(g) == side])
+        sym = stack / 2 + stack.transpose(0, 2, 1) / 2
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(sym)[:, 0].min()))
+    min_scalar = float(np.min(cert.scalars, initial=np.inf))
+    ok = residual <= Fraction(float(tol)) and min_eig >= -tol and min_scalar >= -tol
     return CertificateReport(
         residual=residual,
         min_gram_eig=min_eig,

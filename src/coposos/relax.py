@@ -20,8 +20,9 @@ slots of :func:`to_bounded` fixed, and the trivial group otherwise.
 The module also provides the interior-point seed construction used for
 feasible-region diagnostics: given a feasible split  sum_i ybar_i A_i - C
 = P + N  (P positive definite, N entrywise nonnegative), it builds an
-exactly feasible SDP point whose Gram part is the multinomial-weighted
-padding of P - b*J plus a strictly positive diagonal carrying b*J + N,
+exactly feasible SDP point whose Gram part, in a certificate's blocks and
+scalars (for K one block per parity class), is the multinomial-weighted
+padding of P - b*J plus a strictly positive diagonal carrying b*J + N;
 and the value-preserving variable-boxing transform that appends the
 diagonal D to the cone constraint itself.
 """
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import ConeKind, GramLayout, SosCertificate, validate_certificate
+from .cones import ConeKind, GramLayout, SosCertificate, parity_classes, validate_certificate
 from .polycore import SymMatrix, is_psd_exact, lift_table
 from .sdpcore import (
     SdpBuilder,
@@ -297,21 +298,28 @@ def _shift_for(witness: SpnWitness, max_halvings: int = 60) -> Fraction:
 
 
 def _interior_gram_k(witness: SpnWitness, r: int, b: Fraction):
-    """Exact dense Gram matrix of the quartic-lift seed: P-bJ padded into
-    rows tau + 2e_i with weight multinomial(tau), plus the diagonal lift of
-    bJ + N.  Padding keeps parity, so the matrix is parity-block-diagonal."""
+    """Exact Gram blocks and scalars of the quartic-lift seed: P-bJ padded
+    into rows tau + 2e_i with weight multinomial(tau), plus the diagonal
+    lift of bJ + N.  Padding keeps parity, so each tau lands in one parity
+    class: a block per class of two or more monomials, a scalar per
+    singleton class, as in :class:`coposos.cones.GramShape`."""
     n = witness.p_mat.n
     table = lift_table(n, r)
     p_b = (witness.p_mat - SymMatrix.ones(n).scale(b)).rows
-    gram = [[Fraction(0)] * len(table.basis) for _ in table.basis]
+    classes = parity_classes(table.basis)
+    grams = [[[Fraction(0)] * len(c) for _ in c] for c in classes]
+    where = {t: (k, a) for k, c in enumerate(classes) for a, t in enumerate(c)}
     for spots, weight in zip(table.target.diagonal(axis1=1, axis2=2).tolist(), table.weight):
+        k = where[spots[0]][0]
         for i, si in enumerate(spots):
             for j, sj in enumerate(spots):
-                gram[si][sj] += weight * p_b[i][j]
+                grams[k][where[si][1]][where[sj][1]] += weight * p_b[i][j]
     diag, den = table.lift(SymMatrix.ones(n).scale(b) + witness.n_mat)
     for t, c in enumerate(diag.tolist()):
-        gram[t][t] += Fraction(c, den)
-    return gram
+        k, a = where[t]
+        grams[k][a][a] += Fraction(c, den)
+    return ([SymMatrix.from_rows(g) for g in grams if len(g) > 1],
+            [g[0][0] for g in grams if len(g) == 1])
 
 
 def _interior_blocks_q(witness: SpnWitness, r: int, b: Fraction):
@@ -367,14 +375,13 @@ def build_interior_start(
         # submatrices of its group average: no smaller least eigenvalue
         layout = GramLayout(cons.n, r, kind, symmetry=cons.symmetry)
         if kind is ConeKind.K:
-            gram = _interior_gram_k(witness, r, b)
-            blocks += layout.split([[float(v) for v in row] for row in gram])
+            gram_blocks, scalars = _interior_gram_k(witness, r, b)
             radius = min(b / len(layout.basis), big_r)
         else:
             gram_blocks, scalars = _interior_blocks_q(witness, r, b)
-            blocks += layout.split(([g.to_float() for g in gram_blocks],
-                                    [float(v) for v in scalars]))
             radius = min(b / (4 * cons.n * cons.n), big_r)
+        blocks += layout.split(([g.to_float() for g in gram_blocks],
+                                [float(v) for v in scalars]))
         inner = radius if inner is None else min(inner, radius)
 
     d_vals = []
@@ -504,13 +511,10 @@ def solve_relaxation(
     failed = []
     for ci, rep in enumerate(reports):
         if not rep.ok:
-            audit = (
-                f"residual {float(rep.residual):.3g}, "
-                f"least Gram eigenvalue {rep.min_gram_eig:.3g}"
+            failed.append(
+                f"constraint {ci} (residual {float(rep.residual):.3g}, least Gram "
+                f"eigenvalue {rep.min_gram_eig:.3g}, least scalar {rep.min_scalar:.3g})"
             )
-            if rep.min_scalar is not None:
-                audit += f", least scalar {rep.min_scalar:.3g}"
-            failed.append(f"constraint {ci} ({audit})")
     status, value, message = sol.status, float(sol.objective), ""
     if failed:
         status, value = SdpStatus.INCONCLUSIVE, None

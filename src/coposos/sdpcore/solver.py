@@ -39,6 +39,7 @@ refinement, and in cone operations are reported in
 from __future__ import annotations
 
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -312,13 +313,13 @@ def solve(
     gaptol = eps if gaptol is None else gaptol
     inftol = eps if inftol is None else inftol
 
-    cone = _Cone(sdp)
-    rows = _Rows(cone, sdp.A)
+    ops = _Cone(sdp)
+    rows = _Rows(ops, sdp.A)
     a = rows.a
     b = sdp.b
     c = sdp.c
     m = sdp.num_constraints
-    nu = cone.degree + 1
+    nu = ops.degree + 1
 
     # seconds per stage, charged by wrapping the calls that do its work
     timings = {"schur_s": 0.0, "cholesky_s": 0.0, "cone_s": 0.0}
@@ -336,11 +337,15 @@ def solve(
     scale_rows = clocked("schur_s", rows.scale)
     factorize = clocked("cholesky_s", _chol_with_regularization)
     refined_solve = clocked("cholesky_s", _refined_solve)
-    for name in ("scaling", "congruence", "jordan_solve", "jordan_product", "comp_rhs",
-                 "max_step", "min_eig"):
-        setattr(cone, name, clocked("cone_s", getattr(cone, name)))
+    # the clocked cone operations live apart from the _Cone: set on it, they
+    # would close a reference cycle through its bound methods
+    cone = SimpleNamespace(**{
+        name: clocked("cone_s", getattr(ops, name))
+        for name in ("scaling", "congruence", "jordan_solve", "jordan_product", "comp_rhs",
+                     "max_step", "min_eig")
+    })
 
-    e = cone.identity()
+    e = ops.identity()
     x = e.copy()
     s = e.copy()
     y = np.zeros(m)

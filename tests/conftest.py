@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from coposos import cones, relax
-from coposos.cones import ConeKind, GramLayout
+from coposos.cones import ConeKind, GramLayout, parity_classes
 from coposos.polycore import (
     LiftKind,
     Poly,
@@ -136,10 +136,23 @@ class DenseKLayout(GramLayout):
         return [coef.get(gamma, 0) for gamma in self.rows()], den
 
     def embed(self, blocks):
-        return np.asarray(blocks[0])
+        """The principal parity-class submatrices of the dense Gram matrix:
+        off-class entries reach only odd monomials, which a valid solution
+        sums to zero, and principal submatrices of a PSD matrix are PSD."""
+        gram = np.asarray(blocks[0])
+        classes = parity_classes(self.basis)
+        return ([gram[np.ix_(c, c)] for c in classes if len(c) > 1],
+                np.array([gram[c[0], c[0]] for c in classes if len(c) == 1]))
 
-    def split(self, gram):
-        return [np.asarray(gram)]
+    def split(self, full):
+        grams, scalars = full
+        gram = np.zeros((len(self.basis), len(self.basis)))
+        classes = parity_classes(self.basis)
+        for c, block in zip([c for c in classes if len(c) > 1], grams):
+            gram[np.ix_(c, c)] = block
+        singles = [c[0] for c in classes if len(c) == 1]
+        gram[singles, singles] = scalars
+        return [gram]
 
 
 @contextlib.contextmanager
@@ -175,23 +188,30 @@ def fraction_lift(m: SymMatrix, r: int, kind: ConeKind) -> Poly:
 def fraction_expansion(cert) -> Poly:
     """The re-expansion of a certificate with one ``Fraction`` per nonzero
     entry, summed in a dict: the route the exact audit took before it ran
-    on integer numerators, kept as its differential oracle."""
+    on integer numerators, kept as its differential oracle.  A Gram entry
+    (i, j) over half-monomials u_i, u_j, shifted by beta, adds to
+    beta + u_i + u_j; a K scalar, the Gram entry of a singleton parity class
+    {u}, adds to 2u, and a Q scalar to its own monomial."""
     n = cert.n
+    zero = (0,) * n
     if cert.kind is ConeKind.K:
         basis = monomial_basis(n, cert.r + 2, exact_degree=True)
-        grams, scalars = [((0,) * n, basis, cert.gram)], []
+        classes = parity_classes(basis)
+        grams = [(zero, [basis[t] for t in c], block)
+                 for c, block in zip([c for c in classes if len(c) > 1], cert.gram_blocks)]
+        cells = [tuple(2 * a for a in basis[c[0]]) for c in classes if len(c) == 1]
     else:
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         grams = [(beta, units, block) for beta, block in
                  zip(monomial_basis(n, cert.r, exact_degree=True), cert.gram_blocks)]
-        scalars = zip(monomial_basis(n, cert.r + 2, exact_degree=True), cert.scalars)
+        cells = monomial_basis(n, cert.r + 2, exact_degree=True)
     terms = {}
     for beta, half, gram in grams:
         gram = np.asarray(gram, dtype=float)
         for i, j in zip(*np.nonzero(gram)):
             gamma = tuple(a + b + c for a, b, c in zip(beta, half[i], half[j]))
             terms[gamma] = terms.get(gamma, 0) + Fraction(float(gram[i, j]))
-    for gamma, c in scalars:
+    for gamma, c in zip(cells, cert.scalars):
         terms[gamma] = terms.get(gamma, 0) + Fraction(float(c))
     return Poly(n, terms)
 

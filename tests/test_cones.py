@@ -1,12 +1,23 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from conftest import c5_matrix, c5_padded_matrix, dense_k, horn_matrix, planted_spn
+from conftest import (
+    c5_matrix,
+    c5_padded_matrix,
+    dense_k,
+    fraction_expansion,
+    horn_matrix,
+    planted_spn,
+    random_symmetric,
+)
+from coposos import cones
 from coposos.apps import (
     chromatic_box_bound,
     chromatic_program,
@@ -27,12 +38,14 @@ from coposos.cones import (
     certificate_expansion,
     decide_membership,
     gram_basis,
+    gram_shape,
     lifted_poly,
+    parity_classes,
     validate_certificate,
 )
 from coposos.polycore import Poly, SymMatrix, coeff_norm, monomial_basis, quadratic_form
 from coposos.relax import ConicProgram, build_relaxation_sdp, extract_certificates, to_bounded
-from coposos.sdpcore import SdpStatus, nonneg_block, psd_block
+from coposos.sdpcore import SdpSolution, SdpStatus, nonneg_block, psd_block
 
 
 class TestBuilders:
@@ -102,12 +115,14 @@ def _orbit(gamma, gens):
 def _assert_rows_match_audit(sdp, point, rows):
     # rows: (certificate, {lifted monomial: row index}, generators) per cone
     # constraint.  The rows come from GramLayout.rows(); the expansion is the
-    # independent exact audit, so a row-map fault cannot validate itself
-    # here.  A row stands for the orbit of its monomial, and the expanded
-    # certificate is invariant, so every monomial of the orbit must match.
+    # Fraction oracle, which finds each entry's monomial from the basis and
+    # not from the row map the layout and the audit share, so a row-map
+    # fault cannot validate itself here.  A row stands for the orbit of its
+    # monomial, and the expanded certificate is invariant, so every monomial
+    # of the orbit must match.
     lhs = sdp.A @ sdp.pack(point.x_blocks)
     for cert, index, gens in rows:
-        expansion = certificate_expansion(cert)
+        expansion = fraction_expansion(cert)
         orbits = {gamma: _orbit(gamma, gens) for gamma in index}
         assert {gamma for gamma, _ in expansion.items()} <= set().union(*orbits.values())
         for gamma, row in index.items():
@@ -309,15 +324,12 @@ class TestConeProperties:
 class TestValidation:
     def test_hand_built_diagonal_certificate(self):
         # identity at level 0, kind K: quartic lift is sum of x_i^4, so the
-        # Gram with ones at the (2e_i, 2e_i) diagonal entries is exact
+        # identity block over the parity class {x_i^2} is exact
         n = 3
         m = SymMatrix.identity(n)
-        basis = gram_basis(n, 0, ConeKind.K)
-        gram = np.zeros((len(basis), len(basis)))
-        for t, beta in enumerate(basis):
-            if max(beta) == 2:
-                gram[t, t] = 1.0
-        cert = SosCertificate(kind=ConeKind.K, r=0, n=n, gram=gram)
+        assert [beta for beta in gram_basis(n, 0, ConeKind.K) if max(beta) == 2] == [
+            (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+        cert = SosCertificate(ConeKind.K, 0, n, [np.eye(n)], np.zeros(comb(n, 2)))
         report = validate_certificate(m, cert)
         assert report.residual == 0
         assert report.ok
@@ -334,8 +346,7 @@ class TestValidation:
         m = SymMatrix.identity(n)
         res = decide_membership(build_K_membership(m, 0))
         cert = res.certificate
-        cert.gram = np.array(cert.gram)
-        cert.gram[0, 0] += 0.1
+        cert.gram_blocks[0][0, 0] += 0.1
         report = validate_certificate(m, cert, tol=1e-6)
         assert report.residual >= Fraction(1, 20)
         assert not report.ok
@@ -347,24 +358,33 @@ class TestValidation:
 
     def test_expansion_skips_only_zero_entries(self):
         # exact zeros and -0.0 must add nothing; every other entry adds its
-        # exact rational value, as in the loop over all side^2 entries
+        # exact rational value, as in the loop over all side^2 entries of
+        # the Gram matrix over the whole basis, zero between parity classes
         n, r = 3, 1
         basis = gram_basis(n, r, ConeKind.K)
-        side = len(basis)
+        classes = parity_classes(basis)
         rng = np.random.default_rng(7)
-        gram = rng.normal(size=(side, side))
-        gram = gram + gram.T
-        mask = rng.random((side, side)) < 0.4
-        gram[mask | mask.T] = 0.0
-        mask = rng.random((side, side)) < 0.2
-        gram[mask | mask.T] = -0.0
-        assert np.any(np.signbit(gram) & (gram == 0)) and np.any(gram != 0)
+        blocks = []
+        for c in classes[:-1]:
+            block = rng.normal(size=(len(c), len(c)))
+            block = block + block.T
+            mask = rng.random(block.shape) < 0.4
+            block[mask | mask.T] = 0.0
+            mask = rng.random(block.shape) < 0.2
+            block[mask | mask.T] = -0.0
+            blocks.append(block)
+        assert [len(c) for c in classes] == [3, 3, 3, 1]
+        scalars = np.array([-0.0])
+        assert any(np.any(np.signbit(b) & (b == 0)) for b in blocks)
+        gram = np.zeros((len(basis), len(basis)))
+        for c, block in zip(classes, blocks):
+            gram[np.ix_(c, c)] = block
         terms = {}
         for i, beta in enumerate(basis):
             for j, beta2 in enumerate(basis):
                 gamma = tuple(a + b for a, b in zip(beta, beta2))
                 terms[gamma] = terms.get(gamma, Fraction(0)) + Fraction(float(gram[i, j]))
-        cert = SosCertificate(kind=ConeKind.K, r=r, n=n, gram=gram)
+        cert = SosCertificate(ConeKind.K, r, n, blocks, scalars)
         assert dict(certificate_expansion(cert).items()) == dict(Poly(n, terms).items())
 
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -406,6 +426,80 @@ class TestValidation:
         assert coeff_norm(diff) <= Fraction(1, 10**7)
 
 
+class TestForgedCertificates:
+    """Certificates whose expansion matches the lift of the non-copositive
+    M = [[0, -1], [-1, 0]] (its lift is -2 x1 x2, or -2 x1^2 x2^2) through an
+    asymmetric block: the audit must judge the symmetric part, which the
+    expansion reads, and not the lower triangle alone."""
+
+    M = SymMatrix.from_rows([[0, -1], [-1, 0]])
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    def test_asymmetric_block_is_not_psd(self, kind):
+        # kind Q r=0: one block over (x1, x2) and scalars at x1^2, x1 x2,
+        # x2^2; kind K r=0: the block over (x1^2, x2^2) and the scalar at
+        # x1 x2, the dense Gram matrix whose only nonzero is (0, 2) = -2
+        forged = np.array([[0.0, -2.0], [0.0, 0.0]])
+        cert = SosCertificate(kind, 0, 2, [forged], np.zeros(3 if kind is ConeKind.Q else 1))
+        report = validate_certificate(self.M, cert)
+        assert report.residual == 0
+        assert report.min_gram_eig == -1.0
+        assert not report.ok
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_misshapen_certificate_raises(self, kind, r):
+        # Q r=1, n=2 with one 3 x 3 block and 3 scalars has the 12 entries of
+        # the real shape (two 2 x 2 blocks, 4 scalars) but not its blocks
+        shape = gram_shape(2, r, kind)
+        bad = [
+            ([np.zeros((sum(shape.sides) - 1,) * 2)] if shape.sides else [], shape.nscalar),
+            ([np.zeros((k, k)) for k in shape.sides] + [np.zeros((2, 2))], shape.nscalar),
+            ([np.zeros((k, k)) for k in shape.sides], shape.nscalar + 1),
+            ([np.zeros((k, k + 1)) for k in shape.sides], shape.nscalar),
+        ]
+        if kind is ConeKind.Q and r == 1:
+            bad.append(([np.diag([-2.0, -2.0], 1)], 3))
+        for blocks, nscalar in bad:
+            cert = SosCertificate(kind, r, 2, blocks, np.zeros(nscalar))
+            with pytest.raises(ValueError, match="do not match"):
+                validate_certificate(self.M, cert)
+            with pytest.raises(ValueError, match="do not match"):
+                certificate_expansion(cert)
+
+    def test_spectrum_over_mixed_block_sides(self):
+        # K r=2, n=4: parity blocks of sides 10 and 4 and singleton scalars;
+        # the least eigenvalue of the direct sum of the symmetric parts
+        shape = gram_shape(4, 2, ConeKind.K)
+        assert sorted(set(shape.sides)) == [4, 10] and shape.nscalar == 1
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            blocks = [rng.standard_normal((k, k)) + 3 * np.eye(k) for k in shape.sides]
+            cert = SosCertificate(ConeKind.K, 2, 4, blocks, rng.random(shape.nscalar))
+            dense = block_diag(*[(b + b.T) / 2 for b in blocks])
+            want = float(np.linalg.eigvalsh(dense)[0])
+            report = validate_certificate(SymMatrix.identity(4), cert)
+            assert abs(report.min_gram_eig - want) <= 1e-12 * (1 + abs(want))
+            assert report.min_scalar == float(cert.scalars.min())
+
+
+class TestMembershipBar:
+    def test_negative_scalar_is_inconclusive(self, monkeypatch):
+        # M = I, Q r=0: x1^2 + x2^2 + 2^-10 x1 x2 from the block and -2^-10
+        # x1 x2 from the scalar reproduce the lift exactly with a PSD block,
+        # but a scalar of -2^-10 is no certificate
+        prob = build_Q_membership(SymMatrix.identity(2), 0)
+        assert list(prob.sdp.blocks) == [psd_block(2), nonneg_block(3)]
+        block = np.array([[1.0, 2.0**-11], [2.0**-11, 1.0]])
+        forged = SdpSolution(SdpStatus.OPTIMAL, objective=0.0,
+                             x_blocks=[block, np.array([0.0, -(2.0**-10), 0.0])],
+                             primal_res=0.0, dual_res=0.0, gap=0.0, iterations=1)
+        monkeypatch.setattr(cones, "solve", lambda sdp, eps: forged)
+        res = decide_membership(prob)
+        assert res.residual == 0 and res.min_gram_eig > 0
+        assert res.verdict == Verdict.INCONCLUSIVE
+
+
 class TestSerialization:
     def test_k_certificate_roundtrip(self, rnd):
         m, _, _, _ = planted_spn(rnd, 3)
@@ -413,7 +507,10 @@ class TestSerialization:
         text = res.certificate.to_text()
         back = SosCertificate.from_text(text)
         assert back.kind == ConeKind.K and back.r == 0 and back.n == 3
-        assert np.allclose(back.gram, res.certificate.gram)
+        assert len(back.gram_blocks) == len(res.certificate.gram_blocks)
+        assert all(np.allclose(a, b) for a, b in
+                   zip(back.gram_blocks, res.certificate.gram_blocks))
+        assert np.allclose(back.scalars, res.certificate.scalars)
         assert validate_certificate(m, back).ok
 
     def test_q_certificate_roundtrip(self, rnd):
@@ -426,3 +523,22 @@ class TestSerialization:
             np.allclose(a, b)
             for a, b in zip(back.gram_blocks, res.certificate.gram_blocks)
         )
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_exact_roundtrip_and_v1_rejected(self, kind, r):
+        shape = gram_shape(3, r, kind)
+        rng = np.random.default_rng(r)
+        cert = SosCertificate(kind, r, 3, [rng.standard_normal((k, k)) for k in shape.sides],
+                              rng.standard_normal(shape.nscalar), {"iterations": 7})
+        text = cert.to_text()
+        back = SosCertificate.from_text(text)
+        assert (back.kind, back.r, back.n, back.provenance) == (kind, r, 3, {"iterations": 7})
+        assert [b.tolist() for b in back.gram_blocks] == [b.tolist() for b in cert.gram_blocks]
+        assert back.scalars.tolist() == cert.scalars.tolist()
+        m = random_symmetric(random.Random(r), 3)
+        assert validate_certificate(m, back) == validate_certificate(m, cert)
+        doc = json.loads(text)
+        doc["format"] = "coposos-certificate-v1"
+        with pytest.raises(ValueError, match="unrecognized"):
+            SosCertificate.from_text(json.dumps(doc))

@@ -19,7 +19,9 @@ from coposos.cones import (
     SosCertificate,
     certificate_expansion,
     gram_basis,
+    gram_shape,
     lifted_poly,
+    parity_classes,
     validate_certificate,
 )
 from coposos.polycore import SymMatrix, coeff_norm, lift_table, monomial_basis, multinomial
@@ -64,14 +66,11 @@ _entries = st.one_of(st.sampled_from(_EXTREMES),
 
 
 def _certificate(kind, n, r, draw_values):
-    if kind is ConeKind.K:
-        side = len(gram_basis(n, r, kind))
-        return SosCertificate(kind, r, n, gram=np.array(draw_values(side * side)).reshape(side, side))
-    blocks = len(gram_basis(n, r, kind))
-    scalars = len(monomial_basis(n, r + 2, exact_degree=True))
-    vals = np.array(draw_values(blocks * n * n + scalars))
-    return SosCertificate(kind, r, n, gram_blocks=list(vals[:blocks * n * n].reshape(-1, n, n)),
-                          scalars=vals[blocks * n * n:])
+    shape = gram_shape(n, r, kind)
+    vals = np.array(draw_values(sum(k * k for k in shape.sides) + shape.nscalar), dtype=float)
+    parts = np.split(vals, np.cumsum([k * k for k in shape.sides]))
+    return SosCertificate(kind, r, n, [p.reshape(k, k) for p, k in zip(parts, shape.sides)],
+                          parts[-1])
 
 
 class TestDyadicAudit:
@@ -90,26 +89,23 @@ class TestDyadicAudit:
         # dyadic entries chosen so the expansion reproduces the lift exactly
         m = SymMatrix.from_rows([[Fraction(1, 4), Fraction(-3, 8)], [Fraction(-3, 8), 2]])
         cert = _certificate(kind, 2, 0, lambda k: [0.0] * k)
-        if kind is ConeKind.K:  # over (x1^2, x1 x2, x2^2)
+        if kind is ConeKind.K:  # the block over (x1^2, x2^2); x1 x2 is a scalar
             assert gram_basis(2, 0, kind) == ((2, 0), (1, 1), (0, 2))
-            cert.gram = np.array([[0.25, 0.0, -0.375], [0.0, 0.0, 0.0], [-0.375, 0.0, 2.0]])
-        else:
-            cert.gram_blocks = [np.array([[0.25, -0.375], [-0.375, 2.0]])]
+            assert parity_classes(gram_basis(2, 0, kind)) == [[0, 2], [1]]
+        cert.gram_blocks = [np.array([[0.25, -0.375], [-0.375, 2.0]])]
         report = validate_certificate(m, cert)
         assert report.residual == 0 == fraction_residual(m, cert)
         assert report.max_abs_entry == 2.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("where", ["K gram", "Q block", "Q scalar"])
+    @pytest.mark.parametrize("where", ["K gram", "K scalar", "Q block", "Q scalar"])
     def test_non_finite_entry_raises(self, value, where):
-        kind = ConeKind.K if where == "K gram" else ConeKind.Q
-        cert = _certificate(kind, 3, 1, lambda k: [0.5] * k)
-        if where == "K gram":
-            cert.gram[1, 2] = value
-        elif where == "Q block":
-            cert.gram_blocks[2][0, 1] = value
-        else:
+        kind = ConeKind(where[0])
+        cert = _certificate(kind, 4, 1, lambda k: [0.5] * k)
+        if where.endswith("scalar"):
             cert.scalars[3] = value
+        else:
+            cert.gram_blocks[2][0, 1] = value
         with pytest.raises(ValueError):
             certificate_expansion(cert)
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import planted_spn, random_symmetric
-from coposos.cones import ConeKind
-from coposos.polycore import SymMatrix
+from coposos.cones import ConeKind, parity_classes
+from coposos.polycore import SymMatrix, lift_table
 from coposos.relax import (
     ConeConstraint,
     ConicProgram,
@@ -180,12 +180,31 @@ class TestInteriorStart:
         prog, w = self._witness_for_sqp_identity(n)
         rel = build_relaxation_sdp(prog, r, ConeKind.K, 10)
         start = build_interior_start(prog, [w], r, ConeKind.K, 10)
+        b = start.b_shifts[0]
+        grams, scalars = _interior_gram_k(w, r, b)
+        # the seed as the dense padding over the whole basis: zero between
+        # parity classes, so the blocks and scalars hold all of it
+        table = lift_table(n, r)
+        p_b = (w.p_mat - SymMatrix.ones(n).scale(b)).rows
+        dense = [[Fraction(0)] * len(table.basis) for _ in table.basis]
+        for spots, weight in zip(table.target.diagonal(axis1=1, axis2=2).tolist(), table.weight):
+            for i, si in enumerate(spots):
+                for j, sj in enumerate(spots):
+                    dense[si][sj] += weight * p_b[i][j]
+        diag, den = table.lift(SymMatrix.ones(n).scale(b) + w.n_mat)
+        for t, c in enumerate(diag.tolist()):
+            dense[t][t] += Fraction(c, den)
+        classes = parity_classes(table.basis)
+        assert [g.rows for g in grams] == [tuple(tuple(dense[s][t] for t in c) for s in c)
+                                           for c in classes if len(c) > 1]
+        assert scalars == [dense[c[0]][c[0]] for c in classes if len(c) == 1]
+        where = {t: k for k, c in enumerate(classes) for t in c}
+        assert all(v == 0 for s, row in enumerate(dense) for t, v in enumerate(row)
+                   if where[s] != where[t])
         layout = rel.layouts[0]
-        dense = np.array(
-            [[float(v) for v in row] for row in _interior_gram_k(w, r, start.b_shifts[0])]
-        )
-        # the dense seed is parity-block-diagonal: the blocks hold all of it
-        assert np.array_equal(layout.embed(layout.split(dense)), dense)
+        full = ([g.to_float() for g in grams], [float(v) for v in scalars])
+        again = layout.embed(layout.split(full))
+        assert [u.tolist() for u in again[0]] == full[0] and again[1].tolist() == full[1]
         rep = sandwich_diagnostics(
             rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
         )

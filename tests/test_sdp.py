@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from time import perf_counter
 
@@ -453,3 +454,21 @@ def test_stage_timings_fit_in_the_solve(case):
     assert set(timings) == {"schur_s", "cholesky_s", "cone_s"}
     assert all(t >= 0.0 for t in timings.values())
     assert sum(timings.values()) <= wall
+
+
+def test_solve_leaves_no_cone_in_a_reference_cycle():
+    # the clocked cone operations must not hang on the _Cone they wrap, or
+    # every solve leaves its cone to the cyclic garbage collector
+    sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sol = solve(sdp)
+        assert sol.status == SdpStatus.OPTIMAL and sol.diagnostics["timings"]["cone_s"] > 0
+        del sol
+        gc.collect()
+        assert not [obj for obj in gc.garbage if isinstance(obj, _Cone)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()

@@ -25,7 +25,7 @@ from coposos.apps import (
     stability_bound,
     stability_qp_matrix,
 )
-from coposos.cones import ConeKind, _least_eigenvalue, build_membership
+from coposos.cones import ConeKind, build_membership
 from coposos.polycore import SymMatrix
 from coposos.relax import (
     ConeConstraint,
@@ -280,27 +280,6 @@ class TestFoldAndExpand:
                   else rng.standard_normal(b.size) for b in layout.blocks()]
         full = layout.embed(blocks)  # invariant by construction
         again = layout.embed(layout.split(full))
-        if kind is ConeKind.K:
-            assert np.allclose(again, full, atol=1e-12)
-        else:
-            assert all(np.allclose(u, v, atol=1e-12) for u, v in zip(again[0], full[0]))
-            assert np.allclose(again[1], full[1], atol=1e-12)
-
-
-class TestLeastEigenvalue:
-    def test_matches_dense_eigvalsh(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            sides = rng.integers(1, 5, size=6)
-            mat = np.zeros((sides.sum(), sides.sum()))
-            pos = 0
-            for k in sides:
-                blk = rng.standard_normal((k, k))
-                mat[pos : pos + k, pos : pos + k] = blk + blk.T
-                pos += k
-            perm = rng.permutation(mat.shape[0])
-            mat = mat[np.ix_(perm, perm)]  # block-diagonal up to a permutation
-            dense = rng.standard_normal(mat.shape)
-            for m in (mat, dense + dense.T, np.diag(np.diag(mat))):
-                want = float(np.linalg.eigvalsh(m)[0])
-                assert abs(_least_eigenvalue(m) - want) <= 1e-12 * (1 + abs(want))
+        assert len(again[0]) == len(full[0])
+        assert all(np.allclose(u, v, atol=1e-12) for u, v in zip(again[0], full[0]))
+        assert np.allclose(again[1], full[1], atol=1e-12)
