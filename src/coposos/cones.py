@@ -24,17 +24,18 @@ block, scalar and row per orbit; membership tests use the trivial group.
 At level 0 both families coincide with the cone of matrices decomposable as
 (positive semidefinite) + (entrywise nonnegative).
 
-:class:`GramLayout` is the one owner of this Gram structure: its bases, its
-blocks, the rows matching lifted coefficients and the extraction of a
-certificate from a solution.  The membership SDP here and every cone
-constraint of a :mod:`coposos.relax` relaxation are built from it.  The
-exact audit (:func:`certificate_expansion`, :func:`validate_certificate`)
-re-expands a certificate without its rows.  A certificate has one shape
-for both kinds, Gram blocks plus scalars (:class:`GramShape`, cached per
-(n, r, kind)), and every entry of it adds to one row of the lift table of
-(n, r) (:func:`coposos.polycore.lift_table`).  Lifts and audits run on
-Python-integer numerators: float certificate entries enter the audit as
-exact dyadic integers, summed onto those rows.
+A certificate has one shape for both kinds, Gram blocks plus scalars
+(:class:`GramShape`, cached per (n, r, kind)); it is the only place that
+knows how K and Q differ, holding each slot's exponent signature, the
+padding and diagonal slots and the lift-table row of every entry (see
+:func:`coposos.polycore.lift_table`).  :class:`GramLayout` is the one owner
+of the SDP's Gram structure: its blocks, the rows matching lifted
+coefficients and the extraction of a certificate from a solution.  The
+membership SDP here, every cone constraint of a :mod:`coposos.relax`
+relaxation and its interior seed are built from them.  The exact audit
+(:func:`certificate_expansion`, :func:`validate_certificate`) re-expands a
+certificate from its shape alone.  Lifts and audits run on Python-integer
+numerators: certificate entries enter as exact dyadic integers.
 
 Verdicts: MEMBER comes with an extracted Gram certificate whose exact
 re-expansion residual is checked; NOT_MEMBER is backed by the solver's
@@ -83,13 +84,6 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def gram_basis(n: int, r: int, kind: ConeKind) -> tuple[MultiIndex, ...]:
-    """Monomial basis indexing the Gram structure of a level-r membership SDP."""
-    if kind is ConeKind.K:
-        return monomial_basis(n, r + 2, exact_degree=True)
-    return monomial_basis(n, r, exact_degree=True)
-
-
 def parity_classes(basis) -> list[list[int]]:
     """The positions of ``basis`` grouped by exponent parity, the classes
     and their members in first-seen order."""
@@ -100,36 +94,45 @@ def parity_classes(basis) -> list[list[int]]:
 
 
 class GramShape:
-    """The shape of every level-r certificate of one kind in n variables:
-    ``sides`` of its Gram blocks and ``nscalar`` scalars.
+    """The shape of every level-r certificate of one kind in n variables,
+    the one place that knows how the kinds differ: ``sides`` of its Gram
+    blocks and ``nscalar`` scalars.
 
     ``slots`` holds the slots of each Gram block, then the one slot of each
-    scalar cell.  kind K: a slot is a position in the exact-degree-(r+2)
-    basis; the blocks are the parity classes of two or more monomials and
-    the cells the singleton classes.  kind Q: slot b*n + i is x_i in the
-    block of degree-r monomial b, and slot nb + t the scalar of lift-table
-    row t.  Every entry of every block and cell, row-major by block, is
-    entry (``si``, ``sj``) of block ``blk``; ``row`` is the lift-table row
-    it adds to: (u_s + u_t)/2 for K (monomials of one parity class have an
-    even sum), ``target`` for Q.  ``lifted`` holds each row's lifted
-    monomial (2 delta for K, delta for Q) and ``weight`` its multinomial
-    coefficient.
+    scalar cell; ``key`` gives each slot a signature of 2n exponents, which
+    variable permutations act on.  kind K: slot s is monomial u_s of the
+    exact-degree-(r+2) basis, key [u_s, 0]; the blocks are the parity
+    classes of two or more monomials, the cells the singleton classes.  kind
+    Q: slot b*n + i is x_i in the block of degree-r monomial tau_b, key
+    [tau_b, e_i]; slot nb + t is the scalar of lift-table row t, key
+    [delta_t, 0].  ``pad[tau, i]`` is the slot padding x_i at degree-r
+    monomial tau (K: tau + 2e_i), ``diag[t]`` the slot keyed [delta_t, 0].
+    Every entry of every block and cell, row-major by block, is entry
+    (``si``, ``sj``) of block ``blk`` (index :meth:`entry`); ``row`` is the
+    lift-table row it adds to, the key sum [a, c] read as a/2 + c.
+    ``lifted`` holds each row's lifted monomial (2 delta for K, delta for Q)
+    and ``weight`` its multinomial.
     """
 
     def __init__(self, n: int, r: int, kind: ConeKind):
         table = lift_table(n, r)
         exps = table.exps.astype(np.intp)
+        row_key = np.hstack([exps, np.zeros_like(exps)])  # [delta_t, 0] per row t
         if kind is ConeKind.K:
             classes = parity_classes(table.basis)
             self.slots = [c for c in classes if len(c) > 1] + [c for c in classes if len(c) == 1]
             self.nscalar = sum(len(c) == 1 for c in classes)
-            self.lifted = 2 * exps
+            self.key, self.lifted = row_key, 2 * exps
+            self.pad = table.target.diagonal(axis1=1, axis2=2)
         else:
-            nb = len(table.weight) * n
+            taus = np.array(monomial_basis(n, r, exact_degree=True), dtype=np.intp)
+            nb, self.nscalar = taus.size, len(exps)
             self.slots = ([list(range(s, s + n)) for s in range(0, nb, n)]
-                          + [[nb + t] for t in range(len(table.basis))])
-            self.nscalar = len(table.basis)
-            self.lifted = exps
+                          + [[nb + t] for t in range(len(exps))])
+            eyes = np.tile(np.eye(n, dtype=np.intp), (len(taus), 1))
+            self.key = np.vstack([np.hstack([np.repeat(taus, n, axis=0), eyes]), row_key])
+            self.lifted, self.pad = exps, np.arange(nb).reshape(-1, n)
+        self.diag = monomial_positions(self.key, row_key)
         self.width = np.array([len(b) for b in self.slots])  # of every block and cell
         self.sides = self.width[: self.width.size - self.nscalar].tolist()
         start = np.cumsum(self.width) - self.width
@@ -143,16 +146,19 @@ class GramShape:
         within = np.arange(self.blk.size) - self.off[self.blk]
         self.si = slots[start[self.blk] + within // self.width[self.blk]]
         self.sj = slots[start[self.blk] + within % self.width[self.blk]]
-        if kind is ConeKind.K:
-            self.row = monomial_positions(exps, (exps[self.si] + exps[self.sj]) // 2)
-        else:
-            self.row = np.concatenate([table.target.ravel(), np.arange(len(table.basis))])
+        both = self.key[self.si] + self.key[self.sj]
+        self.row = monomial_positions(exps, both[:, :n] // 2 + both[:, n:])
         degree = int(self.lifted[0].sum())
         fact = np.array([factorial(k) for k in range(degree + 1)], dtype=np.int64)
         self.weight = (factorial(degree) // fact[self.lifted].prod(axis=1)).tolist()
         for shared in vars(self).values():  # cached: read-only
             if isinstance(shared, np.ndarray):
                 shared.flags.writeable = False
+
+    def entry(self, a, b):
+        """The index of entry (a, b) of the block holding slots a and b."""
+        blk = self.blk_of[a]
+        return self.off[blk] + self.pos[a] * self.width[blk] + self.pos[b]
 
 
 gram_shape = lru_cache(maxsize=16)(GramShape)  # gram_shape(n, r, kind): built once, cached
@@ -219,8 +225,8 @@ def _unflatten(vals: np.ndarray, sides) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def _images(exps: np.ndarray, gens) -> list[np.ndarray]:
-    """Per generator g, the row of ``exps`` holding each monomial's image
-    under x_i -> x_g[i]."""
+    """Per permutation g of the columns, the row of ``exps`` holding each
+    row's image under x_i -> x_g[i]."""
     return [monomial_positions(exps, exps[:, np.argsort(g)]) for g in gens]
 
 
@@ -265,26 +271,13 @@ class GramLayout:
         if r < 0:
             raise ValueError("level must be >= 0")
         self.n, self.r, self.kind, self.first = n, r, kind, first
-        self.basis = gram_basis(n, r, kind)
         self._shape = shape = gram_shape(n, r, kind)
         gens = [np.asarray(g, dtype=np.intp) for g in symmetry]
-        act = _images(np.array(self.basis, dtype=np.intp), gens)
-        # each generator's action on the slots and on the lifted monomials
-        if kind is ConeKind.K:  # both indexed by the basis
-            slot_act = row_act = act
-        else:
-            nb = len(self.basis) * n
-            row_act = _images(shape.lifted, gens)
-            slot_act = [np.concatenate([(p[:, None] * n + g).ravel(), nb + q])
-                        for p, g, q in zip(act, gens, row_act)]
+        # each generator's action on the slots, on both halves of their keys
+        slot_act = _images(shape.key, [np.concatenate([g, g + n]) for g in gens])
         orbit, reps = _orbits([shape.blk_of[p[shape.lead]] for p in slot_act],
                               shape.width.size)
-
-        def entry(a, b):  # the index of entry (a, b) of the block of slots a and b
-            blk = shape.blk_of[a]
-            return shape.off[blk] + shape.pos[a] * shape.width[blk] + shape.pos[b]
-
-        self._label = _orbits([entry(p[shape.si], p[shape.sj]) for p in slot_act],
+        self._label = _orbits([shape.entry(p[shape.si], p[shape.sj]) for p in slot_act],
                               shape.blk.size)[0]
         # each orbit's first block stands for it in the SDP, in orbit order
         self._rank = np.full(shape.width.size, -1)
@@ -293,7 +286,8 @@ class GramLayout:
         self._count = np.bincount(orbit)[orbit]
         self._sides = shape.width[reps[reps < len(shape.sides)]].tolist()
         self._nscalar = reps.size - len(self._sides)
-        self._row_orbit, self._row_reps = _orbits(row_act, len(shape.lifted))
+        self._row_orbit, self._row_reps = _orbits(_images(shape.lifted, gens),
+                                                  len(shape.lifted))
 
     def lift(self, m: SymMatrix) -> tuple[list[int], int]:
         """The lift of M at the monomial of each row of :meth:`rows`, in its

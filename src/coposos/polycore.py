@@ -230,7 +230,9 @@ class Poly:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Exact rational symmetric matrix."""
+    """Exact rational symmetric matrix of ``Fraction`` entries.
+    :meth:`from_rows` checks outside input; the other constructors and the
+    arithmetic are symmetric by construction and build ``rows`` directly."""
 
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
@@ -253,17 +255,17 @@ class SymMatrix:
 
     @classmethod
     def ones(cls, n: int) -> "SymMatrix":
-        return cls.from_rows([[1] * n for _ in range(n)])
+        return cls(n, ((Fraction(1),) * n,) * n)
 
     @classmethod
     def zero(cls, n: int) -> "SymMatrix":
-        return cls.from_rows([[0] * n for _ in range(n)])
+        return cls(n, ((Fraction(0),) * n,) * n)
 
     @classmethod
     def diag(cls, values) -> "SymMatrix":
-        vals = list(values)
-        return cls.from_rows([[v if i == j else 0 for j in range(len(vals))]
-                              for i, v in enumerate(vals)])
+        vals, zero = [_rat(v) for v in values], Fraction(0)
+        return cls(len(vals), tuple([tuple([v if i == j else zero for j in range(len(vals))])
+                                     for i, v in enumerate(vals)]))
 
     @classmethod
     def from_float(cls, array) -> "SymMatrix":
@@ -280,16 +282,15 @@ class SymMatrix:
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return SymMatrix.from_rows(
-            [[a + b for a, b in zip(u, v)] for u, v in zip(self.rows, other.rows)]
-        )
+        return SymMatrix(self.n, tuple([tuple([a + b for a, b in zip(u, v)])
+                                        for u, v in zip(self.rows, other.rows)]))
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         return self + other.scale(-1)
 
     def scale(self, c: RatLike) -> "SymMatrix":
         c = _rat(c)
-        return SymMatrix.from_rows([[c * v for v in row] for row in self.rows])
+        return SymMatrix(self.n, tuple([tuple([c * v for v in row]) for row in self.rows]))
 
     def to_float(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.rows]

@@ -21,9 +21,10 @@ The module also provides the interior-point seed construction used for
 feasible-region diagnostics: given a feasible split  sum_i ybar_i A_i - C
 = P + N  (P positive definite, N entrywise nonnegative), it builds an
 exactly feasible SDP point whose Gram part, in a certificate's blocks and
-scalars (for K one block per parity class), is the multinomial-weighted
-padding of P - b*J plus a strictly positive diagonal carrying b*J + N;
-and the value-preserving variable-boxing transform that appends the
+scalars, is the multinomial-weighted padding of P - b*J plus a strictly
+positive diagonal carrying b*J + N.  One seed serves both kinds: it reads
+the padding and diagonal slots of :class:`coposos.cones.GramShape`.  Last
+comes the value-preserving variable-boxing transform that appends the
 diagonal D to the cone constraint itself.
 """
 
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import ConeKind, GramLayout, SosCertificate, parity_classes, validate_certificate
+from .cones import ConeKind, GramLayout, SosCertificate, gram_shape, validate_certificate
 from .polycore import SymMatrix, is_psd_exact, lift_table
 from .sdpcore import (
     SdpBuilder,
@@ -121,10 +122,6 @@ class RelaxationSdp:
     def decode_y(self, sol) -> np.ndarray:
         d = np.asarray(sol.x_blocks[self.d_block])
         return (d[0::2] - d[1::2]) / 2.0
-
-    def decode_y_exact(self, d_values) -> list[Fraction]:
-        vals = [Fraction(v) for v in d_values]
-        return [(vals[2 * i] - vals[2 * i + 1]) / 2 for i in range(self.prog.m)]
 
 
 def build_relaxation_sdp(
@@ -297,47 +294,35 @@ def _shift_for(witness: SpnWitness, max_halvings: int = 60) -> Fraction:
     raise ArithmeticError("shift halving schedule exhausted; witness too thin")
 
 
-def _interior_gram_k(witness: SpnWitness, r: int, b: Fraction):
-    """Exact Gram blocks and scalars of the quartic-lift seed: P-bJ padded
-    into rows tau + 2e_i with weight multinomial(tau), plus the diagonal
-    lift of bJ + N.  Padding keeps parity, so each tau lands in one parity
-    class: a block per class of two or more monomials, a scalar per
-    singleton class, as in :class:`coposos.cones.GramShape`."""
+def _interior_seed(witness: SpnWitness, r: int, kind: ConeKind, b: Fraction):
+    """Exact Gram blocks and scalars of the seed, in the slots of
+    :class:`coposos.cones.GramShape`: P - bJ padded into the slots (tau, i)
+    with weight multinomial(tau), the lift of bJ + N on each row's diagonal
+    slot, and b/2n moved from that slot onto every padding diagonal that
+    lands on its row (for K the padding slots are the diagonal slots, so the
+    move cancels).  Each diagonal slot keeps at least b/2."""
     n = witness.p_mat.n
-    table = lift_table(n, r)
-    p_b = (witness.p_mat - SymMatrix.ones(n).scale(b)).rows
-    classes = parity_classes(table.basis)
-    grams = [[[Fraction(0)] * len(c) for _ in c] for c in classes]
-    where = {t: (k, a) for k, c in enumerate(classes) for a, t in enumerate(c)}
-    for spots, weight in zip(table.target.diagonal(axis1=1, axis2=2).tolist(), table.weight):
-        k = where[spots[0]][0]
-        for i, si in enumerate(spots):
-            for j, sj in enumerate(spots):
-                grams[k][where[si][1]][where[sj][1]] += weight * p_b[i][j]
-    diag, den = table.lift(SymMatrix.ones(n).scale(b) + witness.n_mat)
-    for t, c in enumerate(diag.tolist()):
-        k, a = where[t]
-        grams[k][a][a] += Fraction(c, den)
-    return ([SymMatrix.from_rows(g) for g in grams if len(g) > 1],
-            [g[0][0] for g in grams if len(g) == 1])
-
-
-def _interior_blocks_q(witness: SpnWitness, r: int, b: Fraction):
-    """Exact Q-side seed: blocks a_beta*(P - bJ) + (b/2n) I and scalars, the
-    lift of bJ + N less b/2n per square x_i^2 dividing the monomial."""
-    n = witness.p_mat.n
-    table = lift_table(n, r)
-    p_b = witness.p_mat - SymMatrix.ones(n).scale(b)
-    eye_shift = SymMatrix.identity(n).scale(b / (2 * n))
-    gram_blocks = [p_b.scale(weight) + eye_shift for weight in table.weight]
+    table, shape = lift_table(n, r), gram_shape(n, r, kind)
+    p_b = [v for row in (witness.p_mat - SymMatrix.ones(n).scale(b)).rows for v in row]
+    vals = [Fraction(0)] * shape.blk.size
+    spots = shape.entry(shape.pad[:, :, None], shape.pad[:, None, :])  # (tau, i, j)
+    for weight, block in zip(table.weight, spots.reshape(len(spots), -1).tolist()):
+        for p, k in zip(p_b, block):
+            vals[k] += weight * p
+    diag = shape.entry(shape.diag, shape.diag).tolist()
     lift, den = table.lift(SymMatrix.ones(n).scale(b) + witness.n_mat)
-    scalars = []
-    for gamma, c in zip(table.basis, lift.tolist()):
-        val = Fraction(c, den) - (b / (2 * n)) * sum(a >= 2 for a in gamma)
-        if 2 * val < b:
-            raise ArithmeticError("scalar seed dropped below b/2; check witness")
-        scalars.append(val)
-    return gram_blocks, scalars
+    for k, c in zip(diag, lift.tolist()):
+        vals[k] += Fraction(c, den)
+    move = b / (2 * n)
+    pads = spots.diagonal(axis1=1, axis2=2).ravel()
+    for k, t in zip(pads.tolist(), shape.row[pads].tolist()):
+        vals[k] += move
+        vals[diag[t]] -= move
+    if any(2 * vals[k] < b for k in diag):
+        raise ArithmeticError("seed dropped below b/2 on a diagonal slot; check witness")
+    grams = [SymMatrix(k, tuple(tuple(vals[o + a * k : o + a * k + k]) for a in range(k)))
+             for o, k in zip(shape.off.tolist(), shape.sides)]
+    return grams, vals[len(vals) - shape.nscalar :]
 
 
 def build_interior_start(
@@ -374,14 +359,11 @@ def build_interior_start(
         # folded onto the layout's blocks, the seed becomes principal
         # submatrices of its group average: no smaller least eigenvalue
         layout = GramLayout(cons.n, r, kind, symmetry=cons.symmetry)
-        if kind is ConeKind.K:
-            gram_blocks, scalars = _interior_gram_k(witness, r, b)
-            radius = min(b / len(layout.basis), big_r)
-        else:
-            gram_blocks, scalars = _interior_blocks_q(witness, r, b)
-            radius = min(b / (4 * cons.n * cons.n), big_r)
+        gram_blocks, scalars = _interior_seed(witness, r, kind, b)
         blocks += layout.split(([g.to_float() for g in gram_blocks],
                                 [float(v) for v in scalars]))
+        radius = min(b / (len(lift_table(cons.n, r).basis) if kind is ConeKind.K
+                          else 4 * cons.n * cons.n), big_r)
         inner = radius if inner is None else min(inner, radius)
 
     d_vals = []

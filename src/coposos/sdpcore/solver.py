@@ -19,7 +19,7 @@ x / tau projected onto {A x = b} in the Nesterov-Todd metric of the latest
 step, but only when the projection stays in the cone; otherwise it is
 x / tau itself, which is interior.  Its gap is the larger of the unclamped
 x.s and |c^T x - b^T y|, so OPTIMAL means an in-cone x, residuals within
-feastol and a primal-dual objective gap within gaptol.
+feastol and a primal-dual objective gap within eps.
 
 Search directions come from a Schur-complement solve.  The cone blocks
 are grouped by side, a NONNEG(k) block counting as k PSD(1) blocks, and
@@ -297,21 +297,17 @@ def solve(
     eps: float = 1e-8,
     max_iter: int = 200,
     feastol: float | None = None,
-    gaptol: float | None = None,
-    inftol: float | None = None,
 ) -> SdpSolution:
     """Solve a block SDP via the homogeneous self-dual embedding.
 
-    ``eps`` sets the default feasibility / duality-gap / infeasibility
-    thresholds (individually overridable).  A status of OPTIMAL certifies
-    the objective through the achieved duality gap; infeasibility statuses
-    carry the normalized improving ray and its residual quality.
+    ``eps`` is the duality-gap and infeasibility-ray threshold and the
+    default ``feastol``.  A status of OPTIMAL certifies the objective
+    through the achieved duality gap; infeasibility statuses carry the
+    normalized improving ray and its residual quality.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     feastol = eps if feastol is None else feastol
-    gaptol = eps if gaptol is None else gaptol
-    inftol = eps if inftol is None else inftol
 
     ops = _Cone(sdp)
     rows = _Rows(ops, sdp.A)
@@ -399,7 +395,7 @@ def solve(
     def converged(metrics):
         _, _, _, pres, dres, _, _, gap, relgap = metrics
         return pres <= feastol and dres <= feastol and (
-            gap <= gaptol or relgap <= gaptol
+            gap <= eps or relgap <= eps
         )
 
     def report(status, iteration, point, message=""):
@@ -455,7 +451,7 @@ def solve(
         bty = float(b @ y)
         if bty > 0:
             qual = float(np.linalg.norm(aty + s)) / bty
-            if qual <= inftol:
+            if qual <= eps:
                 yn = y / bty
                 sn = s / bty
                 return SdpSolution(
@@ -476,7 +472,7 @@ def solve(
         ctx = float(c @ x)
         if ctx < 0:
             qual = float(np.linalg.norm(ax)) / (-ctx)
-            if qual <= inftol:
+            if qual <= eps:
                 xn = x / (-ctx)
                 return SdpSolution(
                     status=SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED,

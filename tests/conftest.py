@@ -114,6 +114,7 @@ class DenseKLayout(GramLayout):
     def __init__(self, n, r, kind, first=0, symmetry=()):
         assert kind is ConeKind.K
         super().__init__(n, r, kind, first)
+        self.basis = lift_table(n, r).basis
 
     def blocks(self):
         return [psd_block(len(self.basis))]

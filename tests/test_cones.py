@@ -37,13 +37,19 @@ from coposos.cones import (
     build_membership,
     certificate_expansion,
     decide_membership,
-    gram_basis,
     gram_shape,
     lifted_poly,
     parity_classes,
     validate_certificate,
 )
-from coposos.polycore import Poly, SymMatrix, coeff_norm, monomial_basis, quadratic_form
+from coposos.polycore import (
+    Poly,
+    SymMatrix,
+    coeff_norm,
+    lift_table,
+    monomial_basis,
+    quadratic_form,
+)
 from coposos.relax import ConicProgram, build_relaxation_sdp, extract_certificates, to_bounded
 from coposos.sdpcore import SdpSolution, SdpStatus, nonneg_block, psd_block
 
@@ -61,7 +67,7 @@ class TestBuilders:
                 want += [nonneg_block(comb(n, 3))] if n >= 3 else []
             assert list(prob.sdp.blocks) == want
             assert prob.sdp.num_constraints == comb(n + r + 1, r + 2)
-            assert len(prob.layout.basis) == comb(n + r + 1, r + 2)
+            assert len(lift_table(n, r).basis) == comb(n + r + 1, r + 2)
 
     def test_q_block_structure(self):
         for n, r in [(3, 0), (3, 1), (4, 2)]:
@@ -327,7 +333,7 @@ class TestValidation:
         # identity block over the parity class {x_i^2} is exact
         n = 3
         m = SymMatrix.identity(n)
-        assert [beta for beta in gram_basis(n, 0, ConeKind.K) if max(beta) == 2] == [
+        assert [beta for beta in lift_table(n, 0).basis if max(beta) == 2] == [
             (2, 0, 0), (0, 2, 0), (0, 0, 2)]
         cert = SosCertificate(ConeKind.K, 0, n, [np.eye(n)], np.zeros(comb(n, 2)))
         report = validate_certificate(m, cert)
@@ -361,7 +367,7 @@ class TestValidation:
         # exact rational value, as in the loop over all side^2 entries of
         # the Gram matrix over the whole basis, zero between parity classes
         n, r = 3, 1
-        basis = gram_basis(n, r, ConeKind.K)
+        basis = lift_table(n, r).basis
         classes = parity_classes(basis)
         rng = np.random.default_rng(7)
         blocks = []
@@ -393,7 +399,7 @@ class TestValidation:
         # quadratic form of each symmetrised block, plus the scalars; with
         # exact zeros, -0.0 and a slightly asymmetric block
         n = 4
-        basis = gram_basis(n, r, ConeKind.Q)
+        basis = monomial_basis(n, r, exact_degree=True)
         rng = np.random.default_rng(11 + r)
         blocks = []
         for _ in basis:

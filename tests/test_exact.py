@@ -18,7 +18,6 @@ from coposos.cones import (
     ConeKind,
     SosCertificate,
     certificate_expansion,
-    gram_basis,
     gram_shape,
     lifted_poly,
     parity_classes,
@@ -90,8 +89,8 @@ class TestDyadicAudit:
         m = SymMatrix.from_rows([[Fraction(1, 4), Fraction(-3, 8)], [Fraction(-3, 8), 2]])
         cert = _certificate(kind, 2, 0, lambda k: [0.0] * k)
         if kind is ConeKind.K:  # the block over (x1^2, x2^2); x1 x2 is a scalar
-            assert gram_basis(2, 0, kind) == ((2, 0), (1, 1), (0, 2))
-            assert parity_classes(gram_basis(2, 0, kind)) == [[0, 2], [1]]
+            assert lift_table(2, 0).basis == ((2, 0), (1, 1), (0, 2))
+            assert parity_classes(lift_table(2, 0).basis) == [[0, 2], [1]]
         cert.gram_blocks = [np.array([[0.25, -0.375], [-0.375, 2.0]])]
         report = validate_certificate(m, cert)
         assert report.residual == 0 == fraction_residual(m, cert)
@@ -117,7 +116,7 @@ class TestCaches:
         basis = monomial_basis(4, 3, exact_degree=True)
         assert isinstance(basis, tuple) and all(isinstance(b, tuple) for b in basis)
         assert monomial_basis(4, 3, exact_degree=True) is basis
-        assert gram_basis(4, 1, ConeKind.K) is basis
+        assert lift_table(4, 1).basis is basis
 
     def test_lift_table_is_cached_and_read_only(self):
         table = lift_table(4, 1)

@@ -242,3 +242,23 @@ class TestSymMatrix:
     def test_from_float_roundtrip(self):
         m = SymMatrix.from_float([[0.5, 0.25], [0.25, 1.0]])
         assert m.entry(0, 1) == Fraction(1, 4)
+
+    def test_unchecked_results_equal_checked_twins(self):
+        # the constructors and the arithmetic build rows directly; they must
+        # equal the from_rows route and hold Fractions
+        a = SymMatrix.from_rows([[1, Fraction(1, 3)], [Fraction(1, 3), -2]])
+        b = SymMatrix.from_rows([[Fraction(1, 2), 4], [4, 0]])
+        pairs = [
+            (a + b, [[Fraction(3, 2), Fraction(13, 3)], [Fraction(13, 3), -2]]),
+            (a - b, [[Fraction(1, 2), Fraction(-11, 3)], [Fraction(-11, 3), -2]]),
+            (a.scale("3/2"), [[Fraction(3, 2), Fraction(1, 2)], [Fraction(1, 2), -3]]),
+            (SymMatrix.diag([2, "1/2", 0.25]),
+             [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1, 4)]]),
+            (SymMatrix.identity(2), [[1, 0], [0, 1]]),
+            (SymMatrix.ones(3), [[1] * 3] * 3),
+            (SymMatrix.zero(2), [[0, 0], [0, 0]]),
+        ]
+        for got, rows in pairs:
+            assert got == SymMatrix.from_rows(rows)
+            assert all(type(v) is Fraction for row in got.rows for v in row)
+            assert all(type(row) is tuple for row in got.rows)

@@ -6,13 +6,13 @@ import pytest
 
 from conftest import planted_spn, random_symmetric
 from coposos.cones import ConeKind, parity_classes
-from coposos.polycore import SymMatrix, lift_table
+from coposos.polycore import LiftKind, SymMatrix, lift_table, polya_lift, quadratic_form
 from coposos.relax import (
     ConeConstraint,
     ConicProgram,
     SpnRefusal,
     SpnWitness,
-    _interior_gram_k,
+    _interior_seed,
     build_interior_start,
     build_relaxation_sdp,
     check_intspn,
@@ -37,7 +37,7 @@ class TestBuilders:
         # telescoping: <D, B> - b^T y == 0 for any D with the box coupling
         y = Fraction(-1, 3)
         d = [2 * Fraction(10) + y, 2 * Fraction(10) - y]
-        decoded = rel.decode_y_exact(d)
+        decoded = [(d[0] - d[1]) / 2]
         assert decoded == [y]
         b_diag = [Fraction(1, 2), Fraction(-1, 2)]
         inner = sum(bv * dv for bv, dv in zip(b_diag, d))
@@ -181,7 +181,7 @@ class TestInteriorStart:
         rel = build_relaxation_sdp(prog, r, ConeKind.K, 10)
         start = build_interior_start(prog, [w], r, ConeKind.K, 10)
         b = start.b_shifts[0]
-        grams, scalars = _interior_gram_k(w, r, b)
+        grams, scalars = _interior_seed(w, r, ConeKind.K, b)
         # the seed as the dense padding over the whole basis: zero between
         # parity classes, so the blocks and scalars hold all of it
         table = lift_table(n, r)
@@ -210,6 +210,33 @@ class TestInteriorStart:
         )
         assert rep.ok
         assert min(rep.block_margins[: rel.d_block]) >= start.inner_radius
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_q_seed_is_shifted_padding(self, n, r):
+        # blocks w_tau (P - bJ) + (b/2n) I; scalars the linear lift of
+        # bJ + N less b/2n per square x_i^2 dividing the monomial
+        prog, w = self._witness_for_sqp_identity(n)
+        rel = build_relaxation_sdp(prog, r, ConeKind.Q, 10)
+        start = build_interior_start(prog, [w], r, ConeKind.Q, 10)
+        b = start.b_shifts[0]
+        grams, scalars = _interior_seed(w, r, ConeKind.Q, b)
+        table = lift_table(n, r)
+        p_b = w.p_mat - SymMatrix.ones(n).scale(b)
+        shift = SymMatrix.identity(n).scale(b / (2 * n))
+        assert grams == [p_b.scale(weight) + shift for weight in table.weight]
+        lifted = polya_lift(quadratic_form(SymMatrix.ones(n).scale(b) + w.n_mat), r,
+                            LiftKind.LINEAR)
+        assert scalars == [lifted.coeff(gamma) - b / (2 * n) * sum(a >= 2 for a in gamma)
+                           for gamma in table.basis]
+        layout = rel.layouts[0]
+        full = ([g.to_float() for g in grams], [float(v) for v in scalars])
+        again = layout.embed(layout.split(full))
+        assert [u.tolist() for u in again[0]] == full[0] and again[1].tolist() == full[1]
+        rep = sandwich_diagnostics(
+            rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
+        )
+        assert rep.ok
 
     def test_gram_margin_positive_on_corpus(self, rnd):
         for _ in range(3):
