@@ -35,6 +35,7 @@ from .relax import (
     ConicProgram,
     RelaxationResult,
     SpnWitness,
+    check_intspn,
     solve_relaxation,
     to_bounded,
 )
@@ -265,35 +266,22 @@ def sqp_reciprocal_bound(
     bound is 4n over half the certified eigenvalue lower bound.  The
     relaxation is reduced by ``symmetry``, variable permutations fixing M.
     """
-    prog = sqp_reciprocal_program(m_mat, symmetry)
+    # zero variables: the slack is M itself, to be split as P + N
+    split = ConicProgram.make(
+        [0], [ConeConstraint(m_mat.n, (SymMatrix.zero(m_mat.n),), m_mat.scale(-1))]
+    )
     if witness_split is None:
-        from .relax import check_intspn
-
-        w = check_intspn(
-            ConicProgram.make(
-                [0], [ConeConstraint(m_mat.n, (SymMatrix.zero(m_mat.n),), m_mat.scale(-1))]
-            ),
-            [0],
-        )
+        w = check_intspn(split, [0])
         if not isinstance(w, SpnWitness):
             raise ValueError(f"no interior split found for M: {w.message}")
-        lb = w.lambda_min_lb
     else:
         p_mat, n_mat, lb = witness_split
-        if m_mat != p_mat + n_mat:
-            raise ValueError("witness split does not sum to M")
-        if any(v < 0 for row in n_mat.rows for v in row):
-            raise ValueError("witness N part has a negative entry")
-        lb = Fraction(lb)
-        if lb <= 0:
-            raise ValueError("eigenvalue lower bound must be positive")
-        from .polycore import is_psd_exact
-
-        if not is_psd_exact(p_mat - SymMatrix.identity(m_mat.n).scale(lb)):
-            raise ValueError("eigenvalue lower bound is not certified by P")
-    shift = lb / 2
-    box = Fraction(4 * m_mat.n) / shift
-    return solve_relaxation(prog, r, kind, box, eps=eps)
+        w = SpnWitness((Fraction(0),), p_mat, n_mat, Fraction(lb))
+        if not w.check_exact(split.constraints[0]):
+            raise ValueError("witness is not a split M = P + N with N >= 0 and "
+                             "P - lb*I positive semidefinite, lb > 0")
+    box = Fraction(4 * m_mat.n) / (w.lambda_min_lb / 2)
+    return solve_relaxation(sqp_reciprocal_program(m_mat, symmetry), r, kind, box, eps=eps)
 
 
 # -- weighted stability bounds ------------------------------------------------

@@ -30,9 +30,12 @@ knows how K and Q differ, holding each slot's exponent signature, the
 padding and diagonal slots and the lift-table row of every entry (see
 :func:`coposos.polycore.lift_table`).  :class:`GramLayout` is the one owner
 of the SDP's Gram structure: its blocks, the rows matching lifted
-coefficients and the extraction of a certificate from a solution.  The
-membership SDP here, every cone constraint of a :mod:`coposos.relax`
-relaxation and its interior seed are built from them.  The exact audit
+coefficients and the extraction of a certificate from a solution.  Its
+rows are flat arrays (row, block, i, j, weight) that go to
+:meth:`coposos.sdpcore.SdpBuilder.add_rows` whole, with the right-hand
+sides and each row's monomial as its label.  The membership SDP here,
+every cone constraint of a :mod:`coposos.relax` relaxation and its
+interior seed are built from them.  The exact audit
 (:func:`certificate_expansion`, :func:`validate_certificate`) re-expands a
 certificate from its shape alone.  Lifts and audits run on Python-integer
 numerators: certificate entries enter as exact dyadic integers.
@@ -226,8 +229,12 @@ def _unflatten(vals: np.ndarray, sides) -> tuple[list[np.ndarray], np.ndarray]:
 
 def _images(exps: np.ndarray, gens) -> list[np.ndarray]:
     """Per permutation g of the columns, the row of ``exps`` holding each
-    row's image under x_i -> x_g[i]."""
-    return [monomial_positions(exps, exps[:, np.argsort(g)]) for g in gens]
+    row's image under x_i -> x_g[i]; one lookup for every generator, so the
+    rows are sorted once."""
+    if not gens:
+        return []
+    moved = np.concatenate([exps[:, np.argsort(g)] for g in gens])
+    return np.split(monomial_positions(exps, moved), len(gens))
 
 
 def _orbits(perms, size: int):
@@ -289,38 +296,34 @@ class GramLayout:
         self._row_orbit, self._row_reps = _orbits(_images(shape.lifted, gens),
                                                   len(shape.lifted))
 
-    def lift(self, m: SymMatrix) -> tuple[list[int], int]:
+    def lift(self, m: SymMatrix) -> tuple[np.ndarray, int]:
         """The lift of M at the monomial of each row of :meth:`rows`, in its
-        order, as integer numerators over one common denominator."""
+        order, as Python-integer numerators over one common denominator."""
         num, den = lift_table(self.n, self.r).lift(m)
-        return num[self._row_reps].tolist(), den
+        return num[self._row_reps], den
 
     def blocks(self) -> list[BlockSpec]:
         return [psd_block(k) for k in self._sides] + (
             [nonneg_block(self._nscalar)] if self._nscalar else []
         )
 
-    def rows(self) -> dict[MultiIndex, list]:
-        """Lifted monomial -> the Gram entries (block, i, j, weight) whose
-        weighted sum is its coefficient, one row per orbit of the monomials
-        the Gram structure can reach (rows for monomials absent from the
-        lift match zero), keyed by the orbit's first monomial.  Each
+    def rows(self) -> tuple[tuple[np.ndarray, ...], list[MultiIndex]]:
+        """The Gram entries whose weighted sums match the lifted
+        coefficients, as flat arrays (row, block, i, j, weight), and each
+        row's monomial.  There is one row per orbit of the monomials the
+        Gram structure can reach (rows for monomials absent from the lift
+        match zero), labelled by the orbit's first monomial.  Each
         off-diagonal entry is listed once; the SDP builder doubles symmetric
         pairs."""
         shape = self._shape
-        size = np.bincount(self._row_orbit)
         rep = self._rep[shape.si[self._rep] <= shape.sj[self._rep]]
         row = self._row_orbit[shape.row[rep]]
-        weight = self._count[shape.blk[rep]] / size[row]
+        weight = self._count[shape.blk[rep]] / np.bincount(self._row_orbit)[row]
         rank = self._rank[shape.blk[rep]]
         scalar = np.maximum(rank - len(self._sides), 0)  # a NONNEG entry's index
         block = self.first + np.minimum(rank, len(self._sides))
         i, j = shape.pos[shape.si[rep]] + scalar, shape.pos[shape.sj[rep]] + scalar
-        out = [[] for _ in size]
-        entries = zip(*(v.tolist() for v in (block, i, j, weight)))
-        for o, entry in zip(row.tolist(), entries):
-            out[o].append(entry)
-        return {tuple(g): row for g, row in zip(shape.lifted[self._row_reps].tolist(), out)}
+        return (row, block, i, j, weight), list(map(tuple, shape.lifted[self._row_reps].tolist()))
 
     def embed(self, blocks) -> tuple[list[np.ndarray], np.ndarray]:
         """The Gram blocks and the scalars of a certificate from SDP blocks,
@@ -362,20 +365,17 @@ class GramLayout:
 class MembershipProblem:
     matrix: SymMatrix
     layout: GramLayout
-    sdp: BlockSdp
-    index_map: dict[MultiIndex, int]  # lifted monomial -> constraint row
+    sdp: BlockSdp  # row_labels: each row's lifted monomial
 
 
 def build_membership(m: SymMatrix, r: int, kind: ConeKind) -> MembershipProblem:
     """SDP feasibility: find Gram data reproducing the level-r lift of M."""
     layout = GramLayout(m.n, r, kind)
-    lift, den = layout.lift(m)
+    num, den = layout.lift(m)
+    entries, monomials = layout.rows()
     builder = SdpBuilder(layout.blocks())
-    index_map = {
-        gamma: builder.add_row(entries, num / den, label=gamma)
-        for num, (gamma, entries) in zip(lift, layout.rows().items())
-    }
-    return MembershipProblem(m, layout, builder.build(), index_map)
+    builder.add_rows(*entries, num / den, monomials)
+    return MembershipProblem(m, layout, builder.build())
 
 
 def build_K_membership(m: SymMatrix, r: int) -> MembershipProblem:

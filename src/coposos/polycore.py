@@ -49,10 +49,6 @@ def _rat(value: RatLike) -> Fraction:
     return Fraction(str(value))
 
 
-def degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
 def grlex_key(alpha: MultiIndex):
     """Sort key for graded lexicographic order.
 
@@ -126,12 +122,6 @@ class Poly:
     @classmethod
     def constant(cls, nvars: int, c: RatLike) -> "Poly":
         return cls(nvars, {(0,) * nvars: _rat(c)})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "Poly":
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls(nvars, {tuple(exp): 1})
 
     # -- basic queries -------------------------------------------------
 

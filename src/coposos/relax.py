@@ -13,9 +13,12 @@ B = Diag(b_1/2, -b_1/2, ...) so that <D, B> = b^T y holds exactly.  Each
 cone constraint's Gram blocks, its rows and the extraction of its
 certificate come from one :class:`coposos.cones.GramLayout`, the one owner
 of the Gram structure, whose blocks follow those of the constraints before
-it.  A constraint's exactly checked ``symmetry`` is the group its layout
-reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, with the box
-slots of :func:`to_bounded` fixed, and the trivial group otherwise.
+it.  Its rows go to the SDP builder as the same flat arrays a membership
+SDP is built from, with the D columns of every row appended as arrays and
+labelled (constraint, monomial).  A constraint's exactly checked
+``symmetry`` is the group its layout reduces by: Aut(G) or Aut(G) x S_t
+from :mod:`coposos.apps`, with the box slots of :func:`to_bounded` fixed,
+and the trivial group otherwise.
 
 The module also provides the interior-point seed construction used for
 feasible-region diagnostics: given a feasible split  sum_i ybar_i A_i - C
@@ -147,29 +150,22 @@ def build_relaxation_sdp(
     builder = SdpBuilder(blocks)
 
     for ci, (layout, cons) in enumerate(zip(layouts, prog.constraints)):
-        lifts_a = [layout.lift(a) for a in cons.a_mats]
+        entries, monomials = layout.rows()
+        coef = np.array([num / den for num, den in map(layout.lift, cons.a_mats)], dtype=float)
+        # each row less y_i * coef, written via (d_i+ - d_i-) / 2
+        var, t = np.nonzero(coef)
+        half, d = coef[var, t] / 2.0, np.full_like(t, d_block)
+        d_plus, d_minus = (t, d, 2 * var, 2 * var, -half), (t, d, 2 * var + 1, 2 * var + 1, half)
         lift_c, den_c = layout.lift(cons.c_mat)
-        for t, (gamma, entries) in enumerate(layout.rows().items()):
-            full = list(entries)
-            for i, (lift, den) in enumerate(lifts_a):
-                if lift[t]:
-                    # subtract y_i * coef written via (d_i+ - d_i-) / 2
-                    coef = lift[t] / den
-                    full.append((d_block, 2 * i, 2 * i, -coef / 2.0))
-                    full.append((d_block, 2 * i + 1, 2 * i + 1, coef / 2.0))
-            builder.add_row(full, -(lift_c[t] / den_c), label=(ci, gamma))
+        builder.add_rows(*map(np.concatenate, zip(entries, d_plus, d_minus)),
+                         -(lift_c / den_c), list(zip([ci] * len(monomials), monomials)))
 
-    for i in range(m):
-        builder.add_row(
-            [(d_block, 2 * i, 2 * i, 1.0), (d_block, 2 * i + 1, 2 * i + 1, 1.0)],
-            4.0 * float(big_r),
-            label=("box", i),
-        )
-
-    builder.set_objective(
-        [(d_block, 2 * i, 2 * i, float(prog.b[i]) / 2.0) for i in range(m)]
-        + [(d_block, 2 * i + 1, 2 * i + 1, -float(prog.b[i]) / 2.0) for i in range(m)]
-    )
+    # box row i and the objective on the diagonal pair (d_i+, d_i-) of D
+    pair = np.arange(2 * m)
+    builder.add_rows(pair // 2, d_block, pair, pair, 1.0, np.full(m, 4.0 * float(big_r)),
+                     list(zip(["box"] * m, range(m))))
+    half_b = np.array(prog.b, dtype=float) / 2.0
+    builder.add_rows(-1, d_block, pair, pair, np.column_stack([half_b, -half_b]).ravel(), [])
     return RelaxationSdp(
         sdp=builder.build(),
         prog=prog,

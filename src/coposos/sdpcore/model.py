@@ -11,6 +11,13 @@ Internally all symmetric data is stored in "svec" coordinates: the upper
 triangle, row-major, with off-diagonal entries scaled by sqrt(2) so that
 the Euclidean inner product of svec vectors equals the Frobenius inner
 product of the matrices.  NONNEG blocks are stored as plain vectors.
+``_svec_index`` holds the one definition of these coordinates, which
+:func:`svec`, :func:`smat`, :func:`export_sparse` and :class:`SdpBuilder`
+share.
+
+:class:`SdpBuilder` takes rows as flat arrays of entries (row, block, i, j,
+value) with their right-hand sides and labels, keeps them as triplets
+(row, svec position, value) and fills A and c in one scatter.
 """
 
 from __future__ import annotations
@@ -160,91 +167,96 @@ class BlockSdp:
         k x k symmetric array per PSD block and one length-k vector per
         NONNEG block; ``constraints`` is a list of (blocks_values, rhs).
         """
-        blocks = tuple(blocks)
-        probe = cls(blocks, np.zeros((0, sum(b.vec_dim for b in blocks))), [],
-                    np.zeros(sum(b.vec_dim for b in blocks)))
-        for blk, val in zip(blocks, objective_blocks):
-            if blk.kind == "psd":
-                arr = np.asarray(val, dtype=float)
-                if not np.allclose(arr, arr.T, atol=1e-12):
-                    raise ValueError("objective PSD block is not symmetric")
-        c = probe.pack(objective_blocks)
-        rows = []
-        rhs = []
+        builder = SdpBuilder(blocks)
+
+        def entries(values):  # (block, i, j, value) of every upper-triangle entry
+            cols = []
+            for bi, (blk, val) in enumerate(zip(builder.blocks, values)):
+                val = np.asarray(val, dtype=float)
+                if blk.kind == "nonneg":
+                    val, (i, j) = np.diag(val), np.diag_indices(blk.size)
+                elif np.allclose(val, val.T, atol=1e-12):
+                    i, j = np.triu_indices(blk.size)
+                else:
+                    raise ValueError("PSD block data is not symmetric")
+                cols.append((np.full(i.size, bi), i, j, val[i, j]))
+            return map(np.concatenate, zip(*cols))
+
+        builder.add_rows(-1, *entries(objective_blocks), [])
         for mats, b_i in constraints:
-            for blk, val in zip(blocks, mats):
-                if blk.kind == "psd":
-                    arr = np.asarray(val, dtype=float)
-                    if not np.allclose(arr, arr.T, atol=1e-12):
-                        raise ValueError("constraint PSD block is not symmetric")
-            rows.append(probe.pack(mats))
-            rhs.append(float(b_i))
-        a_mat = np.vstack(rows) if rows else np.zeros((0, probe.dim))
-        return cls(blocks, a_mat, rhs, c)
+            builder.add_rows(0, *entries(mats), [b_i])
+        return builder.build()
+
+
+def _columns(entries):
+    """(block, i, j, value) tuples as four columns."""
+    return tuple(zip(*entries)) or ((),) * 4
 
 
 class SdpBuilder:
-    """Incremental assembly of a BlockSdp: rows are collected as sparse
-    {svec position: value} maps, and :meth:`build` fills a dense A.
-
-    Entries are given per (block, i, j); for PSD blocks (i, j) with i != j
-    sets the symmetric pair, and the svec scaling is handled here.
+    """Assembly of a BlockSdp from entries given per (block, i, j): for PSD
+    blocks (i, j) with i != j sets the symmetric pair, and the svec scaling
+    is handled here.  Entries are kept as (row, svec position, value)
+    triplet arrays, row -1 being the objective, and :meth:`build` scatters
+    them into a dense A and c at once, summing repeated positions in the
+    order they were added.
     """
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
-        self._offsets = []
-        pos = 0
-        for blk in self.blocks:
-            self._offsets.append(pos)
-            pos += blk.vec_dim
-        self.dim = pos
-        self._rows: list[dict[int, float]] = []
+        sizes = [blk.vec_dim for blk in self.blocks]
+        self._offset = np.cumsum([0] + sizes)[:-1]
+        self.dim = sum(sizes)
+        self._side = np.array([blk.size for blk in self.blocks], dtype=np.intp)
+        self._nonneg = np.array([blk.kind == "nonneg" for blk in self.blocks], dtype=bool)
+        self._triplets = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
         self._rhs: list[float] = []
         self._labels: list[object] = []
-        self._obj: dict[int, float] = {}
 
-    def _coord(self, block: int, i: int, j: int) -> tuple[int, float]:
-        blk = self.blocks[block]
-        if i > j:
-            i, j = j, i
-        if not 0 <= i <= j < blk.size:
-            raise ValueError(
-                f"entry ({i}, {j}) outside block {block} of size {blk.size}"
-            )
-        if blk.kind == "nonneg":
-            if i != j:
-                raise ValueError("NONNEG blocks are diagonal")
-            return self._offsets[block] + i, 1.0
-        # svec position of (i, j), i <= j: the upper triangle, row-major
-        pos = i * blk.size - i * (i - 1) // 2 + (j - i)
-        return self._offsets[block] + pos, 1.0 if i == j else SQRT2
+    def add_rows(self, row, block, i, j, value, rhs, labels=None) -> None:
+        """Append one row per entry of ``rhs``, labelled by ``labels``.
+        Entry t adds value[t] at (block[t], i[t], j[t]) of new row row[t],
+        or of the objective where row[t] is -1; scalars broadcast."""
+        row, block, i, j = (np.asarray(v, dtype=np.intp) for v in (row, block, i, j))
+        row, block, i, j, value = np.broadcast_arrays(row, block, i, j,
+                                                      np.asarray(value, dtype=float))
+        rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        labels = [None] * rhs.size if labels is None else list(labels)
+        if len(labels) != rhs.size:
+            raise ValueError("one label per row is required")
+        if row.size and not -1 <= row.min() <= row.max() < rhs.size:
+            raise ValueError("entry row outside the rows being added")
+        if block.size and not 0 <= block.min() <= block.max() < len(self.blocks):
+            raise ValueError("entry block out of range")
+        side, nonneg = self._side[block], self._nonneg[block]
+        outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= side)
+        if outside.any():
+            t = np.argmax(outside)
+            raise ValueError(f"entry ({i[t]}, {j[t]}) outside block {block[t]} of size {side[t]}")
+        if (nonneg & (i != j)).any():
+            raise ValueError("NONNEG blocks are diagonal")
+        pos = i.copy()  # the position in the block: i for NONNEG, svec for PSD
+        for k in np.unique(side[~nonneg]).tolist():
+            at = ~nonneg & (side == k)
+            pos[at] = _svec_index(k)[1][i[at] * k + j[at]]
+        row = np.where(row < 0, -1, row + len(self._rhs))
+        self._triplets.append((row, self._offset[block] + pos, np.where(i == j, 1.0, SQRT2) * value))
+        self._rhs += rhs.tolist()
+        self._labels += labels
 
-    def add_row(self, entries, rhs, label=None) -> int:
-        """entries: iterable of (block, i, j, value); returns the row index."""
-        row: dict[int, float] = {}
-        for block, i, j, value in entries:
-            pos, scale = self._coord(block, i, j)
-            row[pos] = row.get(pos, 0.0) + scale * float(value)
-        self._rows.append(row)
-        self._rhs.append(float(rhs))
-        self._labels.append(label)
-        return len(self._rows) - 1
+    def add_row(self, entries, rhs, label=None) -> None:
+        """entries: iterable of (block, i, j, value)."""
+        self.add_rows(0, *_columns(entries), [rhs], [label])
 
     def set_objective(self, entries) -> None:
-        for block, i, j, value in entries:
-            pos, scale = self._coord(block, i, j)
-            self._obj[pos] = self._obj.get(pos, 0.0) + scale * float(value)
+        """Add the entries (block, i, j, value) to the objective."""
+        self.add_rows(-1, *_columns(entries), [])
 
     def build(self) -> BlockSdp:
-        a_mat = np.zeros((len(self._rows), self.dim))
-        for r, row in enumerate(self._rows):
-            for pos, val in row.items():
-                a_mat[r, pos] = val
-        c = np.zeros(self.dim)
-        for pos, val in self._obj.items():
-            c[pos] = val
-        return BlockSdp(self.blocks, a_mat, self._rhs, c, row_labels=self._labels)
+        row, pos, val = map(np.concatenate, zip(*self._triplets))
+        data = np.zeros((len(self._rhs) + 1, self.dim))  # the objective, then A
+        np.add.at(data, (row + 1, pos), val)
+        return BlockSdp(self.blocks, data[1:], self._rhs, data[0], row_labels=self._labels)
 
 
 @dataclass
@@ -300,8 +312,7 @@ def export_sparse(sdp: BlockSdp) -> str:
 def parse_sparse(text: str) -> BlockSdp:
     blocks = None
     rhs: dict[int, float] = {}
-    entries: dict[int, list] = {}
-    max_cons = 0
+    entries = []  # (constraint, block, row, column, value)
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -316,16 +327,12 @@ def parse_sparse(text: str) -> BlockSdp:
         if parts[0] == "rhs":
             rhs[int(parts[1])] = float(parts[2])
             continue
-        cons, bi, r, cidx = (int(v) for v in parts[:4])
-        val = float(parts[4])
-        entries.setdefault(cons, []).append((bi, r, cidx, val))
-        max_cons = max(max_cons, cons)
+        entries.append((*(int(v) for v in parts[:4]), float(parts[4])))
     if blocks is None:
         raise ValueError("missing blocks header")
-    if rhs:
-        max_cons = max(max_cons, max(rhs))
+    cons, *cols = tuple(zip(*entries)) or ((),) * 5
     builder = SdpBuilder(blocks)
-    builder.set_objective(entries.get(0, []))
-    for cons in range(1, max_cons + 1):
-        builder.add_row(entries.get(cons, []), rhs.get(cons, 0.0))
+    # constraint 0, the objective, is builder row -1
+    builder.add_rows(np.asarray(cons, dtype=np.intp) - 1, *cols,
+                     [rhs.get(k, 0.0) for k in range(1, max([0, *rhs, *cons]) + 1)])
     return builder.build()

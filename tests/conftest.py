@@ -17,6 +17,7 @@ from coposos.polycore import (
     SymMatrix,
     lift_table,
     monomial_basis,
+    monomial_positions,
     multinomial,
     polya_lift,
     quadratic_form,
@@ -120,21 +121,16 @@ class DenseKLayout(GramLayout):
         return [psd_block(len(self.basis))]
 
     def rows(self):
-        basis = self.basis
-        rows = {
-            gamma: []
-            for gamma in monomial_basis(self.n, 2 * self.r + 4, exact_degree=True)
-        }
-        for ti, beta in enumerate(basis):
-            for tj in range(ti, len(basis)):
-                gamma = tuple(a + b for a, b in zip(beta, basis[tj]))
-                rows[gamma].append((self.first, ti, tj, 1.0))
-        return rows
+        basis = np.array(self.basis)
+        ti, tj = np.triu_indices(len(basis))
+        gammas = monomial_basis(self.n, 2 * self.r + 4, exact_degree=True)
+        row = monomial_positions(np.array(gammas), basis[ti] + basis[tj])
+        return (row, np.full_like(row, self.first), ti, tj, np.ones(row.size)), gammas
 
     def lift(self, m):
         num, den = lift_table(self.n, self.r).lift(m)
         coef = {tuple(2 * a for a in d): c for d, c in zip(self.basis, num.tolist())}
-        return [coef.get(gamma, 0) for gamma in self.rows()], den
+        return np.array([coef.get(gamma, 0) for gamma in self.rows()[1]], dtype=object), den
 
     def embed(self, blocks):
         """The principal parity-class submatrices of the dense Gram matrix:

@@ -147,12 +147,19 @@ class TestSqpBounds:
             assert pres.status == qres.status == SdpStatus.OPTIMAL
             assert abs(sqp_bound_value(pres) * qres.value - 1.0) <= 1e-4
 
-    def test_reciprocal_requires_valid_split(self):
-        m = SymMatrix.identity(2)
-        with pytest.raises(ValueError):
-            sqp_reciprocal_bound(
-                m, 0, ConeKind.K, witness_split=(m, SymMatrix.ones(2), Fraction(1))
-            )
+    @pytest.mark.parametrize("fault", ["sum", "negative-N", "lb-zero", "lb-uncertified"])
+    def test_reciprocal_requires_valid_split(self, fault):
+        # M = 2I + J splits as P = 2I, N = J, and 2I - lb*I is PSD for lb <= 2
+        m = SymMatrix.identity(2).scale(2) + SymMatrix.ones(2)
+        split = {
+            "sum": (m, SymMatrix.ones(2), Fraction(1)),
+            "negative-N": (m + SymMatrix.identity(2), SymMatrix.identity(2).scale(-1),
+                           Fraction(1)),
+            "lb-zero": (SymMatrix.identity(2).scale(2), SymMatrix.ones(2), Fraction(0)),
+            "lb-uncertified": (SymMatrix.identity(2).scale(2), SymMatrix.ones(2), Fraction(3)),
+        }[fault]
+        with pytest.raises(ValueError, match="witness is not a split"):
+            sqp_reciprocal_bound(m, 0, ConeKind.K, witness_split=split)
 
 
 class TestStabilityBounds:

@@ -79,9 +79,9 @@ class TestBuilders:
             assert len(psd) == n_gram and all(b.size == n for b in psd)
             assert len(nn) == 1 and nn[0].size == n_scalars
 
-    def test_index_map_covers_all_rows(self):
+    def test_row_labels_cover_all_rows(self):
         prob = build_K_membership(SymMatrix.identity(2), 1)
-        assert len(prob.index_map) == prob.sdp.num_constraints
+        assert len(set(prob.sdp.row_labels)) == prob.sdp.num_constraints
 
 
 class _IntegerPoint:
@@ -145,7 +145,8 @@ class TestGramRowsMatchAudit:
         prob = build_membership(SymMatrix.identity(3), r, kind)
         point = _IntegerPoint(prob.sdp, seed=r)
         cert = prob.layout.certificate(point)
-        _assert_rows_match_audit(prob.sdp, point, [(cert, prob.index_map, ())])
+        index = {gamma: row for row, gamma in enumerate(prob.sdp.row_labels)}
+        _assert_rows_match_audit(prob.sdp, point, [(cert, index, ())])
 
     @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
     @pytest.mark.parametrize("r", [0, 1, 2])

@@ -192,12 +192,24 @@ def test_nonneg_matches_psd1_blocks():
 
 
 def test_builder_rejects_entries_outside_their_block():
+    # negative indices must not wrap around to the end of a block or list
     builder = SdpBuilder([nonneg_block(2), psd_block(2)])
-    for entry in [(0, 2, 2, 1.0), (1, 0, 2, 1.0), (1, -1, 0, 1.0)]:
+    bad = [(0, 2, 2), (1, 0, 2), (1, -1, 0), (1, 0, -1), (0, -1, -1), (-1, 0, 0),
+           (2, 0, 0), (0, 0, 1)]  # the last: off the diagonal of a NONNEG block
+    for block, i, j in bad:
         with pytest.raises(ValueError):
-            builder.add_row([entry], 1.0)
+            builder.add_row([(block, i, j, 1.0)], 1.0)
+        with pytest.raises(ValueError):
+            builder.set_objective([(block, i, j, 1.0)])
+        with pytest.raises(ValueError):
+            builder.add_rows([0, 0], [1, block], [0, i], [1, j], 1.0, [1.0])
+    for row in (-2, 1):  # the objective is row -1; one row is being added
+        with pytest.raises(ValueError):
+            builder.add_rows(row, 1, 0, 0, 1.0, [1.0])
     with pytest.raises(ValueError):
         parse_sparse("blocks nonneg:2 psd:2\n1 0 2 2 1.0\n")
+    sdp = builder.build()  # nothing of a rejected call was kept
+    assert sdp.A.shape == (0, 5) and not sdp.c.any()
 
 
 def _export_sparse_reference(sdp):

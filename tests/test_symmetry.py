@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import planted_spn, random_symmetric
+from conftest import horn_matrix, planted_spn, random_symmetric
 from coposos.apps import (
     Graph,
     chromatic_box_bound,
@@ -25,8 +25,8 @@ from coposos.apps import (
     stability_bound,
     stability_qp_matrix,
 )
-from coposos.cones import ConeKind, build_membership
-from coposos.polycore import SymMatrix
+from coposos.cones import ConeKind, _images, build_membership, gram_shape
+from coposos.polycore import SymMatrix, monomial_positions
 from coposos.relax import (
     ConeConstraint,
     ConicProgram,
@@ -167,6 +167,17 @@ _PARENT_DIGESTS = {
     "chi-C5-Q-r0": "b0be74b917cfde79",
 }
 
+# The same digests of SDPs the benchmark solves, reduced by their
+# generators (membership has the trivial group), recorded before Gram rows
+# were assembled as arrays.
+_REDUCED_DIGESTS = {
+    "alpha-C7-K-r1-reduced": "96ce1989faf8b77e",
+    "alpha-C10-K-r2-reduced": "33da9839af310660",
+    "alpha-C9-Q-r2-reduced": "8a980ec3667e7cfd",
+    "chi-C5-Q-r0-reduced": "cddd853d3ede5b6e",
+    "member-K-horn-r1": "7343e600ea99e620",
+}
+
 
 def _digest(sdp) -> str:
     h = hashlib.sha256()
@@ -177,27 +188,53 @@ def _digest(sdp) -> str:
 
 
 def _build(name: str):
-    family, first, second, level = name.split("-")
+    family, first, second, level, *reduced = name.split("-")
     kind, case = (first, second) if family in ("member", "random") else (second, first)
     kind, r = ConeKind(kind), int(level[1:])
+    if case == "horn":
+        return build_membership(horn_matrix(), r, kind).sdp
     if family in ("member", "random"):
         n = int(case[1:])
         rnd = random.Random(100 * n + r)
         m = planted_spn(rnd, n)[0] if family == "member" else random_symmetric(rnd, n)
         return build_membership(m, r, kind).sdp
     if family == "alpha":
-        n = int(case[1:])
-        prog = sqp_reciprocal_program(stability_qp_matrix(cycle_graph(n)))
-        return build_relaxation_sdp(prog, r, kind, 40 * n).sdp
+        g = cycle_graph(int(case[1:]))
+        if reduced:  # stability_bound's program and box, 4n over half of 1/w
+            prog = sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry)
+            return build_relaxation_sdp(prog, r, kind, 8 * g.n).sdp
+        prog = sqp_reciprocal_program(stability_qp_matrix(g))
+        return build_relaxation_sdp(prog, r, kind, 40 * g.n).sdp
     g = {"K2": complete_graph(2), "P3": path_graph(3), "C4": cycle_graph(4),
          "C5": cycle_graph(5)}[case]
-    prog = to_bounded(_trivial(chromatic_program(g)), chromatic_box_bound(g))
+    prog = chromatic_program(g) if reduced else _trivial(chromatic_program(g))
+    prog = to_bounded(prog, chromatic_box_bound(g))
     return build_relaxation_sdp(prog, r, kind, chromatic_box_bound(g)).sdp
 
 
 @pytest.mark.parametrize("name", list(_PARENT_DIGESTS))
 def test_trivial_group_sdp_is_bit_identical(name):
     assert _digest(_build(name)) == _PARENT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(_REDUCED_DIGESTS))
+def test_reduced_sdp_is_bit_identical(name):
+    assert _digest(_build(name)) == _REDUCED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("case", ["C9-Q-r2-slots", "Paley13-K-r1-lifted"])
+def test_images_match_per_generator_lookup(case):
+    if case.startswith("C9"):  # slot keys, both halves moved
+        exps = gram_shape(9, 2, ConeKind.Q).key
+        gens = [np.concatenate([g, np.add(g, 9)]) for g in cycle_graph(9).symmetry]
+    else:
+        exps = gram_shape(13, 1, ConeKind.K).lifted
+        gens = [np.array(g) for g in paley_graph(13).symmetry]
+    want = [monomial_positions(exps, exps[:, np.argsort(g)]) for g in gens]
+    got = _images(exps, gens)
+    assert len(got) == len(want) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert _images(exps, []) == []
 
 
 class TestReducedVsTrivial:
