@@ -114,7 +114,10 @@ class GramShape:
     (``si``, ``sj``) of block ``blk`` (index :meth:`entry`); ``row`` is the
     lift-table row it adds to, the key sum [a, c] read as a/2 + c.
     ``lifted`` holds each row's lifted monomial (2 delta for K, delta for Q)
-    and ``weight`` its multinomial.
+    and ``weight`` its multinomial.  ``radius_div`` divides an interior
+    seed's shift b into the inner radius that
+    :func:`coposos.relax.build_interior_start` reports: the basis size for
+    K, 4n^2 for Q.
     """
 
     def __init__(self, n: int, r: int, kind: ConeKind):
@@ -127,6 +130,7 @@ class GramShape:
             self.nscalar = sum(len(c) == 1 for c in classes)
             self.key, self.lifted = row_key, 2 * exps
             self.pad = table.target.diagonal(axis1=1, axis2=2)
+            self.radius_div = len(table.basis)
         else:
             taus = np.array(monomial_basis(n, r, exact_degree=True), dtype=np.intp)
             nb, self.nscalar = taus.size, len(exps)
@@ -135,6 +139,7 @@ class GramShape:
             eyes = np.tile(np.eye(n, dtype=np.intp), (len(taus), 1))
             self.key = np.vstack([np.hstack([np.repeat(taus, n, axis=0), eyes]), row_key])
             self.lifted, self.pad = exps, np.arange(nb).reshape(-1, n)
+            self.radius_div = 4 * n * n
         self.diag = monomial_positions(self.key, row_key)
         self.width = np.array([len(b) for b in self.slots])  # of every block and cell
         self.sides = self.width[: self.width.size - self.nscalar].tolist()
@@ -433,7 +438,7 @@ def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> Membersh
 
 def _ray_quality(sdp: BlockSdp, sol) -> float:
     """Residual of the normalized dual improving ray (smaller is better)."""
-    y = sol.certificate["ray_y"]
+    y = sol.y
     scale = float(sdp.b @ y)
     if scale <= 0:
         return float("inf")

@@ -42,6 +42,7 @@ import numpy as np
 from .cones import ConeKind, GramLayout, SosCertificate, gram_shape, validate_certificate
 from .polycore import SymMatrix, is_psd_exact, lift_table
 from .sdpcore import (
+    BlockSdp,
     SdpBuilder,
     SdpStatus,
     nonneg_block,
@@ -114,7 +115,7 @@ class ConicProgram:
 
 @dataclass
 class RelaxationSdp:
-    sdp: object
+    sdp: BlockSdp
     prog: ConicProgram
     r: int
     kind: ConeKind
@@ -230,19 +231,16 @@ def check_intspn(
     s_exact = cons.slack(ybar)
     n = cons.n
 
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pair_pos = {p: t for t, p in enumerate(pairs)}
-    builder = SdpBuilder([psd_block(n), nonneg_block(len(pairs)), nonneg_block(2)])
-    for (i, j) in pairs:
-        entries = [
-            (0, i, j, 1.0 if i == j else 0.5),
-            (1, pair_pos[(i, j)], pair_pos[(i, j)], 1.0),
-        ]
-        if i == j:
-            entries.append((2, 0, 0, 1.0))
-            entries.append((2, 1, 1, -1.0))
-        builder.add_row(entries, float(s_exact.entry(i, j)))
-    builder.set_objective([(2, 0, 0, -1.0), (2, 1, 1, 1.0)])
+    # row t of pair (i, j), i <= j: S_ij = P0_ij + N_t, plus lam+ - lam- if i = j
+    i, j = np.triu_indices(n)
+    pair = np.arange(i.size)
+    diag = pair[i == j]
+    parts = [(pair, 0, i, j, np.where(i == j, 1.0, 0.5)), (pair, 1, pair, pair, 1.0),
+             (diag, 2, 0, 0, 1.0), (diag, 2, 1, 1, -1.0)]
+    builder = SdpBuilder([psd_block(n), nonneg_block(pair.size), nonneg_block(2)])
+    builder.add_rows(*map(np.concatenate, zip(*(np.broadcast_arrays(*p) for p in parts))),
+                     [float(s_exact.entry(a, b)) for a, b in zip(i.tolist(), j.tolist())])
+    builder.add_rows(-1, 2, [0, 1], [0, 1], [-1.0, 1.0], [])  # max lam = lam+ - lam-
     sol = solve(builder.build())
     if sol.status != SdpStatus.OPTIMAL:
         return SpnRefusal(
@@ -254,10 +252,9 @@ def check_intspn(
 
     # Round N to exact nonnegative rationals, take P as the exact remainder,
     # then certify a rational eigenvalue lower bound by exact factorization.
-    n_float = np.asarray(sol.x_blocks[1])
-    n_val = {p: max(Fraction(float(n_float[t])), Fraction(0)) for p, t in pair_pos.items()}
-    n_exact = SymMatrix.from_rows([[n_val[min(i, j), max(i, j)] for j in range(n)]
-                                   for i in range(n)])
+    n_float = np.zeros((n, n))
+    n_float[i, j] = n_float[j, i] = np.maximum(sol.x_blocks[1], 0.0)
+    n_exact = SymMatrix.from_float(n_float)
     p_exact = s_exact - n_exact
 
     lb = Fraction(float(lam_star)) * Fraction(9, 10)
@@ -358,8 +355,7 @@ def build_interior_start(
         gram_blocks, scalars = _interior_seed(witness, r, kind, b)
         blocks += layout.split(([g.to_float() for g in gram_blocks],
                                 [float(v) for v in scalars]))
-        radius = min(b / (len(lift_table(cons.n, r).basis) if kind is ConeKind.K
-                          else 4 * cons.n * cons.n), big_r)
+        radius = min(b / gram_shape(cons.n, r, kind).radius_div, big_r)
         inner = radius if inner is None else min(inner, radius)
 
     d_vals = []
@@ -430,8 +426,8 @@ def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
 @dataclass
 class RelaxationResult:
     status: SdpStatus
-    value: float | None
-    y: np.ndarray | None
+    value: float | None = None
+    y: np.ndarray | None = None
     certificates: list[SosCertificate] = field(default_factory=list)
     certificate_reports: list = field(default_factory=list)
     relaxation: RelaxationSdp | None = None
@@ -470,41 +466,22 @@ def solve_relaxation(
             rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
         )
     sol = solve(rel.sdp, eps=eps)
+    res = RelaxationResult(sol.status, relaxation=rel, solution=sol, sandwich=sandwich,
+                           message=sol.message)
     if sol.status != SdpStatus.OPTIMAL:
-        return RelaxationResult(
-            status=sol.status,
-            value=None,
-            y=None,
-            relaxation=rel,
-            solution=sol,
-            sandwich=sandwich,
-            message=sol.message,
-        )
-    y = rel.decode_y(sol)
-    certs = extract_certificates(rel, sol)
-    y_exact = [Fraction(float(v)) for v in y]
+        return res
+    res.y = rel.decode_y(sol)
+    res.certificates = extract_certificates(rel, sol)
+    y_exact = [Fraction(float(v)) for v in res.y]
     tol = validate_tol if validate_tol is not None else max(100 * eps, 1e-6)
-    reports = [validate_certificate(cons.slack(y_exact), cert, tol=tol)
-               for cons, cert in zip(prog.constraints, certs)]
-    failed = []
-    for ci, rep in enumerate(reports):
-        if not rep.ok:
-            failed.append(
-                f"constraint {ci} (residual {float(rep.residual):.3g}, least Gram "
-                f"eigenvalue {rep.min_gram_eig:.3g}, least scalar {rep.min_scalar:.3g})"
-            )
-    status, value, message = sol.status, float(sol.objective), ""
+    res.certificate_reports = [validate_certificate(cons.slack(y_exact), cert, tol=tol)
+                               for cons, cert in zip(prog.constraints, res.certificates)]
+    failed = [f"constraint {ci} (residual {float(rep.residual):.3g}, least Gram eigenvalue "
+              f"{rep.min_gram_eig:.3g}, least scalar {rep.min_scalar:.3g})"
+              for ci, rep in enumerate(res.certificate_reports) if not rep.ok]
     if failed:
-        status, value = SdpStatus.INCONCLUSIVE, None
-        message = "certificate fails exact validation: " + "; ".join(failed)
-    return RelaxationResult(
-        status=status,
-        value=value,
-        y=y,
-        certificates=certs,
-        certificate_reports=reports,
-        relaxation=rel,
-        solution=sol,
-        sandwich=sandwich,
-        message=message,
-    )
+        res.status = SdpStatus.INCONCLUSIVE
+        res.message = "certificate fails exact validation: " + "; ".join(failed)
+    else:
+        res.value = float(sol.objective)
+    return res

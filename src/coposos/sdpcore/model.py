@@ -218,8 +218,8 @@ class SdpBuilder:
         Entry t adds value[t] at (block[t], i[t], j[t]) of new row row[t],
         or of the objective where row[t] is -1; scalars broadcast."""
         row, block, i, j = (np.asarray(v, dtype=np.intp) for v in (row, block, i, j))
-        row, block, i, j, value = np.broadcast_arrays(row, block, i, j,
-                                                      np.asarray(value, dtype=float))
+        row, block, i, j, value = (v.ravel() for v in np.broadcast_arrays(
+            row, block, i, j, np.asarray(value, dtype=float)))
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
         labels = [None] * rhs.size if labels is None else list(labels)
         if len(labels) != rhs.size:
@@ -248,10 +248,6 @@ class SdpBuilder:
         """entries: iterable of (block, i, j, value)."""
         self.add_rows(0, *_columns(entries), [rhs], [label])
 
-    def set_objective(self, entries) -> None:
-        """Add the entries (block, i, j, value) to the objective."""
-        self.add_rows(-1, *_columns(entries), [])
-
     def build(self) -> BlockSdp:
         row, pos, val = map(np.concatenate, zip(*self._triplets))
         data = np.zeros((len(self._rhs) + 1, self.dim))  # the objective, then A
@@ -273,7 +269,6 @@ class SdpSolution:
     iterations: int = 0
     tau: float = float("nan")
     kappa: float = float("nan")
-    certificate: dict | None = None
     message: str = ""
     diagnostics: dict = field(default_factory=dict)
 

@@ -12,7 +12,13 @@ by dividing through by tau) or produces an improving ray certifying primal
 infeasibility (b^T y > 0 with A^T y + s = 0) or dual infeasibility /
 primal unboundedness (c^T x < 0 with A x = 0).  Anything else - iteration
 cap, stalled centrality, factorization breakdown - is reported as
-INCONCLUSIVE with diagnostics, never as a confident wrong status.
+INCONCLUSIVE with diagnostics and the best point seen, never as a
+confident wrong status.
+
+A ray is normalized and kept where it lives: a primal infeasibility ray
+with b^T y = 1 in ``y`` and ``s_blocks``, a dual one with c^T x = -1 in
+``x_blocks``; its residual quality, ||A^T y + s|| or ||A x||, is
+``diagnostics["ray_quality"]``.
 
 Once the dual residual is within feastol, the reported primal point is
 x / tau projected onto {A x = b} in the Nesterov-Todd metric of the latest
@@ -307,6 +313,8 @@ def solve(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     feastol = eps if feastol is None else feastol
 
     ops = _Cone(sdp)
@@ -394,36 +402,22 @@ def solve(
 
     def converged(metrics):
         _, _, _, pres, dres, _, _, gap, relgap = metrics
-        return pres <= feastol and dres <= feastol and (
-            gap <= eps or relgap <= eps
-        )
+        return pres <= feastol and dres <= feastol and (gap <= eps or relgap <= eps)
 
     def report(status, iteration, point, message=""):
         metrics, tau_p, kappa_p, mu_p = point
         xhat, yhat, shat, pres, dres, pobj, dobj, gap, relgap = metrics
         return SdpSolution(
-            status=status,
-            objective=pobj,
-            x_blocks=sdp.unpack(xhat),
-            y=yhat,
-            s_blocks=sdp.unpack(shat),
-            primal_res=pres,
-            dual_res=dres,
-            gap=gap,
-            relgap=relgap,
-            iterations=iteration,
-            tau=tau_p,
-            kappa=kappa_p,
-            message=message,
-            diagnostics={"dual_objective": dobj, "mu": mu_p, "mu0": mu0,
-                         "timings": timings},
+            status=status, objective=pobj, x_blocks=sdp.unpack(xhat), y=yhat,
+            s_blocks=sdp.unpack(shat), primal_res=pres, dual_res=dres, gap=gap, relgap=relgap,
+            iterations=iteration, tau=tau_p, kappa=kappa_p, message=message,
+            diagnostics={"dual_objective": dobj, "mu": mu_p, "mu0": mu0, "timings": timings},
         )
 
-    def inconclusive(iteration, message):
-        # a failed step never discards an already-good reported point
-        if converged(best_point[0]):
-            return report(SdpStatus.OPTIMAL, iteration, best_point)
-        return report(SdpStatus.INCONCLUSIVE, iteration, best_point, message)
+    def ray(status, iteration, quality, message, **normalized):  # of the current iterate
+        return SdpSolution(status=status, iterations=iteration, tau=tau, kappa=kappa,
+                           message=message, **normalized,
+                           diagnostics={"ray_quality": quality, "timings": timings})
 
     consecutive_small_steps = 0
     best_err = np.inf
@@ -448,68 +442,38 @@ def solve(
         if converged(metrics):
             return report(SdpStatus.OPTIMAL, iteration, point)
 
-        bty = float(b @ y)
-        if bty > 0:
-            qual = float(np.linalg.norm(aty + s)) / bty
-            if qual <= eps:
-                yn = y / bty
-                sn = s / bty
-                return SdpSolution(
-                    status=SdpStatus.PRIMAL_INFEASIBLE,
-                    y=yn,
-                    s_blocks=sdp.unpack(sn),
-                    iterations=iteration,
-                    tau=tau,
-                    kappa=kappa,
-                    certificate={
-                        "kind": "primal_infeasible",
-                        "ray_y": yn,
-                        "quality": qual,
-                    },
-                    message="dual improving ray found",
-                    diagnostics={"timings": timings},
-                )
-        ctx = float(c @ x)
-        if ctx < 0:
-            qual = float(np.linalg.norm(ax)) / (-ctx)
-            if qual <= eps:
-                xn = x / (-ctx)
-                return SdpSolution(
-                    status=SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED,
-                    x_blocks=sdp.unpack(xn),
-                    iterations=iteration,
-                    tau=tau,
-                    kappa=kappa,
-                    certificate={
-                        "kind": "dual_infeasible",
-                        "ray_x_blocks": sdp.unpack(xn),
-                        "quality": qual,
-                    },
-                    message="primal improving ray found",
-                    diagnostics={"timings": timings},
-                )
+        bty, ctx = float(b @ y), float(c @ x)
+        if bty > 0 and (qual := float(np.linalg.norm(aty + s)) / bty) <= eps:
+            return ray(SdpStatus.PRIMAL_INFEASIBLE, iteration, qual, "dual improving ray found",
+                       y=y / bty, s_blocks=sdp.unpack(s / bty))
+        if ctx < 0 and (qual := float(np.linalg.norm(ax)) / (-ctx)) <= eps:
+            return ray(SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED, iteration, qual,
+                       "primal improving ray found", x_blocks=sdp.unpack(x / (-ctx)))
 
+        # every point seen failed its own convergence check, the best one too
         stalled = iteration - best_iteration >= 12
         if iteration == max_iter or stalled:
-            return inconclusive(
-                iteration,
-                "progress stalled" if stalled else "iteration cap reached",
-            )
+            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                          "progress stalled" if stalled else "iteration cap reached")
         if tau < 1e-13 and kappa < 1e-13:
-            return inconclusive(iteration, "tau and kappa both vanished (ill-posed)")
+            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                          "tau and kappa both vanished (ill-posed)")
         if mu < 1e-17:
-            return inconclusive(iteration, "complementarity at numerical floor")
+            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                          "complementarity at numerical floor")
 
         # -- Nesterov-Todd scaling and Schur complement ------------------
         try:
             sc = cone.scaling(x, s)
         except np.linalg.LinAlgError:
-            return inconclusive(iteration, "scaling breakdown (iterate left cone)")
+            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                          "scaling breakdown (iterate left cone)")
         abar, k_mat = scale_rows(sc)
         cbar = cone.congruence(sc, c)
         factor = factorize(k_mat)
         if factor is None:
-            return inconclusive(iteration, "Schur complement factorization failed")
+            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                          "Schur complement factorization failed")
         step = (sc, abar, k_mat, factor)
 
         # residual vectors of the embedding
@@ -528,7 +492,8 @@ def solve(
         proj_resid = cbar - abar.tdot(u_g)
         denom = kappa / tau + float(b @ u_b) + float(proj_resid @ proj_resid)
         if not np.isfinite(denom) or denom < 1e-300:
-            return inconclusive(iteration, "singular embedding system")
+            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                          "singular embedding system")
 
         def solve_kkt(eta, comp_rhs_blocks, rtk):
             """Return the search direction for the given right-hand side."""
@@ -548,18 +513,20 @@ def solve(
             dkappa = (rtk - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa, dx_scaled, ds_scaled
 
+        def step_to_boundary(dxs, dss, dtau, dkappa):
+            """sup alpha keeping (x, s, tau, kappa) + alpha * d in the cone,
+            for dx and ds given scaled."""
+            alpha = cone.max_step(sc, dxs, dss)
+            if dtau < 0:
+                alpha = min(alpha, -tau / dtau)
+            if dkappa < 0:
+                alpha = min(alpha, -kappa / dkappa)
+            return alpha
+
         # -- predictor (affine) ------------------------------------------
         comp_aff = cone.comp_rhs(sc, 0.0, None)
-        (dx_a, dy_a, ds_a, dtau_a, dkap_a, dxs_a, dss_a) = solve_kkt(
-            1.0, comp_aff, -tau * kappa
-        )
-
-        alpha_a = cone.max_step(sc, dxs_a, dss_a)
-        if dtau_a < 0:
-            alpha_a = min(alpha_a, -tau / dtau_a)
-        if dkap_a < 0:
-            alpha_a = min(alpha_a, -kappa / dkap_a)
-        alpha_a = min(1.0, alpha_a)
+        dx_a, _, ds_a, dtau_a, dkap_a, dxs_a, dss_a = solve_kkt(1.0, comp_aff, -tau * kappa)
+        alpha_a = min(1.0, step_to_boundary(dxs_a, dss_a, dtau_a, dkap_a))
 
         mu_aff = (
             float((x + alpha_a * dx_a) @ (s + alpha_a * ds_a))
@@ -571,19 +538,14 @@ def solve(
         corr = cone.jordan_product(dxs_a, dss_a)
         comp = cone.comp_rhs(sc, sigma * mu, corr)
         rtk = sigma * mu - tau * kappa - dtau_a * dkap_a
-        (dx, dy, ds, dtau, dkappa, dxs, dss) = solve_kkt(1.0 - sigma, comp, rtk)
-
-        alpha = cone.max_step(sc, dxs, dss)
-        if dtau < 0:
-            alpha = min(alpha, -tau / dtau)
-        if dkappa < 0:
-            alpha = min(alpha, -kappa / dkappa)
-        alpha = min(1.0, _STEP_FRACTION * alpha)
+        dx, dy, ds, dtau, dkappa, dxs, dss = solve_kkt(1.0 - sigma, comp, rtk)
+        alpha = min(1.0, _STEP_FRACTION * step_to_boundary(dxs, dss, dtau, dkappa))
 
         if alpha < _MIN_STEP:
             consecutive_small_steps += 1
             if consecutive_small_steps >= 3:
-                return inconclusive(iteration, "step length collapsed")
+                return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                              "step length collapsed")
         else:
             consecutive_small_steps = 0
 
@@ -592,5 +554,3 @@ def solve(
         s = s + alpha * ds
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa
-
-    return inconclusive(max_iter, "iteration cap reached")

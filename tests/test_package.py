@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import re
 import sys
@@ -22,6 +23,38 @@ def test_console_scripts_resolve():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def _cone_kind_branches(tree):
+    """(function, line) of every comparison against a ConeKind member or its
+    value, the function being the innermost enclosing one ("" at top level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Compare):
+            for side in [node.left, *node.comparators]:
+                if (isinstance(side, ast.Attribute) and isinstance(side.value, ast.Name)
+                        and side.value.id == "ConeKind") or (
+                        isinstance(side, ast.Constant) and side.value in ("K", "Q")):
+                    found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_gram_shape_tells_the_cone_kinds_apart():
+    # every K/Q difference lives in GramShape.__init__; a kind branch
+    # anywhere else is a second place to keep in step
+    src = Path(coposos.__file__).resolve().parent
+    branches = [(path.relative_to(src).as_posix(), where, line)
+                for path in sorted(src.rglob("*.py"))
+                for where, line in _cone_kind_branches(ast.parse(path.read_text()))]
+    assert [b for b in branches if b[:2] != ("cones.py", "GramShape.__init__")] == []
+    assert branches  # the one that is allowed is found
 
 
 def _load_bench(name, monkeypatch):

@@ -59,7 +59,8 @@ def test_negative_scalar_infeasible():
     )
     sol = solve(sdp)
     assert sol.status == SdpStatus.PRIMAL_INFEASIBLE
-    assert sol.certificate["quality"] <= 1e-8
+    assert sol.diagnostics["ray_quality"] <= 1e-8
+    assert abs(sdp.b @ sol.y - 1.0) <= 1e-12  # the ray is normalized to b.y = 1
 
 
 def test_amgm_trace_minimization():
@@ -79,7 +80,8 @@ def test_unbounded_detected():
     sdp = BlockSdp.from_blocks([psd_block(2)], [c], [([a1], 1.0)])
     sol = solve(sdp)
     assert sol.status == SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED
-    assert sol.certificate["quality"] <= 1e-8
+    assert sol.diagnostics["ray_quality"] <= 1e-8
+    assert abs(sdp.c @ sdp.pack(sol.x_blocks) + 1.0) <= 1e-12  # normalized to c.x = -1
 
 
 def _planted_instance(rng, blocks, m):
@@ -200,7 +202,7 @@ def test_builder_rejects_entries_outside_their_block():
         with pytest.raises(ValueError):
             builder.add_row([(block, i, j, 1.0)], 1.0)
         with pytest.raises(ValueError):
-            builder.set_objective([(block, i, j, 1.0)])
+            builder.add_rows(-1, block, i, j, 1.0, [])
         with pytest.raises(ValueError):
             builder.add_rows([0, 0], [1, block], [0, i], [1, j], 1.0, [1.0])
     for row in (-2, 1):  # the objective is row -1; one row is being added
@@ -466,6 +468,35 @@ def test_stage_timings_fit_in_the_solve(case):
     assert set(timings) == {"schur_s", "cholesky_s", "cone_s"}
     assert all(t >= 0.0 for t in timings.values())
     assert sum(timings.values()) <= wall
+
+
+def test_max_iter_must_be_nonnegative():
+    sdp = _stability_relaxation_sdp(5, 0, ConeKind.K)
+    with pytest.raises(ValueError):
+        solve(sdp, max_iter=-1)
+    sol = solve(sdp, max_iter=0)
+    assert sol.status == SdpStatus.INCONCLUSIVE
+    assert sol.message == "iteration cap reached" and sol.iterations == 0
+
+
+def test_factorization_failure_reports_best_point(monkeypatch):
+    # a breakdown mid-run must end INCONCLUSIVE at the iteration it hit,
+    # with the best in-cone point so far and the stage timings
+    sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    calls = []
+    real = solver._chol_with_regularization
+
+    def third_fails(k_mat):
+        calls.append(None)
+        return None if len(calls) == 3 else real(k_mat)
+
+    monkeypatch.setattr(solver, "_chol_with_regularization", third_fails)
+    sol = solve(sdp)
+    assert sol.status == SdpStatus.INCONCLUSIVE
+    assert sol.message == "Schur complement factorization failed"
+    assert sol.iterations == 2
+    assert _least_eigenvalue(sdp, sol.x_blocks) > 0.0
+    assert set(sol.diagnostics["timings"]) == {"schur_s", "cholesky_s", "cone_s"}
 
 
 def test_solve_leaves_no_cone_in_a_reference_cycle():
