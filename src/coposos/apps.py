@@ -353,14 +353,19 @@ def chromatic_program(g: Graph) -> ConicProgram:
     t = 1..n on matrices of side n*t; stated as min -y.  Constraint t
     carries the symmetry of G times S_t (see :func:`product_graph`)."""
     n = g.n
+    on, off = Fraction(n - 1), Fraction(-1)
     constraints = []
     for t in range(1, n + 1):
         gt = product_graph(g, t)
         size = n * t
-        ones = SymMatrix.ones(size)
-        a_y = ones.scale(Fraction(-1, n * n))
-        a_z = gt.adjacency().scale(n) + SymMatrix.identity(size).scale(n) - ones
-        c_t = ones.scale(Fraction(-t, n * n))
+        # a_y = -J/n^2, a_z = n(A + I) - J and c_t = -tJ/n^2, built from
+        # shared entries, so that the symmetry check compares by identity
+        z_rows = [[on if i == j else off for j in range(size)] for i in range(size)]
+        for i, j in gt.edges:
+            z_rows[i][j] = z_rows[j][i] = on
+        a_y, c_t = (SymMatrix(size, ((v,) * size,) * size)
+                    for v in (Fraction(-1, n * n), Fraction(-t, n * n)))
+        a_z = SymMatrix(size, tuple(map(tuple, z_rows)))
         constraints.append(ConeConstraint(size, (a_y, a_z), c_t, gt.symmetry))
     return ConicProgram.make([-1, 0], constraints)
 

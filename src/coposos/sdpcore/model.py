@@ -12,8 +12,8 @@ triangle, row-major, with off-diagonal entries scaled by sqrt(2) so that
 the Euclidean inner product of svec vectors equals the Frobenius inner
 product of the matrices.  NONNEG blocks are stored as plain vectors.
 ``_svec_index`` holds the one definition of these coordinates, which
-:func:`svec`, :func:`smat`, :func:`export_sparse` and :class:`SdpBuilder`
-share.
+:func:`svec`, :func:`smat`, :func:`export_sparse`, :class:`SdpBuilder` and
+the solver's cone operations share.
 
 :class:`SdpBuilder` takes rows as flat arrays of entries (row, block, i, j,
 value) with their right-hand sides and labels, keeps them as triplets

@@ -29,15 +29,17 @@ feastol and a primal-dual objective gap within eps.
 
 Search directions come from a Schur-complement solve.  The cone blocks
 are grouped by side, a NONNEG(k) block counting as k PSD(1) blocks, and
-every cone operation runs once per group on stacked (nblk, k, k) arrays.
+every cone operation runs once per group on stacked (nblk, k, k) arrays,
+gathered from an svec vector by one ``take`` and scattered back by
+another; on the side-1 group the operations are elementwise.
 The constraint rows stay block-sparse (Fujisawa, Kojima and Nakata 1997,
 Math. Program. 79): each touches only a few blocks, so each iteration
 scales only the k x k pieces of the (row, block) pairs that touch, forms
 the Schur matrix K_ij = <W^T A_i W, W^T A_j W> from one small Gram matrix
 per block, and applies A and the scaled rows as COO products.  K is
-factorized by Cholesky (with escalating diagonal regularization on
-breakdown), and the 2 x 2 (y, tau) system of the embedding is
-back-substituted.  The seconds spent forming K, in Cholesky and
+factorized by LAPACK ``potrf`` (with escalating diagonal regularization on
+breakdown) and solved by ``potrs``, and the 2 x 2 (y, tau) system of the
+embedding is back-substituted.  The seconds spent forming K, in Cholesky and
 refinement, and in cone operations are reported in
 ``diagnostics["timings"]``.
 """
@@ -48,9 +50,9 @@ from time import perf_counter
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import BlockSdp, SdpSolution, SdpStatus, smat, svec
+from .model import BlockSdp, SdpSolution, SdpStatus, _svec_index, smat, svec
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-9
@@ -59,9 +61,12 @@ _MIN_STEP = 1e-9
 class _Cone:
     """Cone operations on svec vectors, run once per group of equal-side
     blocks on stacked (nblk, k, k) arrays.  A NONNEG(k) block joins the
-    side-1 group as k PSD(1) blocks.  Per-iteration state is one
-    Nesterov-Todd scaling (w, lam) per group: W and the eigenvalues lam of
-    the scaled point."""
+    side-1 group as k PSD(1) blocks, on which every operation is
+    elementwise.  The stacks of all groups lie end to end in one stacked
+    vector, so a conversion between it and svec is one gather: each stacked
+    entry knows its svec position and scale, and each svec entry its stacked
+    position.  Per-iteration state is one Nesterov-Todd scaling (w, lam) per
+    group: W and the eigenvalues lam of the scaled point."""
 
     def __init__(self, sdp: BlockSdp):
         sides: dict = {}
@@ -74,30 +79,38 @@ class _Cone:
         # (k, nblk, svec positions of the group's blocks in order); positions
         # are increasing, and a slice when contiguous, which indexes as a view
         self.groups = []
+        # per group its span of the stacked vector; per stacked entry its svec
+        # position and scale; per svec position its stacked entry and scale
+        self.spans, stack_at, stack_scale, start = [], [], [], 0
+        self.flat_at, self.flat_scale = np.empty(sdp.dim, dtype=np.intp), np.empty(sdp.dim)
         for k, parts in sides.items():
-            pos = np.concatenate(parts)
-            nblk, pos = len(pos), pos.reshape(-1)
+            cols = np.concatenate(parts)  # (nblk, svec entries of one block)
+            nblk, pos = len(cols), cols.reshape(-1)
+            upper, entry, scale = _svec_index(k)
+            self.spans.append((slice(start, start + nblk * k * k), (nblk, k, k)))
+            stack_at.append(cols[:, entry].ravel())
+            stack_scale.append(np.tile(scale[entry], nblk))
+            self.flat_at[cols] = start + k * k * np.arange(nblk)[:, None] + upper
+            self.flat_scale[cols] = scale
+            start += nblk * k * k
             if pos[-1] - pos[0] == pos.size - 1:
                 pos = slice(pos[0], pos[-1] + 1)
             self.groups.append((k, nblk, pos))
+        self.stack_at, self.stack_scale = np.concatenate(stack_at), np.concatenate(stack_scale)
         self.dim = sdp.dim
         self.degree = sum(blk.cone_degree for blk in sdp.blocks)
 
     def stacks(self, v: np.ndarray) -> list:
         """(..., dim) svec vectors -> one (..., nblk, k, k) stack per group."""
         lead = v.shape[:-1]
-        return [
-            smat(v[..., pos].reshape(lead + (nblk, -1)), k)
-            for k, nblk, pos in self.groups
-        ]
+        vals = v.take(self.stack_at, axis=-1) / self.stack_scale
+        return [vals[..., span].reshape(lead + shape) for span, shape in self.spans]
 
     def flat(self, stacks: list) -> np.ndarray:
         """Inverse of :meth:`stacks`."""
         lead = stacks[0].shape[:-3]
-        out = np.empty(lead + (self.dim,))
-        for (_, _, pos), st in zip(self.groups, stacks):
-            out[..., pos] = svec(st).reshape(lead + (-1,))
-        return out
+        vals = np.concatenate([st.reshape(lead + (-1,)) for st in stacks], axis=-1)
+        return vals.take(self.flat_at, axis=-1) * self.flat_scale
 
     def identity(self) -> np.ndarray:
         eyes = [np.broadcast_to(np.eye(k), (nblk, k, k)) for k, nblk, _ in self.groups]
@@ -105,32 +118,35 @@ class _Cone:
 
     def scaling(self, x: np.ndarray, s: np.ndarray) -> list:
         """W = Lx V diag(sig)^-1/2 from the SVD Ls^T Lx = U diag(sig) V^T of
-        the Cholesky factors, and lam = sig, per group."""
+        the Cholesky factors, and lam = sig, per group.  A positive 1 x 1
+        matrix is its own SVD and its square root its Cholesky factor; like
+        LAPACK, the side-1 group raises LinAlgError on an entry not > 0."""
         sc = []
         for xs in self.stacks(np.stack([x, s])):
-            lx, ls = np.linalg.cholesky(xs)
-            prod = np.swapaxes(ls, -1, -2) @ lx
-            if prod.shape[-1] == 1:  # a positive 1 x 1 matrix is its own SVD
-                sig, w = prod[:, 0], lx
+            if xs.shape[-1] == 1:
+                if not np.all(xs > 0):
+                    raise np.linalg.LinAlgError("entry not positive")
+                lx, ls = np.sqrt(xs)
+                sig, w = (ls * lx)[:, 0], lx
             else:
-                _, sig, vt = np.linalg.svd(prod)
-                w = lx @ np.swapaxes(vt, -1, -2)
+                lx, ls = np.linalg.cholesky(xs)
+                _, sig, vt = np.linalg.svd(ls.swapaxes(-1, -2) @ lx)
+                w = lx @ vt.swapaxes(-1, -2)
             sig = np.maximum(sig, 1e-300)
             sc.append((w * sig[:, None, :] ** -0.5, sig))
         return sc
 
     def congruence(self, sc: list, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """W^T V W per block of (..., dim) svec vectors, or W V W^T if
-        ``adjoint``.  Side-1 blocks scale elementwise by w^2, which avoids one
-        1 x 1 matmul per scalar."""
+        ``adjoint``.  Side-1 blocks scale elementwise by w^2."""
         out = []
         for (w, _), mats in zip(sc, self.stacks(v)):
-            if adjoint:
-                w = np.swapaxes(w, -1, -2)
             if w.shape[-1] == 1:
                 out.append(w * w * mats)
             else:
-                out.append(np.swapaxes(w, -1, -2) @ mats @ w)
+                if adjoint:
+                    w = w.swapaxes(-1, -2)
+                out.append(w.swapaxes(-1, -2) @ mats @ w)
         return self.flat(out)
 
     def jordan_solve(self, sc: list, rhs: list) -> np.ndarray:
@@ -139,9 +155,16 @@ class _Cone:
         return self.flat([r / d for r, d in zip(rhs, denoms)])
 
     def jordan_product(self, u: np.ndarray, v: np.ndarray) -> list:
-        """Symmetrized product of two scaled-space vectors, per group."""
-        prods = [um @ vm for um, vm in zip(self.stacks(u), self.stacks(v))]
-        return [0.5 * (p + np.swapaxes(p, -1, -2)) for p in prods]
+        """Symmetrized product of two scaled-space vectors, per group; on
+        side 1 the plain product."""
+        prods = []
+        for um, vm in zip(self.stacks(u), self.stacks(v)):
+            if um.shape[-1] == 1:
+                prods.append(um * vm)
+            else:
+                p = um @ vm
+                prods.append(0.5 * (p + p.swapaxes(-1, -2)))
+        return prods
 
     def comp_rhs(self, sc: list, sigma_mu: float, corr: list | None) -> list:
         """sigma*mu*e - lam o lam - corr, per group, in scaled coordinates."""
@@ -154,13 +177,18 @@ class _Cone:
         least = np.inf
         for (_, lam), dm in zip(sc, self.stacks(np.stack(directions))):
             root = 1.0 / np.sqrt(lam)
-            scaled = dm * root[:, :, None] * root[:, None, :]
-            least = min(least, float(np.min(np.linalg.eigvalsh(scaled)[..., 0])))
+            least = min(least, _least_eig(dm * root[:, :, None] * root[:, None, :]))
         return -1.0 / least if least < 0 else np.inf
 
     def min_eig(self, v: np.ndarray) -> float:
         """Least eigenvalue over all blocks (least entry for NONNEG)."""
-        return min(float(np.min(np.linalg.eigvalsh(m)[:, 0])) for m in self.stacks(v))
+        return min(_least_eig(m) for m in self.stacks(v))
+
+
+def _least_eig(stack: np.ndarray) -> float:
+    """Least eigenvalue over a (..., k, k) stack; a 1 x 1 matrix is its own."""
+    least = stack if stack.shape[-1] == 1 else np.linalg.eigvalsh(stack)[..., 0]
+    return float(least.min())
 
 
 class _Coo:
@@ -243,10 +271,10 @@ class _Rows:
             w = sc[g][0]
             if sel is None:
                 w = w[:, None]
-                scaled.append(svec(np.swapaxes(w, -1, -2) @ piece @ w))
+                scaled.append(svec(w.swapaxes(-1, -2) @ piece @ w))
             else:  # a side-1 entry scales by the w^2 of its column
                 scaled.append(piece * w[sel, 0, 0] ** 2)
-        grams = [(s @ np.swapaxes(s, -1, -2)).ravel() for s in scaled]
+        grams = [(s @ s.swapaxes(-1, -2)).ravel() for s in scaled]
         m = self.a.shape[0]
         k_mat = np.bincount(self.k_idx, np.concatenate(grams), minlength=m * m)
         bar = np.concatenate([v.ravel() for v in scaled])
@@ -254,42 +282,42 @@ class _Rows:
 
 
 def _chol_with_regularization(k_mat: np.ndarray):
-    """Cholesky of K, retried on breakdown with K + delta*I, delta starting
-    at 1e-12 times K's mean diagonal (at least 1e-12) and growing 1000-fold,
-    for up to eight attempts; None if all fail.
+    """Lower Cholesky factor of K by LAPACK potrf, retried on breakdown with
+    K + delta*I, delta starting at 1e-12 times K's mean diagonal (at least
+    1e-12) and growing 1000-fold, for up to eight attempts; None if all fail.
 
     The shift keeps the factor usable when K degenerates at the path's
     endgame; accuracy is recovered by refinement against K itself.
     """
     scale = max(float(np.trace(k_mat)) / max(k_mat.shape[0], 1), 1.0)
     reg = 0.0
-    for attempt in range(8):
-        try:
-            return cho_factor(
-                k_mat + reg * np.eye(k_mat.shape[0]), lower=True, check_finite=False
-            )
-        except np.linalg.LinAlgError:
-            reg = scale * 1e-12 if reg == 0.0 else reg * 1000.0
+    for _ in range(8):
+        shifted = k_mat + reg * np.eye(k_mat.shape[0]) if reg else k_mat
+        factor, info = dpotrf(shifted, lower=1, clean=0)
+        if info == 0:
+            return factor
+        reg = scale * 1e-12 if reg == 0.0 else reg * 1000.0
     return None
 
 
 def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray, rounds: int = 5):
-    """Cholesky solve with iterative refinement against the unregularized K.
+    """LAPACK potrs solve with the Cholesky factor, iteratively refined
+    against the unregularized K.
 
     Refinement stops at the target or once a round fails to halve the
     residual: at the noise floor of an ill-conditioned K further rounds only
     wander.  The iterate with the smaller residual is returned.
     """
-    u = cho_solve(factor, rhs, check_finite=False)
+    u = dpotrs(factor, rhs, lower=1)[0]
     resid = rhs - k_mat @ u
-    norm = float(np.linalg.norm(resid))
-    target = 1e-13 * (float(np.linalg.norm(rhs)) + 1.0)
+    norm = float(np.sqrt(resid.dot(resid)))
+    target = 1e-13 * (float(np.sqrt(rhs.dot(rhs))) + 1.0)
     for _ in range(rounds):
         if norm <= target:
             break
-        trial = u + cho_solve(factor, resid, check_finite=False)
+        trial = u + dpotrs(factor, resid, lower=1)[0]
         trial_resid = rhs - k_mat @ trial
-        trial_norm = float(np.linalg.norm(trial_resid))
+        trial_norm = float(np.sqrt(trial_resid.dot(trial_resid)))
         if trial_norm < norm:
             u, resid = trial, trial_resid
         if not trial_norm <= 0.5 * norm:

@@ -246,6 +246,21 @@ class TestChromatic:
         assert len(prog.constraints) == 5
         assert [c.n for c in prog.constraints] == [5, 10, 15, 20, 25]
 
+    @pytest.mark.parametrize("g", [complete_graph(2), path_graph(3), cycle_graph(4),
+                                   cycle_graph(5)], ids=["K2", "P3", "C4", "C5"])
+    def test_program_matrices_match_their_closed_form(self, g):
+        # a_y = -J/n^2, a_z = n(A + I) - J, c_t = -tJ/n^2, by matrix algebra
+        n = g.n
+        for t, con in enumerate(chromatic_program(g).constraints, start=1):
+            size = n * t
+            ones = SymMatrix.ones(size)
+            adjacency = product_graph(g, t).adjacency()
+            assert con.a_mats == (
+                ones.scale(Fraction(-1, n * n)),
+                adjacency.scale(n) + SymMatrix.identity(size).scale(n) - ones,
+            )
+            assert con.c_mat == ones.scale(Fraction(-t, n * n))
+
     def test_interior_witness_exact(self):
         g = complete_graph(3)
         prog = chromatic_program(g)

@@ -322,15 +322,73 @@ _MIXED_BLOCKS = [
 
 def test_min_eig_matches_per_block_reference():
     rng = np.random.default_rng(13)
+    for blocks in (_MIXED_BLOCKS, [nonneg_block(5), nonneg_block(1)]):
+        dim = sum(b.vec_dim for b in blocks)
+        sdp = BlockSdp(blocks, np.zeros((0, dim)), [], np.zeros(dim))
+        cone = _Cone(sdp)
+        if blocks is _MIXED_BLOCKS:
+            # one group per side; NONNEG(2) and PSD(1) share the side-1 group
+            assert {k: nblk for k, nblk, _ in cone.groups} == {3: 2, 1: 3, 4: 1}
+        # at x = s = e every lam is 1, so the step to the boundary along d is
+        # -1 over d's least eigenvalue
+        sc = cone.scaling(cone.identity(), cone.identity())
+        for _ in range(20):
+            v, d = rng.normal(size=(2, dim))
+            reference = _least_eigenvalue(sdp, sdp.unpack(v))
+            assert abs(cone.min_eig(v) - reference) <= 1e-12
+            least = min(_least_eigenvalue(sdp, sdp.unpack(d)), reference)
+            assert abs(cone.max_step(sc, v, d) * least + 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["mixed", "sparse"])
+def test_stacks_and_flat_match_per_block_smat_and_svec(case):
+    # one gather per conversion must do exactly what smat and svec do block
+    # by block; a NONNEG(k) block stacks as k 1 x 1 matrices
+    blocks = _MIXED_BLOCKS if case == "mixed" else _SPARSE_BLOCKS
+    rng = np.random.default_rng(23)
+    dim = sum(b.vec_dim for b in blocks)
+    sdp = BlockSdp(blocks, np.zeros((0, dim)), [], np.zeros(dim))
+    cone = _Cone(sdp)
+
+    def by_group(parts):
+        stacks: dict = {}
+        for blk, part in zip(blocks, parts):
+            if blk.kind == "psd":
+                stacks.setdefault(blk.size, []).append(part)
+            else:
+                stacks.setdefault(1, []).extend(part.reshape(-1, 1, 1))
+        return [np.stack(stacks[k]) for k, _, _ in cone.groups]
+
+    x, s = rng.normal(size=(2, dim))
+    for got, ref in zip(cone.stacks(x), by_group(sdp.unpack(x))):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+    mats = [rng.normal(size=(b.size, b.size) if b.kind == "psd" else b.size) for b in blocks]
+    assert np.array_equal(cone.flat(by_group(mats)), sdp.pack(mats))
+    # the round trip is smat then svec per block, with a batch axis as without;
+    # it returns v up to the rounding of (v / sqrt 2) * sqrt 2 off the diagonal
+    batch = np.stack([x, s])
+    trip = cone.flat(cone.stacks(batch))
+    for v, got in zip(batch, trip):
+        assert np.array_equal(got, sdp.pack(sdp.unpack(v)))
+        assert np.array_equal(got, cone.flat(cone.stacks(v)))
+        assert np.all(np.abs(got - v) <= np.spacing(np.abs(v)))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, "psd"])
+def test_scaling_raises_when_the_iterate_leaves_the_cone(bad):
     dim = sum(b.vec_dim for b in _MIXED_BLOCKS)
     sdp = BlockSdp(_MIXED_BLOCKS, np.zeros((0, dim)), [], np.zeros(dim))
     cone = _Cone(sdp)
-    # one group per side; NONNEG(2) and PSD(1) share the side-1 group
-    assert {k: nblk for k, nblk, _ in cone.groups} == {3: 2, 1: 3, 4: 1}
-    for _ in range(20):
-        v = rng.normal(size=dim)
-        reference = _least_eigenvalue(sdp, sdp.unpack(v))
-        assert abs(cone.min_eig(v) - reference) <= 1e-12
+    e = cone.identity()
+    x = e.copy()
+    if bad == "psd":  # an indefinite PSD(3) block
+        x[sdp.slices[0]] = svec(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    else:  # one entry of the NONNEG(2) block
+        x[sdp.slices[1].start + 1] = bad
+    cone.scaling(e, e)
+    for pair in ((x, e), (e, x)):
+        with pytest.raises(np.linalg.LinAlgError):
+            cone.scaling(*pair)
 
 
 def _shuffled(sdp, perm):
@@ -375,15 +433,15 @@ def test_refinement_stops_at_the_noise_floor(monkeypatch):
     k_mat = 1.0 / (np.arange(12)[:, None] + np.arange(12)[None, :] + 1.0)
     rhs = np.ones(12)
     factor = solver._chol_with_regularization(k_mat)
-    original = solver.cho_solve
-    first = original(factor, rhs, check_finite=False)
+    original = solver.dpotrs
+    first = original(factor, rhs, lower=1)[0]
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "cho_solve", counting)
+    monkeypatch.setattr(solver, "dpotrs", counting)
     u = solver._refined_solve(factor, k_mat, rhs)
     assert len(calls) <= 3
     assert np.linalg.norm(rhs - k_mat @ u) <= np.linalg.norm(rhs - k_mat @ first)
@@ -494,6 +552,28 @@ def test_factorization_failure_reports_best_point(monkeypatch):
     sol = solve(sdp)
     assert sol.status == SdpStatus.INCONCLUSIVE
     assert sol.message == "Schur complement factorization failed"
+    assert sol.iterations == 2
+    assert _least_eigenvalue(sdp, sol.x_blocks) > 0.0
+    assert set(sol.diagnostics["timings"]) == {"schur_s", "cholesky_s", "cone_s"}
+
+
+def test_scaling_breakdown_reports_best_point(monkeypatch):
+    # an iterate that leaves the cone mid-run ends INCONCLUSIVE at that
+    # iteration, with the best in-cone point so far
+    sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    calls = []
+    real = _Cone.scaling
+
+    def third_breaks(self, x, s):
+        calls.append(None)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("entry not positive")
+        return real(self, x, s)
+
+    monkeypatch.setattr(_Cone, "scaling", third_breaks)
+    sol = solve(sdp)
+    assert sol.status == SdpStatus.INCONCLUSIVE
+    assert sol.message == "scaling breakdown (iterate left cone)"
     assert sol.iterations == 2
     assert _least_eigenvalue(sdp, sol.x_blocks) > 0.0
     assert set(sol.diagnostics["timings"]) == {"schur_s", "cholesky_s", "cone_s"}
