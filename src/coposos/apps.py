@@ -28,6 +28,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cones import ConeKind
 from .polycore import SymMatrix
 from .relax import (
@@ -181,14 +183,11 @@ def parse_graph(text: str) -> Graph:
 def stability_qp_matrix(g: Graph) -> SymMatrix:
     """Canonical member of the family: 1/w_i diagonal, edge entries equal to
     the average of the endpoint diagonals, zero on non-edges."""
-    rows = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        rows[i][i] = 1 / g.weights[i]
-    for (i, j) in g.edges:
-        avg = (rows[i][i] + rows[j][j]) / 2
-        rows[i][j] = avg
-        rows[j][i] = avg
-    return SymMatrix.from_rows(rows)
+    diag = SymMatrix.diag([1 / w for w in g.weights])
+    num, k = diag.num * 2, diag.num.diagonal()  # over 2 * diag.den
+    for i, j in g.edges:
+        num[i, j] = num[j, i] = k[i] + k[j]
+    return SymMatrix(num, 2 * diag.den)
 
 
 def validate_stability_matrix(g: Graph, b: SymMatrix) -> None:
@@ -353,20 +352,17 @@ def chromatic_program(g: Graph) -> ConicProgram:
     t = 1..n on matrices of side n*t; stated as min -y.  Constraint t
     carries the symmetry of G times S_t (see :func:`product_graph`)."""
     n = g.n
-    on, off = Fraction(n - 1), Fraction(-1)
     constraints = []
     for t in range(1, n + 1):
         gt = product_graph(g, t)
         size = n * t
-        # a_y = -J/n^2, a_z = n(A + I) - J and c_t = -tJ/n^2, built from
-        # shared entries, so that the symmetry check compares by identity
-        z_rows = [[on if i == j else off for j in range(size)] for i in range(size)]
+        # a_y = -J/n^2, a_z = n(A + I) - J and c_t = -tJ/n^2 = t a_y
+        z = np.full((size, size), -1, dtype=object)
+        np.fill_diagonal(z, n - 1)
         for i, j in gt.edges:
-            z_rows[i][j] = z_rows[j][i] = on
-        a_y, c_t = (SymMatrix(size, ((v,) * size,) * size)
-                    for v in (Fraction(-1, n * n), Fraction(-t, n * n)))
-        a_z = SymMatrix(size, tuple(map(tuple, z_rows)))
-        constraints.append(ConeConstraint(size, (a_y, a_z), c_t, gt.symmetry))
+            z[i, j] = z[j, i] = n - 1
+        a_y = SymMatrix(np.full((size, size), -1, dtype=object), n * n)
+        constraints.append(ConeConstraint(size, (a_y, SymMatrix(z)), a_y.scale(t), gt.symmetry))
     return ConicProgram.make([-1, 0], constraints)
 
 

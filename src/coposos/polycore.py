@@ -15,30 +15,33 @@ coefficients, quadratic/quartic matrix forms and the two lift operations
 used throughout the package, plus coefficient-norm bounds with certified
 suprema on the unit box and on Euclidean balls.
 
-The lifts of matrices, which every SDP row and certificate audit reads,
-run on Python-integer numerators from one table per (n, r), built once and
-cached (:func:`lift_table`); :func:`coeff_norm` takes such numerators.
+A :class:`SymMatrix` is one array of Python-int numerators over one
+denominator.  Its arithmetic, the exact PSD test (fraction-free
+elimination) and the lifts of matrices, which every SDP row and
+certificate audit reads, run on those integers; the lifts come from one
+table per (n, r), built once and cached (:func:`lift_table`), and
+:func:`coeff_norm` takes their numerators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Iterable, Mapping
 
 import numpy as np
 
 MultiIndex = tuple[int, ...]
 
-RatLike = int | Fraction | str
+RatLike = int | float | Fraction | str
 
 
 def _rat(value: RatLike) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' / decimal strings to Fraction."""
+    """Coerce ints, floats (exactly), Fractions and 'p/q' / decimal strings
+    to Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -218,14 +221,22 @@ class Poly:
         return total
 
 
-@dataclass(frozen=True)
 class SymMatrix:
-    """Exact rational symmetric matrix of ``Fraction`` entries.
-    :meth:`from_rows` checks outside input; the other constructors and the
-    arithmetic are symmetric by construction and build ``rows`` directly."""
+    """Exact rational symmetric matrix ``num / den``: one read-only n x n
+    array ``num`` of Python-int numerators over one positive ``den``, in
+    lowest terms, so that ``den`` is the lcm of the entries' denominators.
+    The arithmetic, the lift and the exact checks run on these integers;
+    ``rows``, the tuples of ``Fraction`` entries, is built once on first
+    use.  :meth:`from_rows` checks outside input; the constructor trusts
+    that ``num`` is symmetric and reduces it to lowest terms."""
 
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    def __init__(self, num, den: int = 1):
+        num = np.array(num, dtype=object).reshape(len(num), len(num))
+        g = gcd(den, *num.ravel().tolist())
+        if g > 1:
+            num, den = num // g, den // g
+        num.flags.writeable = False
+        self.n, self.num, self.den = len(num), num, den
 
     @classmethod
     def from_rows(cls, rows) -> "SymMatrix":
@@ -237,7 +248,11 @@ class SymMatrix:
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                         if data[i][j] != data[j][i])
             raise ValueError(f"matrix is not symmetric at ({i},{j})")
-        return cls(n, data)
+        ratios = [list(map(Fraction.as_integer_ratio, row)) for row in data]
+        den = lcm(*[q for row in ratios for _, q in row])
+        m = cls([[p * (den // q) for p, q in row] for row in ratios], den)
+        m.rows = data
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
@@ -245,17 +260,19 @@ class SymMatrix:
 
     @classmethod
     def ones(cls, n: int) -> "SymMatrix":
-        return cls(n, ((Fraction(1),) * n,) * n)
+        return cls(np.ones((n, n), dtype=object))
 
     @classmethod
     def zero(cls, n: int) -> "SymMatrix":
-        return cls(n, ((Fraction(0),) * n,) * n)
+        return cls(np.zeros((n, n), dtype=object))
 
     @classmethod
     def diag(cls, values) -> "SymMatrix":
-        vals, zero = [_rat(v) for v in values], Fraction(0)
-        return cls(len(vals), tuple([tuple([v if i == j else zero for j in range(len(vals))])
-                                     for i, v in enumerate(vals)]))
+        vals = [_rat(v) for v in values]
+        den = lcm(*[v.denominator for v in vals])
+        num = np.zeros((len(vals), len(vals)), dtype=object)
+        np.fill_diagonal(num, [v.numerator * (den // v.denominator) for v in vals])
+        return cls(num, den)
 
     @classmethod
     def from_float(cls, array) -> "SymMatrix":
@@ -266,52 +283,69 @@ class SymMatrix:
               for j in range(n)] for i in range(n)]
         )
 
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        vals = {v: Fraction(v, self.den) for v in self.num.ravel().tolist()}
+        return tuple([tuple(map(vals.__getitem__, row)) for row in self.num.tolist()])
+
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymMatrix):
+            return NotImplemented
+        return (self.n, self.den, self.num.tolist()) == (other.n, other.den, other.num.tolist())
+
+    def __hash__(self):
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"SymMatrix(n={self.n}, rows={self.rows!r})"
+
+    def _combine(self, other: "SymMatrix", sign: int) -> "SymMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return SymMatrix(self.n, tuple([tuple([a + b for a, b in zip(u, v)])
-                                        for u, v in zip(self.rows, other.rows)]))
+        den = lcm(self.den, other.den)
+        return SymMatrix(self.num * (den // self.den) + other.num * (sign * den // other.den), den)
+
+    def __add__(self, other: "SymMatrix") -> "SymMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, c: RatLike) -> "SymMatrix":
         c = _rat(c)
-        return SymMatrix(self.n, tuple([tuple([c * v for v in row]) for row in self.rows]))
+        return SymMatrix(self.num * c.numerator, self.den * c.denominator)
 
     def to_float(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.rows]
+        return (self.num / self.den).tolist()
 
     def max_abs_entry(self) -> Fraction:
-        return max((abs(v) for row in self.rows for v in row), default=Fraction(0))
+        return Fraction(max(map(abs, self.num.ravel().tolist()), default=0), self.den)
 
 
 def is_psd_exact(m: SymMatrix) -> bool:
-    """Exact positive-semidefiniteness test via rational LDL with pivoting."""
-    n = m.n
-    a = [list(row) for row in m.rows]
-    active = list(range(n))
+    """Exact positive-semidefiniteness test on the integer numerators:
+    symmetric pivoting on the largest diagonal, fraction-free (Bareiss)
+    elimination.  Each step's entries are those of the rational Schur
+    complement times the last pivot, a positive integer, so every sign and
+    every pivot choice is the rational LDL's."""
+    a = m.num.tolist()
+    active = list(range(m.n))
+    last = 1
     while active:
         piv = max(active, key=lambda i: a[i][i])
-        if a[piv][piv] < 0:
-            return False
-        if a[piv][piv] == 0:
-            # All remaining diagonals are <= 0 here, hence == 0; PSD forces
-            # the remaining block to vanish entirely.
-            return all(a[i][j] == 0 for i in active for j in active)
         d = a[piv][piv]
+        if d <= 0:  # all remaining diagonals are <= d; PSD needs a zero block
+            return d == 0 and not any(a[i][j] for i in active for j in active)
         active.remove(piv)
-        for i in active:
-            fi = a[i][piv]
-            if fi == 0:
-                continue
-            for j in active:
-                a[i][j] -= fi * a[piv][j] / d
-        for i in active:
-            a[i][piv] = a[piv][i] = Fraction(0)
+        top = a[piv]
+        for k, i in enumerate(active):
+            row, f = a[i], a[i][piv]
+            for j in active[k:]:
+                row[j] = a[j][i] = (d * row[j] - f * top[j]) // last
+        last = d
     return True
 
 
@@ -406,25 +440,25 @@ class LiftTable:
         grown = np.array(taus, dtype=np.int8)[:, None, None] + eye[:, None] + eye[None, :]
         self.target = monomial_positions(self.exps, grown.reshape(-1, n)).reshape(-1, n, n)
         self.weight = np.array([multinomial(tau) for tau in taus], dtype=object)
-        for shared in (self.exps, self.target, self.weight):  # cached: read-only
-            shared.flags.writeable = False
+        # entry (i, j) of the upper triangle adds to row spots[tau, (i, j)]
+        # with weight coef[tau, (i, j)]: multinomial(tau), twice if i < j
+        self.upper = np.triu_indices(n)
+        self.spots = self.target[:, self.upper[0], self.upper[1]]
+        self.coef = self.weight[:, None] * (1 + (self.upper[0] < self.upper[1]))
+        for shared in (self.exps, self.target, self.weight, self.spots, self.coef):
+            shared.flags.writeable = False  # cached: read-only
 
     def lift(self, m: SymMatrix) -> tuple[np.ndarray, int]:
         """(numerators, D): row t of the lift of M is numerators[t] / D, with
-        D the least common multiple of M's denominators; the numerators are
-        Python ints, summed exactly."""
+        D = ``m.den``, the least common multiple of M's denominators; the
+        numerators are Python ints, summed exactly."""
         if m.n != self.n:
             raise ValueError("matrix dimension does not match the table")
-        entries = [(i, j, v) for i, row in enumerate(m.rows)
-                   for j, v in enumerate(row[i:], i) if v]
-        den = lcm(*(v.denominator for _, _, v in entries))
+        num = m.num[self.upper]
+        nz = np.flatnonzero(num)
         out = np.zeros(len(self.basis), dtype=object)
-        if entries:
-            i, j, _ = zip(*entries)
-            num = np.array([(1 if a == b else 2) * c.numerator * (den // c.denominator)
-                            for a, b, c in entries], dtype=object)
-            np.add.at(out, self.target[:, i, j], self.weight[:, None] * num)
-        return out, den
+        np.add.at(out, self.spots[:, nz], self.coef[:, nz] * num[nz])
+        return out, m.den
 
 
 lift_table = lru_cache(maxsize=16)(LiftTable)  # lift_table(n, r): built once, cached

@@ -68,23 +68,21 @@ class ConeConstraint:
         for g in self.symmetry:
             if sorted(g) != list(range(self.n)):
                 raise ValueError(f"symmetry generator {g} is not a permutation")
-            # one exact pass per matrix: row g[i], permuted by g, is row i
-            if any([rows[gi][gj] for gj in g] != list(row)
-                   for rows in (m.rows for m in (*self.a_mats, self.c_mat))
-                   for gi, row in zip(g, rows)):
+            # one exact pass per matrix: entry (g[i], g[j]) is entry (i, j)
+            p = np.asarray(g)
+            if any((m.num[p[:, None], p] != m.num).any() for m in (*self.a_mats, self.c_mat)):
                 raise ValueError(f"symmetry generator {g} moves a constraint matrix")
 
     def slack(self, y) -> SymMatrix:
-        """sum_i y_i A_i - C, exact when y is rational, in one pass over the
-        upper triangle."""
-        terms = [(Fraction(yi), a.rows) for yi, a in zip(y, self.a_mats) if yi]
-        upper = [
-            [sum((yi * a[i][j] for yi, a in terms), -c) for j, c in enumerate(row[i:], i)]
-            for i, row in enumerate(self.c_mat.rows)
-        ]
-        return SymMatrix(self.n, tuple([
-            tuple([upper[j][i - j] for j in range(i)] + upper[i]) for i in range(self.n)
-        ]))
+        """sum_i y_i A_i - C, exact when y is rational: the integer
+        numerators of each matrix times one Python int, summed over the lcm
+        of the denominators of C and of each y_i A_i."""
+        terms = [(Fraction(yi), a) for yi, a in zip(y, self.a_mats) if yi]
+        den = math.lcm(self.c_mat.den, *(yi.denominator * a.den for yi, a in terms))
+        num = self.c_mat.num * -(den // self.c_mat.den)
+        for yi, a in terms:
+            num += a.num * (yi.numerator * (den // (yi.denominator * a.den)))
+        return SymMatrix(num, den)
 
 
 @dataclass(frozen=True)
@@ -197,14 +195,9 @@ class SpnWitness:
     def check_exact(self, cons: ConeConstraint) -> bool:
         if self.lambda_min_lb <= 0:
             return False
-        if any(v < 0 for row in self.n_mat.rows for v in row):
+        if (self.n_mat.num < 0).any() or cons.slack(self.ybar) != self.p_mat + self.n_mat:
             return False
-        slack = cons.slack(self.ybar)
-        if slack != self.p_mat + self.n_mat:
-            return False
-        shifted = self.p_mat - SymMatrix.identity(self.p_mat.n).scale(
-            self.lambda_min_lb
-        )
+        shifted = self.p_mat - SymMatrix.identity(self.p_mat.n).scale(self.lambda_min_lb)
         return is_psd_exact(shifted)
 
 
@@ -239,7 +232,7 @@ def check_intspn(
              (diag, 2, 0, 0, 1.0), (diag, 2, 1, 1, -1.0)]
     builder = SdpBuilder([psd_block(n), nonneg_block(pair.size), nonneg_block(2)])
     builder.add_rows(*map(np.concatenate, zip(*(np.broadcast_arrays(*p) for p in parts))),
-                     [float(s_exact.entry(a, b)) for a, b in zip(i.tolist(), j.tolist())])
+                     s_exact.num[i, j] / s_exact.den)
     builder.add_rows(-1, 2, [0, 1], [0, 1], [-1.0, 1.0], [])  # max lam = lam+ - lam-
     sol = solve(builder.build())
     if sol.status != SdpStatus.OPTIMAL:
@@ -313,7 +306,7 @@ def _interior_seed(witness: SpnWitness, r: int, kind: ConeKind, b: Fraction):
         vals[diag[t]] -= move
     if any(2 * vals[k] < b for k in diag):
         raise ArithmeticError("seed dropped below b/2 on a diagonal slot; check witness")
-    grams = [SymMatrix(k, tuple(tuple(vals[o + a * k : o + a * k + k]) for a in range(k)))
+    grams = [SymMatrix.from_rows(vals[o + a * k : o + a * k + k] for a in range(k))
              for o, k in zip(shape.off.tolist(), shape.sides)]
     return grams, vals[len(vals) - shape.nscalar :]
 
@@ -402,9 +395,11 @@ def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
         n = cons.n
 
         def padded(mat, tail):  # mat in the top-left corner, tail on the box diagonal
-            rows = [list(row) + [0] * (2 * m) for row in mat.rows]
-            return SymMatrix.from_rows(rows + [[0] * (n + k) + [v] + [0] * (2 * m - k - 1)
-                                               for k, v in enumerate(tail)])
+            tail = SymMatrix.diag(tail)
+            den = math.lcm(mat.den, tail.den)
+            num = np.zeros((n + 2 * m, n + 2 * m), dtype=object)
+            num[:n, :n], num[n:, n:] = mat.num * (den // mat.den), tail.num * (den // tail.den)
+            return SymMatrix(num, den)
 
         new_a = tuple(padded(a, box(i)) for i, a in enumerate(cons.a_mats))
         new_c = padded(cons.c_mat, [-2 * big_r] * (2 * m))

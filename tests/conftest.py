@@ -1,9 +1,11 @@
 """Shared corpus generators (seeded, exact-rational where it matters), the
-unreduced K layout and the Fraction route of the exact audit, kept as
-differential oracles."""
+unreduced K layout, the Fraction route of the exact audit and the Fraction
+matrix with its slack, lift and PSD test, kept as differential oracles."""
 
 import contextlib
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -218,3 +220,85 @@ def fraction_residual(m: SymMatrix, cert) -> Fraction:
     lift less the Fraction expansion."""
     diff = fraction_lift(m, cert.r, cert.kind) - fraction_expansion(cert)
     return max((abs(c) / multinomial(a) for a, c in diff.items()), default=Fraction(0))
+
+
+@dataclass(frozen=True)
+class FractionMatrix:
+    """The symmetric matrix as tuples of ``Fraction`` entries, the form
+    :class:`coposos.polycore.SymMatrix` had before it stored integer
+    numerators over one denominator, kept as its differential oracle."""
+
+    n: int
+    rows: tuple
+
+    @classmethod
+    def from_rows(cls, rows):
+        data = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        n = len(data)
+        if any(len(row) != n for row in data):
+            raise ValueError("matrix is not square")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if data[i][j] != data[j][i]:
+                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
+        return cls(n, data)
+
+    def entry(self, i, j):
+        return self.rows[i][j]
+
+    def __add__(self, other):
+        return FractionMatrix(self.n, tuple(tuple(a + b for a, b in zip(u, v))
+                                            for u, v in zip(self.rows, other.rows)))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return FractionMatrix(self.n, tuple(tuple(c * v for v in row) for row in self.rows))
+
+    def to_float(self):
+        return [[float(v) for v in row] for row in self.rows]
+
+    def max_abs_entry(self):
+        return max((abs(v) for row in self.rows for v in row), default=Fraction(0))
+
+
+def fraction_is_psd(m) -> bool:
+    """Rational LDL with pivoting on the largest diagonal, on ``m.rows``."""
+    a = [list(row) for row in m.rows]
+    active = list(range(m.n))
+    while active:
+        piv = max(active, key=lambda i: a[i][i])
+        if a[piv][piv] < 0:
+            return False
+        if a[piv][piv] == 0:
+            return all(a[i][j] == 0 for i in active for j in active)
+        d = a[piv][piv]
+        active.remove(piv)
+        for i in active:
+            fi = a[i][piv]
+            for j in active:
+                a[i][j] -= fi * a[piv][j] / d
+    return True
+
+
+def fraction_slack(a_mats, c_mat, y) -> tuple:
+    """The rows of sum_i y_i A_i - C, entry by entry in ``Fraction``."""
+    n = c_mat.n
+    return tuple(tuple(sum((Fraction(yi) * a.rows[i][j] for yi, a in zip(y, a_mats)),
+                           -c_mat.rows[i][j]) for j in range(n)) for i in range(n))
+
+
+def fraction_table_lift(m, r):
+    """The table lift of M read entry by entry from its ``Fraction`` rows:
+    numerators over the lcm of the entries' denominators."""
+    table = lift_table(m.n, r)
+    den = math.lcm(*(v.denominator for row in m.rows for v in row))
+    out = [0] * len(table.basis)
+    for i in range(m.n):
+        for j in range(m.n):
+            c = m.rows[i][j].numerator * (den // m.rows[i][j].denominator)
+            for t, w in zip(table.target[:, i, j].tolist(), table.weight.tolist()):
+                out[t] += w * c
+    return out, den

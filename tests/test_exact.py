@@ -1,8 +1,8 @@
 """The exact lift and certificate audit on integer numerators, against the
 ``Fraction`` route they replaced (kept in conftest): table lifts of random
 rational matrices, audits of certificates whose entries span the whole
-double range, non-finite entries, the cached bases and tables, and the
-one-pass exact matrix checks."""
+double range, non-finite entries, the cached bases and tables, the
+one-pass exact matrix checks and the pinned residuals of two public calls."""
 
 import math
 import random
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_expansion, fraction_lift, fraction_residual, random_symmetric
+from coposos.apps import chromatic_bound, cycle_graph, stability_bound
 from coposos.cones import (
     ConeKind,
     SosCertificate,
@@ -113,6 +114,9 @@ class TestDyadicAudit:
 
 class TestCaches:
     def test_bases_are_cached_tuples(self):
+        # a table built by an earlier test may hold a basis object that the
+        # smaller basis cache has since dropped
+        lift_table.cache_clear()
         basis = monomial_basis(4, 3, exact_degree=True)
         assert isinstance(basis, tuple) and all(isinstance(b, tuple) for b in basis)
         assert monomial_basis(4, 3, exact_degree=True) is basis
@@ -121,7 +125,7 @@ class TestCaches:
     def test_lift_table_is_cached_and_read_only(self):
         table = lift_table(4, 1)
         assert lift_table(4, 1) is table
-        for arr in (table.exps, table.target, table.weight):
+        for arr in (table.exps, table.target, table.weight, table.spots, table.coef):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
 
@@ -158,3 +162,22 @@ class TestExactMatrixChecks:
         with pytest.raises(ValueError, match="moves a constraint matrix"):
             ConeConstraint(3, (SymMatrix.identity(3),), ring, ((1, 2, 0),))
         ConeConstraint(3, (SymMatrix.identity(3),), ring, ((2, 1, 0),))  # its reversal
+
+
+# The exact certificate residuals of two public calls, to the last bit: a
+# change to the lift, the slack, the SDP or the solver's iterates moves them.
+_PINNED_RESIDUALS = {
+    "chi C4 r0 Q": (lambda: chromatic_bound(cycle_graph(4), 0)[1],
+                    [Fraction(4009, 2**58), Fraction(55, 2**52), Fraction(99, 2**53),
+                     Fraction(1945, 2**57), Fraction(5, 2**49)]),
+    "alpha C7 r1 K": (lambda: stability_bound(cycle_graph(7), 1, ConeKind.K),
+                      [Fraction(533523, 2**48)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RESIDUALS))
+def test_certificate_residuals_are_pinned(name):
+    call, residuals = _PINNED_RESIDUALS[name]
+    res = call()
+    assert [rep.residual for rep in res.certificate_reports] == residuals
+    assert all(rep.ok for rep in res.certificate_reports)
