@@ -393,6 +393,11 @@ def build_Q_membership(m: SymMatrix, r: int) -> MembershipProblem:
 
 @dataclass
 class MembershipResult:
+    """A verdict and its evidence.  ``infeasibility_quality`` is the
+    ``ray_quality`` of the solver's infeasibility ray y (b^T y = 1): how far
+    its exact slack -A^T y misses the Gram cone, max(0, -lambda_min), which
+    is 0 for an exact Farkas certificate."""
+
     verdict: Verdict
     certificate: SosCertificate | None = None
     infeasibility_quality: float | None = None
@@ -405,10 +410,13 @@ class MembershipResult:
 def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> MembershipResult:
     """MEMBER with validated certificate, certified NOT_MEMBER, or INCONCLUSIVE.
 
-    MEMBER requires a certificate passing :func:`validate_certificate` at
+    The membership SDP has no objective, so the solver stops at its first
+    witness: a Gram point within feastol of the rows, or a ray.  MEMBER
+    requires a certificate passing :func:`validate_certificate` at
     tolerance eps (re-expansion residual <= eps, least Gram eigenvalue and
-    least scalar >= -eps); NOT_MEMBER requires an infeasibility ray of
-    quality <= eps.
+    least scalar >= -eps); NOT_MEMBER requires an infeasibility ray y with
+    b^T y = 1 whose slack -A^T y has least eigenvalue >= -eps (the solver's
+    ``ray_quality`` <= eps).
     Boundary cases meeting neither bar are INCONCLUSIVE, never guessed.
     """
     sol = solve(problem.sdp, eps=min(eps, 1e-8))
@@ -424,7 +432,7 @@ def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> Membersh
             message="" if report.ok else "solution found but certificate fails the membership bar",
         )
     if sol.status == SdpStatus.PRIMAL_INFEASIBLE:
-        quality = _ray_quality(problem.sdp, sol)
+        quality = sol.diagnostics["ray_quality"]
         return MembershipResult(
             verdict=Verdict.NOT_MEMBER if quality <= eps else Verdict.INCONCLUSIVE,
             infeasibility_quality=quality,
@@ -434,16 +442,6 @@ def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> Membersh
     return MembershipResult(
         verdict=Verdict.INCONCLUSIVE, solution=sol, message=sol.message
     )
-
-
-def _ray_quality(sdp: BlockSdp, sol) -> float:
-    """Residual of the normalized dual improving ray (smaller is better)."""
-    y = sol.y
-    scale = float(sdp.b @ y)
-    if scale <= 0:
-        return float("inf")
-    y = y / scale
-    return max(0.0, -min(sdp.least_eigenvalues(-(sdp.A.T @ y))))
 
 
 @dataclass

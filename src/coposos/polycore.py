@@ -239,6 +239,16 @@ class SymMatrix:
         self.n, self.num, self.den = len(num), num, den
 
     @classmethod
+    def _lowest(cls, num: np.ndarray, den: int) -> "SymMatrix":
+        """The matrix of a symmetric n x n object array ``num`` over ``den``
+        already in lowest terms, as when ``den`` is the lcm of the reduced
+        entries' denominators; ``num`` is kept, not copied or reduced."""
+        m = cls.__new__(cls)
+        num.flags.writeable = False
+        m.n, m.num, m.den = len(num), num, den
+        return m
+
+    @classmethod
     def from_rows(cls, rows) -> "SymMatrix":
         data = tuple([tuple([_rat(v) for v in row]) for row in rows])
         n = len(data)
@@ -250,7 +260,8 @@ class SymMatrix:
             raise ValueError(f"matrix is not symmetric at ({i},{j})")
         ratios = [list(map(Fraction.as_integer_ratio, row)) for row in data]
         den = lcm(*[q for row in ratios for _, q in row])
-        m = cls([[p * (den // q) for p, q in row] for row in ratios], den)
+        num = np.array([[p * (den // q) for p, q in row] for row in ratios], dtype=object)
+        m = cls._lowest(num.reshape(n, n), den)
         m.rows = data
         return m
 
@@ -272,7 +283,7 @@ class SymMatrix:
         den = lcm(*[v.denominator for v in vals])
         num = np.zeros((len(vals), len(vals)), dtype=object)
         np.fill_diagonal(num, [v.numerator * (den // v.denominator) for v in vals])
-        return cls(num, den)
+        return cls._lowest(num, den)
 
     @classmethod
     def from_float(cls, array) -> "SymMatrix":

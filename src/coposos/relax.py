@@ -395,11 +395,12 @@ def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
         n = cons.n
 
         def padded(mat, tail):  # mat in the top-left corner, tail on the box diagonal
+            # in lowest terms: both parts are, and den is the lcm of theirs
             tail = SymMatrix.diag(tail)
             den = math.lcm(mat.den, tail.den)
             num = np.zeros((n + 2 * m, n + 2 * m), dtype=object)
             num[:n, :n], num[n:, n:] = mat.num * (den // mat.den), tail.num * (den // tail.den)
-            return SymMatrix(num, den)
+            return SymMatrix._lowest(num, den)
 
         new_a = tuple(padded(a, box(i)) for i, a in enumerate(cons.a_mats))
         new_c = padded(cons.c_mat, [-2 * big_r] * (2 * m))

@@ -15,17 +15,32 @@ cap, stalled centrality, factorization breakdown - is reported as
 INCONCLUSIVE with diagnostics and the best point seen, never as a
 confident wrong status.
 
-A ray is normalized and kept where it lives: a primal infeasibility ray
-with b^T y = 1 in ``y`` and ``s_blocks``, a dual one with c^T x = -1 in
-``x_blocks``; its residual quality, ||A^T y + s|| or ||A x||, is
-``diagnostics["ray_quality"]``.
+A ray is normalized: a primal infeasibility ray with b^T y = 1 in ``y``
+and its exact slack -A^T y in ``s_blocks``, a dual one with c^T x = -1 in
+``x_blocks``.  Its quality, ``diagnostics["ray_quality"]``, measures how far
+the ray misses its certificate: for a primal infeasibility ray
+max(0, -lambda_min(-A^T y)), which is 0 for an exact Farkas ray (-A^T y in
+K), and for a dual one ||A x||.  A program with an objective accepts a
+primal ray when ||A^T y + s|| <= eps, with s the iterate's slack, and that
+bounds the quality by eps.
 
-Once the dual residual is within feastol, the reported primal point is
-x / tau projected onto {A x = b} in the Nesterov-Todd metric of the latest
-step, but only when the projection stays in the cone; otherwise it is
-x / tau itself, which is interior.  Its gap is the larger of the unclamped
-x.s and |c^T x - b^T y|, so OPTIMAL means an in-cone x, residuals within
-feastol and a primal-dual objective gap within eps.
+A feasibility problem, c = 0, stops at its first exact witness (the
+embedding's iterates carry one; Ye, Todd and Mizuno 1994, Math. Oper. Res.
+19; Permenter, Friberg and Andersen 2017, SIAM J. Optim. 27).  Every
+feasible x is optimal for min 0, and the zero dual (y, s) = 0 certifies it
+with no dual residual and no gap, so its points report that dual.  The solve
+ends OPTIMAL at the first x / tau (polished or not) within feastol of
+{A x = b}, or PRIMAL_INFEASIBLE at the first b^T y > 0 whose ray has
+quality <= eps.  The iterates are those of any other program; only the
+exits differ.
+
+Once the dual residual is within feastol (always, when c = 0), the
+reported primal point is x / tau projected onto {A x = b} in the
+Nesterov-Todd metric of the latest step, but only when the projection stays
+in the cone; otherwise it is x / tau itself, which is interior.  Its gap is
+the larger of the unclamped x.s and |c^T x - b^T y|, so OPTIMAL means an
+in-cone x, residuals within feastol and a primal-dual objective gap within
+eps.
 
 Search directions come from a Schur-complement solve.  The cone blocks
 are grouped by side, a NONNEG(k) block counting as k PSD(1) blocks, and
@@ -336,8 +351,9 @@ def solve(
 
     ``eps`` is the duality-gap and infeasibility-ray threshold and the
     default ``feastol``.  A status of OPTIMAL certifies the objective
-    through the achieved duality gap; infeasibility statuses carry the
-    normalized improving ray and its residual quality.
+    through the achieved duality gap, which is 0 for a program with c = 0;
+    infeasibility statuses carry the normalized improving ray and its
+    quality (see the module docstring).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -386,6 +402,8 @@ def solve(
 
     norm_b = 1.0 + float(np.linalg.norm(b))
     norm_c = 1.0 + float(np.linalg.norm(c))
+    # min 0: every feasible x is optimal, and the zero dual certifies it
+    feasibility = not c.any()
 
     mu0 = (float(x @ s) + tau * kappa) / nu
 
@@ -412,10 +430,13 @@ def solve(
 
     def current_metrics(ax, aty):
         xhat = x / tau
-        yhat = y / tau
-        shat = s / tau
         resid = ax / tau - b
-        dres = float(np.linalg.norm(aty / tau + shat - c)) / norm_c
+        if feasibility:
+            yhat, shat, dres = np.zeros(m), np.zeros_like(x), 0.0
+        else:
+            yhat = y / tau
+            shat = s / tau
+            dres = float(np.linalg.norm(aty / tau + shat - c)) / norm_c
         if dres <= feastol:
             # the polish leaves (y, s) alone, so only a point that can be
             # accepted is worth polishing
@@ -471,9 +492,14 @@ def solve(
             return report(SdpStatus.OPTIMAL, iteration, point)
 
         bty, ctx = float(b @ y), float(c @ x)
-        if bty > 0 and (qual := float(np.linalg.norm(aty + s)) / bty) <= eps:
-            return ray(SdpStatus.PRIMAL_INFEASIBLE, iteration, qual, "dual improving ray found",
-                       y=y / bty, s_blocks=sdp.unpack(s / bty))
+        if bty > 0 and (feasibility or float(np.linalg.norm(aty + s)) / bty <= eps):
+            # the ray's exact slack; the norm test bounds its least eigenvalue
+            # by -eps, and a feasibility problem tests that eigenvalue itself
+            slack = -aty / bty
+            qual = max(0.0, -cone.min_eig(slack))
+            if qual <= eps or not feasibility:
+                return ray(SdpStatus.PRIMAL_INFEASIBLE, iteration, qual,
+                           "dual improving ray found", y=y / bty, s_blocks=sdp.unpack(slack))
         if ctx < 0 and (qual := float(np.linalg.norm(ax)) / (-ctx)) <= eps:
             return ray(SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED, iteration, qual,
                        "primal improving ray found", x_blocks=sdp.unpack(x / (-ctx)))

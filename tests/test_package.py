@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import coposos
+from coposos.cones import Verdict, validate_certificate
 
 
 def test_documented_modules_import():
@@ -93,3 +94,19 @@ def test_expected_spans_fire(workload, monkeypatch):
     finally:
         tracer.uninstall()
     assert workloads.EXPECTED_SPANS[workload] <= tracer.fired()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_member_calls_match_their_oracles(seed, monkeypatch):
+    # every membership call of the benchmark corpus: the exact oracle holds,
+    # a MEMBER certificate passes the exact audit at 1e-8 and a NOT_MEMBER
+    # ray misses the cone by at most 1e-8
+    workloads = _load_bench("workloads", monkeypatch)
+    for call in workloads.build_calls("member", seed):
+        call.prepare()
+        result = call()
+        assert not call.judge(result).reasons, call.ident
+        if result.verdict is Verdict.MEMBER:
+            assert validate_certificate(call.matrix, result.certificate, tol=1e-8).ok
+        else:
+            assert result.infeasibility_quality <= 1e-8

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -266,6 +267,21 @@ class TestToBounded:
         assert cons.n == 3
         assert cons.a_mats[0].rows == SymMatrix.diag([1, -1, 1]).rows
         assert cons.c_mat.rows == SymMatrix.diag([0, -6, -6]).rows
+
+    @pytest.mark.parametrize("box", [3, Fraction(3, 4), Fraction(1, 6)])
+    def test_padded_matrices_are_in_lowest_terms(self, box):
+        # the padded matrices skip the reduction: their denominator must
+        # already be the lcm of the entries' denominators
+        a = SymMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 4]])
+        c = SymMatrix.from_rows([[Fraction(5, 6), 0], [0, Fraction(1, 2)]])
+        cons = to_bounded(ConicProgram.make([1], [(2, [a], c)]), box).constraints[0]
+        for got, corner, tail in ((cons.a_mats[0], a, [-1, 1]),
+                                  (cons.c_mat, c, [-2 * Fraction(box)] * 2)):
+            want = [list(row) + [0, 0] for row in corner.rows]
+            want += [[0, 0] + [v if j == i else 0 for j, v in enumerate(tail)] for i in range(2)]
+            assert got == SymMatrix.from_rows(want)
+            assert got.den == math.lcm(*(Fraction(v).denominator for row in want for v in row))
+            assert math.gcd(got.den, *got.num.ravel().tolist()) == 1
 
     def test_value_preserved_on_sqp(self):
         prog = sqp_like_program(SymMatrix.identity(2))

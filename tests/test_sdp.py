@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from fractions import Fraction
 from time import perf_counter
 
@@ -7,10 +8,12 @@ import pytest
 
 from conftest import dense_scaled_rows
 from coposos.apps import (
+    chromatic_bound,
     chromatic_program,
     complete_graph,
     cycle_graph,
     sqp_reciprocal_program,
+    stability_bound,
     stability_qp_matrix,
 )
 from coposos.cones import ConeKind
@@ -61,6 +64,103 @@ def test_negative_scalar_infeasible():
     assert sol.status == SdpStatus.PRIMAL_INFEASIBLE
     assert sol.diagnostics["ray_quality"] <= 1e-8
     assert abs(sdp.b @ sol.y - 1.0) <= 1e-12  # the ray is normalized to b.y = 1
+
+
+def _interior(rng, blk):
+    """A point strictly inside the block's cone."""
+    if blk.kind == "nonneg":
+        return rng.uniform(0.5, 2.0, size=blk.size)
+    q, _ = np.linalg.qr(rng.normal(size=(blk.size, blk.size)))
+    return q @ np.diag(rng.uniform(0.5, 2.0, size=blk.size)) @ q.T
+
+
+def _random_part(rng, blk):
+    g = rng.normal(size=(blk.size, blk.size))
+    return (g + g.T) / 2 if blk.kind == "psd" else rng.normal(size=blk.size)
+
+
+_FEASIBILITY_BLOCKS = [psd_block(3), nonneg_block(2), psd_block(2), psd_block(1)]
+
+
+def _feasibility_sdp(seed, feasible, objective=False, m=5):
+    """{<A_i, X> = b_i, X in K} with a strictly interior point (feasible) or
+    a strictly interior Farkas slack -A^T y* with b^T y* = 1 (infeasible);
+    the objective is 0 unless ``objective``."""
+    rng = np.random.default_rng(seed)
+    blocks = _FEASIBILITY_BLOCKS
+    rows = [[_random_part(rng, blk) for blk in blocks] for _ in range(m)]
+    if feasible:
+        x0 = [_interior(rng, blk) for blk in blocks]
+        b = [sum(float(np.sum(a * x)) for a, x in zip(row, x0)) for row in rows]
+    else:
+        y_star = np.append(rng.normal(size=m - 1), 1.0)
+        s0 = [_interior(rng, blk) for blk in blocks]
+        rows[-1] = [-s - sum(yi * row[k] for yi, row in zip(y_star, rows[:-1]))
+                    for k, s in enumerate(s0)]
+        b = list(rng.normal(size=m))
+        b[-1] = 1.0 - float(np.dot(b[:-1], y_star[:-1]))
+    c = [_random_part(rng, blk) for blk in blocks]
+    if not objective:
+        c = [np.zeros_like(part) for part in c]
+    return BlockSdp.from_blocks(blocks, c, list(zip(rows, b)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_feasibility_problem_ends_optimal_at_the_zero_dual(seed):
+    # min 0 over a strictly feasible set: the zero dual is exact, so the
+    # solve reports it with no dual residual and no gap, and the point it
+    # stops at is in the cone and within feastol of the rows
+    sdp = _feasibility_sdp(seed, feasible=True)
+    sol = solve(sdp)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert not sol.y.any() and not any(s.any() for s in sol.s_blocks)
+    assert sol.gap == 0.0 and sol.relgap == 0.0 and sol.dual_res == 0.0
+    assert sol.objective == 0.0 and sol.diagnostics["dual_objective"] == 0.0
+    assert _least_eigenvalue(sdp, sol.x_blocks) >= 0.0
+    resid = sdp.A @ sdp.pack(sol.x_blocks) - sdp.b
+    assert sol.primal_res <= 1e-8
+    assert np.linalg.norm(resid) / (1.0 + np.linalg.norm(sdp.b)) <= 1e-8
+
+
+@pytest.mark.parametrize("objective", [False, True], ids=["zero", "nonzero"])
+@pytest.mark.parametrize("seed", range(4))
+def test_infeasibility_ray_reports_its_exact_slack(seed, objective):
+    # every PRIMAL_INFEASIBLE exit: y normalized to b.y = 1, s = -A^T y, and
+    # ray_quality the amount by which that slack's least eigenvalue is < 0
+    sdp = _feasibility_sdp(seed, feasible=False, objective=objective)
+    sol = solve(sdp)
+    assert sol.status == SdpStatus.PRIMAL_INFEASIBLE
+    assert abs(sdp.b @ sol.y - 1.0) <= 1e-12
+    slack = sdp.pack(sol.s_blocks)
+    assert np.max(np.abs(sdp.A.T @ sol.y + slack)) <= 1e-12
+    quality, least = sol.diagnostics["ray_quality"], min(sdp.least_eigenvalues(slack))
+    assert 0.0 <= quality <= 1e-8
+    assert least >= -quality
+    assert quality == pytest.approx(max(0.0, -least), abs=1e-12)
+
+
+# SHA-256 of the bytes of every x block, y and every s block, with the
+# iteration count, of three relaxation solves (OpenBLAS on x86-64); a
+# program with an objective must keep its path bit for bit
+_SOLUTION_DIGESTS = {
+    "C7-K-r1": ("32cf726869d13f5be8c9ca963bc1e80b033fcadbc9fef3dfe16dd190850f8590", 14),
+    "C9-Q-r2": ("fd9fe8d3bfab482d486296e21c27b09305699cee75f0881b793669f9f8c237b7", 15),
+    "chi-C5-Q-r0": ("3f5cd811ac7becf485109215020f1f454e9693c274b5e0f18293cfe8cd1c64f2", 12),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLUTION_DIGESTS))
+def test_relaxation_solutions_are_pinned(name):
+    if name == "chi-C5-Q-r0":
+        sol = chromatic_bound(cycle_graph(5), 0)[1].solution
+    else:
+        n, kind, r = int(name[1]), ConeKind(name[3]), int(name[-1])
+        sol = stability_bound(cycle_graph(n), r, kind).solution
+    h = hashlib.sha256()
+    for arr in [*sol.x_blocks, sol.y, *sol.s_blocks]:
+        h.update(arr.tobytes())
+    assert sol.status == SdpStatus.OPTIMAL
+    assert (h.hexdigest(), sol.iterations) == _SOLUTION_DIGESTS[name]
 
 
 def test_amgm_trace_minimization():
