@@ -42,27 +42,23 @@ def sandwich_diagnostics(
     vector per NONNEG block, conforming to the SDP's block pattern.
     """
     x0 = sdp.pack(x0_blocks)  # raises on nonconforming input
-    residuals = sdp.A @ x0 - sdp.b
-    eq_residual = float(np.max(np.abs(residuals))) if residuals.size else 0.0
-    worst_row = int(np.argmax(np.abs(residuals))) if residuals.size else None
+    residuals = np.abs(sdp.coo.dot(x0) - sdp.b)
+    worst_row = int(np.argmax(residuals)) if residuals.size else None
+    eq_residual = float(residuals[worst_row]) if residuals.size else 0.0
 
     margins = sdp.least_eigenvalues(x0)
     margin = min(margins) if margins else float("inf")
 
     violations = []
     if eq_residual > feas_tol:
-        violations.append(
-            f"equality residual {eq_residual:.3e} exceeds {feas_tol:.1e}"
-            + (f" (row {worst_row})" if worst_row is not None else "")
-        )
+        violations.append(f"equality residual {eq_residual:.3e} exceeds {feas_tol:.1e} "
+                          f"(row {worst_row})")
     if margin <= 0:
         violations.append(f"X0 is not in the cone interior (margin {margin:.3e})")
     if not (0 < r1 <= r2):
         violations.append(f"radii out of order: R1={r1!r}, R2={r2!r}")
 
-    log_ratio = (
-        math.log(r2 / r1) if (r1 > 0 and r2 > 0) else float("inf")
-    )
+    log_ratio = math.log(r2 / r1) if r1 > 0 and r2 > 0 else float("inf")
     return SandwichReport(
         eq_residual=eq_residual,
         worst_row=worst_row,

@@ -16,8 +16,8 @@ product of the matrices.  NONNEG blocks are stored as plain vectors.
 the solver's cone operations share.
 
 :class:`SdpBuilder` takes rows as flat arrays of entries (row, block, i, j,
-value) with their right-hand sides and labels, keeps them as triplets
-(row, svec position, value) and fills A and c in one scatter.
+value) with their right-hand sides and labels and keeps them as triplets
+(row, svec position, value): A keeps that one sparse form up to the solver.
 """
 
 from __future__ import annotations
@@ -102,27 +102,51 @@ class SdpStatus(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class BlockSdp:
-    """Immutable standard-form block SDP (dense constraint matrix)."""
+class _Coo:
+    """A sparse matrix as (row, column, value) triplets; ``dot`` and ``tdot``
+    take its products with a vector by one bincount."""
 
-    def __init__(self, blocks, a_mat, b, c, row_labels=None):
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.vals * v[self.cols], minlength=self.shape[0])
+
+    def tdot(self, u: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, self.vals * u[self.rows], minlength=self.shape[1])
+
+
+class BlockSdp:
+    """Immutable standard-form block SDP.  A, given as (row, svec position,
+    value) triplets, is kept as the :class:`_Coo` ``coo``: row-major, repeated
+    positions summed in the order given, exact zeros (either sign) dropped."""
+
+    def __init__(self, blocks, a_triplets, b, c, row_labels=None):
         self.blocks: tuple[BlockSpec, ...] = tuple(blocks)
-        self.slices: list[slice] = []
-        pos = 0
-        for blk in self.blocks:
-            self.slices.append(slice(pos, pos + blk.vec_dim))
-            pos += blk.vec_dim
-        self.dim = pos
-        self.A = np.ascontiguousarray(np.asarray(a_mat, dtype=float))
+        ends = np.cumsum([0] + [blk.vec_dim for blk in self.blocks]).tolist()
+        self.slices: list[slice] = [slice(p, q) for p, q in zip(ends, ends[1:])]
+        self.dim: int = ends[-1]
         self.b = np.asarray(b, dtype=float).reshape(-1)
         self.c = np.asarray(c, dtype=float).reshape(-1)
-        if self.A.shape != (self.b.size, self.dim):
-            raise ValueError(
-                f"A has shape {self.A.shape}, expected ({self.b.size}, {self.dim})"
-            )
         if self.c.size != self.dim:
             raise ValueError("objective dimension mismatch")
+        rows, cols, vals = (np.asarray(v, dtype=t).reshape(-1)
+                            for v, t in zip(a_triplets, (np.intp, np.intp, float)))
+        if rows.size and not (0 <= rows.min() <= rows.max() < self.b.size
+                              and 0 <= cols.min() <= cols.max() < self.dim):
+            raise ValueError(f"A entry outside the {self.b.size} x {self.dim} constraint matrix")
+        at, inv = np.unique(rows * self.dim + cols, return_inverse=True)
+        sums = np.bincount(inv, vals, minlength=at.size)  # in the order given
+        nz = sums != 0
+        self.coo = _Coo(*np.divmod(at[nz], self.dim), sums[nz], (self.b.size, self.dim))
         self.row_labels = list(row_labels) if row_labels is not None else None
+
+    @property
+    def A(self) -> np.ndarray:
+        """A as a dense array, built anew on every access."""
+        a = np.zeros(self.coo.shape)
+        a[self.coo.rows, self.coo.cols] = self.coo.vals
+        return a
 
     @property
     def num_constraints(self) -> int:
@@ -197,9 +221,9 @@ class SdpBuilder:
     """Assembly of a BlockSdp from entries given per (block, i, j): for PSD
     blocks (i, j) with i != j sets the symmetric pair, and the svec scaling
     is handled here.  Entries are kept as (row, svec position, value)
-    triplet arrays, row -1 being the objective, and :meth:`build` scatters
-    them into a dense A and c at once, summing repeated positions in the
-    order they were added.
+    triplet arrays, row -1 being the objective; :meth:`build` sums the
+    objective's into c and hands the rest to :class:`BlockSdp`, repeated
+    positions summed in the order they were added.
     """
 
     def __init__(self, blocks):
@@ -250,9 +274,10 @@ class SdpBuilder:
 
     def build(self) -> BlockSdp:
         row, pos, val = map(np.concatenate, zip(*self._triplets))
-        data = np.zeros((len(self._rhs) + 1, self.dim))  # the objective, then A
-        np.add.at(data, (row + 1, pos), val)
-        return BlockSdp(self.blocks, data[1:], self._rhs, data[0], row_labels=self._labels)
+        obj = row < 0
+        c = np.bincount(pos[obj], val[obj], minlength=self.dim)
+        return BlockSdp(self.blocks, (row[~obj], pos[~obj], val[~obj]), self._rhs, c,
+                        row_labels=self._labels)
 
 
 @dataclass
@@ -278,7 +303,8 @@ class SdpSolution:
 # One line per nonzero:  "<constraint> <block> <row> <col> <value>"
 # with constraint 0 denoting the objective and 1..m the equality
 # constraints; a leading "rhs <constraint> <value>" line per nonzero
-# right-hand side, and a header describing the block pattern:
+# right-hand side and for the last constraint, which names every row, and a
+# header describing the block pattern:
 #
 #   blocks <kind:size> <kind:size> ...
 #
@@ -288,7 +314,8 @@ class SdpSolution:
 
 def export_sparse(sdp: BlockSdp) -> str:
     lines = ["blocks " + " ".join(f"{blk.kind}:{blk.size}" for blk in sdp.blocks)]
-    lines += [f"rhs {i + 1} {float(b_i)!r}" for i, b_i in enumerate(sdp.b) if b_i != 0.0]
+    lines += [f"rhs {i + 1} {float(b_i)!r}" for i, b_i in enumerate(sdp.b)
+              if b_i != 0.0 or i == sdp.b.size - 1]
     # (block, row, column, svec scale) of every svec position
     where = []
     for bi, blk in enumerate(sdp.blocks):
@@ -297,10 +324,11 @@ def export_sparse(sdp: BlockSdp) -> str:
             where += zip([bi] * scale.size, upper // blk.size, upper % blk.size, scale)
         else:
             where += [(bi, r, r, 1.0) for r in range(blk.size)]
-    for cons, vec in enumerate([sdp.c, *sdp.A]):
-        for pos in np.flatnonzero(vec):
-            bi, r, col, scale = where[pos]
-            lines.append(f"{cons} {bi} {r} {col} {float(vec[pos] / scale)!r}")
+    obj, a = np.flatnonzero(sdp.c), sdp.coo
+    for k, pos, val in [*zip([0] * obj.size, obj.tolist(), sdp.c[obj].tolist()),
+                        *zip((a.rows + 1).tolist(), a.cols.tolist(), a.vals.tolist())]:
+        bi, r, col, scale = where[pos]
+        lines.append(f"{k} {bi} {r} {col} {float(val / scale)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -51,12 +51,12 @@ The constraint rows stay block-sparse (Fujisawa, Kojima and Nakata 1997,
 Math. Program. 79): each touches only a few blocks, so each iteration
 scales only the k x k pieces of the (row, block) pairs that touch, forms
 the Schur matrix K_ij = <W^T A_i W, W^T A_j W> from one small Gram matrix
-per block, and applies A and the scaled rows as COO products.  K is
-factorized by LAPACK ``potrf`` (with escalating diagonal regularization on
-breakdown) and solved by ``potrs``, and the 2 x 2 (y, tau) system of the
-embedding is back-substituted.  The seconds spent forming K, in Cholesky and
-refinement, and in cone operations are reported in
-``diagnostics["timings"]``.
+per block, and applies A, which the SDP keeps as triplets, and the scaled
+rows as COO products.  K is factorized by LAPACK ``potrf`` (with escalating
+diagonal regularization on breakdown) and solved by ``potrs``, and the 2 x 2
+(y, tau) system of the embedding is back-substituted.  The seconds spent
+forming K, in Cholesky and refinement, and in cone operations are reported
+in ``diagnostics["timings"]``.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import BlockSdp, SdpSolution, SdpStatus, _svec_index, smat, svec
+from .model import BlockSdp, SdpSolution, SdpStatus, _Coo, _svec_index, smat, svec
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-9
@@ -206,35 +206,18 @@ def _least_eig(stack: np.ndarray) -> float:
     return float(least.min())
 
 
-class _Coo:
-    """A sparse matrix as (row, column, value) triplets; ``dot`` and ``tdot``
-    take its products with a vector by one bincount."""
-
-    def __init__(self, rows, cols, vals, shape):
-        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
-
-    def dot(self, v: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.vals * v[self.cols], minlength=self.shape[0])
-
-    def tdot(self, u: np.ndarray) -> np.ndarray:
-        return np.bincount(self.cols, self.vals * u[self.rows], minlength=self.shape[1])
-
-
 class _Rows:
-    """The constraint rows, block-sparse, set up once per solve: A as a
-    :class:`_Coo` of its nonzeros, and per group the pieces of the rows that
-    touch its blocks, as padded (nblk, L, ...) parts, L the most rows
-    touching one block, padding rows being zero pieces charged to row 0.  A
-    PSD group has one part of k x k pieces.  The side-1 group has a part of
-    the columns touching one row, and one of the few touching several rows
-    (the split free variables of a boxed program) over their row support."""
+    """The constraint rows, block-sparse, set up once per solve from the
+    :class:`_Coo` A of the SDP: per group the pieces of the rows that touch
+    its blocks, as padded (nblk, L, ...) parts, L the most rows touching one
+    block, padding rows being zero pieces charged to row 0.  A PSD group has
+    one part of k x k pieces.  The side-1 group has a part of the columns
+    touching one row, and one of the few touching several rows (the split
+    free variables of a boxed program) over their row support."""
 
-    def __init__(self, cone: _Cone, a: np.ndarray):
+    def __init__(self, cone: _Cone, a: _Coo):
         m, dim = a.shape
-        flat = np.flatnonzero(a.ravel() != 0)  # a boolean mask finds them fastest
-        rows, cols = np.divmod(flat, dim)
-        vals = a.ravel()[flat]
-        self.a = _Coo(rows, cols, vals, a.shape)
+        self.a, rows, cols, vals = a, a.rows, a.cols, a.vals
         # each column's group, block in the group and svec entry in the block
         group, block, entry = (np.empty(dim, dtype=np.intp) for _ in range(3))
         at = [np.arange(dim)[pos].reshape(nblk, -1) for _, nblk, pos in cone.groups]
@@ -362,7 +345,7 @@ def solve(
     feastol = eps if feastol is None else feastol
 
     ops = _Cone(sdp)
-    rows = _Rows(ops, sdp.A)
+    rows = _Rows(ops, sdp.coo)
     a = rows.a
     b = sdp.b
     c = sdp.c

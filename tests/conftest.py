@@ -25,7 +25,7 @@ from coposos.polycore import (
     quadratic_form,
     quartic_form,
 )
-from coposos.sdpcore import psd_block
+from coposos.sdpcore import BlockSdp, psd_block
 
 
 def cycle_edges(n):
@@ -162,6 +162,14 @@ def dense_k():
         mp.setattr(cones, "GramLayout", DenseKLayout)
         mp.setattr(relax, "GramLayout", DenseKLayout)
         yield
+
+
+def dense_sdp(blocks, a, b, c) -> BlockSdp:
+    """A BlockSdp from a dense constraint matrix ``a``, passed as the
+    (row, column, value) triplets of its nonzeros."""
+    a = np.asarray(a, dtype=float)
+    rows, cols = np.nonzero(a)
+    return BlockSdp(blocks, (rows, cols, a[rows, cols]), b, c)
 
 
 def dense_scaled_rows(cone, sc, a, chunk=64):

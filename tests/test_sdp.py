@@ -6,18 +6,26 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import dense_scaled_rows
+from conftest import c5_matrix, dense_scaled_rows, dense_sdp
 from coposos.apps import (
     chromatic_bound,
     chromatic_program,
     complete_graph,
     cycle_graph,
+    sqp_reciprocal_bound,
     sqp_reciprocal_program,
     stability_bound,
     stability_qp_matrix,
 )
-from coposos.cones import ConeKind
-from coposos.relax import build_relaxation_sdp, to_bounded
+from coposos.cones import ConeKind, Verdict, build_K_membership, decide_membership
+from coposos.polycore import SymMatrix
+from coposos.relax import (
+    ConicProgram,
+    SpnWitness,
+    build_relaxation_sdp,
+    solve_relaxation,
+    to_bounded,
+)
 from coposos.sdpcore import (
     BlockSdp,
     SdpBuilder,
@@ -314,10 +322,19 @@ def test_builder_rejects_entries_outside_their_block():
     assert sdp.A.shape == (0, 5) and not sdp.c.any()
 
 
+@pytest.mark.parametrize("row,col", [(2, 0), (-1, 0), (0, 5), (0, -1)])
+def test_block_sdp_rejects_triplets_outside_a(row, col):
+    # A is 2 x 5; a negative index must not wrap around
+    with pytest.raises(ValueError):
+        BlockSdp([nonneg_block(2), psd_block(2)], ([0, row], [1, col], [1.0, 2.0]),
+                 [1.0, 0.0], np.zeros(5))
+
+
 def _export_sparse_reference(sdp):
     """export_sparse as a loop over every entry of every block."""
     lines = ["blocks " + " ".join(f"{blk.kind}:{blk.size}" for blk in sdp.blocks)]
-    lines += [f"rhs {i + 1} {float(b_i)!r}" for i, b_i in enumerate(sdp.b) if b_i != 0.0]
+    lines += [f"rhs {i + 1} {float(b_i)!r}" for i, b_i in enumerate(sdp.b)
+              if b_i != 0.0 or i == sdp.b.size - 1]
     for cons, vec in enumerate([sdp.c, *sdp.A]):
         for bi, (blk, sl) in enumerate(zip(sdp.blocks, sdp.slices)):
             if blk.kind == "psd":
@@ -331,12 +348,56 @@ def _export_sparse_reference(sdp):
     return "\n".join(lines) + "\n"
 
 
+def _zeros_and_cancellations_sdp():
+    """Rows built from entries of -0.0 and from entries that cancel to 0,
+    beside three that stay: (0, 0, 0), (3, 0, 1) and the objective's (0, 1, 2)."""
+    builder = SdpBuilder(_MIXED_BLOCKS)
+    builder.add_rows(
+        row=[-1, -1, -1, 0, 0, 0, 0, 1, 1, 1, 2, 2],
+        block=[0, 3, 3, 0, 0, 1, 1, 4, 4, 3, 3, 3],
+        i=[1, 0, 0, 0, 1, 0, 0, 2, 3, 0, 0, 2],
+        j=[2, 0, 0, 0, 2, 0, 0, 3, 2, 1, 1, 2],
+        value=[1.5, 0.5, -0.5, 2.0, -0.0, 3.0, -3.0, 0.25, -0.25, -0.0, 4.0, -0.0],
+        rhs=[1.0, 0.0, 0.0])
+    return builder.build()
+
+
 def test_export_sparse_matches_entrywise_reference():
-    sdp = _sparse_mixed_sdp(0)
-    sdp.A[sdp.A == 0.0] = -0.0  # signed zeros must be skipped as zeros are
+    # -0.0 and entries that cancel are neither stored in A nor exported
+    zeros = _zeros_and_cancellations_sdp()
+    a = zeros.coo
+    assert (a.rows.tolist(), a.cols.tolist()) == ([0, 2], [0, zeros.slices[3].start + 1])
+    assert np.array_equal(a.vals, [2.0, 4.0 * np.sqrt(2.0)])
+    assert np.flatnonzero(zeros.c).tolist() == [4]
+    text = export_sparse(zeros)
+    assert "-0.0" not in text and len(text.splitlines()) == 1 + 2 + 3  # blocks, rhs, entries
     planted, _ = _planted_instance(np.random.default_rng(2), _MIXED_BLOCKS, m=3)
-    for case in (sdp, planted):
+    for case in (zeros, _sparse_mixed_sdp(0), planted):
         assert export_sparse(case) == _export_sparse_reference(case)
+
+
+def _empty_last_row_sdp():
+    """SdpBuilder([psd_block(2)]) with rhs [1, 1, 0]: row 3 has no entries."""
+    builder = SdpBuilder([psd_block(2)])
+    builder.add_rows([-1, 0, 1], 0, [0, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], [1.0, 1.0, 0.0])
+    return builder.build()
+
+
+@pytest.mark.parametrize("case", ["empty-last-row", "zeros", "sparse", "no-rows"])
+def test_export_parse_roundtrip_keeps_every_row(case):
+    # a trailing row with no entries and a zero right-hand side survives
+    sdp = {"empty-last-row": _empty_last_row_sdp, "zeros": _zeros_and_cancellations_sdp,
+           "sparse": lambda: _sparse_mixed_sdp(3),
+           "no-rows": lambda: SdpBuilder(_MIXED_BLOCKS).build()}[case]()
+    back = parse_sparse(export_sparse(sdp))
+    assert back.blocks == sdp.blocks
+    assert back.num_constraints == sdp.num_constraints
+    assert np.array_equal(back.b, sdp.b) and np.allclose(back.c, sdp.c, rtol=1e-15, atol=0)
+    assert np.array_equal(back.coo.rows, sdp.coo.rows)
+    assert np.array_equal(back.coo.cols, sdp.coo.cols)
+    assert np.allclose(back.coo.vals, sdp.coo.vals, rtol=1e-15, atol=0)
+    if case == "empty-last-row":
+        assert back.num_constraints == 3 and back.b.tolist() == [1.0, 1.0, 0.0]
 
 
 def test_export_parse_roundtrip():
@@ -351,6 +412,31 @@ def test_export_parse_roundtrip():
     v1 = solve(sdp).objective
     v2 = solve(back).objective
     assert abs(v1 - v2) <= 1e-7
+
+
+def test_no_solve_path_reads_a_dense_a(monkeypatch):
+    # A stays in triplets from the builder to the solver, the sandwich
+    # diagnostics and the exchange format; only tests read the dense view
+    def dense_view(self):
+        raise AssertionError("dense A read")
+
+    monkeypatch.setattr(BlockSdp, "A", property(dense_view))
+    for kind in (ConeKind.K, ConeKind.Q):
+        assert stability_bound(cycle_graph(5), 1, kind).status == SdpStatus.OPTIMAL
+    assert chromatic_bound(cycle_graph(4), 0)[1].status == SdpStatus.OPTIMAL
+    for m, want in ((SymMatrix.identity(3), Verdict.MEMBER), (c5_matrix(), Verdict.NOT_MEMBER)):
+        assert decide_membership(build_K_membership(m, 0)).verdict == want
+    # no witness split: the split is searched for by check_intspn
+    res = sqp_reciprocal_bound(stability_qp_matrix(cycle_graph(5)), 0, ConeKind.K)
+    assert res.status == SdpStatus.OPTIMAL
+    # min lambda s.t. I + lambda J in K^(0), with the split I + 2J = I + 2J
+    prog = ConicProgram.make([1], [(3, [SymMatrix.ones(3)], SymMatrix.identity(3).scale(-1))])
+    witness = SpnWitness((Fraction(2),), SymMatrix.identity(3), SymMatrix.ones(3).scale(2),
+                         Fraction(1))
+    res = solve_relaxation(prog, 0, ConeKind.K, 10, witnesses=[witness])
+    assert res.sandwich.ok and res.status == SdpStatus.OPTIMAL
+    back = parse_sparse(export_sparse(res.relaxation.sdp))
+    assert back.num_constraints == res.relaxation.sdp.num_constraints
 
 
 def test_sandwich_identity_point():
@@ -424,7 +510,7 @@ def test_min_eig_matches_per_block_reference():
     rng = np.random.default_rng(13)
     for blocks in (_MIXED_BLOCKS, [nonneg_block(5), nonneg_block(1)]):
         dim = sum(b.vec_dim for b in blocks)
-        sdp = BlockSdp(blocks, np.zeros((0, dim)), [], np.zeros(dim))
+        sdp = dense_sdp(blocks, np.zeros((0, dim)), [], np.zeros(dim))
         cone = _Cone(sdp)
         if blocks is _MIXED_BLOCKS:
             # one group per side; NONNEG(2) and PSD(1) share the side-1 group
@@ -447,7 +533,7 @@ def test_stacks_and_flat_match_per_block_smat_and_svec(case):
     blocks = _MIXED_BLOCKS if case == "mixed" else _SPARSE_BLOCKS
     rng = np.random.default_rng(23)
     dim = sum(b.vec_dim for b in blocks)
-    sdp = BlockSdp(blocks, np.zeros((0, dim)), [], np.zeros(dim))
+    sdp = dense_sdp(blocks, np.zeros((0, dim)), [], np.zeros(dim))
     cone = _Cone(sdp)
 
     def by_group(parts):
@@ -477,7 +563,7 @@ def test_stacks_and_flat_match_per_block_smat_and_svec(case):
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, "psd"])
 def test_scaling_raises_when_the_iterate_leaves_the_cone(bad):
     dim = sum(b.vec_dim for b in _MIXED_BLOCKS)
-    sdp = BlockSdp(_MIXED_BLOCKS, np.zeros((0, dim)), [], np.zeros(dim))
+    sdp = dense_sdp(_MIXED_BLOCKS, np.zeros((0, dim)), [], np.zeros(dim))
     cone = _Cone(sdp)
     e = cone.identity()
     x = e.copy()
@@ -494,7 +580,7 @@ def test_scaling_raises_when_the_iterate_leaves_the_cone(bad):
 def _shuffled(sdp, perm):
     """The same SDP with its blocks in the order ``perm``."""
     cols = np.concatenate([np.arange(sdp.dim)[sdp.slices[i]] for i in perm])
-    return BlockSdp([sdp.blocks[i] for i in perm], sdp.A[:, cols], sdp.b, sdp.c[cols])
+    return dense_sdp([sdp.blocks[i] for i in perm], sdp.A[:, cols], sdp.b, sdp.c[cols])
 
 
 @pytest.mark.parametrize("case", ["planted", "C5-Q-r1"])
@@ -559,7 +645,7 @@ _SPARSE_BLOCKS = [psd_block(k) for k in range(1, 7)] + [
 def _sparse_mixed_sdp(seed, m=15):
     rng = np.random.default_rng(seed)
     dim = sum(blk.vec_dim for blk in _SPARSE_BLOCKS)
-    sl = BlockSdp(_SPARSE_BLOCKS, np.zeros((0, dim)), [], np.zeros(dim)).slices
+    sl = dense_sdp(_SPARSE_BLOCKS, np.zeros((0, dim)), [], np.zeros(dim)).slices
     a = np.zeros((m, dim))
     for i in range(1, m):
         for part in sl[:7]:
@@ -570,7 +656,7 @@ def _sparse_mixed_sdp(seed, m=15):
     a[0, sl[6]] = rng.normal(size=4)  # row 0 touches NONNEG entries only
     a[:, sl[7]] = rng.choice([-1.0, 1.0], size=(m, 2))
     a[rng.integers(1, m), sl[9]] = rng.normal(size=3)
-    return BlockSdp(_SPARSE_BLOCKS, a, rng.normal(size=m), rng.normal(size=dim))
+    return dense_sdp(_SPARSE_BLOCKS, a, rng.normal(size=m), rng.normal(size=dim))
 
 
 def _interior_point(cone, rng):
@@ -594,7 +680,7 @@ def test_block_sparse_rows_match_dense_oracle(case):
         assert not np.any(sdp.A[0, :sdp.slices[6].start])
     rng = np.random.default_rng(31)
     cone = _Cone(sdp)
-    rows = _Rows(cone, sdp.A)
+    rows = _Rows(cone, sdp.coo)
     sc = cone.scaling(_interior_point(cone, rng), _interior_point(cone, rng))
     abar, k_ref = dense_scaled_rows(cone, sc, sdp.A)
     bar, k_mat = rows.scale(sc)
