@@ -350,7 +350,8 @@ def _export_sparse_reference(sdp):
 
 def _zeros_and_cancellations_sdp():
     """Rows built from entries of -0.0 and from entries that cancel to 0,
-    beside three that stay: (0, 0, 0), (3, 0, 1) and the objective's (0, 1, 2)."""
+    beside three (block, i, j) entries that stay: (0, 0, 0) in row 0,
+    (3, 0, 1) in row 2 and (0, 1, 2) in the objective."""
     builder = SdpBuilder(_MIXED_BLOCKS)
     builder.add_rows(
         row=[-1, -1, -1, 0, 0, 0, 0, 1, 1, 1, 2, 2],
@@ -429,7 +430,8 @@ def test_no_solve_path_reads_a_dense_a(monkeypatch):
     # no witness split: the split is searched for by check_intspn
     res = sqp_reciprocal_bound(stability_qp_matrix(cycle_graph(5)), 0, ConeKind.K)
     assert res.status == SdpStatus.OPTIMAL
-    # min lambda s.t. I + lambda J in K^(0), with the split I + 2J = I + 2J
+    # min lambda s.t. I + lambda J in K^(0); at lambda = 2 the slack splits
+    # as P = I plus N = 2J
     prog = ConicProgram.make([1], [(3, [SymMatrix.ones(3)], SymMatrix.identity(3).scale(-1))])
     witness = SpnWitness((Fraction(2),), SymMatrix.identity(3), SymMatrix.ones(3).scale(2),
                          Fraction(1))
