@@ -23,7 +23,6 @@ the test suites.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,18 +143,22 @@ def parse_dimacs(text: str) -> Graph:
     """DIMACS edge format: 'p edge n m' header, 'e i j' lines (1-indexed)."""
     n = None
     edges = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
         parts = line.split()
-        if parts[0] == "p":
-            if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
-                raise ValueError(f"bad problem line: {line!r}")
-            n = int(parts[2])
-        elif parts[0] == "e":
-            i, j = int(parts[1]), int(parts[2])
-            edges.append((i - 1, j - 1))
+        try:
+            if parts[0] == "p":
+                if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
+                    raise ValueError("bad problem line")
+                n = int(parts[2])
+            elif parts[0] == "e":
+                if len(parts) < 3:
+                    raise ValueError("an edge line names two vertices")
+                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        except ValueError as err:
+            raise ValueError(f"line {lineno} {line!r}: {err}") from None
     if n is None:
         raise ValueError("missing 'p edge' line")
     return Graph.make(n, edges)
@@ -228,16 +231,10 @@ def sqp_bound(
     """Level-r bound on the simplex minimum of x^T M x.
 
     ``result.value`` holds the raw program value (min lambda); the bound on
-    the simplex minimum is its negative, see :func:`sqp_bound_value`.
+    the simplex minimum is its negative, ``-result.value``.
     """
     prog = sqp_program(m_mat)
     return solve_relaxation(prog, r, kind, sqp_box_bound(m_mat), eps=eps)
-
-
-def sqp_bound_value(result: RelaxationResult) -> float:
-    if result.value is None:
-        raise ValueError(f"relaxation did not solve: {result.status.value}")
-    return -result.value
 
 
 def sqp_reciprocal_program(m_mat: SymMatrix, symmetry=()) -> ConicProgram:
@@ -314,12 +311,6 @@ def stability_bound(
     )
 
 
-def stability_bound_value(result: RelaxationResult) -> float:
-    if result.value is None:
-        raise ValueError(f"relaxation did not solve: {result.status.value}")
-    return result.value
-
-
 # -- product graphs and the chromatic program ---------------------------------
 
 
@@ -390,26 +381,6 @@ def chromatic_bound(
     if res.value is None:
         return float("nan"), res
     return -res.value, res
-
-
-def chromatic_interior_witness(g: Graph, t: int) -> SpnWitness:
-    """The explicit split of the slack at (y, z) = (-n^2, 1):
-    P = I and N = (t/n^2) J + n A + (n-1) I, exact."""
-    n = g.n
-    gt = product_graph(g, t)
-    size = n * t
-    p_mat = SymMatrix.identity(size)
-    n_mat = (
-        SymMatrix.ones(size).scale(Fraction(t, n * n))
-        + gt.adjacency().scale(n)
-        + SymMatrix.identity(size).scale(n - 1)
-    )
-    return SpnWitness(
-        ybar=(Fraction(-n * n), Fraction(1)),
-        p_mat=p_mat,
-        n_mat=n_mat,
-        lambda_min_lb=Fraction(1),
-    )
 
 
 # -- exact enumeration oracles -------------------------------------------------

@@ -36,9 +36,9 @@ rows are flat arrays (row, block, i, j, weight) that go to
 sides and each row's monomial as its label.  The membership SDP here,
 every cone constraint of a :mod:`coposos.relax` relaxation and its
 interior seed are built from them.  The exact audit
-(:func:`certificate_expansion`, :func:`validate_certificate`) re-expands a
-certificate from its shape alone.  Lifts and audits run on Python-integer
-numerators: certificate entries enter as exact dyadic integers.
+(:func:`validate_certificate`) re-expands a certificate from its shape
+alone.  Lifts and audits run on Python-integer numerators: certificate
+entries enter as exact dyadic integers.
 
 Verdicts: MEMBER comes with an extracted Gram certificate whose exact
 re-expansion residual is checked; NOT_MEMBER is backed by the solver's
@@ -58,7 +58,6 @@ import numpy as np
 
 from .polycore import (
     MultiIndex,
-    Poly,
     SymMatrix,
     coeff_norm,
     lift_table,
@@ -170,14 +169,6 @@ class GramShape:
 
 
 gram_shape = lru_cache(maxsize=16)(GramShape)  # gram_shape(n, r, kind): built once, cached
-
-
-def lifted_poly(m: SymMatrix, r: int, kind: ConeKind) -> Poly:
-    """The exact lifted polynomial whose representation is being certified:
-    the lift table's row delta at x^delta (Q) or x^(2 delta) (K)."""
-    num, den = lift_table(m.n, r).lift(m)
-    return Poly(m.n, {tuple(g): Fraction(c, den) for g, c in
-                      zip(gram_shape(m.n, r, kind).lifted.tolist(), num.tolist()) if c})
 
 
 _FORMAT = "coposos-certificate-v2"
@@ -478,18 +469,6 @@ def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
     e = int(exponent.min(initial=0))
     ints = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
     return np.left_shift(ints, (exponent - e).astype(object)), e
-
-
-def certificate_expansion(cert: SosCertificate) -> Poly:
-    """Exact re-expansion of the certificate's polynomial: each nonzero
-    entry adds its exact dyadic value to the lifted monomial of its row."""
-    _, rows, values = _entries(cert)
-    ints, e = _dyadic(values)
-    lifted = gram_shape(cert.n, cert.r, cert.kind).lifted
-    sums = np.zeros(len(lifted), dtype=object)
-    np.add.at(sums, rows, ints)
-    scale = Fraction(2) ** e
-    return Poly(cert.n, {tuple(g): c * scale for g, c in zip(lifted.tolist(), sums.tolist()) if c})
 
 
 def validate_certificate(

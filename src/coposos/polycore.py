@@ -12,8 +12,7 @@ coefficients, quadratic/quartic matrix forms and the two lift operations
     LINEAR:     p  ->  (x_1 + ... + x_n)^r * p
     QUADRATIC:  p  ->  (x_1^2 + ... + x_n^2)^r * p
 
-used throughout the package, plus coefficient-norm bounds with certified
-suprema on the unit box and on Euclidean balls.
+used throughout the package, and the coefficient norm of the exact audit.
 
 A :class:`SymMatrix` is one array of Python-int numerators over one
 denominator.  Its arithmetic, the exact PSD test (fraction-free
@@ -29,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -206,19 +205,6 @@ class Poly:
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-    def evaluate(self, point: Iterable[RatLike]) -> Fraction:
-        pt = [_rat(v) for v in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for alpha, c in self._terms.items():
-            term = c
-            for x, e in zip(pt, alpha):
-                if e:
-                    term *= x**e
-            total += term
-        return total
 
 
 class SymMatrix:
@@ -475,139 +461,13 @@ class LiftTable:
 lift_table = lru_cache(maxsize=16)(LiftTable)  # lift_table(n, r): built once, cached
 
 
-def coeff_norm(p: Poly | Iterable[tuple[int, int]], denominator: int = 1) -> Fraction:
+def coeff_norm(p: Iterable[tuple[int, int]], denominator: int = 1) -> Fraction:
     """max over monomials of |coefficient| / multinomial(alpha); 0 for p = 0.
 
-    ``p`` is a Poly, or pairs (numerator, multinomial(alpha)) of coefficients
-    over one ``denominator``; the maximum is taken on integers.
+    ``p`` holds pairs (numerator, multinomial(alpha)) of coefficients over
+    one ``denominator``; the maximum is taken on integers.
     """
-    if isinstance(p, Poly):
-        denominator = lcm(*(c.denominator for _, c in p.items()))
-        p = [(c.numerator * (denominator // c.denominator), multinomial(alpha))
-             for alpha, c in p.items()]
     terms = list(p)
     scale = lcm(*{w for _, w in terms})
     top = max((abs(c) * (scale // w) for c, w in terms), default=0)
     return Fraction(top, scale * denominator)
-
-
-# -- suprema and coefficient bounds -----------------------------------------
-
-
-def _sqrt_upper(q: Fraction, refine: int = 30) -> Fraction:
-    """Rational upper bound on sqrt(q) for q >= 0, tighter as refine grows."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0)
-    shift = 1 << refine
-    num = q.numerator * q.denominator * shift * shift
-    root = isqrt(num)
-    if root * root < num:
-        root += 1
-    return Fraction(root, q.denominator * shift)
-
-
-def _as_linear(p: Poly) -> tuple[Fraction, list[Fraction]] | None:
-    """Decompose p = c0 + sum a_i x_i if p has degree <= 1, else None."""
-    if p.total_degree() > 1:
-        return None
-    c0 = p.coeff((0,) * p.nvars)
-    coeffs = [Fraction(0)] * p.nvars
-    for alpha, c in p.items():
-        d = sum(alpha)
-        if d == 1:
-            coeffs[alpha.index(1)] = c
-    return c0, coeffs
-
-
-def _as_sphere_power(p: Poly) -> int | None:
-    """Return k if p == (sum x_i^2)^k, else None."""
-    d = p.total_degree()
-    if d % 2:
-        return None
-    k = d // 2
-    if p == lift_multiplier(p.nvars, k, LiftKind.QUADRATIC):
-        return k
-    return None
-
-
-def box_sup(p: Poly) -> tuple[Fraction, bool]:
-    """(bound, exact) with bound >= max_{[-1,1]^n} |p|.
-
-    Exact for constants, degree-<=1 polynomials and (sum x_i^2)^k; otherwise
-    the certified interval bound sum |c_alpha| is returned.
-    """
-    lin = _as_linear(p)
-    if lin is not None:
-        c0, coeffs = lin
-        return abs(c0) + sum(abs(a) for a in coeffs), True
-    k = _as_sphere_power(p)
-    if k is not None:
-        return Fraction(p.nvars) ** k, True
-    return sum(abs(c) for _, c in p.items()), False
-
-
-def ball_sup(p: Poly, radius: Fraction, refine: int = 30) -> tuple[Fraction, bool]:
-    """(bound, exact) with bound >= max over {sum x_i^2 <= radius} of |p|.
-
-    Exact for constants and (sum x_i^2)^k; for other polynomials a certified
-    over-estimate sum |c_alpha| * radius^(|alpha|/2) is used, with rational
-    upper bounds standing in for irrational square roots.
-    """
-    radius = _rat(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    k = _as_sphere_power(p)
-    if k is not None:
-        return radius**k, True
-    sqrt_r_up = _sqrt_upper(radius, refine)
-    lin = _as_linear(p)
-    if lin is not None:
-        c0, coeffs = lin
-        norm_up = _sqrt_upper(sum(a * a for a in coeffs), refine)
-        exact = all(a == 0 for a in coeffs)
-        return abs(c0) + norm_up * sqrt_r_up, exact
-    total = Fraction(0)
-    for alpha, c in p.items():
-        d = sum(alpha)
-        rad_pow = radius ** (d // 2) * (sqrt_r_up if d % 2 else 1)
-        total += abs(c) * rad_pow
-    return total, False
-
-
-def box_coeff_bound_rhs(p: Poly) -> Fraction:
-    """3^(d+1) * sup_{[-1,1]^n} |p|, an upper bound on coeff_norm(p).
-
-    The supremum is exact on the documented closed-form corpus and a
-    certified over-estimate otherwise.
-    """
-    d = p.total_degree()
-    sup, _ = box_sup(p)
-    return Fraction(3) ** (d + 1) * sup
-
-
-def ball_coeff_bound_rhs(p: Poly, radius: RatLike, samples: int = 1) -> Fraction:
-    """3^(d+1) * d! * (n/radius)^(d/2) * sup over {sum x_i^2 <= radius} of |p|.
-
-    Upper-bounds max_alpha |c_alpha|.  Requires 0 < radius < n.  ``samples``
-    controls the dyadic refinement of rational square-root over-estimates
-    when the exact value involves irrational factors (odd degree).
-    """
-    radius = _rat(radius)
-    n = p.nvars
-    if not (0 < radius < n):
-        raise ValueError("radius must satisfy 0 < radius < nvars")
-    d = p.total_degree()
-    refine = 20 + 10 * max(1, samples)
-    sup, _ = ball_sup(p, radius, refine)
-    ratio = Fraction(n) / radius
-    if d % 2 == 0:
-        scale = ratio ** (d // 2)
-    else:
-        scale = ratio ** (d // 2) * _sqrt_upper(ratio, refine)
-    return Fraction(3) ** (d + 1) * factorial(d) * scale * sup
-
-
-def max_abs_coeff(p: Poly) -> Fraction:
-    return max((abs(c) for _, c in p.items()), default=Fraction(0))

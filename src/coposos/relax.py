@@ -107,9 +107,6 @@ class ConicProgram:
                      else ConeConstraint(c[0], tuple(c[1]), c[2]) for c in constraints)
         return cls(m=len(b), b=b, constraints=cons)
 
-    def objective_value(self, y) -> Fraction:
-        return sum((bi * yi for bi, yi in zip(self.b, y)), Fraction(0))
-
 
 @dataclass
 class RelaxationSdp:

@@ -183,34 +183,6 @@ class BlockSdp:
             for blk, part in zip(self.blocks, self.unpack(x))
         ]
 
-    @classmethod
-    def from_blocks(cls, blocks, objective_blocks, constraints):
-        """Build from per-block dense data.
-
-        ``objective_blocks`` and each constraint's matrix list hold one
-        k x k symmetric array per PSD block and one length-k vector per
-        NONNEG block; ``constraints`` is a list of (blocks_values, rhs).
-        """
-        builder = SdpBuilder(blocks)
-
-        def entries(values):  # (block, i, j, value) of every upper-triangle entry
-            cols = []
-            for bi, (blk, val) in enumerate(zip(builder.blocks, values)):
-                val = np.asarray(val, dtype=float)
-                if blk.kind == "nonneg":
-                    val, (i, j) = np.diag(val), np.diag_indices(blk.size)
-                elif np.allclose(val, val.T, atol=1e-12):
-                    i, j = np.triu_indices(blk.size)
-                else:
-                    raise ValueError("PSD block data is not symmetric")
-                cols.append((np.full(i.size, bi), i, j, val[i, j]))
-            return map(np.concatenate, zip(*cols))
-
-        builder.add_rows(-1, *entries(objective_blocks), [])
-        for mats, b_i in constraints:
-            builder.add_rows(0, *entries(mats), [b_i])
-        return builder.build()
-
 
 def _columns(entries):
     """(block, i, j, value) tuples as four columns."""
@@ -336,21 +308,27 @@ def parse_sparse(text: str) -> BlockSdp:
     blocks = None
     rhs: dict[int, float] = {}
     entries = []  # (constraint, block, row, column, value)
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "blocks":
-            blocks = []
-            for token in parts[1:]:
-                kind, size = token.split(":")
-                blocks.append(BlockSpec(kind, int(size)))
-            continue
-        if parts[0] == "rhs":
-            rhs[int(parts[1])] = float(parts[2])
-            continue
-        entries.append((*(int(v) for v in parts[:4]), float(parts[4])))
+        try:
+            if parts[0] == "blocks":
+                blocks = []
+                for token in parts[1:]:
+                    kind, size = token.split(":")
+                    blocks.append(BlockSpec(kind, int(size)))
+            elif len(parts) != (3 if parts[0] == "rhs" else 5):
+                raise ValueError("expected 'rhs <constraint> <value>' or five fields")
+            elif parts[0] == "rhs":
+                if int(parts[1]) < 1:
+                    raise ValueError("constraint 0 is the objective, which has no rhs")
+                rhs[int(parts[1])] = float(parts[2])
+            else:
+                entries.append((*(int(v) for v in parts[:4]), float(parts[4])))
+        except ValueError as err:
+            raise ValueError(f"line {lineno} {line!r}: {err}") from None
     if blocks is None:
         raise ValueError("missing blocks header")
     cons, *cols = tuple(zip(*entries)) or ((),) * 5

@@ -304,8 +304,11 @@ def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray, rounds: int = 5):
 
     Refinement stops at the target or once a round fails to halve the
     residual: at the noise floor of an ill-conditioned K further rounds only
-    wander.  The iterate with the smaller residual is returned.
+    wander.  The iterate with the smaller residual is returned.  With no
+    rows, potrs refuses the empty system, whose solution is empty.
     """
+    if not rhs.size:
+        return rhs.copy()
     u = dpotrs(factor, rhs, lower=1)[0]
     resid = rhs - k_mat @ u
     norm = float(np.sqrt(resid.dot(resid)))

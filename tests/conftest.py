@@ -1,6 +1,7 @@
-"""Shared corpus generators (seeded, exact-rational where it matters), the
-unreduced K layout, the Fraction route of the exact audit and the Fraction
-matrix with its slack, lift and PSD test, kept as differential oracles."""
+"""Shared corpus generators (seeded, exact-rational where it matters),
+BlockSdp set-ups from dense data, the unreduced K layout, the Fraction route
+of the exact audit and the Fraction matrix with its slack, lift and PSD
+test, kept as differential oracles."""
 
 import contextlib
 import math
@@ -25,7 +26,7 @@ from coposos.polycore import (
     quadratic_form,
     quartic_form,
 )
-from coposos.sdpcore import BlockSdp, psd_block
+from coposos.sdpcore import BlockSdp, SdpBuilder, psd_block
 
 
 def cycle_edges(n):
@@ -172,6 +173,34 @@ def dense_sdp(blocks, a, b, c) -> BlockSdp:
     return BlockSdp(blocks, (rows, cols, a[rows, cols]), b, c)
 
 
+def block_sdp(blocks, objective_blocks, constraints) -> BlockSdp:
+    """A BlockSdp from per-block dense data.
+
+    ``objective_blocks`` and each constraint's matrix list hold one k x k
+    symmetric array per PSD block and one length-k vector per NONNEG block;
+    ``constraints`` is a list of (blocks_values, rhs).
+    """
+    builder = SdpBuilder(blocks)
+
+    def entries(values):  # (block, i, j, value) of every upper-triangle entry
+        cols = []
+        for bi, (blk, val) in enumerate(zip(builder.blocks, values)):
+            val = np.asarray(val, dtype=float)
+            if blk.kind == "nonneg":
+                val, (i, j) = np.diag(val), np.diag_indices(blk.size)
+            elif np.allclose(val, val.T, atol=1e-12):
+                i, j = np.triu_indices(blk.size)
+            else:
+                raise ValueError("PSD block data is not symmetric")
+            cols.append((np.full(i.size, bi), i, j, val[i, j]))
+        return map(np.concatenate, zip(*cols))
+
+    builder.add_rows(-1, *entries(objective_blocks), [])
+    for mats, b_i in constraints:
+        builder.add_rows(0, *entries(mats), [b_i])
+    return builder.build()
+
+
 def dense_scaled_rows(cone, sc, a, chunk=64):
     """The dense scaled-row path the solver had before its rows were kept
     block-sparse, as a differential oracle: the rows of ``a`` unpacked into
@@ -223,11 +252,17 @@ def fraction_expansion(cert) -> Poly:
     return Poly(n, terms)
 
 
-def fraction_residual(m: SymMatrix, cert) -> Fraction:
-    """max |c| / multinomial(alpha) over the coefficients of the Fraction
-    lift less the Fraction expansion."""
-    diff = fraction_lift(m, cert.r, cert.kind) - fraction_expansion(cert)
-    return max((abs(c) / multinomial(a) for a, c in diff.items()), default=Fraction(0))
+def fraction_coeff_norm(p: Poly) -> Fraction:
+    """max |c| / multinomial(alpha) over the coefficients of p; 0 for p = 0."""
+    return max((abs(c) / multinomial(a) for a, c in p.items()), default=Fraction(0))
+
+
+def fraction_residual(m: SymMatrix, cert, expansion=None) -> Fraction:
+    """The coefficient norm of the Fraction lift less ``expansion``, by
+    default the Fraction expansion of the certificate."""
+    if expansion is None:
+        expansion = fraction_expansion(cert)
+    return fraction_coeff_norm(fraction_lift(m, cert.r, cert.kind) - expansion)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from coposos.apps import (
     brute_alpha,
     brute_chi,
     chromatic_bound,
-    chromatic_interior_witness,
     chromatic_program,
     complete_graph,
     cycle_graph,
@@ -19,15 +18,14 @@ from coposos.apps import (
     path_graph,
     product_graph,
     sqp_bound,
-    sqp_bound_value,
     sqp_reciprocal_bound,
     stability_bound,
-    stability_bound_value,
     stability_qp_matrix,
     validate_stability_matrix,
 )
 from coposos.cones import ConeKind
 from coposos.polycore import SymMatrix
+from coposos.relax import SpnWitness
 from coposos.sdpcore import SdpStatus
 
 SQRT5 = 5 ** 0.5
@@ -118,18 +116,18 @@ class TestSqpBounds:
     def test_identity_closed_form(self, n):
         res = sqp_bound(SymMatrix.identity(n), 0, ConeKind.K)
         assert res.status == SdpStatus.OPTIMAL
-        assert abs(sqp_bound_value(res) - 1.0 / n) <= 1e-5
+        assert abs(-res.value - 1.0 / n) <= 1e-5
 
     def test_all_ones_closed_form(self):
         res = sqp_bound(SymMatrix.ones(3), 0, ConeKind.K)
-        assert abs(sqp_bound_value(res) - 1.0) <= 1e-5
+        assert abs(-res.value - 1.0) <= 1e-5
 
     def test_c5_adjacency_plus_identity(self):
         g = cycle_graph(5)
         m = g.adjacency() + SymMatrix.identity(5)
         res = sqp_bound(m, 0, ConeKind.K)
         # level-0 value is 1/sqrt(5), below the true minimum 1/2
-        assert abs(sqp_bound_value(res) - 1 / SQRT5) <= 1e-5
+        assert abs(-res.value - 1 / SQRT5) <= 1e-5
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_reciprocal_of_identity(self, n):
@@ -145,7 +143,7 @@ class TestSqpBounds:
             pres = sqp_bound(m, 0, ConeKind.K)
             qres = sqp_reciprocal_bound(m, 0, ConeKind.K, witness_split=(p, nn, lb))
             assert pres.status == qres.status == SdpStatus.OPTIMAL
-            assert abs(sqp_bound_value(pres) * qres.value - 1.0) <= 1e-4
+            assert abs(-pres.value * qres.value - 1.0) <= 1e-4
 
     @pytest.mark.parametrize("fault", ["sum", "negative-N", "lb-zero", "lb-uncertified"])
     def test_reciprocal_requires_valid_split(self, fault):
@@ -165,21 +163,21 @@ class TestSqpBounds:
 class TestStabilityBounds:
     def test_triangle(self):
         res = stability_bound(complete_graph(3), 0, ConeKind.K)
-        assert abs(stability_bound_value(res) - 1.0) <= 1e-5
+        assert abs(res.value - 1.0) <= 1e-5
 
     def test_c5_level0_is_sqrt5(self):
         res = stability_bound(cycle_graph(5), 0, ConeKind.K)
-        assert abs(stability_bound_value(res) - SQRT5) <= 1e-3
+        assert abs(res.value - SQRT5) <= 1e-3
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_edgeless(self, n):
         res = stability_bound(empty_graph(n), 0, ConeKind.K)
-        assert abs(stability_bound_value(res) - n) <= 1e-4
+        assert abs(res.value - n) <= 1e-4
 
     def test_upper_bounds_alpha_and_monotone(self):
         g = cycle_graph(5)
-        v0 = stability_bound_value(stability_bound(g, 0, ConeKind.K))
-        v1 = stability_bound_value(stability_bound(g, 1, ConeKind.K))
+        v0 = stability_bound(g, 0, ConeKind.K).value
+        v1 = stability_bound(g, 1, ConeKind.K).value
         assert v0 >= brute_alpha(g) - 1e-6
         assert v1 >= brute_alpha(g) - 1e-6
         assert v1 <= v0 + 1e-6
@@ -188,12 +186,12 @@ class TestStabilityBounds:
         g = Graph.make(4, [(0, 1), (1, 2), (2, 3)], weights=[1, 2, 1, 3])
         res = stability_bound(g, 0, ConeKind.K)
         alpha_w = brute_alpha(g, weighted=True)
-        assert stability_bound_value(res) >= float(alpha_w) - 1e-6
+        assert res.value >= float(alpha_w) - 1e-6
 
     def test_nu_dominates_theta(self):
         g = cycle_graph(5)
-        theta = stability_bound_value(stability_bound(g, 1, ConeKind.K))
-        nu = stability_bound_value(stability_bound(g, 1, ConeKind.Q))
+        theta = stability_bound(g, 1, ConeKind.K).value
+        nu = stability_bound(g, 1, ConeKind.Q).value
         assert nu >= theta - 1e-6
 
     # Regression corpus: C5-C8 with K at r=0-2 and Q at r=1-2, and K at r=1
@@ -210,7 +208,7 @@ class TestStabilityBounds:
         g = cycle_graph(n)
         res = stability_bound(g, r, kind)
         assert res.status == SdpStatus.OPTIMAL
-        assert stability_bound_value(res) >= brute_alpha(g) - 1e-6
+        assert res.value >= brute_alpha(g) - 1e-6
         assert res.certificate_reports
         assert all(rep.ok for rep in res.certificate_reports)
 
@@ -262,10 +260,18 @@ class TestChromatic:
             assert con.c_mat == ones.scale(Fraction(-t, n * n))
 
     def test_interior_witness_exact(self):
+        # the slack at (y, z) = (-n^2, 1), inside the box of
+        # chromatic_box_bound, splits exactly as P = I plus
+        # N = (t/n^2) J + n A + (n-1) I
         g = complete_graph(3)
+        n = g.n
         prog = chromatic_program(g)
-        for t in range(1, g.n + 1):
-            w = chromatic_interior_witness(g, t)
+        for t in range(1, n + 1):
+            size = n * t
+            eye = SymMatrix.identity(size)
+            n_mat = (SymMatrix.ones(size).scale(Fraction(t, n * n))
+                     + product_graph(g, t).adjacency().scale(n) + eye.scale(n - 1))
+            w = SpnWitness((Fraction(-n * n), Fraction(1)), eye, n_mat, Fraction(1))
             assert w.check_exact(prog.constraints[t - 1])
 
     @pytest.mark.parametrize(

@@ -58,6 +58,39 @@ def test_only_gram_shape_tells_the_cone_kinds_apart():
     assert branches  # the one that is allowed is found
 
 
+def _unused_imports(tree):
+    """(name, line) of every top-level import binding that the module never
+    reads; a name listed in ``__all__`` counts as read."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((name, line) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_top_level_imports():
+    src = Path(coposos.__file__).resolve().parent
+    unused = [(path.relative_to(src).as_posix(), *found)
+              for path in sorted(src.rglob("*.py"))
+              for found in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []
+
+
+def test_unused_import_check_finds_one():
+    tree = ast.parse("from __future__ import annotations\nimport itertools\n"
+                     "import numpy as np\nfrom math import gcd, lcm\n"
+                     "__all__ = ['lcm']\nx = np.zeros(gcd(4, 6))\n")
+    assert _unused_imports(tree) == [("itertools", 2)]
+
+
 def _load_bench(name, monkeypatch):
     """The module bench/<name>.py, loaded read-only: no bytecode is written."""
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"

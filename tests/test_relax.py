@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,6 @@ from conftest import planted_spn, random_symmetric
 from coposos.cones import ConeKind, parity_classes
 from coposos.polycore import LiftKind, SymMatrix, lift_table, polya_lift, quadratic_form
 from coposos.relax import (
-    ConeConstraint,
     ConicProgram,
     SpnRefusal,
     SpnWitness,
@@ -20,7 +18,7 @@ from coposos.relax import (
     solve_relaxation,
     to_bounded,
 )
-from coposos.sdpcore import SdpStatus, sandwich_diagnostics, solve
+from coposos.sdpcore import SdpStatus, sandwich_diagnostics
 
 
 def sqp_like_program(m_mat: SymMatrix) -> ConicProgram:
@@ -42,7 +40,7 @@ class TestBuilders:
         assert decoded == [y]
         b_diag = [Fraction(1, 2), Fraction(-1, 2)]
         inner = sum(bv * dv for bv, dv in zip(b_diag, d))
-        assert inner == prog.objective_value(decoded)
+        assert inner == sum(bi * yi for bi, yi in zip(prog.b, decoded))
 
     def test_sqp_identity2_value(self):
         prog = sqp_like_program(SymMatrix.identity(2))

@@ -6,12 +6,15 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import c5_matrix, dense_scaled_rows, dense_sdp
+from conftest import block_sdp, c5_matrix, dense_scaled_rows, dense_sdp
+from coposos import polycore
 from coposos.apps import (
     chromatic_bound,
     chromatic_program,
     complete_graph,
     cycle_graph,
+    parse_dimacs,
+    sqp_bound,
     sqp_reciprocal_bound,
     sqp_reciprocal_program,
     stability_bound,
@@ -56,7 +59,7 @@ def test_svec_roundtrip_preserves_inner_products():
 
 def test_min_entry_fixed_scalar():
     # min x11 s.t. x11 = 3 on PSD(1)
-    sdp = BlockSdp.from_blocks(
+    sdp = block_sdp(
         [psd_block(1)], [np.array([[1.0]])], [([np.array([[1.0]])], 3.0)]
     )
     sol = solve(sdp)
@@ -65,7 +68,7 @@ def test_min_entry_fixed_scalar():
 
 
 def test_negative_scalar_infeasible():
-    sdp = BlockSdp.from_blocks(
+    sdp = block_sdp(
         [psd_block(1)], [np.array([[0.0]])], [([np.array([[1.0]])], -1.0)]
     )
     sol = solve(sdp)
@@ -110,7 +113,7 @@ def _feasibility_sdp(seed, feasible, objective=False, m=5):
     c = [_random_part(rng, blk) for blk in blocks]
     if not objective:
         c = [np.zeros_like(part) for part in c]
-    return BlockSdp.from_blocks(blocks, c, list(zip(rows, b)))
+    return block_sdp(blocks, c, list(zip(rows, b)))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -174,7 +177,7 @@ def test_relaxation_solutions_are_pinned(name):
 def test_amgm_trace_minimization():
     # min <I, X> s.t. x12 + x21 = 2 on PSD(2); optimum 2 at the all-ones matrix
     a1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sdp = BlockSdp.from_blocks([psd_block(2)], [np.eye(2)], [([a1], 2.0)])
+    sdp = block_sdp([psd_block(2)], [np.eye(2)], [([a1], 2.0)])
     sol = solve(sdp)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.objective - 2.0) < 1e-6
@@ -185,11 +188,29 @@ def test_unbounded_detected():
     # min -x11 s.t. x12 = 1 on PSD(2): x11 free to grow
     a1 = np.array([[0.0, 0.5], [0.5, 0.0]])
     c = np.diag([-1.0, 0.0])
-    sdp = BlockSdp.from_blocks([psd_block(2)], [c], [([a1], 1.0)])
+    sdp = block_sdp([psd_block(2)], [c], [([a1], 1.0)])
     sol = solve(sdp)
     assert sol.status == SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED
     assert sol.diagnostics["ray_quality"] <= 1e-8
     assert abs(sdp.c @ sdp.pack(sol.x_blocks) + 1.0) <= 1e-12  # normalized to c.x = -1
+
+
+@pytest.mark.parametrize("diag,want", [((1.0, 1.0), SdpStatus.OPTIMAL),
+                                       ((-1.0, 1.0), SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED)])
+def test_sdp_without_rows(diag, want):
+    # min <C, X> on PSD(2) alone: the Schur system is 0 x 0; C = I has the
+    # optimum 0 at X = 0, C = diag(-1, 1) the improving ray X = diag(t, 0)
+    sdp = parse_sparse("blocks psd:2\n" + "".join(
+        f"0 0 {i} {i} {v}\n" for i, v in enumerate(diag)))
+    assert sdp.num_constraints == 0
+    sol = solve(sdp)
+    assert sol.status == want
+    if want is SdpStatus.OPTIMAL:
+        assert abs(sol.objective) <= 1e-7
+        assert np.min(np.linalg.eigvalsh(sol.x_blocks[0])) >= 0
+    else:
+        assert sol.diagnostics["ray_quality"] <= 1e-8
+        assert abs(sdp.c @ sdp.pack(sol.x_blocks) + 1.0) <= 1e-12
 
 
 def _planted_instance(rng, blocks, m):
@@ -241,7 +262,7 @@ def _planted_instance(rng, blocks, m):
         for yi, row in zip(y_star, a_rows):
             acc = acc + yi * np.array(row[bi], dtype=float)
         c_parts.append(acc)
-    sdp = BlockSdp.from_blocks(blocks, c_parts, list(zip(a_rows, b)))
+    sdp = block_sdp(blocks, c_parts, list(zip(a_rows, b)))
     return sdp, dot(c_parts, x_parts)
 
 
@@ -282,10 +303,10 @@ def test_nonneg_matches_psd1_blocks():
         b = a_rows @ x_feas
         c = rng.uniform(0.1, 1.0, size=k)
 
-        nn = BlockSdp.from_blocks(
+        nn = block_sdp(
             [nonneg_block(k)], [c], [([a_rows[i]], b[i]) for i in range(m)]
         )
-        as_psd = BlockSdp.from_blocks(
+        as_psd = block_sdp(
             [psd_block(1)] * k,
             [np.array([[ci]]) for ci in c],
             [
@@ -441,10 +462,40 @@ def test_no_solve_path_reads_a_dense_a(monkeypatch):
     assert back.num_constraints == res.relaxation.sdp.num_constraints
 
 
+def test_no_public_call_builds_a_poly(monkeypatch):
+    # every lift and audit runs on lift-table integers: Poly is only the
+    # tests' oracle
+    def no_poly(self, *args, **kwargs):
+        raise AssertionError("Poly built")
+
+    monkeypatch.setattr(polycore.Poly, "__init__", no_poly)
+    assert stability_bound(cycle_graph(5), 1, ConeKind.K).status == SdpStatus.OPTIMAL
+    assert chromatic_bound(cycle_graph(4), 0)[1].status == SdpStatus.OPTIMAL
+    assert sqp_bound(SymMatrix.identity(3), 1, ConeKind.Q).status == SdpStatus.OPTIMAL
+    res = sqp_reciprocal_bound(stability_qp_matrix(cycle_graph(5)), 0, ConeKind.K)
+    assert res.status == SdpStatus.OPTIMAL
+    for m, want in ((SymMatrix.identity(3), Verdict.MEMBER), (c5_matrix(), Verdict.NOT_MEMBER)):
+        assert decide_membership(build_K_membership(m, 0)).verdict == want
+
+
+@pytest.mark.parametrize("parse,text,line", [
+    (parse_dimacs, "p edge 3 1\ne 1\n", "line 2 'e 1'"),
+    (parse_dimacs, "p edge three 1\n", "line 1 "),
+    (parse_sparse, "blocks psd:2\n1 0 0\n", "line 2 '1 0 0'"),
+    (parse_sparse, "blocks psd:2\nrhs 0 1.5\n0 0 0 0 1\n", "line 2 'rhs 0 1.5'"),
+    (parse_sparse, "# header next\nblocks psd2\n", "line 2 "),
+    (parse_sparse, "blocks psd:2\nrhs 1 one\n", "line 2 "),
+])
+def test_parsers_name_the_malformed_line(parse, text, line):
+    with pytest.raises(ValueError) as err:
+        parse(text)
+    assert str(err.value).startswith(line)
+
+
 def test_sandwich_identity_point():
     # trace(X) = k on PSD(k): X0 = I has residual 0 and margin 1
     k = 3
-    sdp = BlockSdp.from_blocks(
+    sdp = block_sdp(
         [psd_block(k)], [np.zeros((k, k))], [([np.eye(k)], float(k))]
     )
     rep = sandwich_diagnostics(sdp, [np.eye(k)], r1=0.5, r2=10.0)
@@ -456,7 +507,7 @@ def test_sandwich_identity_point():
 
 def test_sandwich_flags_violation():
     k = 2
-    sdp = BlockSdp.from_blocks(
+    sdp = block_sdp(
         [psd_block(k)], [np.zeros((k, k))], [([np.eye(k)], 2.0)]
     )
     bad = np.diag([1.0, 1.5])  # trace 2.5, violates by 0.5
@@ -702,7 +753,7 @@ def test_block_sparse_rows_match_dense_oracle(case):
 @pytest.mark.parametrize("case", ["C5-Q-r1", "infeasible"])
 def test_stage_timings_fit_in_the_solve(case):
     if case == "infeasible":
-        sdp = BlockSdp.from_blocks(
+        sdp = block_sdp(
             [psd_block(1)], [np.array([[0.0]])], [([np.array([[1.0]])], -1.0)]
         )
     else:
