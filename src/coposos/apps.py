@@ -140,7 +140,8 @@ def empty_graph(n: int) -> Graph:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """DIMACS edge format: 'p edge n m' header, 'e i j' lines (1-indexed)."""
+    """DIMACS edge format: 'p edge n m' header, 'e i j' lines (1-indexed),
+    'c' comment lines; a line of any other kind is rejected."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -157,6 +158,8 @@ def parse_dimacs(text: str) -> Graph:
                 if len(parts) < 3:
                     raise ValueError("an edge line names two vertices")
                 edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            else:
+                raise ValueError(f"unknown line kind {parts[0]!r}: expected c, p or e")
         except ValueError as err:
             raise ValueError(f"line {lineno} {line!r}: {err}") from None
     if n is None:

@@ -132,6 +132,9 @@ class BlockSdp:
             raise ValueError("objective dimension mismatch")
         rows, cols, vals = (np.asarray(v, dtype=t).reshape(-1)
                             for v, t in zip(a_triplets, (np.intp, np.intp, float)))
+        for name, v in (("b", self.b), ("c", self.c), ("A", vals)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} has a non-finite entry")
         if rows.size and not (0 <= rows.min() <= rows.max() < self.b.size
                               and 0 <= cols.min() <= cols.max() < self.dim):
             raise ValueError(f"A entry outside the {self.b.size} x {self.dim} constraint matrix")
@@ -304,10 +307,24 @@ def export_sparse(sdp: BlockSdp) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _entry_fault(blocks, k: int, bi: int, r: int, col: int) -> str | None:
+    """Why a parsed entry lies outside the program, or None."""
+    if k < 0:
+        return "constraint below 0"
+    if not 0 <= bi < len(blocks):
+        return f"block outside the {len(blocks)} blocks"
+    if not 0 <= min(r, col) <= max(r, col) < blocks[bi].size:
+        return f"entry outside block {bi} of size {blocks[bi].size}"
+    if blocks[bi].kind == "nonneg" and r != col:
+        return "NONNEG blocks are diagonal"
+    return None
+
+
 def parse_sparse(text: str) -> BlockSdp:
     blocks = None
     rhs: dict[int, float] = {}
     entries = []  # (constraint, block, row, column, value)
+    where = []  # (line number, line) of each entry
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -327,10 +344,14 @@ def parse_sparse(text: str) -> BlockSdp:
                 rhs[int(parts[1])] = float(parts[2])
             else:
                 entries.append((*(int(v) for v in parts[:4]), float(parts[4])))
+                where.append((lineno, line))
         except ValueError as err:
             raise ValueError(f"line {lineno} {line!r}: {err}") from None
     if blocks is None:
         raise ValueError("missing blocks header")
+    for (lineno, line), entry in zip(where, entries):
+        if fault := _entry_fault(blocks, *entry[:4]):
+            raise ValueError(f"line {lineno} {line!r}: {fault}")
     cons, *cols = tuple(zip(*entries)) or ((),) * 5
     builder = SdpBuilder(blocks)
     # constraint 0, the objective, is builder row -1

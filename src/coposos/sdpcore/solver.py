@@ -54,18 +54,20 @@ the Schur matrix K_ij = <W^T A_i W, W^T A_j W> from one small Gram matrix
 per block, and applies A, which the SDP keeps as triplets, and the scaled
 rows as COO products.  K is factorized by LAPACK ``potrf`` (with escalating
 diagonal regularization on breakdown) and solved by ``potrs``, and the 2 x 2
-(y, tau) system of the embedding is back-substituted.  The seconds spent
-forming K, in Cholesky and refinement, and in cone operations are reported
-in ``diagnostics["timings"]``.
+(y, tau) system of the embedding is back-substituted.  potrf and potrs are
+loaded from scipy at the first solve: importing the package, parsing,
+building and auditing never load scipy.  The seconds spent forming K, in
+Cholesky and refinement, and in cone operations are reported in
+``diagnostics["timings"]``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from time import perf_counter
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import BlockSdp, SdpSolution, SdpStatus, _Coo, _svec_index, smat, svec
 
@@ -279,6 +281,14 @@ class _Rows:
         return _Coo(*self.bar_at, bar, self.a.shape), k_mat.reshape(m, m)
 
 
+@cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported at the first call only."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _chol_with_regularization(k_mat: np.ndarray):
     """Lower Cholesky factor of K by LAPACK potrf, retried on breakdown with
     K + delta*I, delta starting at 1e-12 times K's mean diagonal (at least
@@ -291,7 +301,7 @@ def _chol_with_regularization(k_mat: np.ndarray):
     reg = 0.0
     for _ in range(8):
         shifted = k_mat + reg * np.eye(k_mat.shape[0]) if reg else k_mat
-        factor, info = dpotrf(shifted, lower=1, clean=0)
+        factor, info = _lapack().dpotrf(shifted, lower=1, clean=0)
         if info == 0:
             return factor
         reg = scale * 1e-12 if reg == 0.0 else reg * 1000.0
@@ -309,14 +319,14 @@ def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray, rounds: int = 5):
     """
     if not rhs.size:
         return rhs.copy()
-    u = dpotrs(factor, rhs, lower=1)[0]
+    u = _lapack().dpotrs(factor, rhs, lower=1)[0]
     resid = rhs - k_mat @ u
     norm = float(np.sqrt(resid.dot(resid)))
     target = 1e-13 * (float(np.sqrt(rhs.dot(rhs))) + 1.0)
     for _ in range(rounds):
         if norm <= target:
             break
-        trial = u + dpotrs(factor, resid, lower=1)[0]
+        trial = u + _lapack().dpotrs(factor, resid, lower=1)[0]
         trial_resid = rhs - k_mat @ trial
         trial_norm = float(np.sqrt(trial_resid.dot(trial_resid)))
         if trial_norm < norm:
@@ -346,6 +356,7 @@ def solve(
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     feastol = eps if feastol is None else feastol
+    _lapack()  # the first solve imports scipy, outside the stage clocks
 
     ops = _Cone(sdp)
     rows = _Rows(ops, sdp.coo)

@@ -1,6 +1,8 @@
 import ast
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,39 @@ def test_documented_modules_import():
     assert modules
     for name in modules:
         importlib.import_module(name)
+
+
+_SCIPY_AT_FIRST_SOLVE = r"""
+import importlib, re, sys
+import coposos
+for name in re.findall(r":mod:`(coposos\.\w+)`", coposos.__doc__):
+    importlib.import_module(name)
+from coposos.apps import chromatic_box_bound, chromatic_program, parse_dimacs
+from coposos.cones import ConeKind, build_membership
+from coposos.polycore import SymMatrix
+from coposos.relax import build_relaxation_sdp
+from coposos.sdpcore import SdpStatus, export_sparse, parse_sparse, solve
+
+g = parse_dimacs("c four-cycle\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
+problem = build_membership(SymMatrix.identity(3), 1, ConeKind.K)
+rel = build_relaxation_sdp(chromatic_program(g), 1, ConeKind.Q, chromatic_box_bound(g))
+for sdp in (problem.sdp, rel.sdp):
+    assert parse_sparse(export_sparse(sdp)).num_constraints == sdp.num_constraints
+loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+assert not loaded, loaded
+assert solve(problem.sdp).status == SdpStatus.OPTIMAL
+assert "scipy.linalg.lapack" in sys.modules
+"""
+
+
+def test_scipy_loads_at_the_first_solve():
+    # only the Schur factorization needs scipy: importing, parsing, building
+    # and exporting run in a fresh interpreter without loading it
+    src = str(Path(coposos.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AT_FIRST_SOLVE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_scripts_resolve():

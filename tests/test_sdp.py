@@ -481,15 +481,37 @@ def test_no_public_call_builds_a_poly(monkeypatch):
 @pytest.mark.parametrize("parse,text,line", [
     (parse_dimacs, "p edge 3 1\ne 1\n", "line 2 'e 1'"),
     (parse_dimacs, "p edge three 1\n", "line 1 "),
+    (parse_dimacs, "p edge 3 1\ne 1 2\nx 1 2\n", "line 3 'x 1 2': unknown line kind 'x'"),
+    # a weighted file's vertex weights are not read, so they are refused
+    (parse_dimacs, "p edge 2 1\nn 1 2\ne 1 2\n", "line 2 'n 1 2': unknown line kind 'n'"),
     (parse_sparse, "blocks psd:2\n1 0 0\n", "line 2 '1 0 0'"),
     (parse_sparse, "blocks psd:2\nrhs 0 1.5\n0 0 0 0 1\n", "line 2 'rhs 0 1.5'"),
     (parse_sparse, "# header next\nblocks psd2\n", "line 2 "),
     (parse_sparse, "blocks psd:2\nrhs 1 one\n", "line 2 "),
+    # entries outside the program, checked once the header is known
+    (parse_sparse, "blocks psd:2\n1 3 0 0 1\n", "line 2 '1 3 0 0 1': block"),
+    (parse_sparse, "1 1 0 0 1\nblocks psd:2\n", "line 1 '1 1 0 0 1': block"),
+    (parse_sparse, "blocks psd:2\n1 0 0 0 1\n-1 0 0 0 1\n", "line 3 '-1 0 0 0 1': constraint"),
+    (parse_sparse, "blocks nonneg:2 psd:2\n1 0 2 2 1\n", "line 2 '1 0 2 2 1': entry outside block 0"),
+    (parse_sparse, "blocks nonneg:2 psd:2\n1 1 0 2 1\n", "line 2 '1 1 0 2 1': entry outside block 1"),
+    (parse_sparse, "blocks psd:2\n1 0 -1 0 1\n", "line 2 '1 0 -1 0 1': entry outside block 0"),
+    (parse_sparse, "blocks nonneg:2\n1 0 0 1 1\n", "line 2 '1 0 0 1 1': NONNEG"),
 ])
 def test_parsers_name_the_malformed_line(parse, text, line):
     with pytest.raises(ValueError) as err:
         parse(text)
     assert str(err.value).startswith(line)
+
+
+@pytest.mark.parametrize("text,name", [
+    ("blocks psd:2\nrhs 1 nan\n0 0 0 0 1\n1 0 0 0 1\n", "b"),
+    ("blocks psd:2\nrhs 1 1\n0 0 0 0 1\n1 0 0 1 inf\n", "A"),
+    ("blocks psd:2\nrhs 1 1\n0 0 0 1 nan\n1 0 0 0 1\n", "c"),
+    ("blocks psd:2\nrhs 1 1\n0 0 0 0 1\n1 0 0 0 -inf\n", "A"),
+])
+def test_block_sdp_rejects_non_finite_data(text, name):
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+        parse_sparse(text)
 
 
 def test_sandwich_identity_point():
@@ -672,7 +694,7 @@ def test_refinement_stops_at_the_noise_floor(monkeypatch):
     k_mat = 1.0 / (np.arange(12)[:, None] + np.arange(12)[None, :] + 1.0)
     rhs = np.ones(12)
     factor = solver._chol_with_regularization(k_mat)
-    original = solver.dpotrs
+    original = solver._lapack().dpotrs
     first = original(factor, rhs, lower=1)[0]
     calls = []
 
@@ -680,7 +702,7 @@ def test_refinement_stops_at_the_noise_floor(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "dpotrs", counting)
+    monkeypatch.setattr(solver._lapack(), "dpotrs", counting)
     u = solver._refined_solve(factor, k_mat, rhs)
     assert len(calls) <= 3
     assert np.linalg.norm(rhs - k_mat @ u) <= np.linalg.norm(rhs - k_mat @ first)
