@@ -141,14 +141,15 @@ def empty_graph(n: int) -> Graph:
 
 def parse_dimacs(text: str) -> Graph:
     """DIMACS edge format: 'p edge n m' header, 'e i j' lines (1-indexed),
-    'c' comment lines; a line of any other kind is rejected."""
+    and comment lines, whose first field is 'c'; a line of any other kind is
+    rejected."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line[0] == "c":
-            continue
         parts = line.split()
+        if not parts or parts[0] == "c":
+            continue
         try:
             if parts[0] == "p":
                 if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
@@ -265,10 +266,8 @@ def sqp_reciprocal_bound(
     bound is 4n over half the certified eigenvalue lower bound.  The
     relaxation is reduced by ``symmetry``, variable permutations fixing M.
     """
-    # zero variables: the slack is M itself, to be split as P + N
-    split = ConicProgram.make(
-        [0], [ConeConstraint(m_mat.n, (SymMatrix.zero(m_mat.n),), m_mat.scale(-1))]
-    )
+    # at y = 0 the slack is M itself, to be split as P + N
+    split = ConeConstraint(m_mat.n, (SymMatrix.zero(m_mat.n),), m_mat.scale(-1))
     if witness_split is None:
         w = check_intspn(split, [0])
         if not isinstance(w, SpnWitness):
@@ -276,7 +275,7 @@ def sqp_reciprocal_bound(
     else:
         p_mat, n_mat, lb = witness_split
         w = SpnWitness((Fraction(0),), p_mat, n_mat, Fraction(lb))
-        if not w.check_exact(split.constraints[0]):
+        if not w.check_exact(split):
             raise ValueError("witness is not a split M = P + N with N >= 0 and "
                              "P - lb*I positive semidefinite, lb > 0")
     box = Fraction(4 * m_mat.n) / (w.lambda_min_lb / 2)
@@ -443,7 +442,5 @@ def brute_chi(g: Graph) -> int:
 
         return assign(0, -1)
 
-    for k in range(2, g.n + 1):
-        if colorable(k):
-            return k
-    return g.n
+    # an edge needs two colours, and n colours always suffice
+    return next(k for k in range(2, g.n + 1) if colorable(k))

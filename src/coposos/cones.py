@@ -131,7 +131,7 @@ class GramShape:
             self.pad = table.target.diagonal(axis1=1, axis2=2)
             self.radius_div = len(table.basis)
         else:
-            taus = np.array(monomial_basis(n, r, exact_degree=True), dtype=np.intp)
+            taus = np.array(monomial_basis(n, r), dtype=np.intp)
             nb, self.nscalar = taus.size, len(exps)
             self.slots = ([list(range(s, s + n)) for s in range(0, nb, n)]
                           + [[nb + t] for t in range(len(exps))])

@@ -6,8 +6,9 @@ this module is exact; conversion to floating point happens only at the SDP
 boundary.  This makes identity tests (e.g. re-expanding a Gram certificate
 and comparing coefficients) fully reliable.
 
-The module also provides the monomial bases (cached tuples), multinomial
-coefficients, quadratic/quartic matrix forms and the two lift operations
+The module also provides the monomial bases (the monomials of one exact
+degree in descending-lex order, cached tuples), multinomial coefficients,
+quadratic/quartic matrix forms and the two lift operations
 
     LINEAR:     p  ->  (x_1 + ... + x_n)^r * p
     QUADRATIC:  p  ->  (x_1^2 + ... + x_n^2)^r * p
@@ -78,18 +79,14 @@ def _compositions(total: int, parts: int) -> list[MultiIndex]:
 
 
 @lru_cache(maxsize=64)
-def monomial_basis(nvars: int, d: int, exact_degree: bool = False) -> tuple[MultiIndex, ...]:
-    """Monomials with |alpha| <= d (or == d) in graded lexicographic order,
-    cached per argument tuple.
-
-    Counts: binom(n+d, d) for the <= variant, binom(n+d-1, d) for exact degree.
-    """
+def monomial_basis(nvars: int, d: int) -> tuple[MultiIndex, ...]:
+    """The binom(n+d-1, d) monomials of exact degree d in descending-lex
+    order (x_1 > x_2 > ...), cached per argument pair."""
     if nvars < 1:
         raise ValueError("nvars must be >= 1")
     if d < 0:
         raise ValueError("degree must be >= 0")
-    degrees = [d] if exact_degree else range(d + 1)
-    return tuple(alpha for dd in degrees for alpha in _compositions(dd, nvars))
+    return tuple(_compositions(d, nvars))
 
 
 class Poly:
@@ -121,10 +118,6 @@ class Poly:
     def zero(cls, nvars: int) -> "Poly":
         return cls(nvars)
 
-    @classmethod
-    def constant(cls, nvars: int, c: RatLike) -> "Poly":
-        return cls(nvars, {(0,) * nvars: _rat(c)})
-
     # -- basic queries -------------------------------------------------
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
@@ -141,18 +134,12 @@ class Poly:
             return 0
         return max(sum(a) for a in self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
             and self._terms == other._terms
         )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         def mono(alpha):
@@ -180,31 +167,14 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check_compatible(other)
-            terms: dict[MultiIndex, Fraction] = {}
-            for a1, c1 in self._terms.items():
-                for a2, c2 in other._terms.items():
-                    key = tuple(x + y for x, y in zip(a1, a2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return Poly(self.nvars, terms)
-        c = _rat(other)
-        return Poly(self.nvars, {a: c * v for a, v in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+    def __mul__(self, other: "Poly") -> "Poly":
+        self._check_compatible(other)
+        terms: dict[MultiIndex, Fraction] = {}
+        for a1, c1 in self._terms.items():
+            for a2, c2 in other._terms.items():
+                key = tuple(x + y for x, y in zip(a1, a2))
+                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+        return Poly(self.nvars, terms)
 
 
 class SymMatrix:
@@ -430,9 +400,9 @@ class LiftTable:
 
     def __init__(self, n: int, r: int):
         self.n, self.r = n, r
-        self.basis = monomial_basis(n, r + 2, exact_degree=True)
+        self.basis = monomial_basis(n, r + 2)
         self.exps = np.array(self.basis, dtype=np.int8)
-        taus = monomial_basis(n, r, exact_degree=True)
+        taus = monomial_basis(n, r)
         eye = np.eye(n, dtype=np.int8)
         grown = np.array(taus, dtype=np.int8)[:, None, None] + eye[:, None] + eye[None, :]
         self.target = monomial_positions(self.exps, grown.reshape(-1, n)).reshape(-1, n, n)

@@ -87,13 +87,15 @@ class ConeConstraint:
 
 @dataclass(frozen=True)
 class ConicProgram:
-    m: int
     b: tuple[Fraction, ...]
     constraints: tuple[ConeConstraint, ...]
 
+    @property
+    def m(self) -> int:
+        """The number of variables y_i."""
+        return len(self.b)
+
     def __post_init__(self):
-        if len(self.b) != self.m:
-            raise ValueError("objective length does not match variable count")
         if not self.constraints:
             raise ValueError("at least one cone constraint is required")
         for cons in self.constraints:
@@ -105,7 +107,7 @@ class ConicProgram:
         b = tuple(Fraction(v) for v in b)
         cons = tuple(c if isinstance(c, ConeConstraint)
                      else ConeConstraint(c[0], tuple(c[1]), c[2]) for c in constraints)
-        return cls(m=len(b), b=b, constraints=cons)
+        return cls(b=b, constraints=cons)
 
 
 @dataclass
@@ -127,8 +129,6 @@ def build_relaxation_sdp(
     prog: ConicProgram, r: int, kind: ConeKind, box_bound
 ) -> RelaxationSdp:
     """Assemble the level-r block SDP of a conic program for either kind."""
-    if r < 0:
-        raise ValueError("level must be >= 0")
     big_r = Fraction(box_bound)
     if big_r <= 0:
         raise ValueError("box bound must be positive")
@@ -204,20 +204,16 @@ class SpnRefusal:
     message: str = ""
 
 
-def check_intspn(
-    prog: ConicProgram,
-    ybar,
-    constraint: int = 0,
-    tol: float = 1e-7,
-) -> SpnWitness | SpnRefusal:
-    """Search for a P + N split of the slack at ybar with P well-conditioned.
+def check_intspn(cons: ConeConstraint, ybar) -> SpnWitness | SpnRefusal:
+    """Search for a P + N split of the constraint's slack at ybar with P
+    well-conditioned.
 
     Solves the auxiliary SDP  max { lam : S = P0 + lam*I + N, P0 psd, N >= 0 }
-    for S the exact slack, then rounds to an exactly verified witness.
-    Returns a refusal carrying the best lam when it is not safely positive.
+    for S the exact slack, then rounds to an exactly verified witness, which
+    :meth:`SpnWitness.check_exact` accepts for ``cons``.  Returns a refusal
+    carrying the best lam when it is not above 1e-7.
     """
     ybar = tuple(Fraction(v) for v in ybar)
-    cons = prog.constraints[constraint]
     s_exact = cons.slack(ybar)
     n = cons.n
 
@@ -237,7 +233,7 @@ def check_intspn(
             lambda_star=float("nan"), message=f"auxiliary SDP: {sol.status.value}"
         )
     lam_star = -sol.objective
-    if lam_star <= tol:
+    if lam_star <= 1e-7:
         return SpnRefusal(lambda_star=lam_star, message="slack has no interior split")
 
     # Round N to exact nonnegative rationals, take P as the exact remainder,
@@ -265,12 +261,13 @@ class InteriorStart:
     outer_radius: float
 
 
-def _shift_for(witness: SpnWitness, max_halvings: int = 60) -> Fraction:
-    """Largest b = lambda_min_lb / 2^k with P - b*J exactly PSD."""
+def _shift_for(witness: SpnWitness) -> Fraction:
+    """Largest b = lambda_min_lb / 2^k, 1 <= k <= 60, with P - b*J exactly
+    PSD."""
     b = witness.lambda_min_lb / 2
     n = witness.p_mat.n
     ones = SymMatrix.ones(n)
-    for _ in range(max_halvings):
+    for _ in range(60):
         if is_psd_exact(witness.p_mat - ones.scale(b)):
             return b
         b /= 2
@@ -402,15 +399,11 @@ def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
         new_a = tuple(padded(a, box(i)) for i, a in enumerate(cons.a_mats))
         new_c = padded(cons.c_mat, [-2 * big_r] * (2 * m))
         symmetry = tuple(tuple(g) + tuple(range(n, n + 2 * m)) for g in cons.symmetry)
-        return ConicProgram(
-            m=m,
-            b=prog.b,
-            constraints=(ConeConstraint(n + 2 * m, new_a, new_c, symmetry),),
-        )
+        return ConicProgram(prog.b, (ConeConstraint(n + 2 * m, new_a, new_c, symmetry),))
 
     extra_a = tuple(SymMatrix.diag(box(i)) for i in range(m))
     extra = ConeConstraint(2 * m, extra_a, SymMatrix.diag([-2 * big_r] * (2 * m)))
-    return ConicProgram(m=m, b=prog.b, constraints=prog.constraints + (extra,))
+    return ConicProgram(prog.b, prog.constraints + (extra,))
 
 
 # -- end-to-end relaxation solving --------------------------------------------

@@ -29,14 +29,9 @@ class SandwichReport:
     ok: bool = True
 
 
-def sandwich_diagnostics(
-    sdp: BlockSdp,
-    x0_blocks,
-    r1: float,
-    r2: float,
-    feas_tol: float = 1e-8,
-) -> SandwichReport:
-    """Check X0 against the constraints and report per-block margins.
+def sandwich_diagnostics(sdp: BlockSdp, x0_blocks, r1: float, r2: float) -> SandwichReport:
+    """Check X0 against the constraints, to an equality residual of 1e-8,
+    and report per-block margins.
 
     ``x0_blocks`` holds one k x k array per PSD block and one length-k
     vector per NONNEG block, conforming to the SDP's block pattern.
@@ -50,8 +45,8 @@ def sandwich_diagnostics(
     margin = min(margins) if margins else float("inf")
 
     violations = []
-    if eq_residual > feas_tol:
-        violations.append(f"equality residual {eq_residual:.3e} exceeds {feas_tol:.1e} "
+    if eq_residual > 1e-8:
+        violations.append(f"equality residual {eq_residual:.3e} exceeds 1.0e-08 "
                           f"(row {worst_row})")
     if margin <= 0:
         violations.append(f"X0 is not in the cone interior (margin {margin:.3e})")

@@ -49,11 +49,6 @@ class BlockSpec:
             return self.size * (self.size + 1) // 2
         return self.size
 
-    @property
-    def cone_degree(self) -> int:
-        # Barrier degree: k for both PSD(k) and NONNEG(k).
-        return self.size
-
 
 def psd_block(k: int) -> BlockSpec:
     return BlockSpec("psd", k)
@@ -192,6 +187,15 @@ def _columns(entries):
     return tuple(zip(*entries)) or ((),) * 4
 
 
+class EntryError(ValueError):
+    """A fault of one entry given to :meth:`SdpBuilder.add_rows`; ``entry``
+    is its index among them, after broadcasting."""
+
+    def __init__(self, entry, message: str):
+        super().__init__(message)
+        self.entry = int(entry)
+
+
 class SdpBuilder:
     """Assembly of a BlockSdp from entries given per (block, i, j): for PSD
     blocks (i, j) with i != j sets the symmetric pair, and the svec scaling
@@ -223,17 +227,22 @@ class SdpBuilder:
         labels = [None] * rhs.size if labels is None else list(labels)
         if len(labels) != rhs.size:
             raise ValueError("one label per row is required")
-        if row.size and not -1 <= row.min() <= row.max() < rhs.size:
-            raise ValueError("entry row outside the rows being added")
-        if block.size and not 0 <= block.min() <= block.max() < len(self.blocks):
-            raise ValueError("entry block out of range")
+        bad = (row < -1) | (row >= rhs.size)
+        if bad.any():
+            raise EntryError(np.argmax(bad), "entry row outside the rows being added")
+        bad = (block < 0) | (block >= len(self.blocks))
+        if bad.any():
+            t = np.argmax(bad)
+            raise EntryError(t, f"block {block[t]} outside the {len(self.blocks)} blocks")
         side, nonneg = self._side[block], self._nonneg[block]
-        outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= side)
-        if outside.any():
-            t = np.argmax(outside)
-            raise ValueError(f"entry ({i[t]}, {j[t]}) outside block {block[t]} of size {side[t]}")
-        if (nonneg & (i != j)).any():
-            raise ValueError("NONNEG blocks are diagonal")
+        bad = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= side)
+        if bad.any():
+            t = np.argmax(bad)
+            raise EntryError(t, f"entry outside block {block[t]} of size {side[t]}: "
+                                f"({i[t]}, {j[t]})")
+        bad = nonneg & (i != j)
+        if bad.any():
+            raise EntryError(np.argmax(bad), "NONNEG blocks are diagonal")
         pos = i.copy()  # the position in the block: i for NONNEG, svec for PSD
         for k in np.unique(side[~nonneg]).tolist():
             at = ~nonneg & (side == k)
@@ -307,19 +316,6 @@ def export_sparse(sdp: BlockSdp) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entry_fault(blocks, k: int, bi: int, r: int, col: int) -> str | None:
-    """Why a parsed entry lies outside the program, or None."""
-    if k < 0:
-        return "constraint below 0"
-    if not 0 <= bi < len(blocks):
-        return f"block outside the {len(blocks)} blocks"
-    if not 0 <= min(r, col) <= max(r, col) < blocks[bi].size:
-        return f"entry outside block {bi} of size {blocks[bi].size}"
-    if blocks[bi].kind == "nonneg" and r != col:
-        return "NONNEG blocks are diagonal"
-    return None
-
-
 def parse_sparse(text: str) -> BlockSdp:
     blocks = None
     rhs: dict[int, float] = {}
@@ -343,18 +339,23 @@ def parse_sparse(text: str) -> BlockSdp:
                     raise ValueError("constraint 0 is the objective, which has no rhs")
                 rhs[int(parts[1])] = float(parts[2])
             else:
-                entries.append((*(int(v) for v in parts[:4]), float(parts[4])))
+                k, bi, r, col = (int(v) for v in parts[:4])
+                if k < 0:
+                    raise ValueError("constraint below 0")
+                if r > col:
+                    raise ValueError("entry below the diagonal: the format lists row <= col")
+                entries.append((k, bi, r, col, float(parts[4])))
                 where.append((lineno, line))
         except ValueError as err:
             raise ValueError(f"line {lineno} {line!r}: {err}") from None
     if blocks is None:
         raise ValueError("missing blocks header")
-    for (lineno, line), entry in zip(where, entries):
-        if fault := _entry_fault(blocks, *entry[:4]):
-            raise ValueError(f"line {lineno} {line!r}: {fault}")
     cons, *cols = tuple(zip(*entries)) or ((),) * 5
     builder = SdpBuilder(blocks)
-    # constraint 0, the objective, is builder row -1
-    builder.add_rows(np.asarray(cons, dtype=np.intp) - 1, *cols,
-                     [rhs.get(k, 0.0) for k in range(1, max([0, *rhs, *cons]) + 1)])
+    try:  # constraint 0, the objective, is builder row -1
+        builder.add_rows(np.asarray(cons, dtype=np.intp) - 1, *cols,
+                         [rhs.get(k, 0.0) for k in range(1, max([0, *rhs, *cons]) + 1)])
+    except EntryError as err:
+        lineno, line = where[err.entry]
+        raise ValueError(f"line {lineno} {line!r}: {err}") from None
     return builder.build()

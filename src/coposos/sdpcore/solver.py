@@ -115,7 +115,7 @@ class _Cone:
             self.groups.append((k, nblk, pos))
         self.stack_at, self.stack_scale = np.concatenate(stack_at), np.concatenate(stack_scale)
         self.dim = sdp.dim
-        self.degree = sum(blk.cone_degree for blk in sdp.blocks)
+        self.degree = sum(blk.size for blk in sdp.blocks)  # barrier degree
 
     def stacks(self, v: np.ndarray) -> list:
         """(..., dim) svec vectors -> one (..., nblk, k, k) stack per group."""
@@ -308,9 +308,9 @@ def _chol_with_regularization(k_mat: np.ndarray):
     return None
 
 
-def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray, rounds: int = 5):
+def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray):
     """LAPACK potrs solve with the Cholesky factor, iteratively refined
-    against the unregularized K.
+    against the unregularized K for up to five rounds.
 
     Refinement stops at the target or once a round fails to halve the
     residual: at the noise floor of an ill-conditioned K further rounds only
@@ -323,7 +323,7 @@ def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray, rounds: int = 5):
     resid = rhs - k_mat @ u
     norm = float(np.sqrt(resid.dot(resid)))
     target = 1e-13 * (float(np.sqrt(rhs.dot(rhs))) + 1.0)
-    for _ in range(rounds):
+    for _ in range(5):
         if norm <= target:
             break
         trial = u + _lapack().dpotrs(factor, resid, lower=1)[0]

@@ -126,7 +126,7 @@ class DenseKLayout(GramLayout):
     def rows(self):
         basis = np.array(self.basis)
         ti, tj = np.triu_indices(len(basis))
-        gammas = monomial_basis(self.n, 2 * self.r + 4, exact_degree=True)
+        gammas = monomial_basis(self.n, 2 * self.r + 4)
         row = monomial_positions(np.array(gammas), basis[ti] + basis[tj])
         return (row, np.full_like(row, self.first), ti, tj, np.ones(row.size)), gammas
 
@@ -231,7 +231,7 @@ def fraction_expansion(cert) -> Poly:
     n = cert.n
     zero = (0,) * n
     if cert.kind is ConeKind.K:
-        basis = monomial_basis(n, cert.r + 2, exact_degree=True)
+        basis = monomial_basis(n, cert.r + 2)
         classes = parity_classes(basis)
         grams = [(zero, [basis[t] for t in c], block)
                  for c, block in zip([c for c in classes if len(c) > 1], cert.gram_blocks)]
@@ -239,8 +239,8 @@ def fraction_expansion(cert) -> Poly:
     else:
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         grams = [(beta, units, block) for beta, block in
-                 zip(monomial_basis(n, cert.r, exact_degree=True), cert.gram_blocks)]
-        cells = monomial_basis(n, cert.r + 2, exact_degree=True)
+                 zip(monomial_basis(n, cert.r), cert.gram_blocks)]
+        cells = monomial_basis(n, cert.r + 2)
     terms = {}
     for beta, half, gram in grams:
         gram = np.asarray(gram, dtype=float)

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import coposos
 
 from conftest import planted_spn
 from coposos.apps import (
@@ -211,6 +218,27 @@ class TestStabilityBounds:
         assert res.value >= brute_alpha(g) - 1e-6
         assert res.certificate_reports
         assert all(rep.ok for rep in res.certificate_reports)
+
+    # C39 K r=1 ends on its degenerate face in a way that depends on the BLAS
+    # thread count: INCONCLUSIVE at a best objective of 18.99999975, below
+    # alpha = 19, with one thread, and OPTIMAL at 19.00000001 with two.
+    # Either way no value below alpha may come out.
+    _C39 = ("import json\n"
+            "from coposos.apps import cycle_graph, stability_bound\n"
+            "res = stability_bound(cycle_graph(39), 1)\n"
+            "print(json.dumps([res.value, [rep.ok for rep in res.certificate_reports]]))\n")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_c39_level1_returns_no_value_below_alpha(self, threads):
+        src = str(Path(coposos.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", self._C39], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        value, oks = json.loads(proc.stdout)
+        assert value is None or (value >= 19 - 1e-6 and oks and all(oks))
 
 
 class TestProductGraph:

@@ -154,7 +154,7 @@ class TestGramRowsMatchAudit:
         # on the product constraints, and with every generator removed.
         g = complete_graph(2)
         prog = to_bounded(chromatic_program(g), chromatic_box_bound(g))
-        plain = ConicProgram(prog.m, prog.b, tuple(
+        plain = ConicProgram(prog.b, tuple(
             dataclasses.replace(c, symmetry=()) for c in prog.constraints))
         assert [bool(c.symmetry) for c in prog.constraints] == [True, True, False]
         for p in (plain, prog):
@@ -405,7 +405,7 @@ class TestValidation:
         # quadratic form of each symmetrised block, plus the scalars; with
         # exact zeros, -0.0 and a slightly asymmetric block
         n = 4
-        basis = monomial_basis(n, r, exact_degree=True)
+        basis = monomial_basis(n, r)
         rng = np.random.default_rng(11 + r)
         blocks = []
         for _ in basis:
@@ -425,7 +425,7 @@ class TestValidation:
         for beta, block in zip(basis, blocks):
             sigma = quadratic_form(SymMatrix.from_float(block))
             total = total + Poly(n, {tuple(beta): 1}) * sigma
-        scalar_basis = monomial_basis(n, r + 2, exact_degree=True)
+        scalar_basis = monomial_basis(n, r + 2)
         total = total + Poly(n, {g: Fraction(float(c)) for g, c in zip(scalar_basis, scalars)})
         cert = SosCertificate(kind=ConeKind.Q, r=r, n=n, gram_blocks=blocks, scalars=scalars)
         _assert_audit_expands_to(cert, total)

@@ -115,9 +115,9 @@ class TestCaches:
         # a table built by an earlier test may hold a basis object that the
         # smaller basis cache has since dropped
         lift_table.cache_clear()
-        basis = monomial_basis(4, 3, exact_degree=True)
+        basis = monomial_basis(4, 3)
         assert isinstance(basis, tuple) and all(isinstance(b, tuple) for b in basis)
-        assert monomial_basis(4, 3, exact_degree=True) is basis
+        assert monomial_basis(4, 3) is basis
         assert lift_table(4, 1).basis is basis
 
     def test_lift_table_is_cached_and_read_only(self):
@@ -129,7 +129,7 @@ class TestCaches:
 
     def test_table_rows(self):
         table = lift_table(3, 1)
-        taus = monomial_basis(3, 1, exact_degree=True)
+        taus = monomial_basis(3, 1)
         for t, tau in enumerate(taus):
             assert table.weight[t] == multinomial(tau)
             for i in range(3):

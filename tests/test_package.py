@@ -126,6 +126,66 @@ def test_unused_import_check_finds_one():
     assert _unused_imports(tree) == [("itertools", 2)]
 
 
+def _references(tree):
+    """name -> lines of every place a module refers to it: a name, an
+    attribute, an import, or a word of a string constant that is not a
+    docstring."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words = [node.id]
+        elif isinstance(node, ast.Attribute):
+            words = [node.attr]
+        elif isinstance(node, ast.alias):
+            words = re.findall(r"\w+", f"{node.name} {node.asname or ''}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            words = re.findall(r"\w+", node.value)
+        else:
+            continue
+        for word in words:
+            found.setdefault(word, []).append(node.lineno)
+    return found
+
+
+def _uncalled(trees, checked):
+    """(module, name, line) of every non-dunder function and class defined
+    in a module of ``checked`` that no module of ``trees`` (key -> parsed
+    module) refers to outside the definition itself."""
+    refs = {key: _references(tree) for key, tree in trees.items()}
+    out = []
+    for key in checked:
+        for node in ast.walk(trees[key]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            if not any(where != key or not node.lineno <= line <= node.end_lineno
+                       for where, found in refs.items() for line in found.get(node.name, ())):
+                out.append((key, node.name, node.lineno))
+    return sorted(out)
+
+
+def test_every_function_and_class_has_a_caller():
+    # code that nothing in src/, tests/ or bench/ names is dead; the bench
+    # tracer names the functions it wraps in strings
+    src = Path(coposos.__file__).resolve().parent
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for folder in (src, root / "tests", root / "bench") for p in folder.rglob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    uncalled = _uncalled(trees, [path for path in paths if path.is_relative_to(src)])
+    assert [(path.relative_to(src).as_posix(), name, line) for path, name, line in uncalled] == []
+
+
+def test_uncalled_check_finds_one():
+    trees = {"a": ast.parse('def loop():\n    """loop()"""\n    return loop()\n\n\n'
+                            'class Used:\n    def __init__(self):\n        pass\n'),
+             "b": ast.parse("import a\nx = 'a.Used'\n")}
+    assert _uncalled(trees, ["a"]) == [("a", "loop", 1)]
+
+
 def _load_bench(name, monkeypatch):
     """The module bench/<name>.py, loaded read-only: no bytecode is written."""
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"

@@ -115,7 +115,7 @@ class TestIntSpn:
             [0],
             [(3, [SymMatrix.zero(3)], (SymMatrix.identity(3) + SymMatrix.ones(3)).scale(-1))],
         )
-        w = check_intspn(prog, [0])
+        w = check_intspn(prog.constraints[0], [0])
         assert isinstance(w, SpnWitness)
         assert w.lambda_min_lb >= Fraction(9, 10)
         assert w.check_exact(prog.constraints[0])
@@ -124,7 +124,7 @@ class TestIntSpn:
         m = random_symmetric(rnd, 4)
         prog = sqp_like_program(m)
         lam_bar = m.max_abs_entry() + 1
-        w = check_intspn(prog, [lam_bar])
+        w = check_intspn(prog.constraints[0], [lam_bar])
         assert isinstance(w, SpnWitness)
         assert w.lambda_min_lb >= Fraction(1, 2)
 
@@ -132,7 +132,7 @@ class TestIntSpn:
         prog = ConicProgram.make(
             [0], [(2, [SymMatrix.zero(2)], SymMatrix.diag([1, -1]).scale(-1))]
         )
-        out = check_intspn(prog, [0])
+        out = check_intspn(prog.constraints[0], [0])
         assert isinstance(out, SpnRefusal)
         assert out.lambda_star <= 1e-6
 
@@ -140,7 +140,7 @@ class TestIntSpn:
         for _ in range(5):
             m, p, _, _ = planted_spn(rnd, 3)
             prog = ConicProgram.make([0], [(3, [SymMatrix.zero(3)], m.scale(-1))])
-            w = check_intspn(prog, [0])
+            w = check_intspn(prog.constraints[0], [0])
             assert isinstance(w, SpnWitness)
             planted_min = float(np.linalg.eigvalsh(np.array(p.to_float()))[0])
             # the auxiliary maximization can only beat the planted split
@@ -242,7 +242,7 @@ class TestInteriorStart:
             m, p, nn, lb = planted_spn(rnd, 3)
             prog = sqp_like_program(m)
             lam_bar = m.max_abs_entry() + 1
-            w = check_intspn(prog, [lam_bar])
+            w = check_intspn(prog.constraints[0], [lam_bar])
             assert isinstance(w, SpnWitness)
             start = build_interior_start(prog, [w], 0, ConeKind.K, float(lam_bar))
             gram = start.x0_blocks[0]

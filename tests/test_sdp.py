@@ -1,5 +1,7 @@
+import functools
 import gc
 import hashlib
+import math
 from fractions import Fraction
 from time import perf_counter
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import block_sdp, c5_matrix, dense_scaled_rows, dense_sdp
-from coposos import polycore
+from coposos import cones, polycore, relax
 from coposos.apps import (
     chromatic_bound,
     chromatic_program,
@@ -484,6 +486,8 @@ def test_no_public_call_builds_a_poly(monkeypatch):
     (parse_dimacs, "p edge 3 1\ne 1 2\nx 1 2\n", "line 3 'x 1 2': unknown line kind 'x'"),
     # a weighted file's vertex weights are not read, so they are refused
     (parse_dimacs, "p edge 2 1\nn 1 2\ne 1 2\n", "line 2 'n 1 2': unknown line kind 'n'"),
+    # a comment is a line whose first field is c
+    (parse_dimacs, "p edge 2 1\ncx 1 2\ne 1 2\n", "line 2 'cx 1 2': unknown line kind 'cx'"),
     (parse_sparse, "blocks psd:2\n1 0 0\n", "line 2 '1 0 0'"),
     (parse_sparse, "blocks psd:2\nrhs 0 1.5\n0 0 0 0 1\n", "line 2 'rhs 0 1.5'"),
     (parse_sparse, "# header next\nblocks psd2\n", "line 2 "),
@@ -496,6 +500,9 @@ def test_no_public_call_builds_a_poly(monkeypatch):
     (parse_sparse, "blocks nonneg:2 psd:2\n1 1 0 2 1\n", "line 2 '1 1 0 2 1': entry outside block 1"),
     (parse_sparse, "blocks psd:2\n1 0 -1 0 1\n", "line 2 '1 0 -1 0 1': entry outside block 0"),
     (parse_sparse, "blocks nonneg:2\n1 0 0 1 1\n", "line 2 '1 0 0 1 1': NONNEG"),
+    # the format lists the upper triangle only; a mirror entry is refused, not summed
+    (parse_sparse, "blocks psd:2\n1 0 0 1 1\n1 0 1 0 1\n",
+     "line 3 '1 0 1 0 1': entry below the diagonal"),
 ])
 def test_parsers_name_the_malformed_line(parse, text, line):
     with pytest.raises(ValueError) as err:
@@ -838,6 +845,47 @@ def test_scaling_breakdown_reports_best_point(monkeypatch):
     assert sol.iterations == 2
     assert _least_eigenvalue(sdp, sol.x_blocks) > 0.0
     assert set(sol.diagnostics["timings"]) == {"schur_s", "cholesky_s", "cone_s"}
+
+
+def _weakly_infeasible_sdp():
+    # min X00 s.t. X01 = 1, X11 = 0 on PSD(2): no point is feasible, but
+    # X00 -> infinity comes ever closer
+    builder = SdpBuilder([psd_block(2)])
+    builder.add_rows([0, 1], 0, [0, 1], [1, 1], [0.5, 1.0], [1.0, 0.0])
+    builder.add_rows(-1, 0, 0, 0, 1.0, [])
+    return builder.build()
+
+
+@pytest.mark.parametrize("case,message,iterations", [
+    ("tiny steps", "step length collapsed", 2),
+    ("weakly infeasible", "complementarity at numerical floor", 20),
+    ("nan solve", "singular embedding system", 0),
+])
+def test_inconclusive_exits_report_an_in_cone_point(monkeypatch, case, message, iterations):
+    sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    if case == "tiny steps":
+        monkeypatch.setattr(solver, "_STEP_FRACTION", 1e-12)
+    elif case == "weakly infeasible":
+        sdp = _weakly_infeasible_sdp()
+    else:
+        monkeypatch.setattr(solver, "_refined_solve",
+                            lambda factor, k_mat, rhs: np.full_like(rhs, np.nan))
+    sol = solve(sdp)
+    assert sol.status == SdpStatus.INCONCLUSIVE
+    assert (sol.message, sol.iterations) == (message, iterations)
+    assert _least_eigenvalue(sdp, sol.x_blocks) >= 0.0
+    assert _least_eigenvalue(sdp, sol.s_blocks) >= 0.0
+
+
+def test_no_iteration_gives_no_verdict_and_no_bound(monkeypatch):
+    # a solve that ends at its iteration cap decides nothing upstream
+    monkeypatch.setattr(cones, "solve", functools.partial(solve, max_iter=0))
+    monkeypatch.setattr(relax, "solve", functools.partial(solve, max_iter=0))
+    res = decide_membership(build_K_membership(SymMatrix.identity(3), 0))
+    assert res.verdict == Verdict.INCONCLUSIVE and res.message == "iteration cap reached"
+    bound, res = chromatic_bound(cycle_graph(4), 0)
+    assert math.isnan(bound) and res.value is None
+    assert res.status == SdpStatus.INCONCLUSIVE and res.message == "iteration cap reached"
 
 
 def test_solve_leaves_no_cone_in_a_reference_cycle():

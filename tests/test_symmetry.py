@@ -40,7 +40,7 @@ from coposos.sdpcore import SdpStatus, sandwich_diagnostics
 
 def _trivial(prog: ConicProgram) -> ConicProgram:
     cons = tuple(dataclasses.replace(c, symmetry=()) for c in prog.constraints)
-    return ConicProgram(prog.m, prog.b, cons)
+    return ConicProgram(prog.b, cons)
 
 
 class TestGenerators:
