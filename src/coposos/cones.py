@@ -364,14 +364,25 @@ class MembershipProblem:
     sdp: BlockSdp  # row_labels: each row's lifted monomial
 
 
-def build_membership(m: SymMatrix, r: int, kind: ConeKind) -> MembershipProblem:
-    """SDP feasibility: find Gram data reproducing the level-r lift of M."""
-    layout = GramLayout(m.n, r, kind)
-    num, den = layout.lift(m)
+@lru_cache(maxsize=16)
+def _membership_family(layout_cls, n: int, r: int, kind: ConeKind):
+    """The layout of every level-r membership SDP of one kind in n
+    variables, and a builder holding its rows with zero right-hand sides."""
+    layout = layout_cls(n, r, kind)
     entries, monomials = layout.rows()
     builder = SdpBuilder(layout.blocks())
-    builder.add_rows(*entries, num / den, monomials)
-    return MembershipProblem(m, layout, builder.build())
+    builder.add_rows(*entries, np.zeros(len(monomials)), monomials)
+    return layout, builder
+
+
+def build_membership(m: SymMatrix, r: int, kind: ConeKind) -> MembershipProblem:
+    """SDP feasibility: find Gram data reproducing the level-r lift of M.
+    The layout, rows and A are built once per (n, r, kind) and layout class;
+    M enters only through b, its lift, so the SDPs of one (n, r, kind) share
+    A and the solver's set-up for it."""
+    layout, builder = _membership_family(GramLayout, m.n, r, kind)
+    num, den = layout.lift(m)
+    return MembershipProblem(m, layout, builder.build().with_rhs(num / den))
 
 
 def build_K_membership(m: SymMatrix, r: int) -> MembershipProblem:

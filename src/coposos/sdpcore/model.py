@@ -22,6 +22,7 @@ value) with their right-hand sides and labels and keeps them as triplets
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -99,10 +100,14 @@ class SdpStatus(str, Enum):
 
 class _Coo:
     """A sparse matrix as (row, column, value) triplets; ``dot`` and ``tdot``
-    take its products with a vector by one bincount."""
+    take its products with a vector by one bincount.  ``shared`` is set once
+    :meth:`BlockSdp.with_rhs` gives A to a second SDP; the solver then keeps
+    what it derives from A and the blocks alone in ``setup``, so that every
+    SDP sharing A reuses it.  The set-up refers to no A."""
 
     def __init__(self, rows, cols, vals, shape):
         self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+        self.shared, self.setup = False, None
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, self.vals * v[self.cols], minlength=self.shape[0])
@@ -122,7 +127,7 @@ class BlockSdp:
         self.slices: list[slice] = [slice(p, q) for p, q in zip(ends, ends[1:])]
         self.dim: int = ends[-1]
         self.b = np.asarray(b, dtype=float).reshape(-1)
-        self.c = np.asarray(c, dtype=float).reshape(-1)
+        self.c = np.array(c, dtype=float).reshape(-1)
         if self.c.size != self.dim:
             raise ValueError("objective dimension mismatch")
         rows, cols, vals = (np.asarray(v, dtype=t).reshape(-1)
@@ -137,7 +142,21 @@ class BlockSdp:
         sums = np.bincount(inv, vals, minlength=at.size)  # in the order given
         nz = sums != 0
         self.coo = _Coo(*np.divmod(at[nz], self.dim), sums[nz], (self.b.size, self.dim))
+        for arr in (self.c, self.coo.rows, self.coo.cols, self.coo.vals):  # shared: read-only
+            arr.flags.writeable = False
         self.row_labels = list(row_labels) if row_labels is not None else None
+
+    def with_rhs(self, b) -> BlockSdp:
+        """This SDP with right-hand side b; the blocks, A, c and the row
+        labels are shared, and so is the solver's set-up for A."""
+        new = copy.copy(self)
+        new.b = np.asarray(b, dtype=float).reshape(-1)
+        if new.b.size != self.b.size:
+            raise ValueError(f"b has {new.b.size} entries for {self.b.size} rows")
+        if not np.isfinite(new.b).all():
+            raise ValueError("b has a non-finite entry")
+        self.coo.shared = True
+        return new
 
     @property
     def A(self) -> np.ndarray:
@@ -202,7 +221,8 @@ class SdpBuilder:
     is handled here.  Entries are kept as (row, svec position, value)
     triplet arrays, row -1 being the objective; :meth:`build` sums the
     objective's into c and hands the rest to :class:`BlockSdp`, repeated
-    positions summed in the order they were added.
+    positions summed in the order they were added.  It assembles once and
+    returns that SDP until :meth:`add_rows` adds rows.
     """
 
     def __init__(self, blocks):
@@ -215,6 +235,7 @@ class SdpBuilder:
         self._triplets = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
         self._rhs: list[float] = []
         self._labels: list[object] = []
+        self._sdp: BlockSdp | None = None
 
     def add_rows(self, row, block, i, j, value, rhs, labels=None) -> None:
         """Append one row per entry of ``rhs``, labelled by ``labels``.
@@ -251,17 +272,20 @@ class SdpBuilder:
         self._triplets.append((row, self._offset[block] + pos, np.where(i == j, 1.0, SQRT2) * value))
         self._rhs += rhs.tolist()
         self._labels += labels
+        self._sdp = None
 
     def add_row(self, entries, rhs, label=None) -> None:
         """entries: iterable of (block, i, j, value)."""
         self.add_rows(0, *_columns(entries), [rhs], [label])
 
     def build(self) -> BlockSdp:
-        row, pos, val = map(np.concatenate, zip(*self._triplets))
-        obj = row < 0
-        c = np.bincount(pos[obj], val[obj], minlength=self.dim)
-        return BlockSdp(self.blocks, (row[~obj], pos[~obj], val[~obj]), self._rhs, c,
-                        row_labels=self._labels)
+        if self._sdp is None:
+            row, pos, val = map(np.concatenate, zip(*self._triplets))
+            obj = row < 0
+            c = np.bincount(pos[obj], val[obj], minlength=self.dim)
+            self._sdp = BlockSdp(self.blocks, (row[~obj], pos[~obj], val[~obj]), self._rhs, c,
+                                 row_labels=self._labels)
+        return self._sdp
 
 
 @dataclass

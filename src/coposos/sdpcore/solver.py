@@ -56,9 +56,14 @@ rows as COO products.  K is factorized by LAPACK ``potrf`` (with escalating
 diagonal regularization on breakdown) and solved by ``potrs``, and the 2 x 2
 (y, tau) system of the embedding is back-substituted.  potrf and potrs are
 loaded from scipy at the first solve: importing the package, parsing,
-building and auditing never load scipy.  The seconds spent forming K, in
-Cholesky and refinement, and in cone operations are reported in
-``diagnostics["timings"]``.
+building and auditing never load scipy.
+
+What depends on A and the blocks alone - the cone groups, the rows' pieces
+and their scatter indices, and the identity start - is set up at the first
+solve of an A that several SDPs share and kept with it (``_Coo.setup``), so
+the membership SDPs of one (n, r, kind) set it up once.  The seconds spent on
+that set-up (0 when reused), forming K, in Cholesky and refinement, and in
+cone operations are reported in ``diagnostics["timings"]``.
 """
 
 from __future__ import annotations
@@ -209,17 +214,18 @@ def _least_eig(stack: np.ndarray) -> float:
 
 
 class _Rows:
-    """The constraint rows, block-sparse, set up once per solve from the
-    :class:`_Coo` A of the SDP: per group the pieces of the rows that touch
-    its blocks, as padded (nblk, L, ...) parts, L the most rows touching one
-    block, padding rows being zero pieces charged to row 0.  A PSD group has
-    one part of k x k pieces.  The side-1 group has a part of the columns
-    touching one row, and one of the few touching several rows (the split
-    free variables of a boxed program) over their row support."""
+    """The constraint rows, block-sparse, set up once per A from the
+    :class:`_Coo` A of the SDP, which it does not keep: per group the pieces
+    of the rows that touch its blocks, as padded (nblk, L, ...) parts, L the
+    most rows touching one block, padding rows being zero pieces charged to
+    row 0.  A PSD group has one part of k x k pieces.  The side-1 group has a
+    part of the columns touching one row, and one of the few touching several
+    rows (the split free variables of a boxed program) over their row
+    support."""
 
     def __init__(self, cone: _Cone, a: _Coo):
-        m, dim = a.shape
-        self.a, rows, cols, vals = a, a.rows, a.cols, a.vals
+        m, dim = self.shape = a.shape
+        rows, cols, vals = a.rows, a.cols, a.vals
         # each column's group, block in the group and svec entry in the block
         group, block, entry = (np.empty(dim, dtype=np.intp) for _ in range(3))
         at = [np.arange(dim)[pos].reshape(nblk, -1) for _, nblk, pos in cone.groups]
@@ -275,10 +281,10 @@ class _Rows:
             else:  # a side-1 entry scales by the w^2 of its column
                 scaled.append(piece * w[sel, 0, 0] ** 2)
         grams = [(s @ s.swapaxes(-1, -2)).ravel() for s in scaled]
-        m = self.a.shape[0]
+        m = self.shape[0]
         k_mat = np.bincount(self.k_idx, np.concatenate(grams), minlength=m * m)
         bar = np.concatenate([v.ravel() for v in scaled])
-        return _Coo(*self.bar_at, bar, self.a.shape), k_mat.reshape(m, m)
+        return _Coo(*self.bar_at, bar, self.shape), k_mat.reshape(m, m)
 
 
 @cache
@@ -358,16 +364,25 @@ def solve(
     feastol = eps if feastol is None else feastol
     _lapack()  # the first solve imports scipy, outside the stage clocks
 
-    ops = _Cone(sdp)
-    rows = _Rows(ops, sdp.coo)
-    a = rows.a
+    a = sdp.coo
+    setup, setup_s = a.setup, 0.0
+    if setup is None:
+        t0 = perf_counter()
+        ops = _Cone(sdp)
+        e = ops.identity()  # the start point, shared: never written
+        e.flags.writeable = False
+        setup = (ops, _Rows(ops, a), e)
+        if a.shared:  # an A of one SDP frees its set-up with the solve
+            a.setup = setup
+        setup_s = perf_counter() - t0
+    ops, rows, e = setup
     b = sdp.b
     c = sdp.c
     m = sdp.num_constraints
     nu = ops.degree + 1
 
     # seconds per stage, charged by wrapping the calls that do its work
-    timings = {"schur_s": 0.0, "cholesky_s": 0.0, "cone_s": 0.0}
+    timings = {"setup_s": setup_s, "schur_s": 0.0, "cholesky_s": 0.0, "cone_s": 0.0}
 
     def clocked(stage, fn):
         def run(*args):
@@ -390,7 +405,6 @@ def solve(
                      "max_step", "min_eig")
     })
 
-    e = ops.identity()
     x = e.copy()
     s = e.copy()
     y = np.zeros(m)

@@ -48,7 +48,7 @@ from coposos.polycore import (
     quadratic_form,
 )
 from coposos.relax import ConicProgram, build_relaxation_sdp, extract_certificates, to_bounded
-from coposos.sdpcore import SdpSolution, SdpStatus, nonneg_block, psd_block
+from coposos.sdpcore import SdpBuilder, SdpSolution, SdpStatus, nonneg_block, psd_block
 
 
 class TestBuilders:
@@ -184,6 +184,85 @@ class TestGramRowsMatchAudit:
         index = {gamma: row for row, (_, gamma) in enumerate(rel.sdp.row_labels[:-1])}
         certs = extract_certificates(rel, point)
         _assert_rows_match_audit(rel.sdp, point, [(certs[0], index, prog.constraints[0].symmetry)])
+
+
+def _solution_bytes(sol) -> bytes:
+    parts = [*(sol.x_blocks or []), *([] if sol.y is None else [sol.y]), *(sol.s_blocks or [])]
+    return b"".join(np.asarray(p, dtype=float).tobytes() for p in parts)
+
+
+class TestMembershipFamily:
+    """The membership SDPs of one (n, r, kind) share their layout, A, c and
+    the solver's set-up; only b, the lift of the matrix, differs."""
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    def test_one_family_differs_only_in_b(self, kind):
+        mats = horn_matrix(), SymMatrix.identity(5)
+        first, second = (build_membership(m, 1, kind) for m in mats)
+        assert first.layout is second.layout
+        assert first.sdp.coo is second.sdp.coo
+        shared = {k: v for k, v in vars(first.sdp).items() if k != "b"}
+        assert shared == {k: v for k, v in vars(second.sdp).items() if k != "b"}
+        assert all(v is vars(second.sdp)[k] for k, v in shared.items())
+        coo = first.sdp.coo
+        assert not any(a.flags.writeable for a in (coo.rows, coo.cols, coo.vals, first.sdp.c))
+        for prob, m in zip((first, second), mats):
+            num, den = prob.layout.lift(m)
+            assert np.array_equal(prob.sdp.b, np.asarray(num / den, dtype=float))
+        assert not np.array_equal(first.sdp.b, second.sdp.b)
+        assert cones._membership_family.cache_parameters()["maxsize"] == 16
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_shared_family_solves_as_a_fresh_build(self, rnd, kind, r):
+        mats = [horn_matrix(), SymMatrix.identity(5), random_symmetric(rnd, 5)]
+        shared = [decide_membership(build_membership(m, r, kind)) for m in mats]
+        fresh = []
+        for m in mats:
+            cones._membership_family.cache_clear()
+            fresh.append(decide_membership(build_membership(m, r, kind)))
+        assert {res.verdict for res in shared} == {Verdict.MEMBER, Verdict.NOT_MEMBER}
+        for got, want in zip(shared, fresh):
+            assert got.verdict == want.verdict
+            assert got.solution.iterations == want.solution.iterations
+            assert _solution_bytes(got.solution) == _solution_bytes(want.solution)
+
+    def test_set_up_is_timed_once_per_family(self):
+        cones._membership_family.cache_clear()
+        setups = [decide_membership(build_membership(m, 1, ConeKind.K)).solution
+                  .diagnostics["timings"]["setup_s"] for m in (horn_matrix(), SymMatrix.identity(5))]
+        assert setups[0] > 0.0 and setups[1] == 0.0
+
+    def test_an_unshared_a_keeps_no_set_up(self):
+        # a relaxation's SDP lives on in its result: its A must not hold the
+        # solver's set-up once the solve returns
+        res = stability_bound(cycle_graph(5), 1, ConeKind.K)
+        assert res.status == SdpStatus.OPTIMAL
+        assert res.solution.diagnostics["timings"]["setup_s"] > 0.0
+        assert res.relaxation.sdp.coo.setup is None
+
+    def test_builder_builds_again_only_after_new_rows(self):
+        builder = SdpBuilder([psd_block(2)])
+        builder.add_rows([0, 1], 0, [0, 1], [1, 1], [0.5, 1.0], [1.0, 0.0])
+        first = builder.build()
+        assert builder.build() is first
+        builder.add_rows(0, 0, 0, 0, 1.0, [2.0])
+        second = builder.build()
+        assert second is not first and builder.build() is second
+        assert (first.num_constraints, second.num_constraints) == (2, 3)
+
+    def test_with_rhs_checks_b(self):
+        sdp = build_membership(horn_matrix(), 0, ConeKind.K).sdp
+        b = sdp.b.copy()
+        with pytest.raises(ValueError, match="entries for"):
+            sdp.with_rhs(np.zeros(b.size + 1))
+        with pytest.raises(ValueError, match="entries for"):
+            sdp.with_rhs(np.zeros(b.size - 1))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="b has a non-finite entry"):
+                sdp.with_rhs(np.where(np.arange(b.size) == 1, bad, 0.0))
+        other = sdp.with_rhs(np.arange(b.size))
+        assert np.array_equal(other.b, np.arange(b.size)) and np.array_equal(sdp.b, b)
 
 
 class TestReducedVsDense:

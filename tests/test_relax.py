@@ -144,7 +144,7 @@ class TestIntSpn:
             assert isinstance(w, SpnWitness)
             planted_min = float(np.linalg.eigvalsh(np.array(p.to_float()))[0])
             # the auxiliary maximization can only beat the planted split
-            assert float(w.lambda_min_lb) >= 0.9 * planted_min - 1e-6 or True
+            assert float(w.lambda_min_lb) >= 0.9 * planted_min - 1e-6
             sol_quality = w.lambda_min_lb
             assert sol_quality > 0
 

@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 from time import perf_counter
 
@@ -772,8 +773,8 @@ def test_block_sparse_rows_match_dense_oracle(case):
         (k_mat, k_ref),
         (bar.dot(v), abar @ v),
         (bar.tdot(u), abar.T @ u),
-        (rows.a.dot(v), sdp.A @ v),
-        (rows.a.tdot(u), sdp.A.T @ u),
+        (sdp.coo.dot(v), sdp.A @ v),
+        (sdp.coo.tdot(u), sdp.A.T @ u),
     ]:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -791,7 +792,7 @@ def test_stage_timings_fit_in_the_solve(case):
     sol = solve(sdp)
     wall = perf_counter() - start
     timings = sol.diagnostics["timings"]
-    assert set(timings) == {"schur_s", "cholesky_s", "cone_s"}
+    assert set(timings) == {"setup_s", "schur_s", "cholesky_s", "cone_s"}
     assert all(t >= 0.0 for t in timings.values())
     assert sum(timings.values()) <= wall
 
@@ -822,7 +823,7 @@ def test_factorization_failure_reports_best_point(monkeypatch):
     assert sol.message == "Schur complement factorization failed"
     assert sol.iterations == 2
     assert _least_eigenvalue(sdp, sol.x_blocks) > 0.0
-    assert set(sol.diagnostics["timings"]) == {"schur_s", "cholesky_s", "cone_s"}
+    assert set(sol.diagnostics["timings"]) == {"setup_s", "schur_s", "cholesky_s", "cone_s"}
 
 
 def test_scaling_breakdown_reports_best_point(monkeypatch):
@@ -844,7 +845,7 @@ def test_scaling_breakdown_reports_best_point(monkeypatch):
     assert sol.message == "scaling breakdown (iterate left cone)"
     assert sol.iterations == 2
     assert _least_eigenvalue(sdp, sol.x_blocks) > 0.0
-    assert set(sol.diagnostics["timings"]) == {"schur_s", "cholesky_s", "cone_s"}
+    assert set(sol.diagnostics["timings"]) == {"setup_s", "schur_s", "cholesky_s", "cone_s"}
 
 
 def _weakly_infeasible_sdp():
@@ -890,8 +891,11 @@ def test_no_iteration_gives_no_verdict_and_no_bound(monkeypatch):
 
 def test_solve_leaves_no_cone_in_a_reference_cycle():
     # the clocked cone operations must not hang on the _Cone they wrap, or
-    # every solve leaves its cone to the cyclic garbage collector
+    # every solve leaves its cone to the cyclic garbage collector; the set-up
+    # kept with a shared A must not point back at A, or A and its set-up
+    # outlive the SDPs until the collector runs
     sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    sdp = sdp.with_rhs(sdp.b)
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -901,6 +905,14 @@ def test_solve_leaves_no_cone_in_a_reference_cycle():
         del sol
         gc.collect()
         assert not [obj for obj in gc.garbage if isinstance(obj, _Cone)]
+        assert sdp.coo.setup is not None
+        coo = weakref.ref(sdp.coo)
+        gc.disable()
+        try:
+            del sdp
+            assert coo() is None
+        finally:
+            gc.enable()
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
