@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -375,12 +375,18 @@ def _membership_family(layout_cls, n: int, r: int, kind: ConeKind):
     return layout, builder
 
 
+_FAMILY_MAX_ROWS = 1000  # a family of more rows is built on each call, not cached
+
+
 def build_membership(m: SymMatrix, r: int, kind: ConeKind) -> MembershipProblem:
     """SDP feasibility: find Gram data reproducing the level-r lift of M.
-    The layout, rows and A are built once per (n, r, kind) and layout class;
-    M enters only through b, its lift, so the SDPs of one (n, r, kind) share
-    A and the solver's set-up for it."""
-    layout, builder = _membership_family(GramLayout, m.n, r, kind)
+    The layout, rows and A are built once per (n, r, kind) and layout class
+    while A has at most 1000 rows; M enters only through b, its lift, so the
+    SDPs of one (n, r, kind) share A and the solver's set-up for it."""
+    family = _membership_family
+    if comb(m.n + r + 1, r + 2) > _FAMILY_MAX_ROWS:  # A's rows: the degree r + 2 monomials
+        family = family.__wrapped__
+    layout, builder = family(GramLayout, m.n, r, kind)
     num, den = layout.lift(m)
     return MembershipProblem(m, layout, builder.build().with_rhs(num / den))
 

@@ -102,8 +102,8 @@ class _Coo:
     """A sparse matrix as (row, column, value) triplets; ``dot`` and ``tdot``
     take its products with a vector by one bincount.  ``shared`` is set once
     :meth:`BlockSdp.with_rhs` gives A to a second SDP; the solver then keeps
-    what it derives from A and the blocks alone in ``setup``, so that every
-    SDP sharing A reuses it.  The set-up refers to no A."""
+    what it derives from A and the blocks alone in ``setup``, when small, so
+    that every SDP sharing A reuses it.  The set-up refers to no A."""
 
     def __init__(self, rows, cols, vals, shape):
         self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
@@ -116,6 +116,16 @@ class _Coo:
         return np.bincount(self.cols, self.vals * u[self.rows], minlength=self.shape[1])
 
 
+def _rhs_vector(b, rows: int | None = None) -> np.ndarray:
+    """b as a flat float vector, checked finite and, given ``rows``, of that length."""
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if rows is not None and b.size != rows:
+        raise ValueError(f"b has {b.size} entries for {rows} rows")
+    if not np.isfinite(b).all():
+        raise ValueError("b has a non-finite entry")
+    return b
+
+
 class BlockSdp:
     """Immutable standard-form block SDP.  A, given as (row, svec position,
     value) triplets, is kept as the :class:`_Coo` ``coo``: row-major, repeated
@@ -126,13 +136,13 @@ class BlockSdp:
         ends = np.cumsum([0] + [blk.vec_dim for blk in self.blocks]).tolist()
         self.slices: list[slice] = [slice(p, q) for p, q in zip(ends, ends[1:])]
         self.dim: int = ends[-1]
-        self.b = np.asarray(b, dtype=float).reshape(-1)
+        self.b = _rhs_vector(b)
         self.c = np.array(c, dtype=float).reshape(-1)
         if self.c.size != self.dim:
             raise ValueError("objective dimension mismatch")
         rows, cols, vals = (np.asarray(v, dtype=t).reshape(-1)
                             for v, t in zip(a_triplets, (np.intp, np.intp, float)))
-        for name, v in (("b", self.b), ("c", self.c), ("A", vals)):
+        for name, v in (("c", self.c), ("A", vals)):
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} has a non-finite entry")
         if rows.size and not (0 <= rows.min() <= rows.max() < self.b.size
@@ -144,17 +154,13 @@ class BlockSdp:
         self.coo = _Coo(*np.divmod(at[nz], self.dim), sums[nz], (self.b.size, self.dim))
         for arr in (self.c, self.coo.rows, self.coo.cols, self.coo.vals):  # shared: read-only
             arr.flags.writeable = False
-        self.row_labels = list(row_labels) if row_labels is not None else None
+        self.row_labels = tuple(row_labels) if row_labels is not None else None  # shared
 
     def with_rhs(self, b) -> BlockSdp:
         """This SDP with right-hand side b; the blocks, A, c and the row
         labels are shared, and so is the solver's set-up for A."""
         new = copy.copy(self)
-        new.b = np.asarray(b, dtype=float).reshape(-1)
-        if new.b.size != self.b.size:
-            raise ValueError(f"b has {new.b.size} entries for {self.b.size} rows")
-        if not np.isfinite(new.b).all():
-            raise ValueError("b has a non-finite entry")
+        new.b = _rhs_vector(b, self.b.size)
         self.coo.shared = True
         return new
 
@@ -235,6 +241,8 @@ class SdpBuilder:
         self._triplets = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
         self._rhs: list[float] = []
         self._labels: list[object] = []
+        # the last build: build_membership calls build() per matrix, cheaply, so
+        # that bench/tracing.py's sdpcore.builder span fires on every call
         self._sdp: BlockSdp | None = None
 
     def add_rows(self, row, block, i, j, value, rhs, labels=None) -> None:

@@ -60,10 +60,11 @@ building and auditing never load scipy.
 
 What depends on A and the blocks alone - the cone groups, the rows' pieces
 and their scatter indices, and the identity start - is set up at the first
-solve of an A that several SDPs share and kept with it (``_Coo.setup``), so
-the membership SDPs of one (n, r, kind) set it up once.  The seconds spent on
-that set-up (0 when reused), forming K, in Cholesky and refinement, and in
-cone operations are reported in ``diagnostics["timings"]``.
+solve of an A that several SDPs share and kept with it (``_Coo.setup``)
+while the rows' arrays hold at most 4 MiB, so the membership SDPs of one
+(n, r, kind) set it up once.  The seconds spent on that set-up (0 when
+reused), forming K, in Cholesky and refinement, and in cone operations are
+reported in ``diagnostics["timings"]``.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from .model import BlockSdp, SdpSolution, SdpStatus, _Coo, _svec_index, smat, sv
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-9
+_KEPT_SETUP_BYTES = 4 << 20  # the largest _Rows a shared A keeps (_Coo.setup)
 
 
 class _Cone:
@@ -268,6 +270,8 @@ class _Rows:
         # the scaled rows' nonzero pattern, in the order scale() lists them
         self.bar_at = [np.concatenate(ix) for ix in zip(*bar_at)]
         self.k_idx = np.concatenate(k_idx)
+        self.nbytes = self.k_idx.nbytes + sum(ix.nbytes for ix in self.bar_at) + sum(
+            v.nbytes for _, sel, piece in self.parts for v in (sel, piece) if v is not None)
 
     def scale(self, sc: list) -> tuple[_Coo, np.ndarray]:
         """The scaled rows svec(W^T A_i W) and the Schur matrix K, their Gram
@@ -372,7 +376,9 @@ def solve(
         e = ops.identity()  # the start point, shared: never written
         e.flags.writeable = False
         setup = (ops, _Rows(ops, a), e)
-        if a.shared:  # an A of one SDP frees its set-up with the solve
+        # an A of one SDP frees its set-up with the solve, and so does a
+        # shared A whose rows' set-up is too large to keep
+        if a.shared and setup[1].nbytes <= _KEPT_SETUP_BYTES:
             a.setup = setup
         setup_s = perf_counter() - t0
     ops, rows, e = setup

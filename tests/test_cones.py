@@ -48,7 +48,7 @@ from coposos.polycore import (
     quadratic_form,
 )
 from coposos.relax import ConicProgram, build_relaxation_sdp, extract_certificates, to_bounded
-from coposos.sdpcore import SdpBuilder, SdpSolution, SdpStatus, nonneg_block, psd_block
+from coposos.sdpcore import SdpBuilder, SdpSolution, SdpStatus, nonneg_block, psd_block, solve
 
 
 class TestBuilders:
@@ -206,6 +206,7 @@ class TestMembershipFamily:
         assert all(v is vars(second.sdp)[k] for k, v in shared.items())
         coo = first.sdp.coo
         assert not any(a.flags.writeable for a in (coo.rows, coo.cols, coo.vals, first.sdp.c))
+        assert isinstance(first.sdp.row_labels, tuple)
         for prob, m in zip((first, second), mats):
             num, den = prob.layout.lift(m)
             assert np.array_equal(prob.sdp.b, np.asarray(num / den, dtype=float))
@@ -240,6 +241,30 @@ class TestMembershipFamily:
         assert res.status == SdpStatus.OPTIMAL
         assert res.solution.diagnostics["timings"]["setup_s"] > 0.0
         assert res.relaxation.sdp.coo.setup is None
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    def test_row_count_is_known_before_the_build(self, kind):
+        for n, r in ((5, 0), (6, 1), (4, 3), (8, 2)):
+            assert build_membership(SymMatrix.identity(n), r, kind).sdp.num_constraints == comb(
+                n + r + 1, r + 2)
+
+    def test_a_family_above_the_row_limit_is_built_per_call(self, monkeypatch):
+        monkeypatch.setattr(cones, "_FAMILY_MAX_ROWS", 20)
+        cones._membership_family.cache_clear()
+        small = [build_membership(SymMatrix.identity(5), 0, ConeKind.K) for _ in range(2)]
+        large = [build_membership(SymMatrix.identity(6), 0, ConeKind.K) for _ in range(2)]
+        assert [p.sdp.num_constraints for p in (small[0], large[0])] == [15, 21]
+        assert small[0].sdp.coo is small[1].sdp.coo
+        assert large[0].sdp.coo is not large[1].sdp.coo
+        assert cones._membership_family.cache_info().currsize == 1
+
+    def test_only_a_small_set_up_is_kept(self):
+        # the rows' set-up takes 1.7 MiB for Q and over 4 MiB for K at n=8, r=2
+        for kind, kept in ((ConeKind.Q, True), (ConeKind.K, False)):
+            sdp = build_membership(SymMatrix.identity(8), 2, kind).sdp
+            setups = [solve(sdp, max_iter=0).diagnostics["timings"]["setup_s"] for _ in range(2)]
+            assert setups[0] > 0.0 and (setups[1] == 0.0) == kept
+            assert (sdp.coo.setup is not None) == kept
 
     def test_builder_builds_again_only_after_new_rows(self):
         builder = SdpBuilder([psd_block(2)])

@@ -891,11 +891,8 @@ def test_no_iteration_gives_no_verdict_and_no_bound(monkeypatch):
 
 def test_solve_leaves_no_cone_in_a_reference_cycle():
     # the clocked cone operations must not hang on the _Cone they wrap, or
-    # every solve leaves its cone to the cyclic garbage collector; the set-up
-    # kept with a shared A must not point back at A, or A and its set-up
-    # outlive the SDPs until the collector runs
+    # every solve leaves its cone to the cyclic garbage collector
     sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
-    sdp = sdp.with_rhs(sdp.b)
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -905,14 +902,22 @@ def test_solve_leaves_no_cone_in_a_reference_cycle():
         del sol
         gc.collect()
         assert not [obj for obj in gc.garbage if isinstance(obj, _Cone)]
-        assert sdp.coo.setup is not None
-        coo = weakref.ref(sdp.coo)
+        # the set-up kept with a shared A must not point back at A, or A and
+        # its set-up outlive the SDPs until the collector runs
+        shared = sdp.with_rhs(sdp.b)
+        del sdp
+        sol = solve(shared)
+        assert sol.status == SdpStatus.OPTIMAL and shared.coo.setup is not None
+        del sol
+        coo = weakref.ref(shared.coo)
         gc.disable()
         try:
-            del sdp
+            del shared
             assert coo() is None
         finally:
             gc.enable()
+        gc.collect()
+        assert not [obj for obj in gc.garbage if isinstance(obj, _Cone)]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
