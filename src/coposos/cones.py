@@ -20,6 +20,9 @@ scalar per degree-(r+2) monomial.
 
 Given variable permutations that fix the matrices, the layout keeps one
 block, scalar and row per orbit; membership tests use the trivial group.
+An orbit block whose row matrices commute is diagonal in their common
+eigenbasis, so it becomes one nonnegative scalar per common eigenspace (the
+commutative case of de Klerk, Dobre and Pasechnik 2011).
 
 At level 0 both families coincide with the cone of matrices decomposable as
 (positive semidefinite) + (entrywise nonnegative).
@@ -120,6 +123,7 @@ class GramShape:
     """
 
     def __init__(self, n: int, r: int, kind: ConeKind):
+        kind = ConeKind(kind)  # "K" keys the same cache entry as ConeKind.K
         table = lift_table(n, r)
         exps = table.exps.astype(np.intp)
         row_key = np.hstack([exps, np.zeros_like(exps)])  # [delta_t, 0] per row t
@@ -156,7 +160,7 @@ class GramShape:
         both = self.key[self.si] + self.key[self.sj]
         self.row = monomial_positions(exps, both[:, :n] // 2 + both[:, n:])
         degree = int(self.lifted[0].sum())
-        fact = np.array([factorial(k) for k in range(degree + 1)], dtype=np.int64)
+        fact = np.array([factorial(k) for k in range(degree + 1)], dtype=object)  # exact past 20!
         self.weight = (factorial(degree) // fact[self.lifted].prod(axis=1)).tolist()
         for shared in vars(self).values():  # cached: read-only
             if isinstance(shared, np.ndarray):
@@ -195,6 +199,9 @@ class SosCertificate:
     scalars: np.ndarray
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.kind = ConeKind(self.kind)
+
     def to_text(self) -> str:
         return json.dumps({
             "format": _FORMAT,
@@ -211,7 +218,7 @@ class SosCertificate:
         doc = json.loads(text)
         if doc.get("format") != _FORMAT:
             raise ValueError("unrecognized certificate format")
-        return cls(ConeKind(doc["kind"]), int(doc["r"]), int(doc["n"]),
+        return cls(doc["kind"], int(doc["r"]), int(doc["n"]),
                    [np.array(b, dtype=float) for b in doc["gram_blocks"]],
                    np.array(doc["scalars"], dtype=float), doc.get("provenance", {}))
 
@@ -253,6 +260,14 @@ def _orbits(perms, size: int):
         label = new
 
 
+def _in_basis(q, a, tol: float):
+    """Q^T A Q for each matrix of a stack, with entries within ``tol`` of
+    the largest entry of A set to 0, and whether it is then diagonal."""
+    e = q.swapaxes(-1, -2) @ a @ q
+    e[np.abs(e) <= tol * np.abs(a).max(axis=(1, 2), keepdims=True)] = 0.0
+    return e, ~(e * (1 - np.eye(a.shape[-1]))).any(axis=(1, 2))
+
+
 class GramLayout:
     """The Gram structure of one level-r cone constraint in a block SDP: the
     Gram blocks and scalar cells of :class:`GramShape`, matched row by row
@@ -266,14 +281,18 @@ class GramLayout:
     reduced block is scaled like one full block of its orbit: a full entry
     is the mean of the reduced entries in its orbit, i.e. the reduced block
     averaged over its stabiliser and moved onto the orbit.  The trivial
-    group gives one SDP block per Gram block and unit weights.  The blocks
-    are numbered from ``first`` inside the SDP.
+    group gives one SDP block per Gram block and unit weights.  An orbit
+    block whose row matrices A_i commute becomes a NONNEG block in place,
+    X = sum_g x_g P_g over the projectors on the A_i's common eigenspaces:
+    any PSD X meets the rows as x_g, its mean eigenvalue on P_g, does, and
+    x_g is no smaller than X's least eigenvalue.  The blocks are numbered
+    from ``first`` inside the SDP.
     """
 
     def __init__(self, n: int, r: int, kind: ConeKind, first: int = 0, symmetry=()):
         if r < 0:
             raise ValueError("level must be >= 0")
-        self.n, self.r, self.kind, self.first = n, r, kind, first
+        self.n, self.r, self.kind, self.first = n, r, ConeKind(kind), first
         self._shape = shape = gram_shape(n, r, kind)
         gens = [np.asarray(g, dtype=np.intp) for g in symmetry]
         # each generator's action on the slots, on both halves of their keys
@@ -291,6 +310,7 @@ class GramLayout:
         self._nscalar = reps.size - len(self._sides)
         self._row_orbit, self._row_reps = _orbits(_images(shape.lifted, gens),
                                                   len(shape.lifted))
+        self._bases = self._eigenbases(*self._orbit_entries())
 
     def lift(self, m: SymMatrix) -> tuple[np.ndarray, int]:
         """The lift of M at the monomial of each row of :meth:`rows`, in its
@@ -299,7 +319,9 @@ class GramLayout:
         return num[self._row_reps], den
 
     def blocks(self) -> list[BlockSpec]:
-        return [psd_block(k) for k in self._sides] + (
+        spaces = {b: tr.shape[1] for b, (_, _, _, tr) in self._bases.items()}
+        return [nonneg_block(spaces[b]) if b in spaces else psd_block(k)
+                for b, k in enumerate(self._sides)] + (
             [nonneg_block(self._nscalar)] if self._nscalar else []
         )
 
@@ -310,7 +332,18 @@ class GramLayout:
         Gram structure can reach (rows for monomials absent from the lift
         match zero), labelled by the orbit's first monomial.  Each
         off-diagonal entry is listed once; the SDP builder doubles symmetric
-        pairs."""
+        pairs.  On a diagonalised block, entry g of row i is tr(A_i P_g)."""
+        entries = self._orbit_entries()
+        if self._bases:
+            keep = ~np.isin(entries[1] - self.first, list(self._bases))
+            entries = tuple(map(np.concatenate, zip([e[keep] for e in entries], *[
+                (np.repeat(rows, tr.shape[1]), np.full(tr.size, self.first + b),
+                 *[np.tile(np.arange(tr.shape[1]), rows.size)] * 2, tr.ravel())
+                for b, (_, _, rows, tr) in self._bases.items()])))
+        return entries, list(map(tuple, self._shape.lifted[self._row_reps].tolist()))
+
+    def _orbit_entries(self) -> tuple[np.ndarray, ...]:
+        """The arrays of :meth:`rows` while every orbit block is PSD."""
         shape = self._shape
         rep = self._rep[shape.si[self._rep] <= shape.sj[self._rep]]
         row = self._row_orbit[shape.row[rep]]
@@ -319,13 +352,58 @@ class GramLayout:
         scalar = np.maximum(rank - len(self._sides), 0)  # a NONNEG entry's index
         block = self.first + np.minimum(rank, len(self._sides))
         i, j = shape.pos[shape.si[rep]] + scalar, shape.pos[shape.sj[rep]] + scalar
-        return (row, block, i, j, weight), list(map(tuple, shape.lifted[self._row_reps].tolist()))
+        return row, block, i, j, weight
+
+    def _eigenbases(self, row, block, i, j, weight) -> dict:
+        """The orbit blocks whose row matrices A_i commute, each with the
+        A_i's common eigenbasis Q, the eigenspace g of each column of Q, the
+        rows on the block and tr(A_i P_g), P_g projecting on eigenspace g.  Q
+        diagonalises a fixed-seed combination of the A_i, so every process
+        picks the same basis; a second such combination, then every A_i,
+        must be diagonal in Q to tol of its largest entry.  An eigenspace is
+        a run of columns on which every A_i has one eigenvalue."""
+        tol = 1e-9  # commuting blocks measure about 1e-12, others 0.3 and up
+        blk, nrow = block - self.first, self._row_reps.size
+        sides = np.append(self._sides, 0)  # 0 on the scalar cells
+        # A_i of disjoint supports are independent; commuting ones span <= k dimensions
+        sides[np.bincount(np.unique(blk * nrow + row) // nrow, minlength=sides.size) > sides] = 0
+        on = sides[blk] > 0
+        if not on.any():
+            return {}
+        row, blk, i, j, weight = (np.r_[u[on], v[on & (i != j)]] for u, v in zip(
+            (row, blk, i, j, weight), (row, blk, j, i, weight)))  # both halves of each pair
+        side = sides[blk]
+        coef = np.random.default_rng(0).standard_normal((2, nrow))
+        bases = {}
+        for k in np.unique(side).tolist():  # one batched eigh per block side
+            at = np.flatnonzero(side == k)
+            blks, local = np.unique(blk[at], return_inverse=True)
+            combos = np.zeros((2, blks.size, k, k))
+            np.add.at(combos, (slice(None), local, i[at], j[at]), coef[:, row[at]] * weight[at])
+            q = np.linalg.eigh(combos[0])[1]
+            ok = _in_basis(q, combos[1], tol)[1]  # no A_i is formed on a block turned away
+            at, local = at[ok[local]], local[ok[local]]
+            pairs, pair = np.unique(local * nrow + row[at], return_inverse=True)
+            pb, pr = np.divmod(pairs, nrow)  # each (block, row) pair
+            a = np.zeros((pb.size, k, k))
+            np.add.at(a, (pair, i[at], j[at]), weight[at])
+            e, diagonal = _in_basis(q[pb], a, tol)
+            ok[pb[~diagonal]] = False
+            for c in np.flatnonzero(ok):
+                d = np.diagonal(e[pb == c], 0, 1, 2)  # each A_i's eigenvalues
+                new = np.r_[True, np.abs(np.diff(d)).max(axis=0, initial=0) > tol * np.abs(d).max()]
+                bases[int(blks[c])] = (q[c], np.cumsum(new) - 1, pr[pb == c],
+                                       np.add.reduceat(d, np.flatnonzero(new), axis=1))
+        return bases
 
     def embed(self, blocks) -> tuple[list[np.ndarray], np.ndarray]:
         """The Gram blocks and the scalars of a certificate from SDP blocks,
-        each entry the mean of the SDP entries in its orbit."""
-        nsdp = len(self._sides) + (self._nscalar > 0)
-        red = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks[:nsdp]])
+        each entry the mean of the SDP entries in its orbit; a diagonalised
+        block's x enters as sum_g x_g P_g, P_g projecting on eigenspace g."""
+        blocks = list(blocks[: len(self._sides) + (self._nscalar > 0)])
+        for b, (q, group, _, _) in self._bases.items():
+            blocks[b] = (q * np.asarray(blocks[b])[group]) @ q.T
+        red = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
         label = self._label[self._rep]
         vals = (np.bincount(label, red) / np.bincount(label))[self._label]
         return _unflatten(vals, self._shape.sides)
@@ -342,6 +420,9 @@ class GramLayout:
             self._label[self._rep]
         ]
         reduced, rest = _unflatten(red, self._sides)
+        for b, (q, group, _, _) in self._bases.items():  # X's mean eigenvalue on each P_g
+            reduced[b] = (np.bincount(group, np.einsum("ij,ik,kj->j", q, reduced[b], q))
+                          / np.bincount(group))
         return reduced + ([rest] if self._nscalar else [])
 
     def certificate(self, sol, **provenance) -> SosCertificate:

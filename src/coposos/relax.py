@@ -13,9 +13,10 @@ B = Diag(b_1/2, -b_1/2, ...) so that <D, B> = b^T y holds exactly.  Each
 cone constraint's Gram blocks, its rows and the extraction of its
 certificate come from one :class:`coposos.cones.GramLayout`, the one owner
 of the Gram structure, whose blocks follow those of the constraints before
-it.  Its rows go to the SDP builder as the same flat arrays a membership
-SDP is built from, with the D columns of every row appended as arrays and
-labelled (constraint, monomial).  A constraint's exactly checked
+it; a Gram block whose rows commute enters as a NONNEG block, one scalar per
+common eigenspace.  Its rows go to the SDP builder as the same flat arrays a
+membership SDP is built from, with the D columns of every row appended as
+arrays and labelled (constraint, monomial).  A constraint's exactly checked
 ``symmetry`` is the group its layout reduces by: Aut(G) or Aut(G) x S_t
 from :mod:`coposos.apps`, with the box slots of :func:`to_bounded` fixed,
 and the trivial group otherwise.
@@ -129,7 +130,7 @@ def build_relaxation_sdp(
     prog: ConicProgram, r: int, kind: ConeKind, box_bound
 ) -> RelaxationSdp:
     """Assemble the level-r block SDP of a conic program for either kind."""
-    big_r = Fraction(box_bound)
+    big_r, kind = Fraction(box_bound), ConeKind(kind)
     if big_r <= 0:
         raise ValueError("box bound must be positive")
     m = prog.m

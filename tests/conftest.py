@@ -165,6 +165,15 @@ def dense_k():
         yield
 
 
+@contextlib.contextmanager
+def orbit_blocks():
+    """Within the block, every layout keeps its orbit blocks PSD: none is
+    diagonalised in the common eigenbasis of its rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GramLayout, "_eigenbases", lambda self, *entries: {})
+        yield
+
+
 def dense_sdp(blocks, a, b, c) -> BlockSdp:
     """A BlockSdp from a dense constraint matrix ``a``, passed as the
     (row, column, value) triplets of its nonzeros."""

@@ -30,6 +30,7 @@ from coposos.apps import (
 )
 from coposos.cones import (
     ConeKind,
+    GramLayout,
     SosCertificate,
     Verdict,
     build_K_membership,
@@ -45,6 +46,7 @@ from coposos.polycore import (
     SymMatrix,
     lift_table,
     monomial_basis,
+    multinomial,
     quadratic_form,
 )
 from coposos.relax import ConicProgram, build_relaxation_sdp, extract_certificates, to_bounded
@@ -79,6 +81,35 @@ class TestBuilders:
     def test_row_labels_cover_all_rows(self):
         prob = build_K_membership(SymMatrix.identity(2), 1)
         assert len(set(prob.sdp.row_labels)) == prob.sdp.num_constraints
+
+
+class TestEntryPoints:
+    def test_string_kind_keeps_its_cone(self):
+        # in one process: the call with "K" must leave K's shape in the caches
+        cones.gram_shape.cache_clear()
+        cones._membership_family.cache_clear()
+        want = [psd_block(3), nonneg_block(3)]  # Q's would be PSD(3) + NONNEG(6)
+        for kind in ("K", ConeKind.K):
+            prob = build_membership(SymMatrix.identity(3), 0, kind)
+            assert list(prob.sdp.blocks) == want and prob.layout.kind is ConeKind.K
+        assert gram_shape(3, 0, ConeKind.K).nscalar == 3
+
+    def test_every_kind_is_coerced(self):
+        assert GramLayout(3, 1, "Q").kind is ConeKind.Q
+        assert SosCertificate("K", 0, 1, [], np.ones(1)).kind is ConeKind.K
+        res = stability_bound(cycle_graph(5), 0, "K")
+        assert res.relaxation.kind is ConeKind.K
+        assert all(c.kind is ConeKind.K for c in res.certificates)
+        with pytest.raises(ValueError):
+            build_membership(SymMatrix.identity(3), 0, "X")
+
+    @pytest.mark.parametrize("kind,r", [(ConeKind.K, 9), (ConeKind.Q, 19)])
+    def test_weights_past_int64(self, kind, r):
+        # K at r = 9 lifts to degree 22, Q at r = 19 to degree 21: 21! > 2^63
+        shape = gram_shape(2, r, kind)
+        assert shape.weight == [multinomial(tuple(a)) for a in shape.lifted.tolist()]
+        res = decide_membership(build_membership(SymMatrix.identity(2), r, kind))
+        assert res.verdict is Verdict.MEMBER
 
 
 class _IntegerPoint:

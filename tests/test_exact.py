@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_coeff_norm, fraction_lift, fraction_residual, random_symmetric
+from conftest import (
+    fraction_coeff_norm,
+    fraction_lift,
+    fraction_residual,
+    orbit_blocks,
+    random_symmetric,
+)
 from coposos.apps import chromatic_bound, cycle_graph, stability_bound
 from coposos.cones import (
     ConeKind,
@@ -162,12 +168,21 @@ class TestExactMatrixChecks:
         ConeConstraint(3, (SymMatrix.identity(3),), ring, ((2, 1, 0),))  # its reversal
 
 
-# The exact certificate residuals of two public calls, to the last bit: a
-# change to the lift, the slack, the SDP or the solver's iterates moves them.
+def _chi_c4_with_orbit_blocks():
+    with orbit_blocks():
+        return chromatic_bound(cycle_graph(4), 0)[1]
+
+
+# The exact certificate residuals of public calls, to the last bit: a change
+# to the lift, the slack, the SDP or the solver's iterates moves them.  "chi
+# C4 r0 Q" was recorded while every orbit block stayed PSD and is built so.
 _PINNED_RESIDUALS = {
-    "chi C4 r0 Q": (lambda: chromatic_bound(cycle_graph(4), 0)[1],
+    "chi C4 r0 Q": (_chi_c4_with_orbit_blocks,
                     [Fraction(4009, 2**58), Fraction(55, 2**52), Fraction(99, 2**53),
                      Fraction(1945, 2**57), Fraction(5, 2**49)]),
+    "chi C4 r0 Q diagonalised": (lambda: chromatic_bound(cycle_graph(4), 0)[1],
+                                 [Fraction(27, 2**53), Fraction(29897062385, 2**83),
+                                  Fraction(19, 2**53), Fraction(573, 2**57), Fraction(1, 2**48)]),
     "alpha C7 r1 K": (lambda: stability_bound(cycle_graph(7), 1, ConeKind.K),
                       [Fraction(533523, 2**48)]),
 }

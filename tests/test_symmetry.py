@@ -4,13 +4,20 @@ values, and the per-component eigenvalue audit."""
 
 import dataclasses
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import horn_matrix, planted_spn, random_symmetric
+from conftest import horn_matrix, orbit_blocks, planted_spn, random_symmetric
+import coposos
+from coposos import cones
 from coposos.apps import (
     Graph,
     chromatic_box_bound,
@@ -169,7 +176,8 @@ _PARENT_DIGESTS = {
 
 # The same digests of SDPs the benchmark solves, reduced by their
 # generators (membership has the trivial group), recorded before Gram rows
-# were assembled as arrays.
+# were assembled as arrays and built with every orbit block PSD; the blocks
+# of all but the chromatic SDP do not commute, so they stay PSD anyway.
 _REDUCED_DIGESTS = {
     "alpha-C7-K-r1-reduced": "96ce1989faf8b77e",
     "alpha-C10-K-r2-reduced": "33da9839af310660",
@@ -219,7 +227,16 @@ def test_trivial_group_sdp_is_bit_identical(name):
 
 @pytest.mark.parametrize("name", list(_REDUCED_DIGESTS))
 def test_reduced_sdp_is_bit_identical(name):
-    assert _digest(_build(name)) == _REDUCED_DIGESTS[name]
+    if name.startswith("chi"):
+        with orbit_blocks():
+            assert _digest(_build(name)) == _REDUCED_DIGESTS[name]
+    else:
+        assert _digest(_build(name)) == _REDUCED_DIGESTS[name]
+
+
+def test_diagonalised_sdp_is_bit_identical():
+    # chi-C5-Q-r0-reduced with its commuting orbit blocks diagonalised
+    assert _digest(_build("chi-C5-Q-r0-reduced")) == "8e826211a9df3417"
 
 
 @pytest.mark.parametrize("case", ["C9-Q-r2-slots", "Paley13-K-r1-lifted"])
@@ -320,3 +337,117 @@ class TestFoldAndExpand:
         assert len(again[0]) == len(full[0])
         assert all(np.allclose(u, v, atol=1e-12) for u, v in zip(again[0], full[0]))
         assert np.allclose(again[1], full[1], atol=1e-12)
+
+
+def _psd_sides(sdp) -> list[int]:
+    return [b.size for b in sdp.blocks if b.kind == "psd"]
+
+
+_GRAPHS = {"K2": complete_graph(2), "P3": path_graph(3), "C4": cycle_graph(4),
+           "C5": cycle_graph(5)}
+
+
+def _sdp_of(name: str):
+    family, case, kind, level = name.split("-")
+    kind, r = ConeKind(kind), int(level[1:])
+    if family == "member":
+        return build_membership(random_symmetric(random.Random(r), int(case[1:])), r, kind).sdp
+    if family == "alpha":
+        g = cycle_graph(int(case[1:]))
+        prog = sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry)
+        return build_relaxation_sdp(prog, r, kind, 8 * g.n).sdp
+    g = _GRAPHS[case]
+    prog = to_bounded(chromatic_program(g), chromatic_box_bound(g))
+    return build_relaxation_sdp(prog, r, kind, chromatic_box_bound(g)).sdp
+
+
+class TestDiagonalised:
+    """An orbit block whose row matrices commute becomes a NONNEG block with
+    one scalar per common eigenspace; checked against the same programs with
+    every orbit block PSD."""
+
+    @pytest.mark.parametrize("name", ["K2", "C4", "C5"])
+    def test_chromatic_values_agree(self, name):
+        bound, res = chromatic_bound(_GRAPHS[name], 0)
+        with orbit_blocks():
+            psd_bound, psd = chromatic_bound(_GRAPHS[name], 0)
+        assert len(_psd_sides(res.relaxation.sdp)) < len(_psd_sides(psd.relaxation.sdp))
+        assert res.status == psd.status == SdpStatus.OPTIMAL
+        assert abs(bound - psd_bound) <= 1e-7
+        assert all(rep.ok for rep in res.certificate_reports + psd.certificate_reports)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_stability_level0_k_values_agree(self, n):
+        res = stability_bound(cycle_graph(n), 0, ConeKind.K)
+        with orbit_blocks():
+            psd = stability_bound(cycle_graph(n), 0, ConeKind.K)
+        assert _psd_sides(res.relaxation.sdp) == [] and _psd_sides(psd.relaxation.sdp) == [n]
+        assert res.status == psd.status == SdpStatus.OPTIMAL
+        assert abs(res.value - psd.value) <= 1e-7
+        assert all(rep.ok for rep in res.certificate_reports + psd.certificate_reports)
+
+    @pytest.mark.parametrize("name", [
+        "alpha-C7-Q-r1", "alpha-C9-Q-r2", "alpha-C7-K-r1", "alpha-C10-K-r2", "chi-P3-Q-r0",
+        "chi-C5-Q-r1", "member-n5-K-r0", "member-n5-Q-r1"])
+    def test_blocks_whose_rows_do_not_commute_stay_psd(self, name):
+        cones._membership_family.cache_clear()
+        sdp = _sdp_of(name)
+        assert _psd_sides(sdp)
+        cones._membership_family.cache_clear()
+        with orbit_blocks():
+            assert _digest(sdp) == _digest(_sdp_of(name))
+
+    def test_embed_and_split_invert_each_other(self):
+        g = cycle_graph(6)
+        layout = build_relaxation_sdp(
+            sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 0, ConeKind.K, 10
+        ).layouts[0]
+        assert [b.kind for b in layout.blocks()] == ["nonneg", "nonneg"]
+        rng = np.random.default_rng(5)
+        x = [rng.random(b.size) for b in layout.blocks()]
+        full = layout.embed(x)
+        assert all(np.allclose(u, v, atol=1e-12) for u, v in zip(layout.split(full), x))
+        with orbit_blocks():  # the same Gram point on the PSD orbit block
+            psd = build_relaxation_sdp(
+                sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 0, ConeKind.K, 10
+            ).layouts[0]
+        again = psd.embed(psd.split(full))
+        assert np.allclose(again[0][0], full[0][0], atol=1e-12)
+        assert np.allclose(again[1], full[1], atol=1e-12)
+
+
+_CHROMATIC_CALL = r"""
+import hashlib, json, sys
+from coposos.apps import chromatic_bound, cycle_graph
+bound, res = chromatic_bound(cycle_graph(int(sys.argv[1])), 0)
+x = hashlib.sha256(b"".join(b.tobytes() for b in res.solution.x_blocks)).hexdigest()
+print(json.dumps({"bound": bound.hex(), "status": res.status.value, "x": x,
+                  "ok": [rep.ok for rep in res.certificate_reports]}))
+"""
+
+
+def _fresh_chromatic_call(n: int, **env) -> dict:
+    """chromatic_bound(C_n, 0) in a fresh interpreter with the given
+    environment variables set."""
+    src = str(Path(coposos.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHROMATIC_CALL, str(n)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_c9_chromatic_level0_is_certified():
+    # INCONCLUSIVE ("progress stalled") with one BLAS thread while its orbit
+    # blocks stayed PSD; chi(C9) = 3
+    out = _fresh_chromatic_call(9, OPENBLAS_NUM_THREADS="1")
+    assert out["status"] == "OPTIMAL"
+    assert 3 - 1e-6 <= float.fromhex(out["bound"]) <= 3
+    assert len(out["ok"]) == 10 and all(out["ok"])
+
+
+def test_eigenbasis_repeats_across_processes():
+    # the fixed-seed combination picks the same basis in every process, so
+    # the value and x repeat bit for bit
+    first, second = _fresh_chromatic_call(5), _fresh_chromatic_call(5)
+    assert first == second and first["status"] == "OPTIMAL"
