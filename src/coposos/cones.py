@@ -50,6 +50,7 @@ infeasibility ray; everything on the numerical boundary is INCONCLUSIVE.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -312,6 +313,16 @@ class GramLayout:
                                                   len(shape.lifted))
         self._bases = self._eigenbases(*self._orbit_entries())
 
+    @classmethod
+    def shared(cls, n: int, r: int, kind: ConeKind, first: int = 0, symmetry=()):
+        """``cls(n, r, kind, first, symmetry)``, its orbits and eigenbases
+        found once per (class, n, r, kind, symmetry) and shared, read-only,
+        by every layout this returns."""
+        gens = tuple(tuple(map(int, g)) for g in symmetry)
+        layout = copy.copy(_shared_layout(cls, n, r, ConeKind(kind), gens))
+        layout.first = first
+        return layout
+
     def lift(self, m: SymMatrix) -> tuple[np.ndarray, int]:
         """The lift of M at the monomial of each row of :meth:`rows`, in its
         order, as Python-integer numerators over one common denominator."""
@@ -436,6 +447,15 @@ class GramLayout:
         }
         return SosCertificate(self.kind, self.r, self.n,
                               *self.embed(sol.x_blocks[self.first :]), provenance)
+
+
+@lru_cache(maxsize=32)
+def _shared_layout(layout_cls, n: int, r: int, kind: ConeKind, symmetry):
+    layout = layout_cls(n, r, kind, symmetry=symmetry)
+    for shared in vars(layout).values():  # cached: read-only
+        if isinstance(shared, np.ndarray):
+            shared.flags.writeable = False
+    return layout
 
 
 @dataclass

@@ -14,7 +14,8 @@ cone constraint's Gram blocks, its rows and the extraction of its
 certificate come from one :class:`coposos.cones.GramLayout`, the one owner
 of the Gram structure, whose blocks follow those of the constraints before
 it; a Gram block whose rows commute enters as a NONNEG block, one scalar per
-common eigenspace.  Its rows go to the SDP builder as the same flat arrays a
+common eigenspace.  The layout's orbits and eigenbases are found once per
+(n, r, kind, symmetry) in a process (:meth:`GramLayout.shared`).  Its rows go to the SDP builder as the same flat arrays a
 membership SDP is built from, with the D columns of every row appended as
 arrays and labelled (constraint, monomial).  A constraint's exactly checked
 ``symmetry`` is the group its layout reduces by: Aut(G) or Aut(G) x S_t
@@ -138,7 +139,7 @@ def build_relaxation_sdp(
     blocks = []
     layouts = []
     for cons in prog.constraints:
-        layout = GramLayout(cons.n, r, kind, first=len(blocks), symmetry=cons.symmetry)
+        layout = GramLayout.shared(cons.n, r, kind, first=len(blocks), symmetry=cons.symmetry)
         blocks += layout.blocks()
         layouts.append(layout)
 
@@ -339,7 +340,7 @@ def build_interior_start(
         b_shifts.append(b)
         # folded onto the layout's blocks, the seed becomes principal
         # submatrices of its group average: no smaller least eigenvalue
-        layout = GramLayout(cons.n, r, kind, symmetry=cons.symmetry)
+        layout = GramLayout.shared(cons.n, r, kind, symmetry=cons.symmetry)
         gram_blocks, scalars = _interior_seed(witness, r, kind, b)
         blocks += layout.split(([g.to_float() for g in gram_blocks],
                                 [float(v) for v in scalars]))

@@ -171,7 +171,11 @@ def orbit_blocks():
     diagonalised in the common eigenbasis of its rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GramLayout, "_eigenbases", lambda self, *entries: {})
-        yield
+        cones._shared_layout.cache_clear()  # no layout diagonalised outside the block
+        try:
+            yield
+        finally:
+            cones._shared_layout.cache_clear()  # nor one with PSD blocks after it
 
 
 def dense_sdp(blocks, a, b, c) -> BlockSdp:

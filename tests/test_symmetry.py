@@ -415,6 +415,24 @@ class TestDiagonalised:
         assert np.allclose(again[0][0], full[0][0], atol=1e-12)
         assert np.allclose(again[1], full[1], atol=1e-12)
 
+    def test_shared_layouts_share_their_reduction(self):
+        gens = cycle_graph(8).symmetry
+        first = cones.GramLayout.shared(8, 0, "Q", symmetry=gens)
+        later = cones.GramLayout.shared(8, 0, ConeKind.Q, first=3, symmetry=list(gens))
+        assert later._bases is first._bases and later._label is first._label
+        assert (first.first, later.first) == (0, 3)
+        assert not first._label.flags.writeable
+        fresh = cones.GramLayout(8, 0, ConeKind.Q, first=3, symmetry=gens)
+        (entries, monomials), (want, want_monomials) = later.rows(), fresh.rows()
+        assert monomials == want_monomials
+        assert all(np.array_equal(u, v) for u, v in zip(entries, want))
+        assert [b.kind for b in later.blocks()] == ["nonneg", "nonneg"]
+        with orbit_blocks():  # no layout shared before the block is reused in it
+            assert [b.kind for b in cones.GramLayout.shared(8, 0, "Q", symmetry=gens)
+                    .blocks()] == ["psd", "nonneg"]
+        assert [b.kind for b in cones.GramLayout.shared(8, 0, "Q", symmetry=gens)
+                .blocks()] == ["nonneg", "nonneg"]
+
 
 _CHROMATIC_CALL = r"""
 import hashlib, json, sys
