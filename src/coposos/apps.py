@@ -374,9 +374,9 @@ def chromatic_bound(
     feasible set of max y and the bound never exceeds chi(G).
     The default kind Q keeps the largest PSD block at side n*t; at level 0
     the two kinds define the same cone.  The boxing deliberately encodes the
-    variable box twice (inside the cone constraint and in the SDP diagonal),
-    which leaves a degenerate optimal face; the default eps reflects the
-    accuracy reliably certifiable there.
+    variable box twice (as a separate cone constraint, :func:`to_bounded`,
+    and in the SDP diagonal), which leaves a degenerate optimal face; the
+    default eps reflects the accuracy reliably certifiable there.
     """
     prog = to_bounded(chromatic_program(g), chromatic_box_bound(g))
     res = solve_relaxation(prog, r, kind, chromatic_box_bound(g), eps=eps)

@@ -33,8 +33,10 @@ knows how K and Q differ, holding each slot's exponent signature, the
 padding and diagonal slots and the lift-table row of every entry (see
 :func:`coposos.polycore.lift_table`).  :class:`GramLayout` is the one owner
 of the SDP's Gram structure: its blocks, the rows matching lifted
-coefficients and the extraction of a certificate from a solution.  Its
-rows are flat arrays (row, block, i, j, weight) that go to
+coefficients and the extraction of a certificate from a solution.  A
+layout is immutable, built once per (n, r, kind, symmetry)
+(:meth:`GramLayout.shared`).  Its rows are flat arrays (row, block, i, j,
+weight), blocks numbered from 0, that go to
 :meth:`coposos.sdpcore.SdpBuilder.add_rows` whole, with the right-hand
 sides and each row's monomial as its label.  The membership SDP here,
 every cone constraint of a :mod:`coposos.relax` relaxation and its
@@ -50,7 +52,6 @@ infeasibility ray; everything on the numerical boundary is INCONCLUSIVE.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -286,14 +287,14 @@ class GramLayout:
     block whose row matrices A_i commute becomes a NONNEG block in place,
     X = sum_g x_g P_g over the projectors on the A_i's common eigenspaces:
     any PSD X meets the rows as x_g, its mean eigenvalue on P_g, does, and
-    x_g is no smaller than X's least eigenvalue.  The blocks are numbered
-    from ``first`` inside the SDP.
+    x_g is no smaller than X's least eigenvalue.  A layout is immutable and
+    numbers its blocks from 0; a relaxation places them in its SDP.
     """
 
-    def __init__(self, n: int, r: int, kind: ConeKind, first: int = 0, symmetry=()):
+    def __init__(self, n: int, r: int, kind: ConeKind, symmetry=()):
         if r < 0:
             raise ValueError("level must be >= 0")
-        self.n, self.r, self.kind, self.first = n, r, ConeKind(kind), first
+        self.n, self.r, self.kind = n, r, ConeKind(kind)
         self._shape = shape = gram_shape(n, r, kind)
         gens = [np.asarray(g, dtype=np.intp) for g in symmetry]
         # each generator's action on the slots, on both halves of their keys
@@ -312,16 +313,17 @@ class GramLayout:
         self._row_orbit, self._row_reps = _orbits(_images(shape.lifted, gens),
                                                   len(shape.lifted))
         self._bases = self._eigenbases(*self._orbit_entries())
+        arrays = [*vars(self).values(), *(a for basis in self._bases.values() for a in basis)]
+        for shared in arrays:  # shared: read-only
+            if isinstance(shared, np.ndarray):
+                shared.flags.writeable = False
 
     @classmethod
-    def shared(cls, n: int, r: int, kind: ConeKind, first: int = 0, symmetry=()):
-        """``cls(n, r, kind, first, symmetry)``, its orbits and eigenbases
-        found once per (class, n, r, kind, symmetry) and shared, read-only,
-        by every layout this returns."""
+    def shared(cls, n: int, r: int, kind: ConeKind, symmetry=()):
+        """``cls(n, r, kind, symmetry)``, built once per (class, n, r, kind,
+        symmetry) and returned to every caller."""
         gens = tuple(tuple(map(int, g)) for g in symmetry)
-        layout = copy.copy(_shared_layout(cls, n, r, ConeKind(kind), gens))
-        layout.first = first
-        return layout
+        return _shared_layout(cls, n, r, ConeKind(kind), gens)
 
     def lift(self, m: SymMatrix) -> tuple[np.ndarray, int]:
         """The lift of M at the monomial of each row of :meth:`rows`, in its
@@ -346,9 +348,9 @@ class GramLayout:
         pairs.  On a diagonalised block, entry g of row i is tr(A_i P_g)."""
         entries = self._orbit_entries()
         if self._bases:
-            keep = ~np.isin(entries[1] - self.first, list(self._bases))
+            keep = ~np.isin(entries[1], list(self._bases))
             entries = tuple(map(np.concatenate, zip([e[keep] for e in entries], *[
-                (np.repeat(rows, tr.shape[1]), np.full(tr.size, self.first + b),
+                (np.repeat(rows, tr.shape[1]), np.full(tr.size, b),
                  *[np.tile(np.arange(tr.shape[1]), rows.size)] * 2, tr.ravel())
                 for b, (_, _, rows, tr) in self._bases.items()])))
         return entries, list(map(tuple, self._shape.lifted[self._row_reps].tolist()))
@@ -361,11 +363,11 @@ class GramLayout:
         weight = self._count[shape.blk[rep]] / np.bincount(self._row_orbit)[row]
         rank = self._rank[shape.blk[rep]]
         scalar = np.maximum(rank - len(self._sides), 0)  # a NONNEG entry's index
-        block = self.first + np.minimum(rank, len(self._sides))
+        block = np.minimum(rank, len(self._sides))
         i, j = shape.pos[shape.si[rep]] + scalar, shape.pos[shape.sj[rep]] + scalar
         return row, block, i, j, weight
 
-    def _eigenbases(self, row, block, i, j, weight) -> dict:
+    def _eigenbases(self, row, blk, i, j, weight) -> dict:
         """The orbit blocks whose row matrices A_i commute, each with the
         A_i's common eigenbasis Q, the eigenspace g of each column of Q, the
         rows on the block and tr(A_i P_g), P_g projecting on eigenspace g.  Q
@@ -374,7 +376,7 @@ class GramLayout:
         must be diagonal in Q to tol of its largest entry.  An eigenspace is
         a run of columns on which every A_i has one eigenvalue."""
         tol = 1e-9  # commuting blocks measure about 1e-12, others 0.3 and up
-        blk, nrow = block - self.first, self._row_reps.size
+        nrow = self._row_reps.size
         sides = np.append(self._sides, 0)  # 0 on the scalar cells
         # A_i of disjoint supports are independent; commuting ones span <= k dimensions
         sides[np.bincount(np.unique(blk * nrow + row) // nrow, minlength=sides.size) > sides] = 0
@@ -436,9 +438,9 @@ class GramLayout:
                           / np.bincount(group))
         return reduced + ([rest] if self._nscalar else [])
 
-    def certificate(self, sol, **provenance) -> SosCertificate:
-        """The full certificate held in a solution's blocks; the solver's
-        residuals and gap join the caller's provenance."""
+    def certificate(self, sol, first: int = 0, **provenance) -> SosCertificate:
+        """The full certificate held in a solution's blocks from ``first``
+        on; the solver's residuals and gap join the caller's provenance."""
         provenance = {
             "primal_res": sol.primal_res,
             "dual_res": sol.dual_res,
@@ -446,16 +448,10 @@ class GramLayout:
             **provenance,
         }
         return SosCertificate(self.kind, self.r, self.n,
-                              *self.embed(sol.x_blocks[self.first :]), provenance)
+                              *self.embed(sol.x_blocks[first:]), provenance)
 
 
-@lru_cache(maxsize=32)
-def _shared_layout(layout_cls, n: int, r: int, kind: ConeKind, symmetry):
-    layout = layout_cls(n, r, kind, symmetry=symmetry)
-    for shared in vars(layout).values():  # cached: read-only
-        if isinstance(shared, np.ndarray):
-            shared.flags.writeable = False
-    return layout
+_shared_layout = lru_cache(maxsize=32)(lambda layout_cls, *key: layout_cls(*key))
 
 
 @dataclass
@@ -467,9 +463,9 @@ class MembershipProblem:
 
 @lru_cache(maxsize=16)
 def _membership_family(layout_cls, n: int, r: int, kind: ConeKind):
-    """The layout of every level-r membership SDP of one kind in n
+    """The shared layout of every level-r membership SDP of one kind in n
     variables, and a builder holding its rows with zero right-hand sides."""
-    layout = layout_cls(n, r, kind)
+    layout = layout_cls.shared(n, r, kind)
     entries, monomials = layout.rows()
     builder = SdpBuilder(layout.blocks())
     builder.add_rows(*entries, np.zeros(len(monomials)), monomials)
@@ -481,9 +477,10 @@ _FAMILY_MAX_ROWS = 1000  # a family of more rows is built on each call, not cach
 
 def build_membership(m: SymMatrix, r: int, kind: ConeKind) -> MembershipProblem:
     """SDP feasibility: find Gram data reproducing the level-r lift of M.
-    The layout, rows and A are built once per (n, r, kind) and layout class
-    while A has at most 1000 rows; M enters only through b, its lift, so the
-    SDPs of one (n, r, kind) share A and the solver's set-up for it."""
+    The layout is :meth:`GramLayout.shared`; the rows and A are built once
+    per (n, r, kind) and layout class while A has at most 1000 rows.  M
+    enters only through b, its lift, so the SDPs of one (n, r, kind) share A
+    and the solver's set-up for it."""
     family = _membership_family
     if comb(m.n + r + 1, r + 2) > _FAMILY_MAX_ROWS:  # A's rows: the degree r + 2 monomials
         family = family.__wrapped__

@@ -12,15 +12,16 @@ R being a caller-supplied box bound on the optimum, and objective block
 B = Diag(b_1/2, -b_1/2, ...) so that <D, B> = b^T y holds exactly.  Each
 cone constraint's Gram blocks, its rows and the extraction of its
 certificate come from one :class:`coposos.cones.GramLayout`, the one owner
-of the Gram structure, whose blocks follow those of the constraints before
-it; a Gram block whose rows commute enters as a NONNEG block, one scalar per
-common eigenspace.  The layout's orbits and eigenbases are found once per
-(n, r, kind, symmetry) in a process (:meth:`GramLayout.shared`).  Its rows go to the SDP builder as the same flat arrays a
-membership SDP is built from, with the D columns of every row appended as
-arrays and labelled (constraint, monomial).  A constraint's exactly checked
-``symmetry`` is the group its layout reduces by: Aut(G) or Aut(G) x S_t
-from :mod:`coposos.apps`, with the box slots of :func:`to_bounded` fixed,
-and the trivial group otherwise.
+of the Gram structure; a Gram block whose rows commute enters as a NONNEG
+block, one scalar per common eigenspace.  A layout is immutable and built
+once per (n, r, kind, symmetry) in a process (:meth:`GramLayout.shared`);
+the relaxation records where each layout's blocks start
+(:attr:`RelaxationSdp.firsts`).  A layout's rows go to the SDP builder as
+the same flat arrays a membership SDP is built from, shifted to those
+blocks, with the D columns of every row appended as arrays and labelled
+(constraint, monomial).  A constraint's exactly checked ``symmetry`` is the group its
+layout reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, and
+the trivial group otherwise.
 
 The module also provides the interior-point seed construction used for
 feasible-region diagnostics: given a feasible split  sum_i ybar_i A_i - C
@@ -30,7 +31,7 @@ scalars, is the multinomial-weighted padding of P - b*J plus a strictly
 positive diagonal carrying b*J + N.  One seed serves both kinds: it reads
 the padding and diagonal slots of :class:`coposos.cones.GramShape`.  Last
 comes the value-preserving variable-boxing transform that appends the
-diagonal D to the cone constraint itself.
+diagonal (2R -+ y_i) as one more cone constraint.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ class ConicProgram:
         return len(self.b)
 
     def __post_init__(self):
+        if not self.b:
+            raise ValueError("at least one variable y_i is required")
         if not self.constraints:
             raise ValueError("at least one cone constraint is required")
         for cons in self.constraints:
@@ -121,6 +124,7 @@ class RelaxationSdp:
     box_bound: Fraction
     d_block: int
     layouts: list[GramLayout]
+    firsts: list[int]  # the SDP block where each layout's blocks start
 
     def decode_y(self, sol) -> np.ndarray:
         d = np.asarray(sol.x_blocks[self.d_block])
@@ -136,10 +140,10 @@ def build_relaxation_sdp(
         raise ValueError("box bound must be positive")
     m = prog.m
 
-    blocks = []
-    layouts = []
+    blocks, layouts, firsts = [], [], []
     for cons in prog.constraints:
-        layout = GramLayout.shared(cons.n, r, kind, first=len(blocks), symmetry=cons.symmetry)
+        layout = GramLayout.shared(cons.n, r, kind, cons.symmetry)
+        firsts.append(len(blocks))
         blocks += layout.blocks()
         layouts.append(layout)
 
@@ -147,8 +151,9 @@ def build_relaxation_sdp(
     blocks.append(nonneg_block(2 * m))
     builder = SdpBuilder(blocks)
 
-    for ci, (layout, cons) in enumerate(zip(layouts, prog.constraints)):
-        entries, monomials = layout.rows()
+    for ci, (layout, first, cons) in enumerate(zip(layouts, firsts, prog.constraints)):
+        (row, block, i, j, weight), monomials = layout.rows()
+        entries = row, block + first, i, j, weight
         coef = np.array([num / den for num, den in map(layout.lift, cons.a_mats)], dtype=float)
         # each row less y_i * coef, written via (d_i+ - d_i-) / 2
         var, t = np.nonzero(coef)
@@ -172,6 +177,7 @@ def build_relaxation_sdp(
         box_bound=big_r,
         d_block=d_block,
         layouts=layouts,
+        firsts=firsts,
     )
 
 
@@ -247,8 +253,6 @@ def check_intspn(cons: ConeConstraint, ybar) -> SpnWitness | SpnRefusal:
 
     lb = Fraction(float(lam_star)) * Fraction(9, 10)
     for _ in range(80):
-        if lb <= 0:
-            break
         if is_psd_exact(p_exact - SymMatrix.identity(n).scale(lb)):
             return SpnWitness(ybar, p_exact, n_exact, lb)
         lb /= 2
@@ -307,20 +311,15 @@ def _interior_seed(witness: SpnWitness, r: int, kind: ConeKind, b: Fraction):
     return grams, vals[len(vals) - shape.nscalar :]
 
 
-def build_interior_start(
-    prog: ConicProgram,
-    witnesses,
-    r: int,
-    kind: ConeKind,
-    box_bound,
-) -> InteriorStart:
-    """Exactly feasible SDP point from per-constraint P + N witnesses.
+def build_interior_start(rel: RelaxationSdp, witnesses) -> InteriorStart:
+    """Exactly feasible point of the relaxation's SDP from per-constraint
+    P + N witnesses, one per constraint of ``rel.prog``.
 
-    All witnesses must share the same ybar.  The returned blocks conform to
-    the layout of :func:`build_relaxation_sdp` for the same arguments and
-    are meant for :func:`coposos.sdpcore.sandwich_diagnostics`.
+    All witnesses must share the same ybar.  The returned blocks are those
+    of ``rel.sdp``, in its layouts, and are meant for
+    :func:`coposos.sdpcore.sandwich_diagnostics`.
     """
-    big_r = Fraction(box_bound)
+    prog, r, kind, big_r = rel.prog, rel.r, rel.kind, rel.box_bound
     witnesses = list(witnesses)
     if len(witnesses) != len(prog.constraints):
         raise ValueError("one witness per cone constraint is required")
@@ -330,17 +329,14 @@ def build_interior_start(
     if any(abs(v) > 2 * big_r for v in ybar):
         raise ValueError("ybar escapes the box [-2R, 2R]")
 
-    blocks = []
-    b_shifts = []
-    inner = None
-    for cons, witness in zip(prog.constraints, witnesses):
+    blocks, b_shifts, inner = [], [], None
+    for cons, layout, witness in zip(prog.constraints, rel.layouts, witnesses):
         if not witness.check_exact(cons):
             raise ValueError("witness fails its exact feasibility check")
         b = _shift_for(witness)
         b_shifts.append(b)
         # folded onto the layout's blocks, the seed becomes principal
         # submatrices of its group average: no smaller least eigenvalue
-        layout = GramLayout.shared(cons.n, r, kind, symmetry=cons.symmetry)
         gram_blocks, scalars = _interior_seed(witness, r, kind, b)
         blocks += layout.split(([g.to_float() for g in gram_blocks],
                                 [float(v) for v in scalars]))
@@ -367,44 +363,20 @@ def build_interior_start(
 
 
 def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
-    """Append the diagonal (2R -+ y_i) box to the program's cone constraint.
+    """Append the diagonal (2R -+ y_i) box as one more cone constraint.
 
-    For a single-constraint program the constraint matrices become
-    (n + 2m)-dimensional with the A_i carrying -+1 diagonal extensions in
-    slot order (2R - y_i, 2R + y_i) and C carrying -2R entries; the optimal
-    value is preserved whenever the box contains an optimal solution, and
-    the symmetry generators extend by fixing the box slots.  For
-    multi-constraint programs the same diagonal is appended as one extra
-    2m-dimensional cone constraint with the trivial group, which is
-    equivalent blockwise.
+    The new constraint is 2m-dimensional with the trivial group: A_i is -1
+    and +1 on the diagonal slots (2i, 2i+1) and C is -2R I, so its slack is
+    Diag(2R - y_1, 2R + y_1, ...).  The optimal value is preserved whenever
+    the box contains an optimal solution.
     """
     big_r = Fraction(box_bound)
     if big_r <= 0:
         raise ValueError("box bound must be positive")
     m = prog.m
-
-    def box(i):  # variable y_i hits slots (2i, 2i+1) with signs (-1, +1)
-        return [(-1 if k == 2 * i else 1 if k == 2 * i + 1 else 0) for k in range(2 * m)]
-
-    if len(prog.constraints) == 1:
-        cons = prog.constraints[0]
-        n = cons.n
-
-        def padded(mat, tail):  # mat in the top-left corner, tail on the box diagonal
-            # in lowest terms: both parts are, and den is the lcm of theirs
-            tail = SymMatrix.diag(tail)
-            den = math.lcm(mat.den, tail.den)
-            num = np.zeros((n + 2 * m, n + 2 * m), dtype=object)
-            num[:n, :n], num[n:, n:] = mat.num * (den // mat.den), tail.num * (den // tail.den)
-            return SymMatrix._lowest(num, den)
-
-        new_a = tuple(padded(a, box(i)) for i, a in enumerate(cons.a_mats))
-        new_c = padded(cons.c_mat, [-2 * big_r] * (2 * m))
-        symmetry = tuple(tuple(g) + tuple(range(n, n + 2 * m)) for g in cons.symmetry)
-        return ConicProgram(prog.b, (ConeConstraint(n + 2 * m, new_a, new_c, symmetry),))
-
-    extra_a = tuple(SymMatrix.diag(box(i)) for i in range(m))
-    extra = ConeConstraint(2 * m, extra_a, SymMatrix.diag([-2 * big_r] * (2 * m)))
+    box = tuple(SymMatrix.diag([-1 if k == 2 * i else 1 if k == 2 * i + 1 else 0
+                                for k in range(2 * m)]) for i in range(m))
+    extra = ConeConstraint(2 * m, box, SymMatrix.diag([-2 * big_r] * (2 * m)))
     return ConicProgram(prog.b, prog.constraints + (extra,))
 
 
@@ -425,7 +397,7 @@ class RelaxationResult:
 
 
 def extract_certificates(rel: RelaxationSdp, sol) -> list[SosCertificate]:
-    return [layout.certificate(sol) for layout in rel.layouts]
+    return [layout.certificate(sol, first) for layout, first in zip(rel.layouts, rel.firsts)]
 
 
 def solve_relaxation(
@@ -435,7 +407,6 @@ def solve_relaxation(
     box_bound,
     eps: float = 1e-7,
     witnesses=None,
-    validate_tol: float | None = None,
 ) -> RelaxationResult:
     """Assemble, optionally install interior diagnostics, solve and decode.
 
@@ -449,7 +420,7 @@ def solve_relaxation(
     rel = build_relaxation_sdp(prog, r, kind, box_bound)
     sandwich = None
     if witnesses is not None:
-        start = build_interior_start(prog, witnesses, r, kind, box_bound)
+        start = build_interior_start(rel, witnesses)
         sandwich = sandwich_diagnostics(
             rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
         )
@@ -461,7 +432,7 @@ def solve_relaxation(
     res.y = rel.decode_y(sol)
     res.certificates = extract_certificates(rel, sol)
     y_exact = [Fraction(float(v)) for v in res.y]
-    tol = validate_tol if validate_tol is not None else max(100 * eps, 1e-6)
+    tol = max(100 * eps, 1e-6)
     res.certificate_reports = [validate_certificate(cons.slack(y_exact), cert, tol=tol)
                                for cons, cert in zip(prog.constraints, res.certificates)]
     failed = [f"constraint {ci} (residual {float(rep.residual):.3g}, least Gram eigenvalue "

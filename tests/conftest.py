@@ -115,9 +115,9 @@ class DenseKLayout(GramLayout):
     parity-block and orbit reduction of :class:`coposos.cones.GramLayout`: it
     takes the constraint's symmetry generators and ignores them."""
 
-    def __init__(self, n, r, kind, first=0, symmetry=()):
+    def __init__(self, n, r, kind, symmetry=()):
         assert kind is ConeKind.K
-        super().__init__(n, r, kind, first)
+        super().__init__(n, r, kind)
         self.basis = lift_table(n, r).basis
 
     def blocks(self):
@@ -128,7 +128,7 @@ class DenseKLayout(GramLayout):
         ti, tj = np.triu_indices(len(basis))
         gammas = monomial_basis(self.n, 2 * self.r + 4)
         row = monomial_positions(np.array(gammas), basis[ti] + basis[tj])
-        return (row, np.full_like(row, self.first), ti, tj, np.ones(row.size)), gammas
+        return (row, np.zeros_like(row), ti, tj, np.ones(row.size)), gammas
 
     def lift(self, m):
         num, den = lift_table(self.n, self.r).lift(m)
@@ -171,11 +171,17 @@ def orbit_blocks():
     diagonalised in the common eigenbasis of its rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GramLayout, "_eigenbases", lambda self, *entries: {})
-        cones._shared_layout.cache_clear()  # no layout diagonalised outside the block
+        _clear_layouts()  # no layout diagonalised outside the block
         try:
             yield
         finally:
-            cones._shared_layout.cache_clear()  # nor one with PSD blocks after it
+            _clear_layouts()  # nor one with PSD blocks after it
+
+
+def _clear_layouts():
+    """Forget every shared layout, with the membership families holding one."""
+    cones._shared_layout.cache_clear()
+    cones._membership_family.cache_clear()
 
 
 def dense_sdp(blocks, a, b, c) -> BlockSdp:

@@ -304,7 +304,8 @@ class TestChromatic:
 
     @pytest.mark.parametrize(
         "maker,expected_chi",
-        [(lambda: complete_graph(2), 2), (lambda: path_graph(3), 2)],
+        [(lambda: complete_graph(2), 2), (lambda: path_graph(3), 2),
+         (lambda: Graph.make(1, []), 1)],
     )
     def test_bound_south_of_chi(self, maker, expected_chi):
         g = maker()

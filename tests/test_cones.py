@@ -190,7 +190,7 @@ class TestGramRowsMatchAudit:
         assert [bool(c.symmetry) for c in prog.constraints] == [True, True, False]
         for p in (plain, prog):
             rel = build_relaxation_sdp(p, r, kind, chromatic_box_bound(g))
-            assert all(layout.first > 0 for layout in rel.layouts[1:])
+            assert all(first > 0 for first in rel.firsts[1:])
             point = _IntegerPoint(rel.sdp, seed=10 + r, zero_blocks={rel.d_block})
             index = [{} for _ in rel.layouts]
             for row, (ci, gamma) in enumerate(rel.sdp.row_labels):
@@ -319,6 +319,26 @@ class TestMembershipFamily:
                 sdp.with_rhs(np.where(np.arange(b.size) == 1, bad, 0.0))
         other = sdp.with_rhs(np.arange(b.size))
         assert np.array_equal(other.b, np.arange(b.size)) and np.array_equal(sdp.b, b)
+
+
+class TestSharedLayout:
+    @pytest.mark.parametrize("max_rows", [1000, 0])  # a cached family, or one built per call
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    def test_membership_uses_the_shared_layout(self, monkeypatch, kind, max_rows):
+        monkeypatch.setattr(cones, "_FAMILY_MAX_ROWS", max_rows)
+        cones._membership_family.cache_clear()
+        for n, r in ((5, 0), (4, 1)):
+            layout = build_membership(SymMatrix.identity(n), r, kind).layout
+            assert layout is GramLayout.shared(n, r, kind)
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    def test_a_layout_is_read_only(self, kind):
+        reduced = GramLayout(6, 0, kind, symmetry=cycle_graph(6).symmetry)
+        for layout in (GramLayout(6, 1, kind), reduced):
+            arrays = [v for v in vars(layout).values() if isinstance(v, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+        bases = [a for basis in reduced._bases.values() for a in basis]  # diagonalised blocks
+        assert bases and not any(a.flags.writeable for a in bases)
 
 
 class TestReducedVsDense:

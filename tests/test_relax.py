@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import planted_spn, random_symmetric
+from coposos import relax
 from coposos.cones import ConeKind, parity_classes
 from coposos.polycore import LiftKind, SymMatrix, lift_table, polya_lift, quadratic_form
 from coposos.relax import (
@@ -93,13 +94,26 @@ class TestBuilders:
     def test_failed_certificate_withholds_value(self):
         # no floating Gram matrix re-expands to a residual below 1e-30
         prog = sqp_like_program(SymMatrix.identity(2))
-        res = solve_relaxation(prog, 0, ConeKind.K, 10, validate_tol=1e-30)
+        real = relax.validate_certificate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relax, "validate_certificate",
+                       lambda m, cert, tol: real(m, cert, tol=1e-30))
+            res = solve_relaxation(prog, 0, ConeKind.K, 10)
         assert res.solution.status == SdpStatus.OPTIMAL
         assert res.status == SdpStatus.INCONCLUSIVE
         assert res.value is None
         assert len(res.certificates) == len(res.certificate_reports) == 1
         assert not res.certificate_reports[0].ok
         assert "constraint 0" in res.message
+
+    @pytest.mark.parametrize("m,constraints,fault", [
+        (0, [(2, [], SymMatrix.identity(2).scale(-1))], "variable y_i"),
+        (1, [], "cone constraint"),
+        (2, [(2, [SymMatrix.identity(2)], SymMatrix.zero(2))], "wrong number of A matrices"),
+    ])
+    def test_program_names_its_fault(self, m, constraints, fault):
+        with pytest.raises(ValueError, match=fault):
+            ConicProgram.make([1] * m, constraints)
 
     def test_cpq_block_count(self):
         prog = sqp_like_program(SymMatrix.identity(3))
@@ -166,7 +180,7 @@ class TestInteriorStart:
     def test_seed_is_exactly_feasible(self, kind, r):
         prog, w = self._witness_for_sqp_identity(3)
         rel = build_relaxation_sdp(prog, r, kind, 10)
-        start = build_interior_start(prog, [w], r, kind, 10)
+        start = build_interior_start(rel, [w])
         rep = sandwich_diagnostics(
             rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
         )
@@ -178,7 +192,7 @@ class TestInteriorStart:
     def test_k_seed_maps_onto_parity_blocks(self, n, r):
         prog, w = self._witness_for_sqp_identity(n)
         rel = build_relaxation_sdp(prog, r, ConeKind.K, 10)
-        start = build_interior_start(prog, [w], r, ConeKind.K, 10)
+        start = build_interior_start(rel, [w])
         b = start.b_shifts[0]
         grams, scalars = _interior_seed(w, r, ConeKind.K, b)
         # the seed as the dense padding over the whole basis: zero between
@@ -217,7 +231,7 @@ class TestInteriorStart:
         # bJ + N less b/2n per square x_i^2 dividing the monomial
         prog, w = self._witness_for_sqp_identity(n)
         rel = build_relaxation_sdp(prog, r, ConeKind.Q, 10)
-        start = build_interior_start(prog, [w], r, ConeKind.Q, 10)
+        start = build_interior_start(rel, [w])
         b = start.b_shifts[0]
         grams, scalars = _interior_seed(w, r, ConeKind.Q, b)
         table = lift_table(n, r)
@@ -244,7 +258,8 @@ class TestInteriorStart:
             lam_bar = m.max_abs_entry() + 1
             w = check_intspn(prog.constraints[0], [lam_bar])
             assert isinstance(w, SpnWitness)
-            start = build_interior_start(prog, [w], 0, ConeKind.K, float(lam_bar))
+            rel = build_relaxation_sdp(prog, 0, ConeKind.K, float(lam_bar))
+            start = build_interior_start(rel, [w])
             gram = start.x0_blocks[0]
             assert float(np.linalg.eigvalsh(gram)[0]) > 0
 
@@ -261,22 +276,20 @@ class TestToBounded:
             [1], [(1, [SymMatrix.from_rows([[1]])], SymMatrix.from_rows([[0]]))]
         )
         boxed = to_bounded(prog, 3)
-        cons = boxed.constraints[0]
-        assert cons.n == 3
-        assert cons.a_mats[0].rows == SymMatrix.diag([1, -1, 1]).rows
-        assert cons.c_mat.rows == SymMatrix.diag([0, -6, -6]).rows
+        assert boxed.constraints[0] == prog.constraints[0]
+        cons = boxed.constraints[1]
+        assert cons.n == 2 and not cons.symmetry
+        assert cons.a_mats[0].rows == SymMatrix.diag([-1, 1]).rows
+        assert cons.c_mat.rows == SymMatrix.diag([-6, -6]).rows
 
     @pytest.mark.parametrize("box", [3, Fraction(3, 4), Fraction(1, 6)])
-    def test_padded_matrices_are_in_lowest_terms(self, box):
-        # the padded matrices skip the reduction: their denominator must
-        # already be the lcm of the entries' denominators
+    def test_box_matrices_are_in_lowest_terms(self, box):
+        # the box constraint's denominator is the lcm of its entries' ones
         a = SymMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 4]])
         c = SymMatrix.from_rows([[Fraction(5, 6), 0], [0, Fraction(1, 2)]])
-        cons = to_bounded(ConicProgram.make([1], [(2, [a], c)]), box).constraints[0]
-        for got, corner, tail in ((cons.a_mats[0], a, [-1, 1]),
-                                  (cons.c_mat, c, [-2 * Fraction(box)] * 2)):
-            want = [list(row) + [0, 0] for row in corner.rows]
-            want += [[0, 0] + [v if j == i else 0 for j, v in enumerate(tail)] for i in range(2)]
+        cons = to_bounded(ConicProgram.make([1], [(2, [a], c)]), box).constraints[1]
+        for got, tail in ((cons.a_mats[0], [-1, 1]), (cons.c_mat, [-2 * Fraction(box)] * 2)):
+            want = [[v if j == i else 0 for j, v in enumerate(tail)] for i in range(2)]
             assert got == SymMatrix.from_rows(want)
             assert got.den == math.lcm(*(Fraction(v).denominator for row in want for v in row))
             assert math.gcd(got.den, *got.num.ravel().tolist()) == 1
@@ -294,8 +307,8 @@ class TestToBounded:
             [1], [(1, [SymMatrix.from_rows([[1]])], SymMatrix.from_rows([[0]]))]
         )
         boxed = to_bounded(prog, 3)
-        slack = boxed.constraints[0].slack([Fraction(7)])  # 7 > 2R = 6
-        assert min(slack.entry(i, i) for i in range(3)) < 0
+        slack = boxed.constraints[1].slack([Fraction(7)])  # 7 > 2R = 6
+        assert [slack.entry(i, i) for i in range(2)] == [-1, 13]
 
     def test_multi_constraint_appends_diagonal(self):
         prog = ConicProgram.make(

@@ -90,10 +90,11 @@ class TestGenerators:
         prog = chromatic_program(g)
         assert all(c.symmetry == product_graph(g, t + 1).symmetry
                    for t, c in enumerate(prog.constraints))
-        boxed = to_bounded(sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 7)
-        assert boxed.constraints[0].symmetry == tuple(
-            tuple(p) + (5, 6) for p in g.symmetry
-        )
+        sqp = sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry)
+        boxed = to_bounded(sqp, 7)
+        assert boxed.constraints[0].symmetry == sqp.constraints[0].symmetry
+        assert sqp.constraints[0].symmetry == tuple(map(tuple, g.symmetry))
+        assert not boxed.constraints[-1].symmetry
         assert not to_bounded(prog, 26).constraints[-1].symmetry
         b = stability_qp_matrix(g)
         assert stability_bound(g, 0, b_mat=b).relaxation.layouts[0].blocks() == (
@@ -317,7 +318,7 @@ class TestFoldAndExpand:
         rel = build_relaxation_sdp(prog, r, kind, 10)
         assert rel.sdp.num_constraints < build_relaxation_sdp(
             _trivial(prog), r, kind, 10).sdp.num_constraints
-        start = build_interior_start(prog, [w], r, kind, 10)
+        start = build_interior_start(rel, [w])
         rep = sandwich_diagnostics(rel.sdp, start.x0_blocks, start.inner_radius,
                                    start.outer_radius)
         assert rep.ok and rep.eq_residual <= 1e-10
@@ -417,16 +418,15 @@ class TestDiagonalised:
 
     def test_shared_layouts_share_their_reduction(self):
         gens = cycle_graph(8).symmetry
-        first = cones.GramLayout.shared(8, 0, "Q", symmetry=gens)
-        later = cones.GramLayout.shared(8, 0, ConeKind.Q, first=3, symmetry=list(gens))
-        assert later._bases is first._bases and later._label is first._label
-        assert (first.first, later.first) == (0, 3)
-        assert not first._label.flags.writeable
-        fresh = cones.GramLayout(8, 0, ConeKind.Q, first=3, symmetry=gens)
-        (entries, monomials), (want, want_monomials) = later.rows(), fresh.rows()
+        layout = cones.GramLayout.shared(8, 0, "Q", symmetry=gens)
+        assert cones.GramLayout.shared(8, 0, ConeKind.Q, symmetry=[list(g) for g in gens]) is layout
+        assert cones.GramLayout.shared(8, 0, "K", symmetry=gens) is not layout
+        assert not layout._label.flags.writeable
+        fresh = cones.GramLayout(8, 0, ConeKind.Q, symmetry=gens)
+        (entries, monomials), (want, want_monomials) = layout.rows(), fresh.rows()
         assert monomials == want_monomials
         assert all(np.array_equal(u, v) for u, v in zip(entries, want))
-        assert [b.kind for b in later.blocks()] == ["nonneg", "nonneg"]
+        assert [b.kind for b in layout.blocks()] == ["nonneg", "nonneg"]
         with orbit_blocks():  # no layout shared before the block is reused in it
             assert [b.kind for b in cones.GramLayout.shared(8, 0, "Q", symmetry=gens)
                     .blocks()] == ["psd", "nonneg"]
