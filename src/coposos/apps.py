@@ -140,9 +140,10 @@ def empty_graph(n: int) -> Graph:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """DIMACS edge format: 'p edge n m' header, 'e i j' lines (1-indexed),
-    and comment lines, whose first field is 'c'; a line of any other kind is
-    rejected."""
+    """DIMACS edge format: one 'p edge n m' header, then 'e i j' lines
+    (1-indexed), and comment lines, whose first field is 'c'; a line of any
+    other kind is rejected, and so is an edge out of range or a self-loop,
+    each with its line."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -152,13 +153,22 @@ def parse_dimacs(text: str) -> Graph:
             continue
         try:
             if parts[0] == "p":
+                if n is not None:
+                    raise ValueError("a second problem line")
                 if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
                     raise ValueError("bad problem line")
                 n = int(parts[2])
             elif parts[0] == "e":
                 if len(parts) < 3:
                     raise ValueError("an edge line names two vertices")
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+                if n is None:
+                    raise ValueError("an edge line before the problem line")
+                i, j = int(parts[1]), int(parts[2])
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
+                if i == j:
+                    raise ValueError(f"self-loop at vertex {i}")
+                edges.append((i - 1, j - 1))
             else:
                 raise ValueError(f"unknown line kind {parts[0]!r}: expected c, p or e")
         except ValueError as err:
@@ -171,6 +181,9 @@ def parse_dimacs(text: str) -> Graph:
 def parse_graph_json(text: str) -> Graph:
     """Structured form: {"n": int, "edges": [[i, j]], "weights": [rat]?} (0-indexed)."""
     doc = json.loads(text)
+    for key in ("n", "edges"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"graph is missing the field {key!r}")
     weights = doc.get("weights")
     if weights is not None:
         weights = [Fraction(str(v)) for v in weights]

@@ -65,6 +65,7 @@ from .polycore import (
     MultiIndex,
     SymMatrix,
     coeff_norm,
+    dyadic,
     lift_table,
     monomial_basis,
     monomial_positions,
@@ -218,8 +219,11 @@ class SosCertificate:
     @classmethod
     def from_text(cls, text: str) -> "SosCertificate":
         doc = json.loads(text)
-        if doc.get("format") != _FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
             raise ValueError("unrecognized certificate format")
+        for key in ("kind", "r", "n", "gram_blocks", "scalars"):
+            if key not in doc:
+                raise ValueError(f"certificate is missing the field {key!r}")
         return cls(doc["kind"], int(doc["r"]), int(doc["n"]),
                    [np.array(b, dtype=float) for b in doc["gram_blocks"]],
                    np.array(doc["scalars"], dtype=float), doc.get("provenance", {}))
@@ -573,19 +577,6 @@ def _entries(cert: SosCertificate):
     return grams, shape.row[k], flat[k]
 
 
-def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Python ints k and one exponent e <= 0 with values == k * 2**e
-    exactly: each 53-bit mantissa shifted by its exponent less e, the least
-    exponent (or 0)."""
-    if not np.isfinite(values).all():
-        raise ValueError("certificate has an entry that is NaN or infinite")
-    mantissa, exponent = np.frexp(values)
-    exponent = exponent.astype(np.int64) - 53
-    e = int(exponent.min(initial=0))
-    ints = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
-    return np.left_shift(ints, (exponent - e).astype(object)), e
-
-
 def validate_certificate(
     m: SymMatrix, cert: SosCertificate, tol: float = 1e-6
 ) -> CertificateReport:
@@ -602,7 +593,7 @@ def validate_certificate(
         raise ValueError("certificate dimension does not match the matrix")
     grams, rows, values = _entries(cert)
     lift, den = lift_table(m.n, cert.r).lift(m)
-    ints, e = _dyadic(values)
+    ints, e = dyadic(values)
     # lift / den - ints * 2**e over the common denominator den * 2**-e
     diff = np.left_shift(lift, -e)
     np.add.at(diff, rows, -den * ints)

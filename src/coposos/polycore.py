@@ -177,6 +177,19 @@ class Poly:
         return Poly(self.nvars, terms)
 
 
+def dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python ints k and one exponent e <= 0 with values == k * 2**e
+    exactly: each 53-bit mantissa shifted by its exponent less e, the least
+    exponent (or 0)."""
+    if not np.isfinite(values).all():
+        raise ValueError("an entry is NaN or infinite")
+    mantissa, exponent = np.frexp(values)
+    exponent = exponent.astype(np.int64) - 53
+    e = int(exponent.min(initial=0))
+    ints = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
+    return np.left_shift(ints, (exponent - e).astype(object)), e
+
+
 class SymMatrix:
     """Exact rational symmetric matrix ``num / den``: one read-only n x n
     array ``num`` of Python-int numerators over one positive ``den``, in
@@ -243,12 +256,10 @@ class SymMatrix:
 
     @classmethod
     def from_float(cls, array) -> "SymMatrix":
-        """Exact rationalization of a (nearly) symmetric float matrix."""
-        n = len(array)
-        return cls.from_rows(
-            [[(Fraction(float(array[i][j])) + Fraction(float(array[j][i]))) / 2
-              for j in range(n)] for i in range(n)]
-        )
+        """Exact rationalization of the symmetric part of a float matrix:
+        (k + k^T) / 2^(1-e) for its :func:`dyadic` integers k * 2^e."""
+        ints, e = dyadic(np.asarray(array, dtype=float))
+        return cls(ints + ints.T, 2 ** (1 - e))
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

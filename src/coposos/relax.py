@@ -23,15 +23,18 @@ blocks, with the D columns of every row appended as arrays and labelled
 layout reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, and
 the trivial group otherwise.
 
-The module also provides the interior-point seed construction used for
-feasible-region diagnostics: given a feasible split  sum_i ybar_i A_i - C
-= P + N  (P positive definite, N entrywise nonnegative), it builds an
-exactly feasible SDP point whose Gram part, in a certificate's blocks and
-scalars, is the multinomial-weighted padding of P - b*J plus a strictly
-positive diagonal carrying b*J + N.  One seed serves both kinds: it reads
-the padding and diagonal slots of :class:`coposos.cones.GramShape`.  Last
-comes the value-preserving variable-boxing transform that appends the
-diagonal (2R -+ y_i) as one more cone constraint.
+The module also owns the paper's sandwich: given a feasible split
+sum_i ybar_i A_i - C = P + N  (P positive definite, N entrywise
+nonnegative), :func:`build_interior_start` builds an exactly feasible SDP
+point whose Gram part, in a certificate's blocks and scalars, is the
+multinomial-weighted padding of P - b*J plus a strictly positive diagonal
+carrying b*J + N, and audits it in the same pass: one
+:class:`SandwichReport` holds the seed, its equality residual and margins,
+and the inner and outer radii with log(R2/R1).  One seed serves both kinds:
+it reads the padding and diagonal slots of
+:class:`coposos.cones.GramShape`.  Last comes the value-preserving
+variable-boxing transform that appends the diagonal (2R -+ y_i) as one more
+cone constraint.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .sdpcore import (
     SdpStatus,
     nonneg_block,
     psd_block,
-    sandwich_diagnostics,
     solve,
 )
 
@@ -251,33 +253,20 @@ def check_intspn(cons: ConeConstraint, ybar) -> SpnWitness | SpnRefusal:
     n_exact = SymMatrix.from_float(n_float)
     p_exact = s_exact - n_exact
 
-    lb = Fraction(float(lam_star)) * Fraction(9, 10)
-    for _ in range(80):
-        if is_psd_exact(p_exact - SymMatrix.identity(n).scale(lb)):
-            return SpnWitness(ybar, p_exact, n_exact, lb)
-        lb /= 2
-    return SpnRefusal(lambda_star=lam_star, message="could not certify the rounding")
+    lb = _psd_shift(p_exact, SymMatrix.identity(n), Fraction(float(lam_star)) * Fraction(9, 10), 80)
+    if lb is None:
+        return SpnRefusal(lambda_star=lam_star, message="could not certify the rounding")
+    return SpnWitness(ybar, p_exact, n_exact, lb)
 
 
-@dataclass
-class InteriorStart:
-    x0_blocks: list
-    b_shifts: list[Fraction]
-    inner_radius: float
-    outer_radius: float
-
-
-def _shift_for(witness: SpnWitness) -> Fraction:
-    """Largest b = lambda_min_lb / 2^k, 1 <= k <= 60, with P - b*J exactly
-    PSD."""
-    b = witness.lambda_min_lb / 2
-    n = witness.p_mat.n
-    ones = SymMatrix.ones(n)
-    for _ in range(60):
-        if is_psd_exact(witness.p_mat - ones.scale(b)):
-            return b
-        b /= 2
-    raise ArithmeticError("shift halving schedule exhausted; witness too thin")
+def _psd_shift(p: SymMatrix, d: SymMatrix, start: Fraction, tries: int) -> Fraction | None:
+    """The first s of start, start/2, ..., start/2^(tries-1) with p - s*d
+    exactly PSD, or None."""
+    for _ in range(tries):
+        if is_psd_exact(p - d.scale(start)):
+            return start
+        start /= 2
+    return None
 
 
 def _interior_seed(witness: SpnWitness, r: int, kind: ConeKind, b: Fraction):
@@ -311,13 +300,38 @@ def _interior_seed(witness: SpnWitness, r: int, kind: ConeKind, b: Fraction):
     return grams, vals[len(vals) - shape.nscalar :]
 
 
-def build_interior_start(rel: RelaxationSdp, witnesses) -> InteriorStart:
-    """Exactly feasible point of the relaxation's SDP from per-constraint
-    P + N witnesses, one per constraint of ``rel.prog``.
+@dataclass
+class SandwichReport:
+    """An interior seed ``x0_blocks`` of a relaxation, one block per SDP
+    block, with its shift ``b_shifts`` per constraint, and its audit: the
+    largest equality residual and its row, the least eigenvalue (PSD) or
+    entry (NONNEG) of each block and their minimum, the inner and outer
+    radii and log(R2/R1).  ``violations`` names every failed check."""
 
-    All witnesses must share the same ybar.  The returned blocks are those
-    of ``rel.sdp``, in its layouts, and are meant for
-    :func:`coposos.sdpcore.sandwich_diagnostics`.
+    x0_blocks: list
+    b_shifts: list[Fraction]
+    eq_residual: float
+    worst_row: int
+    block_margins: list[float]
+    margin: float
+    inner_radius: float
+    outer_radius: float
+    log_ratio: float
+    violations: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def build_interior_start(rel: RelaxationSdp, witnesses) -> SandwichReport:
+    """Exactly feasible point of the relaxation's SDP from per-constraint
+    P + N witnesses, one per constraint of ``rel.prog``, checked against
+    ``rel.sdp`` in the same pass.
+
+    All witnesses must share the same ybar.  The seed's blocks are those of
+    ``rel.sdp``, in its layouts.  The report flags an equality residual
+    above 1e-8, a margin that is not positive and radii out of order.
     """
     prog, r, kind, big_r = rel.prog, rel.r, rel.kind, rel.box_bound
     witnesses = list(witnesses)
@@ -329,34 +343,41 @@ def build_interior_start(rel: RelaxationSdp, witnesses) -> InteriorStart:
     if any(abs(v) > 2 * big_r for v in ybar):
         raise ValueError("ybar escapes the box [-2R, 2R]")
 
-    blocks, b_shifts, inner = [], [], None
+    blocks, b_shifts, radii = [], [], []
     for cons, layout, witness in zip(prog.constraints, rel.layouts, witnesses):
         if not witness.check_exact(cons):
             raise ValueError("witness fails its exact feasibility check")
-        b = _shift_for(witness)
+        b = _psd_shift(witness.p_mat, SymMatrix.ones(cons.n), witness.lambda_min_lb / 2, 60)
+        if b is None:
+            raise ArithmeticError("shift halving schedule exhausted; witness too thin")
         b_shifts.append(b)
         # folded onto the layout's blocks, the seed becomes principal
         # submatrices of its group average: no smaller least eigenvalue
         gram_blocks, scalars = _interior_seed(witness, r, kind, b)
         blocks += layout.split(([g.to_float() for g in gram_blocks],
                                 [float(v) for v in scalars]))
-        radius = min(b / gram_shape(cons.n, r, kind).radius_div, big_r)
-        inner = radius if inner is None else min(inner, radius)
-
-    d_vals = []
-    for yi in ybar:
-        d_vals.append(float(2 * big_r + yi))
-        d_vals.append(float(2 * big_r - yi))
-    blocks.append(np.array(d_vals))
+        radii.append(min(b / gram_shape(cons.n, r, kind).radius_div, big_r))
+    blocks.append(np.array([float(2 * big_r + s * yi) for yi in ybar for s in (1, -1)]))
 
     frob = math.sqrt(sum(float(np.sum(np.square(blk))) for blk in blocks))
-    outer = max(10.0 * frob, 4.0 * float(big_r) * math.sqrt(2 * prog.m), 1.0)
-    return InteriorStart(
-        x0_blocks=blocks,
-        b_shifts=b_shifts,
-        inner_radius=float(inner),
-        outer_radius=outer,
-    )
+    r1, r2 = float(min(radii)), max(10.0 * frob, 4.0 * float(big_r) * math.sqrt(2 * prog.m), 1.0)
+    x0 = rel.sdp.pack(blocks)
+    residuals = np.abs(rel.sdp.coo.dot(x0) - rel.sdp.b)
+    worst_row = int(np.argmax(residuals))
+    margins = rel.sdp.least_eigenvalues(x0)
+    eq_residual, margin = float(residuals[worst_row]), min(margins)
+    violations = []
+    if eq_residual > 1e-8:
+        violations.append(f"equality residual {eq_residual:.3e} exceeds 1.0e-08 "
+                          f"(row {worst_row})")
+    if margin <= 0:
+        violations.append(f"X0 is not in the cone interior (margin {margin:.3e})")
+    if not (0 < r1 <= r2):
+        violations.append(f"radii out of order: R1={r1!r}, R2={r2!r}")
+    return SandwichReport(
+        x0_blocks=blocks, b_shifts=b_shifts, eq_residual=eq_residual, worst_row=worst_row,
+        block_margins=margins, margin=margin, inner_radius=r1, outer_radius=r2,
+        log_ratio=math.log(r2 / r1) if r1 > 0 else float("inf"), violations=violations)
 
 
 # -- variable boxing at the conic level ---------------------------------------
@@ -392,7 +413,7 @@ class RelaxationResult:
     certificate_reports: list = field(default_factory=list)
     relaxation: RelaxationSdp | None = None
     solution: object = None
-    sandwich: object = None
+    sandwich: SandwichReport | None = None
     message: str = ""
 
 
@@ -418,12 +439,7 @@ def solve_relaxation(
     with ``value=None``, keeping the certificates and reports for audit.
     """
     rel = build_relaxation_sdp(prog, r, kind, box_bound)
-    sandwich = None
-    if witnesses is not None:
-        start = build_interior_start(rel, witnesses)
-        sandwich = sandwich_diagnostics(
-            rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
-        )
+    sandwich = None if witnesses is None else build_interior_start(rel, witnesses)
     sol = solve(rel.sdp, eps=eps)
     res = RelaxationResult(sol.status, relaxation=rel, solution=sol, sandwich=sandwich,
                            message=sol.message)

@@ -2,7 +2,7 @@
 
 Data model (`BlockSdp`), a primal-dual interior-point solver with
 Nesterov-Todd scaling inside a homogeneous self-dual embedding (`solve`),
-and feasible-region ball diagnostics (`sandwich_diagnostics`).
+and the sparse exchange format (`export_sparse`, `parse_sparse`).
 """
 
 from .model import (
@@ -19,7 +19,6 @@ from .model import (
     svec,
 )
 from .solver import solve
-from .diagnostics import SandwichReport, sandwich_diagnostics
 
 __all__ = [
     "BlockSpec",
@@ -27,12 +26,10 @@ __all__ = [
     "SdpBuilder",
     "SdpSolution",
     "SdpStatus",
-    "SandwichReport",
     "export_sparse",
     "parse_sparse",
     "nonneg_block",
     "psd_block",
-    "sandwich_diagnostics",
     "smat",
     "svec",
     "solve",

@@ -1,7 +1,7 @@
 """Shared corpus generators (seeded, exact-rational where it matters),
 BlockSdp set-ups from dense data, the unreduced K layout, the Fraction route
-of the exact audit and the Fraction matrix with its slack, lift and PSD
-test, kept as differential oracles."""
+of the exact audit and the Fraction matrix with its slack, lift, PSD test
+and float rationalization, kept as differential oracles."""
 
 import contextlib
 import math
@@ -324,6 +324,16 @@ class FractionMatrix:
 
     def max_abs_entry(self):
         return max((abs(v) for row in self.rows for v in row), default=Fraction(0))
+
+
+def fraction_from_float(array) -> FractionMatrix:
+    """The symmetric part of a float matrix, one exact ``Fraction`` per
+    entry: the route of ``SymMatrix.from_float`` before it read the dyadic
+    integers."""
+    n = len(array)
+    return FractionMatrix(n, tuple(tuple((Fraction(float(array[i][j]))
+                                          + Fraction(float(array[j][i]))) / 2
+                                         for j in range(n)) for i in range(n)))
 
 
 def fraction_is_psd(m) -> bool:

@@ -57,6 +57,28 @@ class TestGraphBasics:
         assert g.weights == (Fraction(1), Fraction(2))
         assert parse_graph('{"n": 2, "edges": []}').n == 2
 
+    @pytest.mark.parametrize("field", ["n", "edges"])
+    def test_json_graph_names_a_missing_field(self, field):
+        doc = {"n": 2, "edges": [[0, 1]]}
+        del doc[field]
+        with pytest.raises(ValueError, match=f"^graph is missing the field '{field}'$"):
+            parse_graph_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="^graph is missing the field 'n'$"):
+            parse_graph_json("5")  # not an object: no field at all
+
+    @pytest.mark.parametrize("text,message", [
+        # vertices and lines as the file numbers them, from 1
+        ("p edge 3 1\ne 1 4\n", "line 2 'e 1 4': edge (1,4) out of range 1..3"),
+        ("p edge 3 1\ne 0 1\n", "line 2 'e 0 1': edge (0,1) out of range 1..3"),
+        ("p edge 3 1\nc loop\ne 1 1\n", "line 3 'e 1 1': self-loop at vertex 1"),
+        ("p edge 3 1\np edge 4 1\ne 1 4\n", "line 2 'p edge 4 1': a second problem line"),
+        ("e 1 2\np edge 3 1\n", "line 1 'e 1 2': an edge line before the problem line"),
+    ])
+    def test_dimacs_names_the_faulty_edge_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == message
+
 
 class TestStabilityMatrix:
     def test_unweighted_c5_is_adjacency_plus_identity(self):

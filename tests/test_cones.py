@@ -707,3 +707,14 @@ class TestSerialization:
         doc["format"] = "coposos-certificate-v1"
         with pytest.raises(ValueError, match="unrecognized"):
             SosCertificate.from_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["kind", "r", "n", "gram_blocks", "scalars"])
+    def test_missing_field_is_named(self, field):
+        shape = gram_shape(3, 1, ConeKind.Q)
+        doc = json.loads(SosCertificate(ConeKind.Q, 1, 3, [np.eye(k) for k in shape.sides],
+                                        np.ones(shape.nscalar)).to_text())
+        del doc[field]
+        with pytest.raises(ValueError, match=f"^certificate is missing the field '{field}'$"):
+            SosCertificate.from_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^unrecognized certificate format$"):
+            SosCertificate.from_text(json.dumps([doc]))  # not an object

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import coposos
+from coposos import sdpcore
 from coposos.cones import Verdict, validate_certificate
 
 
@@ -17,6 +18,14 @@ def test_documented_modules_import():
     assert modules
     for name in modules:
         importlib.import_module(name)
+
+
+def test_sdpcore_docstring_names_only_exports():
+    # a name the package docstring advertises must be exported, and every
+    # export must resolve
+    named = re.findall(r"`(\w+)`", sdpcore.__doc__)
+    assert named and set(named) <= set(sdpcore.__all__)
+    assert all(hasattr(sdpcore, name) for name in sdpcore.__all__)
 
 
 _SCIPY_AT_FIRST_SOLVE = r"""

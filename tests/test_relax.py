@@ -19,7 +19,7 @@ from coposos.relax import (
     solve_relaxation,
     to_bounded,
 )
-from coposos.sdpcore import SdpStatus, sandwich_diagnostics
+from coposos.sdpcore import SdpStatus
 
 
 def sqp_like_program(m_mat: SymMatrix) -> ConicProgram:
@@ -180,10 +180,7 @@ class TestInteriorStart:
     def test_seed_is_exactly_feasible(self, kind, r):
         prog, w = self._witness_for_sqp_identity(3)
         rel = build_relaxation_sdp(prog, r, kind, 10)
-        start = build_interior_start(rel, [w])
-        rep = sandwich_diagnostics(
-            rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
-        )
+        rep = build_interior_start(rel, [w])
         assert rep.eq_residual <= 1e-10
         assert rep.margin > 0
 
@@ -192,8 +189,8 @@ class TestInteriorStart:
     def test_k_seed_maps_onto_parity_blocks(self, n, r):
         prog, w = self._witness_for_sqp_identity(n)
         rel = build_relaxation_sdp(prog, r, ConeKind.K, 10)
-        start = build_interior_start(rel, [w])
-        b = start.b_shifts[0]
+        rep = build_interior_start(rel, [w])
+        b = rep.b_shifts[0]
         grams, scalars = _interior_seed(w, r, ConeKind.K, b)
         # the seed as the dense padding over the whole basis: zero between
         # parity classes, so the blocks and scalars hold all of it
@@ -218,11 +215,8 @@ class TestInteriorStart:
         full = ([g.to_float() for g in grams], [float(v) for v in scalars])
         again = layout.embed(layout.split(full))
         assert [u.tolist() for u in again[0]] == full[0] and again[1].tolist() == full[1]
-        rep = sandwich_diagnostics(
-            rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
-        )
         assert rep.ok
-        assert min(rep.block_margins[: rel.d_block]) >= start.inner_radius
+        assert min(rep.block_margins[: rel.d_block]) >= rep.inner_radius
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -231,8 +225,8 @@ class TestInteriorStart:
         # bJ + N less b/2n per square x_i^2 dividing the monomial
         prog, w = self._witness_for_sqp_identity(n)
         rel = build_relaxation_sdp(prog, r, ConeKind.Q, 10)
-        start = build_interior_start(rel, [w])
-        b = start.b_shifts[0]
+        rep = build_interior_start(rel, [w])
+        b = rep.b_shifts[0]
         grams, scalars = _interior_seed(w, r, ConeKind.Q, b)
         table = lift_table(n, r)
         p_b = w.p_mat - SymMatrix.ones(n).scale(b)
@@ -246,9 +240,6 @@ class TestInteriorStart:
         full = ([g.to_float() for g in grams], [float(v) for v in scalars])
         again = layout.embed(layout.split(full))
         assert [u.tolist() for u in again[0]] == full[0] and again[1].tolist() == full[1]
-        rep = sandwich_diagnostics(
-            rel.sdp, start.x0_blocks, start.inner_radius, start.outer_radius
-        )
         assert rep.ok
 
     def test_gram_margin_positive_on_corpus(self, rnd):
@@ -259,8 +250,7 @@ class TestInteriorStart:
             w = check_intspn(prog.constraints[0], [lam_bar])
             assert isinstance(w, SpnWitness)
             rel = build_relaxation_sdp(prog, 0, ConeKind.K, float(lam_bar))
-            start = build_interior_start(rel, [w])
-            gram = start.x0_blocks[0]
+            gram = build_interior_start(rel, [w]).x0_blocks[0]
             assert float(np.linalg.eigvalsh(gram)[0]) > 0
 
     def test_solve_relaxation_with_witness_reports_sandwich(self):

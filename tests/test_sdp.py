@@ -28,6 +28,7 @@ from coposos.polycore import SymMatrix
 from coposos.relax import (
     ConicProgram,
     SpnWitness,
+    build_interior_start,
     build_relaxation_sdp,
     solve_relaxation,
     to_bounded,
@@ -40,7 +41,6 @@ from coposos.sdpcore import (
     nonneg_block,
     parse_sparse,
     psd_block,
-    sandwich_diagnostics,
     smat,
     solve,
     svec,
@@ -446,8 +446,8 @@ def test_export_parse_roundtrip():
 
 
 def test_no_solve_path_reads_a_dense_a(monkeypatch):
-    # A stays in triplets from the builder to the solver, the sandwich
-    # diagnostics and the exchange format; only tests read the dense view
+    # A stays in triplets from the builder to the solver, the interior
+    # seed's audit and the exchange format; only tests read the dense view
     def dense_view(self):
         raise AssertionError("dense A read")
 
@@ -528,28 +528,55 @@ def test_block_sdp_rejects_non_finite_data(text, name):
         parse_sparse(text)
 
 
+def _identity_sandwich():
+    # min lambda s.t. I + lambda J in Q^(0) on 3 variables; at lambda = 2 the
+    # slack splits as P = I plus N = 2J
+    prog = ConicProgram.make([1], [(3, [SymMatrix.ones(3)], SymMatrix.identity(3).scale(-1))])
+    witness = SpnWitness((Fraction(2),), SymMatrix.identity(3), SymMatrix.ones(3).scale(2),
+                         Fraction(1))
+    return build_relaxation_sdp(prog, 0, ConeKind.Q, 10), witness
+
+
 def test_sandwich_identity_point():
-    # trace(X) = k on PSD(k): X0 = I has residual 0 and margin 1
-    k = 3
-    sdp = block_sdp(
-        [psd_block(k)], [np.zeros((k, k))], [([np.eye(k)], float(k))]
-    )
-    rep = sandwich_diagnostics(sdp, [np.eye(k)], r1=0.5, r2=10.0)
-    assert rep.ok
-    assert rep.eq_residual <= 1e-12
-    assert abs(rep.margin - 1.0) <= 1e-12
-    assert rep.log_ratio == pytest.approx(np.log(20.0))
+    rel, witness = _identity_sandwich()
+    rep = build_interior_start(rel, [witness])
+    assert rep.ok and rep.violations == []
+    assert rep.eq_residual <= 1e-10
+    assert rep.margin == min(rep.block_margins) > 0
+    assert 0 < rep.inner_radius <= rep.outer_radius
+    assert rep.log_ratio == math.log(rep.outer_radius / rep.inner_radius)
 
 
-def test_sandwich_flags_violation():
-    k = 2
-    sdp = block_sdp(
-        [psd_block(k)], [np.zeros((k, k))], [([np.eye(k)], 2.0)]
-    )
-    bad = np.diag([1.0, 1.5])  # trace 2.5, violates by 0.5
-    rep = sandwich_diagnostics(sdp, [bad], r1=0.1, r2=1.0)
-    assert not rep.ok
+def test_sandwich_flags_violation(monkeypatch):
+    # Q^(0): one Gram block on x_0..x_2, then one scalar per lift-table row;
+    # scalar 3 is the diagonal slot of row 3, x_1^2, as is Gram entry (1, 1)
+    rel, witness = _identity_sandwich()
+    seed = relax._interior_seed
+
+    def off_by_half(*args):
+        grams, scalars = seed(*args)
+        return grams, scalars[:3] + [scalars[3] + Fraction(1, 2)] + scalars[4:]
+
+    monkeypatch.setattr(relax, "_interior_seed", off_by_half)
+    rep = build_interior_start(rel, [witness])
+    assert not rep.ok and rep.margin > 0
     assert rep.eq_residual == pytest.approx(0.5)
+    assert rel.sdp.row_labels[rep.worst_row] == (0, (0, 2, 0))
+    assert rep.violations == [f"equality residual 5.000e-01 exceeds 1.0e-08 "
+                              f"(row {rep.worst_row})"]
+
+    def indefinite(*args):
+        # 4 moved from Gram entry (1, 1) onto the scalar of its row: every
+        # row still holds, and the Gram block has a negative diagonal
+        grams, scalars = seed(*args)
+        return ([grams[0] - SymMatrix.diag([0, 4, 0])],
+                scalars[:3] + [scalars[3] + 4] + scalars[4:])
+
+    monkeypatch.setattr(relax, "_interior_seed", indefinite)
+    rep = build_interior_start(rel, [witness])
+    assert not rep.ok and rep.eq_residual <= 1e-10
+    assert rep.margin == rep.block_margins[0] < 0
+    assert rep.violations == [f"X0 is not in the cone interior (margin {rep.margin:.3e})"]
 
 
 def _stability_relaxation_sdp(n, r, kind):

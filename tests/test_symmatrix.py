@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     FractionMatrix,
+    fraction_from_float,
     fraction_is_psd,
     fraction_slack,
     fraction_table_lift,
@@ -137,6 +138,24 @@ class TestAgainstFractionMatrix:
                             for i in range(n)])):
             _same(got, FractionMatrix.from_rows(rows))
             assert got == SymMatrix.from_rows(rows)
+
+
+# zeros of both signs, subnormals, and magnitudes from 1e-300 to 1e300
+_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-300, 1e300]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 5), data=st.data())
+def test_from_float_matches_the_fraction_route(n, data):
+    array = np.array([[data.draw(_floats) for _ in range(n)] for _ in range(n)]).reshape(n, n)
+    for a in (array, np.triu(array) + np.triu(array, 1).T):  # also symmetric input
+        _same(SymMatrix.from_float(a), fraction_from_float(a))
+    if n:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        array[i, j] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            SymMatrix.from_float(array)
 
 
 @st.composite

@@ -42,7 +42,7 @@ from coposos.relax import (
     build_relaxation_sdp,
     to_bounded,
 )
-from coposos.sdpcore import SdpStatus, sandwich_diagnostics
+from coposos.sdpcore import SdpStatus
 
 
 def _trivial(prog: ConicProgram) -> ConicProgram:
@@ -318,11 +318,9 @@ class TestFoldAndExpand:
         rel = build_relaxation_sdp(prog, r, kind, 10)
         assert rel.sdp.num_constraints < build_relaxation_sdp(
             _trivial(prog), r, kind, 10).sdp.num_constraints
-        start = build_interior_start(rel, [w])
-        rep = sandwich_diagnostics(rel.sdp, start.x0_blocks, start.inner_radius,
-                                   start.outer_radius)
+        rep = build_interior_start(rel, [w])
         assert rep.ok and rep.eq_residual <= 1e-10
-        assert min(rep.block_margins[: rel.d_block]) >= start.inner_radius
+        assert min(rep.block_margins[: rel.d_block]) >= rep.inner_radius
 
     @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
     def test_embed_inverts_split_on_invariant_data(self, kind):
