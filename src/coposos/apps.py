@@ -60,12 +60,12 @@ class Graph:
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
-        for (i, j) in edges:
+        for k, (i, j) in enumerate(edges):
             i, j = int(i), int(j)
             if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+                raise ValueError(f"edges[{k}]: self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range")
+                raise ValueError(f"edges[{k}]: edge ({i},{j}) out of range 0..{n - 1}")
             norm.add((min(i, j), max(i, j)))
         if weights is None:
             w = tuple(Fraction(1) for _ in range(n))
@@ -179,15 +179,22 @@ def parse_dimacs(text: str) -> Graph:
 
 
 def parse_graph_json(text: str) -> Graph:
-    """Structured form: {"n": int, "edges": [[i, j]], "weights": [rat]?} (0-indexed)."""
+    """Structured form: {"n": int, "edges": [[i, j]], "weights": [rat]?}
+    (0-indexed); a faulty entry of ``edges`` is named as ``edges[k]``."""
     doc = json.loads(text)
     for key in ("n", "edges"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"graph is missing the field {key!r}")
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise ValueError("edges is not a list of vertex pairs")
+    for k, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e):
+            raise ValueError(f"edges[{k}]: {e!r} is not a pair of integer vertices")
     weights = doc.get("weights")
     if weights is not None:
         weights = [Fraction(str(v)) for v in weights]
-    return Graph.make(int(doc["n"]), [tuple(e) for e in doc["edges"]], weights)
+    return Graph.make(int(doc["n"]), edges, weights)
 
 
 def parse_graph(text: str) -> Graph:

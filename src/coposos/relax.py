@@ -23,16 +23,17 @@ blocks, with the D columns of every row appended as arrays and labelled
 layout reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, and
 the trivial group otherwise.
 
-The module also owns the paper's sandwich: given a feasible split
+The module also owns the paper's sandwich.  A split
 sum_i ybar_i A_i - C = P + N  (P positive definite, N entrywise
-nonnegative), :func:`build_interior_start` builds an exactly feasible SDP
-point whose Gram part, in a certificate's blocks and scalars, is the
-multinomial-weighted padding of P - b*J plus a strictly positive diagonal
-carrying b*J + N, and audits it in the same pass: one
-:class:`SandwichReport` holds the seed, its equality residual and margins,
-and the inner and outer radii with log(R2/R1).  One seed serves both kinds:
-it reads the padding and diagonal slots of
-:class:`coposos.cones.GramShape`.  Last comes the value-preserving
+nonnegative) is searched for by :func:`check_intspn`, itself the Q^(0)
+relaxation of a one-variable program.  From such splits
+:func:`build_interior_start` builds an exactly feasible SDP point whose Gram
+part, in a certificate's blocks and scalars, is the multinomial-weighted
+padding of P - b*J plus a strictly positive diagonal carrying b*J + N, and
+audits it in the same pass: one :class:`SandwichReport` holds the seed, its
+equality residual and margins, and the inner and outer radii with
+log(R2/R1).  One seed serves both kinds: it reads the padding and diagonal
+slots of :class:`coposos.cones.GramShape`.  Last comes the value-preserving
 variable-boxing transform that appends the diagonal (2R -+ y_i) as one more
 cone constraint.
 """
@@ -47,14 +48,7 @@ import numpy as np
 
 from .cones import ConeKind, GramLayout, SosCertificate, gram_shape, validate_certificate
 from .polycore import SymMatrix, is_psd_exact, lift_table
-from .sdpcore import (
-    BlockSdp,
-    SdpBuilder,
-    SdpStatus,
-    nonneg_block,
-    psd_block,
-    solve,
-)
+from .sdpcore import BlockSdp, SdpBuilder, SdpStatus, nonneg_block, solve
 
 
 @dataclass(frozen=True)
@@ -215,41 +209,38 @@ class SpnRefusal:
 
 
 def check_intspn(cons: ConeConstraint, ybar) -> SpnWitness | SpnRefusal:
-    """Search for a P + N split of the constraint's slack at ybar with P
+    """Search for a P + N split of the constraint's slack S at ybar with P
     well-conditioned.
 
-    Solves the auxiliary SDP  max { lam : S = P0 + lam*I + N, P0 psd, N >= 0 }
-    for S the exact slack, then rounds to an exactly verified witness, which
+    The search is the Q^(0) relaxation of  min { -lam : S - lam*I in COP }:
+    its Gram block is P - lam*I and its scalar at x_i x_j is N_ij, doubled
+    off the diagonal.  Its box R = n*max|S_ij| + 1 never binds, since
+    lam <= min S_ii and lam = lambda_min(S) >= -n*max|S_ij| is feasible.
+    The optimum lam* is rounded to an exactly verified witness, which
     :meth:`SpnWitness.check_exact` accepts for ``cons``.  Returns a refusal
-    carrying the best lam when it is not above 1e-7.
+    carrying lam* when it is not above 1e-7.
     """
     ybar = tuple(Fraction(v) for v in ybar)
     s_exact = cons.slack(ybar)
     n = cons.n
-
-    # row t of pair (i, j), i <= j: S_ij = P0_ij + N_t, plus lam+ - lam- if i = j
-    i, j = np.triu_indices(n)
-    pair = np.arange(i.size)
-    diag = pair[i == j]
-    parts = [(pair, 0, i, j, np.where(i == j, 1.0, 0.5)), (pair, 1, pair, pair, 1.0),
-             (diag, 2, 0, 0, 1.0), (diag, 2, 1, 1, -1.0)]
-    builder = SdpBuilder([psd_block(n), nonneg_block(pair.size), nonneg_block(2)])
-    builder.add_rows(*map(np.concatenate, zip(*(np.broadcast_arrays(*p) for p in parts))),
-                     s_exact.num[i, j] / s_exact.den)
-    builder.add_rows(-1, 2, [0, 1], [0, 1], [-1.0, 1.0], [])  # max lam = lam+ - lam-
-    sol = solve(builder.build())
+    aux = ConicProgram((Fraction(-1),), (
+        ConeConstraint(n, (SymMatrix.identity(n).scale(-1),), s_exact.scale(-1)),))
+    rel = build_relaxation_sdp(aux, 0, ConeKind.Q, n * s_exact.max_abs_entry() + 1)
+    sol = solve(rel.sdp)
     if sol.status != SdpStatus.OPTIMAL:
         return SpnRefusal(
             lambda_star=float("nan"), message=f"auxiliary SDP: {sol.status.value}"
         )
-    lam_star = -sol.objective
+    lam_star = float(rel.decode_y(sol)[0])
     if lam_star <= 1e-7:
         return SpnRefusal(lambda_star=lam_star, message="slack has no interior split")
 
     # Round N to exact nonnegative rationals, take P as the exact remainder,
     # then certify a rational eigenvalue lower bound by exact factorization.
+    i, j = np.triu_indices(n)  # the order of the Q^(0) scalars
     n_float = np.zeros((n, n))
-    n_float[i, j] = n_float[j, i] = np.maximum(sol.x_blocks[1], 0.0)
+    n_float[i, j] = n_float[j, i] = (np.maximum(rel.layouts[0].certificate(sol).scalars, 0.0)
+                                     / np.where(i == j, 1.0, 2.0))
     n_exact = SymMatrix.from_float(n_float)
     p_exact = s_exact - n_exact
 
@@ -293,8 +284,6 @@ def _interior_seed(witness: SpnWitness, r: int, kind: ConeKind, b: Fraction):
     for k, t in zip(pads.tolist(), shape.row[pads].tolist()):
         vals[k] += move
         vals[diag[t]] -= move
-    if any(2 * vals[k] < b for k in diag):
-        raise ArithmeticError("seed dropped below b/2 on a diagonal slot; check witness")
     grams = [SymMatrix.from_rows(vals[o + a * k : o + a * k + k] for a in range(k))
              for o, k in zip(shape.off.tolist(), shape.sides)]
     return grams, vals[len(vals) - shape.nscalar :]
@@ -331,7 +320,8 @@ def build_interior_start(rel: RelaxationSdp, witnesses) -> SandwichReport:
 
     All witnesses must share the same ybar.  The seed's blocks are those of
     ``rel.sdp``, in its layouts.  The report flags an equality residual
-    above 1e-8, a margin that is not positive and radii out of order.
+    above 1e-8 and a margin that is not positive; R1 <= R < 4R <= R2 holds
+    by construction.
     """
     prog, r, kind, big_r = rel.prog, rel.r, rel.kind, rel.box_bound
     witnesses = list(witnesses)
@@ -347,9 +337,8 @@ def build_interior_start(rel: RelaxationSdp, witnesses) -> SandwichReport:
     for cons, layout, witness in zip(prog.constraints, rel.layouts, witnesses):
         if not witness.check_exact(cons):
             raise ValueError("witness fails its exact feasibility check")
+        # P - lb*I is PSD and J <= nI, so a shift lb/2^k with 2^k >= n is found
         b = _psd_shift(witness.p_mat, SymMatrix.ones(cons.n), witness.lambda_min_lb / 2, 60)
-        if b is None:
-            raise ArithmeticError("shift halving schedule exhausted; witness too thin")
         b_shifts.append(b)
         # folded onto the layout's blocks, the seed becomes principal
         # submatrices of its group average: no smaller least eigenvalue
@@ -372,12 +361,10 @@ def build_interior_start(rel: RelaxationSdp, witnesses) -> SandwichReport:
                           f"(row {worst_row})")
     if margin <= 0:
         violations.append(f"X0 is not in the cone interior (margin {margin:.3e})")
-    if not (0 < r1 <= r2):
-        violations.append(f"radii out of order: R1={r1!r}, R2={r2!r}")
     return SandwichReport(
         x0_blocks=blocks, b_shifts=b_shifts, eq_residual=eq_residual, worst_row=worst_row,
         block_margins=margins, margin=margin, inner_radius=r1, outer_radius=r2,
-        log_ratio=math.log(r2 / r1) if r1 > 0 else float("inf"), violations=violations)
+        log_ratio=math.log(r2 / r1), violations=violations)
 
 
 # -- variable boxing at the conic level ---------------------------------------
@@ -413,7 +400,6 @@ class RelaxationResult:
     certificate_reports: list = field(default_factory=list)
     relaxation: RelaxationSdp | None = None
     solution: object = None
-    sandwich: SandwichReport | None = None
     message: str = ""
 
 
@@ -427,9 +413,8 @@ def solve_relaxation(
     kind: ConeKind,
     box_bound,
     eps: float = 1e-7,
-    witnesses=None,
 ) -> RelaxationResult:
-    """Assemble, optionally install interior diagnostics, solve and decode.
+    """Assemble, solve and decode.
 
     The default eps is the value accuracy reliably certifiable in double
     precision across this problem family (the boxing block makes many of
@@ -439,10 +424,8 @@ def solve_relaxation(
     with ``value=None``, keeping the certificates and reports for audit.
     """
     rel = build_relaxation_sdp(prog, r, kind, box_bound)
-    sandwich = None if witnesses is None else build_interior_start(rel, witnesses)
     sol = solve(rel.sdp, eps=eps)
-    res = RelaxationResult(sol.status, relaxation=rel, solution=sol, sandwich=sandwich,
-                           message=sol.message)
+    res = RelaxationResult(sol.status, relaxation=rel, solution=sol, message=sol.message)
     if sol.status != SdpStatus.OPTIMAL:
         return res
     res.y = rel.decode_y(sol)

@@ -100,8 +100,7 @@ class _Cone:
                 sides.setdefault(blk.size, []).append(pos[None, :])
             else:
                 sides.setdefault(1, []).append(pos[:, None])
-        # (k, nblk, svec positions of the group's blocks in order); positions
-        # are increasing, and a slice when contiguous, which indexes as a view
+        # (k, nblk, svec positions of the group's blocks, one increasing row each)
         self.groups = []
         # per group its span of the stacked vector; per stacked entry its svec
         # position and scale; per svec position its stacked entry and scale
@@ -109,7 +108,7 @@ class _Cone:
         self.flat_at, self.flat_scale = np.empty(sdp.dim, dtype=np.intp), np.empty(sdp.dim)
         for k, parts in sides.items():
             cols = np.concatenate(parts)  # (nblk, svec entries of one block)
-            nblk, pos = len(cols), cols.reshape(-1)
+            nblk = len(cols)
             upper, entry, scale = _svec_index(k)
             self.spans.append((slice(start, start + nblk * k * k), (nblk, k, k)))
             stack_at.append(cols[:, entry].ravel())
@@ -117,9 +116,7 @@ class _Cone:
             self.flat_at[cols] = start + k * k * np.arange(nblk)[:, None] + upper
             self.flat_scale[cols] = scale
             start += nblk * k * k
-            if pos[-1] - pos[0] == pos.size - 1:
-                pos = slice(pos[0], pos[-1] + 1)
-            self.groups.append((k, nblk, pos))
+            self.groups.append((k, nblk, cols))
         self.stack_at, self.stack_scale = np.concatenate(stack_at), np.concatenate(stack_scale)
         self.dim = sdp.dim
         self.degree = sum(blk.size for blk in sdp.blocks)  # barrier degree
@@ -230,7 +227,7 @@ class _Rows:
         rows, cols, vals = a.rows, a.cols, a.vals
         # each column's group, block in the group and svec entry in the block
         group, block, entry = (np.empty(dim, dtype=np.intp) for _ in range(3))
-        at = [np.arange(dim)[pos].reshape(nblk, -1) for _, nblk, pos in cone.groups]
+        at = [cols for _, _, cols in cone.groups]
         for g, cols_g in enumerate(at):
             group[cols_g] = g
             block[cols_g] = np.arange(cols_g.shape[0])[:, None]

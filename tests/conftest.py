@@ -1,7 +1,8 @@
 """Shared corpus generators (seeded, exact-rational where it matters),
-BlockSdp set-ups from dense data, the unreduced K layout, the Fraction route
-of the exact audit and the Fraction matrix with its slack, lift, PSD test
-and float rationalization, kept as differential oracles."""
+BlockSdp set-ups from dense data, the unreduced K layout, the hand-built
+split search, the Fraction route of the exact audit and the Fraction matrix
+with its slack, lift, PSD test and float rationalization, kept as
+differential oracles."""
 
 import contextlib
 import math
@@ -26,7 +27,7 @@ from coposos.polycore import (
     quadratic_form,
     quartic_form,
 )
-from coposos.sdpcore import BlockSdp, SdpBuilder, psd_block
+from coposos.sdpcore import BlockSdp, SdpBuilder, SdpStatus, nonneg_block, psd_block, solve
 
 
 def cycle_edges(n):
@@ -182,6 +183,42 @@ def _clear_layouts():
     """Forget every shared layout, with the membership families holding one."""
     cones._shared_layout.cache_clear()
     cones._membership_family.cache_clear()
+
+
+def hand_built_intspn(cons, ybar):
+    """The split search with its auxiliary SDP assembled by hand, the route
+    :func:`coposos.relax.check_intspn` took before it became a Q^(0)
+    relaxation: max { lam : S = P0 + lam*I + N, P0 psd, N >= 0 } with one
+    row per pair i <= j, lam split as lam+ - lam-.  Kept as its differential
+    oracle; returns the witness or refusal and lam*."""
+    ybar = tuple(Fraction(v) for v in ybar)
+    s_exact = cons.slack(ybar)
+    n = cons.n
+    # row t of pair (i, j), i <= j: S_ij = P0_ij + N_t, plus lam+ - lam- if i = j
+    i, j = np.triu_indices(n)
+    pair = np.arange(i.size)
+    diag = pair[i == j]
+    parts = [(pair, 0, i, j, np.where(i == j, 1.0, 0.5)), (pair, 1, pair, pair, 1.0),
+             (diag, 2, 0, 0, 1.0), (diag, 2, 1, 1, -1.0)]
+    builder = SdpBuilder([psd_block(n), nonneg_block(pair.size), nonneg_block(2)])
+    builder.add_rows(*map(np.concatenate, zip(*(np.broadcast_arrays(*p) for p in parts))),
+                     s_exact.num[i, j] / s_exact.den)
+    builder.add_rows(-1, 2, [0, 1], [0, 1], [-1.0, 1.0], [])  # max lam = lam+ - lam-
+    sol = solve(builder.build())
+    if sol.status != SdpStatus.OPTIMAL:
+        return relax.SpnRefusal(float("nan"), f"auxiliary SDP: {sol.status.value}"), float("nan")
+    lam_star = -sol.objective
+    if lam_star <= 1e-7:
+        return relax.SpnRefusal(lam_star, "slack has no interior split"), lam_star
+    n_float = np.zeros((n, n))
+    n_float[i, j] = n_float[j, i] = np.maximum(sol.x_blocks[1], 0.0)
+    n_exact = SymMatrix.from_float(n_float)
+    p_exact = s_exact - n_exact
+    lb = relax._psd_shift(p_exact, SymMatrix.identity(n),
+                          Fraction(float(lam_star)) * Fraction(9, 10), 80)
+    if lb is None:
+        return relax.SpnRefusal(lam_star, "could not certify the rounding"), lam_star
+    return relax.SpnWitness(ybar, p_exact, n_exact, lb), lam_star
 
 
 def dense_sdp(blocks, a, b, c) -> BlockSdp:

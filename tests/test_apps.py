@@ -66,6 +66,21 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="^graph is missing the field 'n'$"):
             parse_graph_json("5")  # not an object: no field at all
 
+    @pytest.mark.parametrize("edges,message", [
+        ([[0]], "edges[0]: [0] is not a pair of integer vertices"),
+        ([[0, 1], [0, 1, 2]], "edges[1]: [0, 1, 2] is not a pair of integer vertices"),
+        ([[0, 1.5]], "edges[0]: [0, 1.5] is not a pair of integer vertices"),
+        ([[0, True]], "edges[0]: [0, True] is not a pair of integer vertices"),
+        ([3], "edges[0]: 3 is not a pair of integer vertices"),
+        ([[1, 2], [0, 5]], "edges[1]: edge (0,5) out of range 0..2"),
+        ([[-1, 0]], "edges[0]: edge (-1,0) out of range 0..2"),
+        ([[0, 1], [2, 2]], "edges[1]: self-loop at vertex 2"),
+        ({"0": 1}, "edges is not a list of vertex pairs"),
+    ])
+    def test_json_graph_names_the_faulty_edge(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            parse_graph_json(json.dumps({"n": 3, "edges": edges}))
+        assert str(err.value) == message
     @pytest.mark.parametrize("text,message", [
         # vertices and lines as the file numbers them, from 1
         ("p edge 3 1\ne 1 4\n", "line 2 'e 1 4': edge (1,4) out of range 1..3"),
@@ -351,3 +366,31 @@ class TestChromatic:
         assert res.status == SdpStatus.OPTIMAL
         assert bound <= brute_chi(g) + 1e-6
         assert all(rep.ok for rep in res.certificate_reports)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Graph.make(0, []), "graph needs at least one vertex"),
+    (lambda: Graph.make(3, [(0, 1), (0, 3)]), "edges[1]: edge (0,3) out of range 0..2"),
+    (lambda: Graph.make(3, [(0, 1)], weights=[1, 2]), "one weight per vertex is required"),
+    (lambda: parse_dimacs("p edge 3\n"), "line 1 'p edge 3': bad problem line"),
+    (lambda: parse_dimacs("p graph 3 1\n"), "line 1 'p graph 3 1': bad problem line"),
+    (lambda: parse_dimacs("c no problem line\n"), "missing 'p edge' line"),
+    # text that is not a JSON object is read as DIMACS
+    (lambda: parse_graph("c no problem line\n"), "missing 'p edge' line"),
+    (lambda: validate_stability_matrix(cycle_graph(5), SymMatrix.identity(4)),
+     "matrix size does not match the graph"),
+    (lambda: validate_stability_matrix(cycle_graph(5), SymMatrix.identity(5).scale(2)),
+     "diagonal entry 0 must be 1/weight"),
+    (lambda: validate_stability_matrix(path_graph(3), stability_qp_matrix(complete_graph(3))),
+     "non-edge entry (0,2) must be zero"),
+    (lambda: sqp_reciprocal_bound(SymMatrix.diag([1, -1]), 0, ConeKind.K),
+     "no interior split found for M: slack has no interior split"),
+    (lambda: product_graph(cycle_graph(3), 0), "t must be >= 1"),
+    (lambda: brute_alpha(empty_graph(31)), "brute_alpha capped at 30 vertices"),
+], ids=["no-vertex", "edge-range", "weight-count", "p-fields", "p-kind", "no-p",
+        "parse-graph-dimacs", "b-size", "b-diagonal", "b-non-edge", "no-split",
+        "product-t", "alpha-cap"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -718,3 +718,13 @@ class TestSerialization:
             SosCertificate.from_text(json.dumps(doc))
         with pytest.raises(ValueError, match="^unrecognized certificate format$"):
             SosCertificate.from_text(json.dumps([doc]))  # not an object
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: GramLayout(3, -1, ConeKind.K), "level must be >= 0"),
+    (lambda: GramLayout.shared(3, -1, ConeKind.Q), "level must be >= 0"),
+], ids=["layout", "shared-layout"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -102,6 +102,34 @@ def test_only_gram_shape_tells_the_cone_kinds_apart():
     assert branches  # the one that is allowed is found
 
 
+def _builder_constructors(tree):
+    """The innermost enclosing function of every ``SdpBuilder(...)`` call."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "SdpBuilder"):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_gram_sdp_assembler():
+    # every Gram SDP is a relaxation or a membership family; the sparse
+    # exchange format reads a block SDP that has no Gram structure
+    src = Path(coposos.__file__).resolve().parent
+    makers = {f"{'.'.join(path.relative_to(src).with_suffix('').parts)}.{where}"
+              for path in sorted(src.rglob("*.py"))
+              for where in _builder_constructors(ast.parse(path.read_text()))}
+    assert makers == {"relax.build_relaxation_sdp", "cones._membership_family",
+                      "sdpcore.model.parse_sparse"}
+
+
 def _unused_imports(tree):
     """(name, line) of every top-level import binding that the module never
     reads; a name listed in ``__all__`` counts as read."""

@@ -11,6 +11,7 @@ from coposos.polycore import (
     SymMatrix,
     coeff_norm,
     is_psd_exact,
+    lift_table,
     monomial_basis,
     multinomial,
     polya_lift,
@@ -208,3 +209,22 @@ class TestSymMatrix:
             assert got == SymMatrix.from_rows(rows)
             assert all(type(v) is Fraction for row in got.rows for v in row)
             assert all(type(row) is tuple for row in got.rows)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: monomial_basis(0, 2), "nvars must be >= 1"),
+    (lambda: monomial_basis(2, -1), "degree must be >= 0"),
+    (lambda: SymMatrix.identity(2) + SymMatrix.identity(3), "dimension mismatch"),
+    (lambda: lift_table(2, 0).lift(SymMatrix.identity(3)),
+     "matrix dimension does not match the table"),
+    (lambda: Poly(0), "nvars must be >= 1"),
+    (lambda: Poly(2, {(1,): 1}), "bad multi-index (1,) for nvars=2"),
+    (lambda: P(1, {(1,): 1}) + P(2, {(1, 0): 1}), "variable-count mismatch"),
+    (lambda: polya_lift(quadratic_form(SymMatrix.identity(2)), -1, LiftKind.LINEAR),
+     "lift level must be >= 0"),
+], ids=["basis-nvars", "basis-degree", "sym-dimensions", "lift-dimensions", "poly-nvars",
+        "poly-index", "poly-nvars-mismatch", "lift-level"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

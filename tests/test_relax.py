@@ -1,14 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import planted_spn, random_symmetric
+from conftest import hand_built_intspn, planted_spn, random_symmetric
 from coposos import relax
 from coposos.cones import ConeKind, parity_classes
 from coposos.polycore import LiftKind, SymMatrix, lift_table, polya_lift, quadratic_form
 from coposos.relax import (
+    ConeConstraint,
     ConicProgram,
     SpnRefusal,
     SpnWitness,
@@ -19,7 +21,7 @@ from coposos.relax import (
     solve_relaxation,
     to_bounded,
 )
-from coposos.sdpcore import SdpStatus
+from coposos.sdpcore import SdpStatus, solve
 
 
 def sqp_like_program(m_mat: SymMatrix) -> ConicProgram:
@@ -163,6 +165,55 @@ class TestIntSpn:
             assert sol_quality > 0
 
 
+def _searched_split(monkeypatch, cons):
+    """check_intspn's outcome at y = 0, the lam* of its relaxation and its
+    box R."""
+    seen = {}
+
+    def build(*args):
+        seen["rel"] = build_relaxation_sdp(*args)
+        return seen["rel"]
+
+    def run(sdp, **kwargs):
+        seen["sol"] = solve(sdp, **kwargs)
+        return seen["sol"]
+
+    monkeypatch.setattr(relax, "build_relaxation_sdp", build)
+    monkeypatch.setattr(relax, "solve", run)
+    out = check_intspn(cons, [0])
+    return out, float(seen["rel"].decode_y(seen["sol"])[0]), float(seen["rel"].box_bound)
+
+
+@pytest.mark.parametrize("planted", [True, False], ids=["planted", "random"])
+@pytest.mark.parametrize("n", range(3, 9))
+class TestIntSpnOracle:
+    """The split search as a Q^(0) relaxation against the hand-built
+    auxiliary SDP it replaced, on planted P + N matrices (all split) and
+    random symmetric ones (all refused on this seed)."""
+
+    @pytest.fixture
+    def cons(self, n, planted):
+        rnd = random.Random(2025 + n)
+        m = planted_spn(rnd, n)[0] if planted else random_symmetric(rnd, n)
+        return ConeConstraint(n, (SymMatrix.zero(n),), m.scale(-1))
+
+    def test_matches_hand_built_search(self, monkeypatch, cons, planted):
+        out, lam, _ = _searched_split(monkeypatch, cons)
+        want, lam_want = hand_built_intspn(cons, [0])
+        assert isinstance(out, SpnWitness) == isinstance(want, SpnWitness) == planted
+        assert lam == pytest.approx(lam_want, rel=1e-7)
+        if planted:
+            assert out.check_exact(cons)
+        else:
+            assert out.lambda_star == lam
+
+    def test_box_never_binds(self, monkeypatch, cons):
+        # lam* <= min S_ii <= max|S_ij| and lam* >= lambda_min(S) >= -n max|S_ij|,
+        # so |lam*| < R = n max|S_ij| + 1: strictly inside the box (-2R, 2R)
+        _, lam, box = _searched_split(monkeypatch, cons)
+        assert abs(lam) < box
+
+
 class TestInteriorStart:
     def _witness_for_sqp_identity(self, n, lam_bar=2):
         # slack at ybar = lam_bar: I + lam_bar * J = P + N with P = I
@@ -255,8 +306,8 @@ class TestInteriorStart:
 
     def test_solve_relaxation_with_witness_reports_sandwich(self):
         prog, w = self._witness_for_sqp_identity(3)
-        res = solve_relaxation(prog, 0, ConeKind.K, 10, witnesses=[w])
-        assert res.sandwich is not None and res.sandwich.eq_residual <= 1e-10
+        res = solve_relaxation(prog, 0, ConeKind.K, 10)
+        assert build_interior_start(res.relaxation, [w]).eq_residual <= 1e-10
         assert res.status == SdpStatus.OPTIMAL
 
 
@@ -319,3 +370,41 @@ class TestToBounded:
             Fraction(12),
             Fraction(8),
         ]
+
+
+def _identity_split(ybar=2, lb=1):
+    """min lambda s.t. I + lambda J in cone on 3 variables, its level-0 K
+    relaxation with box 10, and the split I + ybar J at ybar with bound lb
+    (valid for lb <= 1)."""
+    prog = sqp_like_program(SymMatrix.identity(3))
+    rel = build_relaxation_sdp(prog, 0, ConeKind.K, 10)
+    return prog, rel, SpnWitness((Fraction(ybar),), SymMatrix.identity(3),
+                                 SymMatrix.ones(3).scale(ybar), Fraction(lb))
+
+
+def _disagreeing_witnesses():
+    prog, _, w = _identity_split()
+    boxed = build_relaxation_sdp(to_bounded(prog, 10), 0, ConeKind.K, 10)
+    return build_interior_start(boxed, [w, _identity_split(3)[2]])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ConeConstraint(3, (SymMatrix.identity(2),), SymMatrix.identity(3)),
+     "constraint matrices have inconsistent dimensions"),
+    (lambda: build_relaxation_sdp(_identity_split()[0], 0, ConeKind.K, 0),
+     "box bound must be positive"),
+    (lambda: to_bounded(_identity_split()[0], Fraction(-1, 2)), "box bound must be positive"),
+    (lambda: build_interior_start(_identity_split()[1], []),
+     "one witness per cone constraint is required"),
+    (_disagreeing_witnesses, "witnesses disagree on ybar"),
+    (lambda: build_interior_start(_identity_split()[1], [_identity_split(21)[2]]),
+     "ybar escapes the box [-2R, 2R]"),
+    # lambda_min(P) = 1, so P - 2I is not PSD
+    (lambda: build_interior_start(_identity_split()[1], [_identity_split(lb=2)[2]]),
+     "witness fails its exact feasibility check"),
+], ids=["dimensions", "relaxation-box", "bounded-box", "witness-count", "ybar-disagree",
+        "ybar-box", "witness-invalid"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -35,6 +35,7 @@ from coposos.relax import (
 )
 from coposos.sdpcore import (
     BlockSdp,
+    BlockSpec,
     SdpBuilder,
     SdpStatus,
     export_sparse,
@@ -465,8 +466,9 @@ def test_no_solve_path_reads_a_dense_a(monkeypatch):
     prog = ConicProgram.make([1], [(3, [SymMatrix.ones(3)], SymMatrix.identity(3).scale(-1))])
     witness = SpnWitness((Fraction(2),), SymMatrix.identity(3), SymMatrix.ones(3).scale(2),
                          Fraction(1))
-    res = solve_relaxation(prog, 0, ConeKind.K, 10, witnesses=[witness])
-    assert res.sandwich.ok and res.status == SdpStatus.OPTIMAL
+    res = solve_relaxation(prog, 0, ConeKind.K, 10)
+    assert build_interior_start(res.relaxation, [witness]).ok
+    assert res.status == SdpStatus.OPTIMAL
     back = parse_sparse(export_sparse(res.relaxation.sdp))
     assert back.num_constraints == res.relaxation.sdp.num_constraints
 
@@ -954,3 +956,22 @@ def test_solve_leaves_no_cone_in_a_reference_cycle():
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: BlockSpec("dense", 2), "unknown block kind 'dense'"),
+    (lambda: BlockSpec("psd", 0), "block size must be >= 1"),
+    (lambda: dense_sdp([psd_block(2)], [[1.0, 0.0, 0.0]], [1.0], [1.0, 0.0]),
+     "objective dimension mismatch"),
+    (lambda: dense_sdp([nonneg_block(2)], [[1.0, 1.0]], [1.0], [1.0, 0.0]).pack([[1.0] * 3]),
+     "block values do not conform to the block pattern"),
+    (lambda: SdpBuilder([psd_block(2)]).add_rows(0, 0, 0, 0, 1.0, [1.0], ["a", "b"]),
+     "one label per row is required"),
+    (lambda: parse_sparse("rhs 1 1\n"), "missing blocks header"),
+    (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), eps=0.0),
+     "eps must be positive"),
+], ids=["block-kind", "block-size", "objective", "pack", "labels", "header", "eps"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
