@@ -180,21 +180,25 @@ def parse_dimacs(text: str) -> Graph:
 
 def parse_graph_json(text: str) -> Graph:
     """Structured form: {"n": int, "edges": [[i, j]], "weights": [rat]?}
-    (0-indexed); a faulty entry of ``edges`` is named as ``edges[k]``."""
+    (0-indexed); a faulty field is named, and a faulty entry of ``edges`` as
+    ``edges[k]``."""
     doc = json.loads(text)
     for key in ("n", "edges"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"graph is missing the field {key!r}")
-    edges = doc["edges"]
+    n, edges, weights = doc["n"], doc["edges"], doc.get("weights")
+    if type(n) is not int:  # a bool is not an integer here
+        raise ValueError(f"n: {n!r} is not an integer vertex count")
     if not isinstance(edges, list):
         raise ValueError("edges is not a list of vertex pairs")
     for k, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e):
             raise ValueError(f"edges[{k}]: {e!r} is not a pair of integer vertices")
-    weights = doc.get("weights")
     if weights is not None:
+        if not isinstance(weights, list):
+            raise ValueError("weights is not a list of vertex weights")
         weights = [Fraction(str(v)) for v in weights]
-    return Graph.make(int(doc["n"]), edges, weights)
+    return Graph.make(n, edges, weights)
 
 
 def parse_graph(text: str) -> Graph:

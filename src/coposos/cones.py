@@ -484,7 +484,9 @@ def build_membership(m: SymMatrix, r: int, kind: ConeKind) -> MembershipProblem:
     The layout is :meth:`GramLayout.shared`; the rows and A are built once
     per (n, r, kind) and layout class while A has at most 1000 rows.  M
     enters only through b, its lift, so the SDPs of one (n, r, kind) share A
-    and the solver's set-up for it."""
+    and the solver's set-up for it, its first step included: after the
+    family's first decision, one that ends at its first witness forms and
+    factorizes no Schur matrix."""
     family = _membership_family
     if comb(m.n + r + 1, r + 2) > _FAMILY_MAX_ROWS:  # A's rows: the degree r + 2 monomials
         family = family.__wrapped__

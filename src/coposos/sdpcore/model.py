@@ -102,8 +102,10 @@ class _Coo:
     """A sparse matrix as (row, column, value) triplets; ``dot`` and ``tdot``
     take its products with a vector by one bincount.  ``shared`` is set once
     :meth:`BlockSdp.with_rhs` gives A to a second SDP; the solver then keeps
-    what it derives from A and the blocks alone in ``setup``, when small, so
-    that every SDP sharing A reuses it.  The set-up refers to no A."""
+    what it derives from A, c and the blocks alone in ``setup``, when small,
+    so that every SDP sharing A reuses it: the rows' set-up and, once a
+    solve has taken a step, the first step's Newton system.  The set-up
+    refers to no A."""
 
     def __init__(self, rows, cols, vals, shape):
         self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape

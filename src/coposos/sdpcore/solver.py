@@ -61,10 +61,15 @@ building and auditing never load scipy.
 What depends on A and the blocks alone - the cone groups, the rows' pieces
 and their scatter indices, and the identity start - is set up at the first
 solve of an A that several SDPs share and kept with it (``_Coo.setup``)
-while the rows' arrays hold at most 4 MiB, so the membership SDPs of one
-(n, r, kind) set it up once.  The seconds spent on that set-up (0 when
-reused), forming K, in Cholesky and refinement, and in cone operations are
-reported in ``diagnostics["timings"]``.
+while its arrays hold at most 4 MiB, so the membership SDPs of one
+(n, r, kind) set it up once.  Every solve starts at x = s = e, y = 0,
+tau = kappa = 1, so the first iteration's Newton system - its scaling,
+scaled rows, Schur matrix and factor, and the terms of c, which SDPs sharing
+A share too - is kept beside it when both fit in those 4 MiB, and a later
+solve on A takes its first step from it: a membership decision that ends
+at its first witness then forms and factorizes no K.  The seconds spent on
+the set-up (0 when reused), forming K, in Cholesky and refinement, and in
+cone operations are reported in ``diagnostics["timings"]``.
 """
 
 from __future__ import annotations
@@ -79,7 +84,10 @@ from .model import BlockSdp, SdpSolution, SdpStatus, _Coo, _svec_index, smat, sv
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-9
-_KEPT_SETUP_BYTES = 4 << 20  # the largest _Rows a shared A keeps (_Coo.setup)
+# the most bytes of set-up a shared A keeps (_Coo.setup): the first step's
+# system is dropped when it does not fit beside the rest, and the rest too
+# when it alone does not fit
+_KEPT_SETUP_BYTES = 4 << 20
 
 
 class _Cone:
@@ -288,6 +296,34 @@ class _Rows:
         return _Coo(*self.bar_at, bar, self.shape), k_mat.reshape(m, m)
 
 
+class _Setup:
+    """What a solve derives from A, c and the blocks alone, kept on a shared
+    A: the cone groups, the rows, the identity start and, once a solve on A
+    has taken a step, the first step's Newton system (see the module
+    docstring).  ``nbytes`` counts every array held."""
+
+    def __init__(self, sdp: BlockSdp):
+        self.cone = cone = _Cone(sdp)
+        self.rows = _Rows(cone, sdp.coo)
+        self.start = cone.identity()  # shared: never written
+        self.start.flags.writeable = False
+        self.first = None
+        self.nbytes = self.rows.nbytes + sum(v.nbytes for v in (
+            self.start, cone.stack_at, cone.stack_scale, cone.flat_at, cone.flat_scale,
+            *(cols for _, _, cols in cone.groups)))
+
+    def keep_first(self, first: tuple) -> None:
+        """Keep (sc, abar, K, factor, cbar, ahc, u_g, proj_resid) if it fits
+        the budget beside the rest; abar's indices are the rows'."""
+        sc, abar, *arrays = first
+        arrays += [v for pair in sc for v in pair] + [abar.vals]
+        nbytes = self.nbytes + sum(v.nbytes for v in arrays)
+        if nbytes <= _KEPT_SETUP_BYTES:
+            for v in arrays:  # shared: never written
+                v.flags.writeable = False
+            self.first, self.nbytes = first, nbytes
+
+
 @cache
 def _lapack():
     """scipy's LAPACK wrappers, imported at the first call only."""
@@ -369,16 +405,13 @@ def solve(
     setup, setup_s = a.setup, 0.0
     if setup is None:
         t0 = perf_counter()
-        ops = _Cone(sdp)
-        e = ops.identity()  # the start point, shared: never written
-        e.flags.writeable = False
-        setup = (ops, _Rows(ops, a), e)
+        setup = _Setup(sdp)
         # an A of one SDP frees its set-up with the solve, and so does a
-        # shared A whose rows' set-up is too large to keep
-        if a.shared and setup[1].nbytes <= _KEPT_SETUP_BYTES:
+        # shared A whose set-up is too large to keep
+        if a.shared and setup.nbytes <= _KEPT_SETUP_BYTES:
             a.setup = setup
         setup_s = perf_counter() - t0
-    ops, rows, e = setup
+    ops, rows, e = setup.cone, setup.rows, setup.start
     b = sdp.b
     c = sdp.c
     m = sdp.num_constraints
@@ -531,17 +564,30 @@ def solve(
                           "complementarity at numerical floor")
 
         # -- Nesterov-Todd scaling and Schur complement ------------------
-        try:
-            sc = cone.scaling(x, s)
-        except np.linalg.LinAlgError:
-            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                          "scaling breakdown (iterate left cone)")
-        abar, k_mat = scale_rows(sc)
-        cbar = cone.congruence(sc, c)
-        factor = factorize(k_mat)
-        if factor is None:
-            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                          "Schur complement factorization failed")
+        # the first step's system is the set-up's when a solve on A kept it
+        if iteration == 0 and setup.first is not None:
+            sc, abar, k_mat, factor, cbar, ahc, u_g, proj_resid = setup.first
+        else:
+            try:
+                sc = cone.scaling(x, s)
+            except np.linalg.LinAlgError:
+                return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                              "scaling breakdown (iterate left cone)")
+            abar, k_mat = scale_rows(sc)
+            cbar = cone.congruence(sc, c)
+            factor = factorize(k_mat)
+            if factor is None:
+                return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
+                              "Schur complement factorization failed")
+            ahc = abar.dot(cbar)  # A H c with H the NT scaling operator
+            u_g = refined_solve(factor, k_mat, ahc)
+            # (b - g)^T K^{-1} (b + g) + c^T H c telescopes to
+            # b^T K^{-1} b + || (I - P) cbar ||^2 with P the projection onto
+            # the scaled row space; the residual form avoids catastrophic
+            # cancellation.
+            proj_resid = cbar - abar.tdot(u_g)
+            if iteration == 0 and a.setup is setup:
+                setup.keep_first((sc, abar, k_mat, factor, cbar, ahc, u_g, proj_resid))
         step = (sc, abar, k_mat, factor)
 
         # residual vectors of the embedding
@@ -549,15 +595,9 @@ def solve(
         r_d = aty + s - c * tau
         r_g = float(b @ y - c @ x) - kappa
 
-        ahc = abar.dot(cbar)  # A H c with H the NT scaling operator
         bhc = b - ahc
         u_b = refined_solve(factor, k_mat, b)
-        u_g = refined_solve(factor, k_mat, ahc)
         u1 = u_b + u_g
-        # (b - g)^T K^{-1} (b + g) + c^T H c telescopes to
-        # b^T K^{-1} b + || (I - P) cbar ||^2 with P the projection onto the
-        # scaled row space; the residual form avoids catastrophic cancellation.
-        proj_resid = cbar - abar.tdot(u_g)
         denom = kappa / tau + float(b @ u_b) + float(proj_resid @ proj_resid)
         if not np.isfinite(denom) or denom < 1e-300:
             return report(SdpStatus.INCONCLUSIVE, iteration, best_point,

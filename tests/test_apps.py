@@ -81,6 +81,22 @@ class TestGraphBasics:
         with pytest.raises(ValueError) as err:
             parse_graph_json(json.dumps({"n": 3, "edges": edges}))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"n": 2.7, "edges": [[0, 1]]}, "n: 2.7 is not an integer vertex count"),
+        ({"n": 3.0, "edges": []}, "n: 3.0 is not an integer vertex count"),
+        ({"n": "3", "edges": []}, "n: '3' is not an integer vertex count"),
+        ({"n": True, "edges": []}, "n: True is not an integer vertex count"),
+        ({"n": None, "edges": []}, "n: None is not an integer vertex count"),
+        ({"n": 2, "edges": [[0, 1]], "weights": "12"}, "weights is not a list of vertex weights"),
+        ({"n": 2, "edges": [], "weights": {"0": 1}}, "weights is not a list of vertex weights"),
+        ({"n": 2, "edges": [], "weights": 3}, "weights is not a list of vertex weights"),
+        ({"n": 0, "edges": []}, "graph needs at least one vertex"),
+    ])
+    def test_json_graph_names_a_faulty_field(self, doc, message):
+        with pytest.raises(ValueError) as err:
+            parse_graph_json(json.dumps(doc))
+        assert str(err.value) == message
     @pytest.mark.parametrize("text,message", [
         # vertices and lines as the file numbers them, from 1
         ("p edge 3 1\ne 1 4\n", "line 2 'e 1 4': edge (1,4) out of range 1..3"),

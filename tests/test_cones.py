@@ -51,6 +51,7 @@ from coposos.polycore import (
 )
 from coposos.relax import ConicProgram, build_relaxation_sdp, extract_certificates, to_bounded
 from coposos.sdpcore import SdpBuilder, SdpSolution, SdpStatus, nonneg_block, psd_block, solve
+from coposos.sdpcore import solver
 
 
 class TestBuilders:
@@ -222,6 +223,24 @@ def _solution_bytes(sol) -> bytes:
     return b"".join(np.asarray(p, dtype=float).tobytes() for p in parts)
 
 
+def _array_bytes(obj) -> int:
+    """Bytes of the distinct arrays reachable from obj through attributes,
+    tuples and lists."""
+    arrays, seen, todo = {}, set(), [obj]
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            arrays[id(v)] = v.nbytes
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif hasattr(v, "__dict__"):
+            todo.extend(vars(v).values())
+    return sum(arrays.values())
+
+
 class TestMembershipFamily:
     """The membership SDPs of one (n, r, kind) share their layout, A, c and
     the solver's set-up; only b, the lift of the matrix, differs."""
@@ -296,6 +315,51 @@ class TestMembershipFamily:
             setups = [solve(sdp, max_iter=0).diagnostics["timings"]["setup_s"] for _ in range(2)]
             assert setups[0] > 0.0 and (setups[1] == 0.0) == kept
             assert (sdp.coo.setup is not None) == kept
+
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    def test_a_warm_family_takes_its_first_step_from_the_set_up(self, monkeypatch, kind):
+        # every solve starts at the same point, so iteration 0's scaled rows
+        # and Schur factor depend on A alone: the family makes them once
+        calls = {"scale": 0, "chol": 0}
+
+        def counted(name, fn):
+            def run(*args):
+                calls[name] += 1
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(solver._Rows, "scale", counted("scale", solver._Rows.scale))
+        monkeypatch.setattr(solver, "_chol_with_regularization",
+                            counted("chol", solver._chol_with_regularization))
+        cones._membership_family.cache_clear()
+        seen = []
+        for m in (SymMatrix.identity(5), SymMatrix.ones(5), SymMatrix.identity(5)):
+            res = decide_membership(build_membership(m, 1, kind))
+            assert res.verdict == Verdict.MEMBER and res.solution.iterations == 1
+            seen.append(dict(calls))
+            calls.update(scale=0, chol=0)
+        assert seen == [{"scale": 1, "chol": 1}, {"scale": 0, "chol": 0}, {"scale": 0, "chol": 0}]
+
+    def test_the_first_step_is_kept_only_within_the_budget(self, monkeypatch):
+        def family_sdp():
+            cones._membership_family.cache_clear()
+            return build_membership(SymMatrix.identity(6), 1, ConeKind.Q).sdp
+
+        sdp = family_sdp()
+        rest = solver._Setup(sdp).nbytes  # the set-up without a first step
+        want = solve(sdp)
+        full = sdp.coo.setup
+        assert full.first is not None and full.nbytes > rest
+        assert full.nbytes == _array_bytes(full)  # every kept array is counted
+        monkeypatch.setattr(solver, "_KEPT_SETUP_BYTES", (rest + full.nbytes) // 2)
+        sdp = family_sdp()
+        for _ in range(2):
+            got = solve(sdp)
+            kept = sdp.coo.setup
+            assert kept is not None and kept.first is None and kept.nbytes == rest
+            assert kept.nbytes == _array_bytes(kept)
+            assert got.iterations == want.iterations
+            assert _solution_bytes(got) == _solution_bytes(want)
 
     def test_builder_builds_again_only_after_new_rows(self):
         builder = SdpBuilder([psd_block(2)])

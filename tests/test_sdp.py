@@ -942,7 +942,7 @@ def test_solve_leaves_no_cone_in_a_reference_cycle():
         shared = sdp.with_rhs(sdp.b)
         del sdp
         sol = solve(shared)
-        assert sol.status == SdpStatus.OPTIMAL and shared.coo.setup is not None
+        assert sol.status == SdpStatus.OPTIMAL and shared.coo.setup.first is not None
         del sol
         coo = weakref.ref(shared.coo)
         gc.disable()
@@ -956,6 +956,43 @@ def test_solve_leaves_no_cone_in_a_reference_cycle():
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+
+
+def test_a_shared_relaxation_reuses_its_first_step_with_c(monkeypatch):
+    # the kept first step holds c's terms, which with_rhs shares with A
+    sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
+    assert sdp.c.any()
+    fresh = solve(sdp)
+    assert sdp.coo.setup is None
+    calls = []
+    real = _Rows.scale
+
+    def counted(self, sc):
+        calls.append(sc)
+        return real(self, sc)
+
+    monkeypatch.setattr(_Rows, "scale", counted)
+    cold = solve(sdp.with_rhs(sdp.b))
+    assert sdp.coo.setup.first is not None
+    cold_calls = len(calls)
+    warm = solve(sdp.with_rhs(sdp.b))
+    assert (cold_calls, len(calls) - cold_calls) == (fresh.iterations, fresh.iterations - 1)
+
+    def as_bytes(sol):
+        return [v.tobytes() for v in (*sol.x_blocks, sol.y, *sol.s_blocks)]
+
+    for sol in (cold, warm):
+        assert sol.status == fresh.status == SdpStatus.OPTIMAL
+        assert sol.iterations == fresh.iterations
+        assert as_bytes(sol) == as_bytes(fresh)
+
+
+def test_a_solve_that_takes_no_step_keeps_no_first_step():
+    cones._membership_family.cache_clear()
+    sdp = build_K_membership(SymMatrix.identity(4), 1).sdp
+    sol = solve(sdp, max_iter=0)
+    assert sol.status == SdpStatus.INCONCLUSIVE and sol.iterations == 0
+    assert sdp.coo.setup is not None and sdp.coo.setup.first is None
 
 
 @pytest.mark.parametrize("call,message", [
