@@ -158,6 +158,8 @@ def parse_dimacs(text: str) -> Graph:
                 if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
                     raise ValueError("bad problem line")
                 n = int(parts[2])
+                if n < 1:
+                    raise ValueError("graph needs at least one vertex")
             elif parts[0] == "e":
                 if len(parts) < 3:
                     raise ValueError("an edge line names two vertices")
@@ -180,8 +182,8 @@ def parse_dimacs(text: str) -> Graph:
 
 def parse_graph_json(text: str) -> Graph:
     """Structured form: {"n": int, "edges": [[i, j]], "weights": [rat]?}
-    (0-indexed); a faulty field is named, and a faulty entry of ``edges`` as
-    ``edges[k]``."""
+    (0-indexed), a weight a JSON number or a string such as "1/2"; a faulty
+    field is named, and a faulty entry as ``edges[k]`` or ``weights[k]``."""
     doc = json.loads(text)
     for key in ("n", "edges"):
         if not isinstance(doc, dict) or key not in doc:
@@ -197,7 +199,11 @@ def parse_graph_json(text: str) -> Graph:
     if weights is not None:
         if not isinstance(weights, list):
             raise ValueError("weights is not a list of vertex weights")
-        weights = [Fraction(str(v)) for v in weights]
+        for k, v in enumerate(weights):
+            try:  # str(v) of a bool, null, list, inf or nan is no rational
+                weights[k] = Fraction(str(v))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"weights[{k}]: {v!r} is not a rational weight") from None
     return Graph.make(n, edges, weights)
 
 

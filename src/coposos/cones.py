@@ -317,7 +317,8 @@ class GramLayout:
         self._row_orbit, self._row_reps = _orbits(_images(shape.lifted, gens),
                                                   len(shape.lifted))
         self._bases = self._eigenbases(*self._orbit_entries())
-        arrays = [*vars(self).values(), *(a for basis in self._bases.values() for a in basis)]
+        self._rows = self._gram_rows()
+        arrays = [*vars(self).values(), *self._rows[0], *sum(self._bases.values(), ())]
         for shared in arrays:  # shared: read-only
             if isinstance(shared, np.ndarray):
                 shared.flags.writeable = False
@@ -342,14 +343,18 @@ class GramLayout:
             [nonneg_block(self._nscalar)] if self._nscalar else []
         )
 
-    def rows(self) -> tuple[tuple[np.ndarray, ...], list[MultiIndex]]:
+    def rows(self) -> tuple[tuple[np.ndarray, ...], tuple[MultiIndex, ...]]:
         """The Gram entries whose weighted sums match the lifted
         coefficients, as flat arrays (row, block, i, j, weight), and each
         row's monomial.  There is one row per orbit of the monomials the
         Gram structure can reach (rows for monomials absent from the lift
         match zero), labelled by the orbit's first monomial.  Each
         off-diagonal entry is listed once; the SDP builder doubles symmetric
-        pairs.  On a diagonalised block, entry g of row i is tr(A_i P_g)."""
+        pairs.  On a diagonalised block, entry g of row i is tr(A_i P_g).
+        Formed once with the layout and shared: the arrays are read-only."""
+        return self._rows
+
+    def _gram_rows(self) -> tuple[tuple[np.ndarray, ...], tuple[MultiIndex, ...]]:
         entries = self._orbit_entries()
         if self._bases:
             keep = ~np.isin(entries[1], list(self._bases))
@@ -357,7 +362,7 @@ class GramLayout:
                 (np.repeat(rows, tr.shape[1]), np.full(tr.size, b),
                  *[np.tile(np.arange(tr.shape[1]), rows.size)] * 2, tr.ravel())
                 for b, (_, _, rows, tr) in self._bases.items()])))
-        return entries, list(map(tuple, self._shape.lifted[self._row_reps].tolist()))
+        return entries, tuple(map(tuple, self._shape.lifted[self._row_reps].tolist()))
 
     def _orbit_entries(self) -> tuple[np.ndarray, ...]:
         """The arrays of :meth:`rows` while every orbit block is PSD."""

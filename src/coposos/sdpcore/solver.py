@@ -46,7 +46,9 @@ Search directions come from a Schur-complement solve.  The cone blocks
 are grouped by side, a NONNEG(k) block counting as k PSD(1) blocks, and
 every cone operation runs once per group on stacked (nblk, k, k) arrays,
 gathered from an svec vector by one ``take`` and scattered back by
-another; on the side-1 group the operations are elementwise.
+another; on the side-1 group the operations are elementwise.  An LP, every
+block NONNEG or PSD(1), skips both: its one group is the svec vector itself.
+Each Nesterov-Todd scaling carries the constants the cone operations read.
 The constraint rows stay block-sparse (Fujisawa, Kojima and Nakata 1997,
 Math. Program. 79): each touches only a few blocks, so each iteration
 scales only the k x k pieces of the (row, block) pairs that touch, forms
@@ -74,6 +76,7 @@ cone operations are reported in ``diagnostics["timings"]``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from time import perf_counter
 from types import SimpleNamespace
@@ -90,6 +93,12 @@ _MIN_STEP = 1e-9
 _KEPT_SETUP_BYTES = 4 << 20
 
 
+# one group's Nesterov-Todd scaling: W and the eigenvalues lam of the scaled
+# point, with the constants the cone operations read, each formed once:
+# (lam_i + lam_j) / 2, lam^2, 1 / sqrt(lam) and, on side 1 only, w^2 (else None)
+_Scaling = namedtuple("_Scaling", "w lam half_sum lam_sq root w_sq")
+
+
 class _Cone:
     """Cone operations on svec vectors, run once per group of equal-side
     blocks on stacked (nblk, k, k) arrays.  A NONNEG(k) block joins the
@@ -97,8 +106,8 @@ class _Cone:
     elementwise.  The stacks of all groups lie end to end in one stacked
     vector, so a conversion between it and svec is one gather: each stacked
     entry knows its svec position and scale, and each svec entry its stacked
-    position.  Per-iteration state is one Nesterov-Todd scaling (w, lam) per
-    group: W and the eigenvalues lam of the scaled point."""
+    position; when every block is diagonal (NONNEG or PSD(1)) both are
+    reshapes.  Per-iteration state is one ``_Scaling`` per group."""
 
     def __init__(self, sdp: BlockSdp):
         sides: dict = {}
@@ -126,24 +135,30 @@ class _Cone:
             start += nblk * k * k
             self.groups.append((k, nblk, cols))
         self.stack_at, self.stack_scale = np.concatenate(stack_at), np.concatenate(stack_scale)
+        self.eyes = [np.eye(k) for k, _, _ in self.groups]
+        self.diagonal = list(sides) == [1]  # x / 1.0 and x * 1.0 are exact
         self.dim = sdp.dim
         self.degree = sum(blk.size for blk in sdp.blocks)  # barrier degree
 
     def stacks(self, v: np.ndarray) -> list:
         """(..., dim) svec vectors -> one (..., nblk, k, k) stack per group."""
         lead = v.shape[:-1]
+        if self.diagonal:
+            return [v.reshape(lead + (-1, 1, 1))]
         vals = v.take(self.stack_at, axis=-1) / self.stack_scale
         return [vals[..., span].reshape(lead + shape) for span, shape in self.spans]
 
     def flat(self, stacks: list) -> np.ndarray:
         """Inverse of :meth:`stacks`."""
         lead = stacks[0].shape[:-3]
+        if self.diagonal:
+            return stacks[0].reshape(lead + (-1,))
         vals = np.concatenate([st.reshape(lead + (-1,)) for st in stacks], axis=-1)
         return vals.take(self.flat_at, axis=-1) * self.flat_scale
 
     def identity(self) -> np.ndarray:
         eyes = [np.broadcast_to(np.eye(k), (nblk, k, k)) for k, nblk, _ in self.groups]
-        return self.flat(eyes)
+        return np.ascontiguousarray(self.flat(eyes))  # a diagonal cone's is a view
 
     def scaling(self, x: np.ndarray, s: np.ndarray) -> list:
         """W = Lx V diag(sig)^-1/2 from the SVD Ls^T Lx = U diag(sig) V^T of
@@ -151,7 +166,7 @@ class _Cone:
         matrix is its own SVD and its square root its Cholesky factor; like
         LAPACK, the side-1 group raises LinAlgError on an entry not > 0."""
         sc = []
-        for xs in self.stacks(np.stack([x, s])):
+        for xs in self.stacks(np.array([x, s])):
             if xs.shape[-1] == 1:
                 if not np.all(xs > 0):
                     raise np.linalg.LinAlgError("entry not positive")
@@ -162,26 +177,26 @@ class _Cone:
                 _, sig, vt = np.linalg.svd(ls.swapaxes(-1, -2) @ lx)
                 w = lx @ vt.swapaxes(-1, -2)
             sig = np.maximum(sig, 1e-300)
-            sc.append((w * sig[:, None, :] ** -0.5, sig))
+            w = w * sig[:, None, :] ** -0.5
+            sc.append(_Scaling(w, sig, 0.5 * (sig[:, :, None] + sig[:, None, :]), sig**2,
+                               1.0 / np.sqrt(sig), w * w if xs.shape[-1] == 1 else None))
         return sc
 
     def congruence(self, sc: list, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """W^T V W per block of (..., dim) svec vectors, or W V W^T if
         ``adjoint``.  Side-1 blocks scale elementwise by w^2."""
         out = []
-        for (w, _), mats in zip(sc, self.stacks(v)):
-            if w.shape[-1] == 1:
-                out.append(w * w * mats)
+        for g, mats in zip(sc, self.stacks(v)):
+            if g.w_sq is not None:
+                out.append(g.w_sq * mats)
             else:
-                if adjoint:
-                    w = w.swapaxes(-1, -2)
+                w = g.w.swapaxes(-1, -2) if adjoint else g.w
                 out.append(w.swapaxes(-1, -2) @ mats @ w)
         return self.flat(out)
 
     def jordan_solve(self, sc: list, rhs: list) -> np.ndarray:
         """Solve lam o U = RHS in scaled coordinates (lam is diagonal)."""
-        denoms = [0.5 * (lam[:, :, None] + lam[:, None, :]) for _, lam in sc]
-        return self.flat([r / d for r, d in zip(rhs, denoms)])
+        return self.flat([r / g.half_sum for r, g in zip(rhs, sc)])
 
     def jordan_product(self, u: np.ndarray, v: np.ndarray) -> list:
         """Symmetrized product of two scaled-space vectors, per group; on
@@ -197,16 +212,15 @@ class _Cone:
 
     def comp_rhs(self, sc: list, sigma_mu: float, corr: list | None) -> list:
         """sigma*mu*e - lam o lam - corr, per group, in scaled coordinates."""
-        rhs = [(sigma_mu - lam**2)[:, :, None] * np.eye(lam.shape[1]) for _, lam in sc]
+        rhs = [(sigma_mu - g.lam_sq)[:, :, None] * eye for g, eye in zip(sc, self.eyes)]
         return rhs if corr is None else [r - q for r, q in zip(rhs, corr)]
 
     def max_step(self, sc: list, *directions: np.ndarray) -> float:
         """sup alpha with lam + alpha * d in the cone for every scaled-space
         direction d."""
         least = np.inf
-        for (_, lam), dm in zip(sc, self.stacks(np.stack(directions))):
-            root = 1.0 / np.sqrt(lam)
-            least = min(least, _least_eig(dm * root[:, :, None] * root[:, None, :]))
+        for g, dm in zip(sc, self.stacks(np.array(directions))):
+            least = min(least, _least_eig(dm * g.root[:, :, None] * g.root[:, None, :]))
         return -1.0 / least if least < 0 else np.inf
 
     def min_eig(self, v: np.ndarray) -> float:
@@ -283,12 +297,11 @@ class _Rows:
         matrix, scattered in from one small Gram matrix per block."""
         scaled = []
         for g, sel, piece in self.parts:
-            w = sc[g][0]
             if sel is None:
-                w = w[:, None]
+                w = sc[g].w[:, None]
                 scaled.append(svec(w.swapaxes(-1, -2) @ piece @ w))
             else:  # a side-1 entry scales by the w^2 of its column
-                scaled.append(piece * w[sel, 0, 0] ** 2)
+                scaled.append(piece * sc[g].w_sq[sel, 0, 0])
         grams = [(s @ s.swapaxes(-1, -2)).ravel() for s in scaled]
         m = self.shape[0]
         k_mat = np.bincount(self.k_idx, np.concatenate(grams), minlength=m * m)
@@ -310,13 +323,13 @@ class _Setup:
         self.first = None
         self.nbytes = self.rows.nbytes + sum(v.nbytes for v in (
             self.start, cone.stack_at, cone.stack_scale, cone.flat_at, cone.flat_scale,
-            *(cols for _, _, cols in cone.groups)))
+            *cone.eyes, *(cols for _, _, cols in cone.groups)))
 
     def keep_first(self, first: tuple) -> None:
         """Keep (sc, abar, K, factor, cbar, ahc, u_g, proj_resid) if it fits
         the budget beside the rest; abar's indices are the rows'."""
         sc, abar, *arrays = first
-        arrays += [v for pair in sc for v in pair] + [abar.vals]
+        arrays += [v for g in sc for v in g if v is not None] + [abar.vals]
         nbytes = self.nbytes + sum(v.nbytes for v in arrays)
         if nbytes <= _KEPT_SETUP_BYTES:
             for v in arrays:  # shared: never written
@@ -330,6 +343,11 @@ def _lapack():
     from scipy.linalg import lapack
 
     return lapack
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a contiguous 1-D float vector, as ``np.linalg.norm`` computes it."""
+    return float(np.sqrt(v.dot(v)))
 
 
 def _chol_with_regularization(k_mat: np.ndarray):
@@ -364,14 +382,14 @@ def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray):
         return rhs.copy()
     u = _lapack().dpotrs(factor, rhs, lower=1)[0]
     resid = rhs - k_mat @ u
-    norm = float(np.sqrt(resid.dot(resid)))
-    target = 1e-13 * (float(np.sqrt(rhs.dot(rhs))) + 1.0)
+    norm = _norm(resid)
+    target = 1e-13 * (_norm(rhs) + 1.0)
     for _ in range(5):
         if norm <= target:
             break
         trial = u + _lapack().dpotrs(factor, resid, lower=1)[0]
         trial_resid = rhs - k_mat @ trial
-        trial_norm = float(np.sqrt(trial_resid.dot(trial_resid)))
+        trial_norm = _norm(trial_resid)
         if trial_norm < norm:
             u, resid = trial, trial_resid
         if not trial_norm <= 0.5 * norm:
@@ -447,8 +465,8 @@ def solve(
     tau = 1.0
     kappa = 1.0
 
-    norm_b = 1.0 + float(np.linalg.norm(b))
-    norm_c = 1.0 + float(np.linalg.norm(c))
+    norm_b = 1.0 + _norm(b)
+    norm_c = 1.0 + _norm(c)
     # min 0: every feasible x is optimal, and the zero dual certifies it
     feasibility = not c.any()
 
@@ -471,7 +489,7 @@ def solve(
         u = refined_solve(factor, k_mat, resid)
         corrected = xhat - cone.congruence(sc, abar.tdot(u), True)
         new = a.dot(corrected) - b
-        if np.linalg.norm(new) < np.linalg.norm(resid) and cone.min_eig(corrected) >= 0.0:
+        if _norm(new) < _norm(resid) and cone.min_eig(corrected) >= 0.0:
             return corrected, new
         return xhat, resid
 
@@ -483,12 +501,12 @@ def solve(
         else:
             yhat = y / tau
             shat = s / tau
-            dres = float(np.linalg.norm(aty / tau + shat - c)) / norm_c
+            dres = _norm(aty / tau + shat - c) / norm_c
         if dres <= feastol:
             # the polish leaves (y, s) alone, so only a point that can be
             # accepted is worth polishing
             xhat, resid = polish_primal(xhat, resid)
-        pres = float(np.linalg.norm(resid)) / norm_b
+        pres = _norm(resid) / norm_b
         pobj = float(c @ xhat)
         dobj = float(b @ yhat)
         # honest gap: x.s unclamped, and the objective gap it stands for
@@ -539,7 +557,7 @@ def solve(
             return report(SdpStatus.OPTIMAL, iteration, point)
 
         bty, ctx = float(b @ y), float(c @ x)
-        if bty > 0 and (feasibility or float(np.linalg.norm(aty + s)) / bty <= eps):
+        if bty > 0 and (feasibility or _norm(aty + s) / bty <= eps):
             # the ray's exact slack; the norm test bounds its least eigenvalue
             # by -eps, and a feasibility problem tests that eigenvalue itself
             slack = -aty / bty
@@ -547,7 +565,7 @@ def solve(
             if qual <= eps or not feasibility:
                 return ray(SdpStatus.PRIMAL_INFEASIBLE, iteration, qual,
                            "dual improving ray found", y=y / bty, s_blocks=sdp.unpack(slack))
-        if ctx < 0 and (qual := float(np.linalg.norm(ax)) / (-ctx)) <= eps:
+        if ctx < 0 and (qual := _norm(ax) / (-ctx)) <= eps:
             return ray(SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED, iteration, qual,
                        "primal improving ray found", x_blocks=sdp.unpack(x / (-ctx)))
 

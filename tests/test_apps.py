@@ -110,6 +110,33 @@ class TestGraphBasics:
             parse_dimacs(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text,message", [
+        ("p edge 0 0", "line 1 'p edge 0 0': graph needs at least one vertex"),
+        ("c none\np edge -2 0\n", "line 2 'p edge -2 0': graph needs at least one vertex"),
+    ])
+    def test_dimacs_names_a_problem_line_without_vertices(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("weights,message", [
+        ("[true, 1]", "weights[0]: True is not a rational weight"),
+        ("[1, null]", "weights[1]: None is not a rational weight"),
+        ("[[1], 1]", "weights[0]: [1] is not a rational weight"),
+        ("[1e400, 1]", "weights[0]: inf is not a rational weight"),
+        ("[NaN, 1]", "weights[0]: nan is not a rational weight"),
+        ('[1, "1/0"]', "weights[1]: '1/0' is not a rational weight"),
+        ('["one", 1]', "weights[0]: 'one' is not a rational weight"),
+    ])
+    def test_json_graph_names_the_faulty_weight(self, weights, message):
+        with pytest.raises(ValueError) as err:
+            parse_graph_json('{"n": 2, "edges": [[0, 1]], "weights": %s}' % weights)
+        assert str(err.value) == message
+
+    def test_json_weights_are_numbers_or_rational_strings(self):
+        g = parse_graph_json('{"n": 3, "edges": [[0, 1]], "weights": [2, 0.5, "1/3"]}')
+        assert g.weights == (2, Fraction(1, 2), Fraction(1, 3))
+
 
 class TestStabilityMatrix:
     def test_unweighted_c5_is_adjacency_plus_identity(self):

@@ -361,6 +361,33 @@ class TestMembershipFamily:
             assert got.iterations == want.iterations
             assert _solution_bytes(got) == _solution_bytes(want)
 
+    def test_a_kept_first_step_counts_its_scaling_constants(self):
+        cones._membership_family.cache_clear()
+        sdp = build_membership(SymMatrix.identity(6), 1, ConeKind.Q).sdp
+        solve(sdp, max_iter=1)
+        kept = sdp.coo.setup
+        sc = kept.first[0]
+        assert {g.w_sq is None for g in sc} == {True, False}  # PSD and side-1 groups
+        consts = [v for g in sc for v in g if v is not None]
+        assert not any(v.flags.writeable for v in consts)
+        assert kept.nbytes == _array_bytes(kept) > solver._Setup(sdp).nbytes + sum(
+            v.nbytes for v in consts)
+
+    # the membership families of the benchmark's member corpus: (kind, n, r)
+    @pytest.mark.parametrize("kind,n,r", [
+        ("K", 5, 0), ("K", 5, 1), ("K", 6, 0), ("K", 6, 1), ("K", 8, 0),
+        ("Q", 6, 0), ("Q", 6, 1), ("Q", 6, 2), ("Q", 7, 1), ("Q", 8, 0),
+        ("Q", 8, 1), ("Q", 8, 2), ("Q", 10, 0), ("Q", 10, 1),
+    ])
+    def test_each_benchmark_family_keeps_its_first_step(self, kind, n, r):
+        # Q n=8 r=2 is the largest: 4,100,392 of the 4,194,304 bytes
+        cones._membership_family.cache_clear()
+        sdp = build_membership(SymMatrix.identity(n), r, ConeKind(kind)).sdp
+        solve(sdp, max_iter=1)
+        kept = sdp.coo.setup
+        assert kept is not None and kept.first is not None
+        assert kept.nbytes <= solver._KEPT_SETUP_BYTES
+
     def test_builder_builds_again_only_after_new_rows(self):
         builder = SdpBuilder([psd_block(2)])
         builder.add_rows([0, 1], 0, [0, 1], [1, 1], [0.5, 1.0], [1.0, 0.0])

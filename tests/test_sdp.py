@@ -678,6 +678,58 @@ def test_stacks_and_flat_match_per_block_smat_and_svec(case):
         assert np.all(np.abs(got - v) <= np.spacing(np.abs(v)))
 
 
+_DIAGONAL_BLOCKS = [nonneg_block(3), psd_block(1), nonneg_block(2), psd_block(1)]
+
+
+@pytest.mark.parametrize("case", ["diagonal", "C7-K-r0", "mixed"])
+def test_diagonal_cones_skip_the_gathers_bit_for_bit(monkeypatch, case):
+    # every block NONNEG or PSD(1): the one side-1 group is the svec vector
+    # itself with scales 1.0, so both conversions are reshapes, and a solve
+    # through the gathers must land on the same bytes
+    if case == "C7-K-r0":  # K^(0) of C7 after diagonalisation: an LP
+        sdp = stability_bound(cycle_graph(7), 0, ConeKind.K).relaxation.sdp
+    else:
+        blocks = _DIAGONAL_BLOCKS if case == "diagonal" else _MIXED_BLOCKS
+        sdp, _ = _planted_instance(np.random.default_rng(29), blocks, m=4)
+    diagonal = all(b.kind == "nonneg" or b.size == 1 for b in sdp.blocks)
+    assert diagonal == (case != "mixed")
+    cone = _Cone(sdp)
+    assert cone.diagonal == diagonal
+    v = np.random.default_rng(31).normal(size=(2, sdp.dim))
+    assert np.shares_memory(cone.stacks(v)[0], v) == diagonal
+    want = solve(sdp)
+    init = _Cone.__init__
+
+    def gathered(self, sdp):
+        init(self, sdp)
+        self.diagonal = False
+
+    monkeypatch.setattr(_Cone, "__init__", gathered)
+    assert not _Cone(sdp).diagonal
+    got = solve(sdp)
+    assert got.status == want.status == SdpStatus.OPTIMAL
+    assert got.iterations == want.iterations
+    for mine, theirs in zip((*got.x_blocks, got.y, *got.s_blocks),
+                            (*want.x_blocks, want.y, *want.s_blocks)):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def test_a_scaling_carries_its_constants_bit_for_bit():
+    # the constants every cone operation reads are those of the scaling
+    sdp, _ = _planted_instance(np.random.default_rng(37), _MIXED_BLOCKS, m=4)
+    cone = _Cone(sdp)
+    x, s = (cone.identity() + 0.25 * np.abs(v) for v in np.random.default_rng(41).normal(
+        size=(2, sdp.dim)))
+    for (k, _, _), eye, g in zip(cone.groups, cone.eyes, cone.scaling(x, s)):
+        assert isinstance(g, solver._Scaling) and np.array_equal(eye, np.eye(k))
+        lam = g.lam
+        assert np.array_equal(g.half_sum, 0.5 * (lam[:, :, None] + lam[:, None, :]))
+        assert np.array_equal(g.lam_sq, lam**2) and np.array_equal(g.root, 1.0 / np.sqrt(lam))
+        assert (g.w_sq is None) == (k > 1)
+        if k == 1:
+            assert np.array_equal(g.w_sq, g.w**2)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, "psd"])
 def test_scaling_raises_when_the_iterate_leaves_the_cone(bad):
     dim = sum(b.vec_dim for b in _MIXED_BLOCKS)
