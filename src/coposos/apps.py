@@ -72,9 +72,10 @@ class Graph:
         else:
             w = tuple(Fraction(v) for v in weights)
             if len(w) != n:
-                raise ValueError("one weight per vertex is required")
-            if any(v <= 0 for v in w):
-                raise ValueError("weights must be positive")
+                raise ValueError(f"{len(w)} weights for {n} vertices")
+            for k, v in enumerate(w):
+                if v <= 0:
+                    raise ValueError(f"weights[{k}]: {v} is not positive")
         symmetry = tuple(tuple(int(v) for v in g) for g in symmetry)
         for g in symmetry:
             if sorted(g) != list(range(n)) or any(w[g[i]] != w[i] for i in range(n)):

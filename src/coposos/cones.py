@@ -30,7 +30,7 @@ At level 0 both families coincide with the cone of matrices decomposable as
 A certificate has one shape for both kinds, Gram blocks plus scalars
 (:class:`GramShape`, cached per (n, r, kind)); it is the only place that
 knows how K and Q differ, holding each slot's exponent signature, the
-padding and diagonal slots and the lift-table row of every entry (see
+diagonal slots and the lift-table row of every entry (see
 :func:`coposos.polycore.lift_table`).  :class:`GramLayout` is the one owner
 of the SDP's Gram structure: its blocks, the rows matching lifted
 coefficients and the extraction of a certificate from a solution.  A
@@ -38,9 +38,9 @@ layout is immutable, built once per (n, r, kind, symmetry)
 (:meth:`GramLayout.shared`).  Its rows are flat arrays (row, block, i, j,
 weight), blocks numbered from 0, that go to
 :meth:`coposos.sdpcore.SdpBuilder.add_rows` whole, with the right-hand
-sides and each row's monomial as its label.  The membership SDP here,
-every cone constraint of a :mod:`coposos.relax` relaxation and its
-interior seed are built from them.  The exact audit
+sides and each row's monomial as its label.  The membership SDP here and
+every cone constraint of a :mod:`coposos.relax` relaxation are built from
+them.  The exact audit
 (:func:`validate_certificate`) re-expands a certificate from its shape
 alone.  Lifts and audits run on Python-integer numerators: certificate
 entries enter as exact dyadic integers.
@@ -113,16 +113,13 @@ class GramShape:
     classes of two or more monomials, the cells the singleton classes.  kind
     Q: slot b*n + i is x_i in the block of degree-r monomial tau_b, key
     [tau_b, e_i]; slot nb + t is the scalar of lift-table row t, key
-    [delta_t, 0].  ``pad[tau, i]`` is the slot padding x_i at degree-r
-    monomial tau (K: tau + 2e_i), ``diag[t]`` the slot keyed [delta_t, 0].
+    [delta_t, 0].  ``diag[t]`` is the slot keyed [delta_t, 0], whose diagonal
+    entry adds to row t.
     Every entry of every block and cell, row-major by block, is entry
     (``si``, ``sj``) of block ``blk`` (index :meth:`entry`); ``row`` is the
     lift-table row it adds to, the key sum [a, c] read as a/2 + c.
     ``lifted`` holds each row's lifted monomial (2 delta for K, delta for Q)
-    and ``weight`` its multinomial.  ``radius_div`` divides an interior
-    seed's shift b into the inner radius that
-    :func:`coposos.relax.build_interior_start` reports: the basis size for
-    K, 4n^2 for Q.
+    and ``weight`` its multinomial.
     """
 
     def __init__(self, n: int, r: int, kind: ConeKind):
@@ -135,8 +132,6 @@ class GramShape:
             self.slots = [c for c in classes if len(c) > 1] + [c for c in classes if len(c) == 1]
             self.nscalar = sum(len(c) == 1 for c in classes)
             self.key, self.lifted = row_key, 2 * exps
-            self.pad = table.target.diagonal(axis1=1, axis2=2)
-            self.radius_div = len(table.basis)
         else:
             taus = np.array(monomial_basis(n, r), dtype=np.intp)
             nb, self.nscalar = taus.size, len(exps)
@@ -144,8 +139,7 @@ class GramShape:
                           + [[nb + t] for t in range(len(exps))])
             eyes = np.tile(np.eye(n, dtype=np.intp), (len(taus), 1))
             self.key = np.vstack([np.hstack([np.repeat(taus, n, axis=0), eyes]), row_key])
-            self.lifted, self.pad = exps, np.arange(nb).reshape(-1, n)
-            self.radius_div = 4 * n * n
+            self.lifted = exps
         self.diag = monomial_positions(self.key, row_key)
         self.width = np.array([len(b) for b in self.slots])  # of every block and cell
         self.sides = self.width[: self.width.size - self.nscalar].tolist()
@@ -224,7 +218,14 @@ class SosCertificate:
         for key in ("kind", "r", "n", "gram_blocks", "scalars"):
             if key not in doc:
                 raise ValueError(f"certificate is missing the field {key!r}")
-        return cls(doc["kind"], int(doc["r"]), int(doc["n"]),
+        if doc["kind"] not in [k.value for k in ConeKind]:
+            raise ValueError(f"kind: {doc['kind']!r} is not a cone kind, K or Q")
+        for key, what, least in (("r", "level", 0), ("n", "variable count", 1)):
+            if type(doc[key]) is not int:  # a bool is not an integer here
+                raise ValueError(f"{key}: {doc[key]!r} is not an integer {what}")
+            if doc[key] < least:
+                raise ValueError(f"{key}: {doc[key]} is not a {what} >= {least}")
+        return cls(doc["kind"], doc["r"], doc["n"],
                    [np.array(b, dtype=float) for b in doc["gram_blocks"]],
                    np.array(doc["scalars"], dtype=float), doc.get("provenance", {}))
 
@@ -429,23 +430,6 @@ class GramLayout:
         label = self._label[self._rep]
         vals = (np.bincount(label, red) / np.bincount(label))[self._label]
         return _unflatten(vals, self._shape.sides)
-
-    def split(self, full) -> list[np.ndarray]:
-        """The SDP blocks of the Gram blocks and scalars ``full`` (as
-        :meth:`embed` returns them): the data averaged over the group, that
-        is each orbit's mean, at the representatives.  The inverse of
-        :meth:`embed` on invariant data."""
-        grams, scalars = full
-        vals = np.concatenate([np.asarray(g, dtype=float).ravel() for g in grams]
-                              + [np.asarray(scalars, dtype=float)])
-        red = (np.bincount(self._label, vals) / np.bincount(self._label))[
-            self._label[self._rep]
-        ]
-        reduced, rest = _unflatten(red, self._sides)
-        for b, (q, group, _, _) in self._bases.items():  # X's mean eigenvalue on each P_g
-            reduced[b] = (np.bincount(group, np.einsum("ij,ik,kj->j", q, reduced[b], q))
-                          / np.bincount(group))
-        return reduced + ([rest] if self._nscalar else [])
 
     def certificate(self, sol, first: int = 0, **provenance) -> SosCertificate:
         """The full certificate held in a solution's blocks from ``first``

@@ -7,13 +7,17 @@ boundary.  This makes identity tests (e.g. re-expanding a Gram certificate
 and comparing coefficients) fully reliable.
 
 The module also provides the monomial bases (the monomials of one exact
-degree in descending-lex order, cached tuples), multinomial coefficients,
-quadratic/quartic matrix forms and the two lift operations
+degree in descending-lex order, cached tuples), multinomial coefficients
+and the coefficient norm of the exact audit.  The quadratic and quartic
+matrix forms and the two lift operations on a :class:`Poly`
+(:func:`polya_lift`)
 
     LINEAR:     p  ->  (x_1 + ... + x_n)^r * p
     QUADRATIC:  p  ->  (x_1^2 + ... + x_n^2)^r * p
 
-used throughout the package, and the coefficient norm of the exact audit.
+are called by no code of the package: they are the reference route that
+the tests check :class:`LiftTable` against, and the benchmark tracer wraps
+them.
 
 A :class:`SymMatrix` is one array of Python-int numerators over one
 denominator.  Its arithmetic, the exact PSD test (fraction-free
@@ -295,9 +299,6 @@ class SymMatrix:
     def scale(self, c: RatLike) -> "SymMatrix":
         c = _rat(c)
         return SymMatrix(self.num * c.numerator, self.den * c.denominator)
-
-    def to_float(self) -> list[list[float]]:
-        return (self.num / self.den).tolist()
 
     def max_abs_entry(self) -> Fraction:
         return Fraction(max(map(abs, self.num.ravel().tolist()), default=0), self.den)

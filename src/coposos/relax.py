@@ -23,19 +23,15 @@ blocks, with the D columns of every row appended as arrays and labelled
 layout reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, and
 the trivial group otherwise.
 
-The module also owns the paper's sandwich.  A split
+The module also holds the paper's interior-point condition at the conic
+level: a strictly feasible ybar whose slack splits as
 sum_i ybar_i A_i - C = P + N  (P positive definite, N entrywise
-nonnegative) is searched for by :func:`check_intspn`, itself the Q^(0)
-relaxation of a one-variable program.  From such splits
-:func:`build_interior_start` builds an exactly feasible SDP point whose Gram
-part, in a certificate's blocks and scalars, is the multinomial-weighted
-padding of P - b*J plus a strictly positive diagonal carrying b*J + N, and
-audits it in the same pass: one :class:`SandwichReport` holds the seed, its
-equality residual and margins, and the inner and outer radii with
-log(R2/R1).  One seed serves both kinds: it reads the padding and diagonal
-slots of :class:`coposos.cones.GramShape`.  Last comes the value-preserving
-variable-boxing transform that appends the diagonal (2R -+ y_i) as one more
-cone constraint.
+nonnegative).  :func:`check_intspn` searches for such a split, itself the
+Q^(0) relaxation of a one-variable program, and returns it as an
+:class:`SpnWitness` whose :meth:`SpnWitness.check_exact` re-checks it in
+exact arithmetic.  Last comes the value-preserving variable-boxing
+transform that appends the diagonal (2R -+ y_i) as one more cone
+constraint.
 """
 
 from __future__ import annotations
@@ -46,8 +42,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import ConeKind, GramLayout, SosCertificate, gram_shape, validate_certificate
-from .polycore import SymMatrix, is_psd_exact, lift_table
+from .cones import ConeKind, GramLayout, SosCertificate, validate_certificate
+from .polycore import SymMatrix, is_psd_exact
 from .sdpcore import BlockSdp, SdpBuilder, SdpStatus, nonneg_block, solve
 
 
@@ -258,113 +254,6 @@ def _psd_shift(p: SymMatrix, d: SymMatrix, start: Fraction, tries: int) -> Fract
             return start
         start /= 2
     return None
-
-
-def _interior_seed(witness: SpnWitness, r: int, kind: ConeKind, b: Fraction):
-    """Exact Gram blocks and scalars of the seed, in the slots of
-    :class:`coposos.cones.GramShape`: P - bJ padded into the slots (tau, i)
-    with weight multinomial(tau), the lift of bJ + N on each row's diagonal
-    slot, and b/2n moved from that slot onto every padding diagonal that
-    lands on its row (for K the padding slots are the diagonal slots, so the
-    move cancels).  Each diagonal slot keeps at least b/2."""
-    n = witness.p_mat.n
-    table, shape = lift_table(n, r), gram_shape(n, r, kind)
-    p_b = [v for row in (witness.p_mat - SymMatrix.ones(n).scale(b)).rows for v in row]
-    vals = [Fraction(0)] * shape.blk.size
-    spots = shape.entry(shape.pad[:, :, None], shape.pad[:, None, :])  # (tau, i, j)
-    for weight, block in zip(table.weight, spots.reshape(len(spots), -1).tolist()):
-        for p, k in zip(p_b, block):
-            vals[k] += weight * p
-    diag = shape.entry(shape.diag, shape.diag).tolist()
-    lift, den = table.lift(SymMatrix.ones(n).scale(b) + witness.n_mat)
-    for k, c in zip(diag, lift.tolist()):
-        vals[k] += Fraction(c, den)
-    move = b / (2 * n)
-    pads = spots.diagonal(axis1=1, axis2=2).ravel()
-    for k, t in zip(pads.tolist(), shape.row[pads].tolist()):
-        vals[k] += move
-        vals[diag[t]] -= move
-    grams = [SymMatrix.from_rows(vals[o + a * k : o + a * k + k] for a in range(k))
-             for o, k in zip(shape.off.tolist(), shape.sides)]
-    return grams, vals[len(vals) - shape.nscalar :]
-
-
-@dataclass
-class SandwichReport:
-    """An interior seed ``x0_blocks`` of a relaxation, one block per SDP
-    block, with its shift ``b_shifts`` per constraint, and its audit: the
-    largest equality residual and its row, the least eigenvalue (PSD) or
-    entry (NONNEG) of each block and their minimum, the inner and outer
-    radii and log(R2/R1).  ``violations`` names every failed check."""
-
-    x0_blocks: list
-    b_shifts: list[Fraction]
-    eq_residual: float
-    worst_row: int
-    block_margins: list[float]
-    margin: float
-    inner_radius: float
-    outer_radius: float
-    log_ratio: float
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def build_interior_start(rel: RelaxationSdp, witnesses) -> SandwichReport:
-    """Exactly feasible point of the relaxation's SDP from per-constraint
-    P + N witnesses, one per constraint of ``rel.prog``, checked against
-    ``rel.sdp`` in the same pass.
-
-    All witnesses must share the same ybar.  The seed's blocks are those of
-    ``rel.sdp``, in its layouts.  The report flags an equality residual
-    above 1e-8 and a margin that is not positive; R1 <= R < 4R <= R2 holds
-    by construction.
-    """
-    prog, r, kind, big_r = rel.prog, rel.r, rel.kind, rel.box_bound
-    witnesses = list(witnesses)
-    if len(witnesses) != len(prog.constraints):
-        raise ValueError("one witness per cone constraint is required")
-    ybar = witnesses[0].ybar
-    if any(w.ybar != ybar for w in witnesses):
-        raise ValueError("witnesses disagree on ybar")
-    if any(abs(v) > 2 * big_r for v in ybar):
-        raise ValueError("ybar escapes the box [-2R, 2R]")
-
-    blocks, b_shifts, radii = [], [], []
-    for cons, layout, witness in zip(prog.constraints, rel.layouts, witnesses):
-        if not witness.check_exact(cons):
-            raise ValueError("witness fails its exact feasibility check")
-        # P - lb*I is PSD and J <= nI, so a shift lb/2^k with 2^k >= n is found
-        b = _psd_shift(witness.p_mat, SymMatrix.ones(cons.n), witness.lambda_min_lb / 2, 60)
-        b_shifts.append(b)
-        # folded onto the layout's blocks, the seed becomes principal
-        # submatrices of its group average: no smaller least eigenvalue
-        gram_blocks, scalars = _interior_seed(witness, r, kind, b)
-        blocks += layout.split(([g.to_float() for g in gram_blocks],
-                                [float(v) for v in scalars]))
-        radii.append(min(b / gram_shape(cons.n, r, kind).radius_div, big_r))
-    blocks.append(np.array([float(2 * big_r + s * yi) for yi in ybar for s in (1, -1)]))
-
-    frob = math.sqrt(sum(float(np.sum(np.square(blk))) for blk in blocks))
-    r1, r2 = float(min(radii)), max(10.0 * frob, 4.0 * float(big_r) * math.sqrt(2 * prog.m), 1.0)
-    x0 = rel.sdp.pack(blocks)
-    residuals = np.abs(rel.sdp.coo.dot(x0) - rel.sdp.b)
-    worst_row = int(np.argmax(residuals))
-    margins = rel.sdp.least_eigenvalues(x0)
-    eq_residual, margin = float(residuals[worst_row]), min(margins)
-    violations = []
-    if eq_residual > 1e-8:
-        violations.append(f"equality residual {eq_residual:.3e} exceeds 1.0e-08 "
-                          f"(row {worst_row})")
-    if margin <= 0:
-        violations.append(f"X0 is not in the cone interior (margin {margin:.3e})")
-    return SandwichReport(
-        x0_blocks=blocks, b_shifts=b_shifts, eq_residual=eq_residual, worst_row=worst_row,
-        block_margins=margins, margin=margin, inner_radius=r1, outer_radius=r2,
-        log_ratio=math.log(r2 / r1), violations=violations)
 
 
 # -- variable boxing at the conic level ---------------------------------------

@@ -200,14 +200,6 @@ class BlockSdp:
             raise ValueError("block values do not conform to the block pattern")
         return out
 
-    def least_eigenvalues(self, x: np.ndarray) -> list[float]:
-        """Least eigenvalue of each PSD block and least entry of each NONNEG
-        block of a flat svec vector, in block order."""
-        return [
-            float(np.linalg.eigvalsh(part)[0] if blk.kind == "psd" else np.min(part))
-            for blk, part in zip(self.blocks, self.unpack(x))
-        ]
-
 
 def _columns(entries):
     """(block, i, j, value) tuples as four columns."""

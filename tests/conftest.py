@@ -145,16 +145,6 @@ class DenseKLayout(GramLayout):
         return ([gram[np.ix_(c, c)] for c in classes if len(c) > 1],
                 np.array([gram[c[0], c[0]] for c in classes if len(c) == 1]))
 
-    def split(self, full):
-        grams, scalars = full
-        gram = np.zeros((len(self.basis), len(self.basis)))
-        classes = parity_classes(self.basis)
-        for c, block in zip([c for c in classes if len(c) > 1], grams):
-            gram[np.ix_(c, c)] = block
-        singles = [c[0] for c in classes if len(c) == 1]
-        gram[singles, singles] = scalars
-        return [gram]
-
 
 @contextlib.contextmanager
 def dense_k():
@@ -355,9 +345,6 @@ class FractionMatrix:
     def scale(self, c):
         c = Fraction(c)
         return FractionMatrix(self.n, tuple(tuple(c * v for v in row) for row in self.rows))
-
-    def to_float(self):
-        return [[float(v) for v in row] for row in self.rows]
 
     def max_abs_entry(self):
         return max((abs(v) for row in self.rows for v in row), default=Fraction(0))

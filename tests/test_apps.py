@@ -97,6 +97,7 @@ class TestGraphBasics:
         with pytest.raises(ValueError) as err:
             parse_graph_json(json.dumps(doc))
         assert str(err.value) == message
+
     @pytest.mark.parametrize("text,message", [
         # vertices and lines as the file numbers them, from 1
         ("p edge 3 1\ne 1 4\n", "line 2 'e 1 4': edge (1,4) out of range 1..3"),
@@ -127,6 +128,10 @@ class TestGraphBasics:
         ("[NaN, 1]", "weights[0]: nan is not a rational weight"),
         ('[1, "1/0"]', "weights[1]: '1/0' is not a rational weight"),
         ('["one", 1]', "weights[0]: 'one' is not a rational weight"),
+        ("[0, 1]", "weights[0]: 0 is not positive"),
+        ("[1, -0.5]", "weights[1]: -1/2 is not positive"),
+        ("[1e-400, 1]", "weights[0]: 0 is not positive"),  # reads as 0.0
+        ("[1, 2, 3]", "3 weights for 2 vertices"),
     ])
     def test_json_graph_names_the_faulty_weight(self, weights, message):
         with pytest.raises(ValueError) as err:
@@ -414,7 +419,7 @@ class TestChromatic:
 @pytest.mark.parametrize("call,message", [
     (lambda: Graph.make(0, []), "graph needs at least one vertex"),
     (lambda: Graph.make(3, [(0, 1), (0, 3)]), "edges[1]: edge (0,3) out of range 0..2"),
-    (lambda: Graph.make(3, [(0, 1)], weights=[1, 2]), "one weight per vertex is required"),
+    (lambda: Graph.make(3, [(0, 1)], weights=[1, 2]), "2 weights for 3 vertices"),
     (lambda: parse_dimacs("p edge 3\n"), "line 1 'p edge 3': bad problem line"),
     (lambda: parse_dimacs("p graph 3 1\n"), "line 1 'p graph 3 1': bad problem line"),
     (lambda: parse_dimacs("c no problem line\n"), "missing 'p edge' line"),

@@ -104,6 +104,15 @@ class TestEntryPoints:
         with pytest.raises(ValueError):
             build_membership(SymMatrix.identity(3), 0, "X")
 
+    @pytest.mark.parametrize("kind", list(ConeKind))
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_diagonal_slot_lands_on_its_row(self, kind, r):
+        # entry (diag[t], diag[t]) sits on a block's diagonal and adds to row t
+        shape = gram_shape(3, r, kind)
+        spots = shape.entry(shape.diag, shape.diag)
+        assert shape.si[spots].tolist() == shape.sj[spots].tolist() == shape.diag.tolist()
+        assert shape.row[spots].tolist() == list(range(len(shape.lifted)))
+
     @pytest.mark.parametrize("kind,r", [(ConeKind.K, 9), (ConeKind.Q, 19)])
     def test_weights_past_int64(self, kind, r):
         # K at r = 9 lifts to degree 22, Q at r = 19 to degree 21: 21! > 2^63
@@ -809,6 +818,28 @@ class TestSerialization:
             SosCertificate.from_text(json.dumps(doc))
         with pytest.raises(ValueError, match="^unrecognized certificate format$"):
             SosCertificate.from_text(json.dumps([doc]))  # not an object
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("r", 0.7, "r: 0.7 is not an integer level"),
+        ("r", True, "r: True is not an integer level"),
+        ("r", "1", "r: '1' is not an integer level"),
+        ("r", -1, "r: -1 is not a level >= 0"),
+        ("n", True, "n: True is not an integer variable count"),
+        ("n", 3.0, "n: 3.0 is not an integer variable count"),
+        ("n", 0, "n: 0 is not a variable count >= 1"),
+        ("kind", "X", "kind: 'X' is not a cone kind, K or Q"),
+        ("kind", None, "kind: None is not a cone kind, K or Q"),
+    ], ids=["r-float", "r-bool", "r-string", "r-negative", "n-bool", "n-float", "n-zero",
+            "kind-unknown", "kind-null"])
+    def test_bad_field_is_named(self, field, value, message):
+        # read as given: no coercion of 0.7 to level 0 or of true to n = 1
+        shape = gram_shape(3, 1, ConeKind.Q)
+        doc = json.loads(SosCertificate(ConeKind.Q, 1, 3, [np.eye(k) for k in shape.sides],
+                                        np.ones(shape.nscalar)).to_text())
+        doc[field] = value
+        with pytest.raises(ValueError) as err:
+            SosCertificate.from_text(json.dumps(doc))
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("call,message", [

@@ -205,15 +205,39 @@ def _uncalled(trees, checked):
     return sorted(out)
 
 
+def _uncalled_src(*folders):
+    """(path in the package, name, line) of every function and class of
+    ``src/`` that no module of ``src/`` or of the repository ``folders``
+    names."""
+    src = Path(coposos.__file__).resolve().parent
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for folder in (src, *(root / f for f in folders)) for p in folder.rglob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    return [(path.relative_to(src).as_posix(), name, line) for path, name, line
+            in _uncalled(trees, [path for path in paths if path.is_relative_to(src)])]
+
+
 def test_every_function_and_class_has_a_caller():
     # code that nothing in src/, tests/ or bench/ names is dead; the bench
     # tracer names the functions it wraps in strings
-    src = Path(coposos.__file__).resolve().parent
-    root = Path(__file__).resolve().parents[1]
-    paths = [p for folder in (src, root / "tests", root / "bench") for p in folder.rglob("*.py")]
-    trees = {path: ast.parse(path.read_text()) for path in paths}
-    uncalled = _uncalled(trees, [path for path in paths if path.is_relative_to(src)])
-    assert [(path.relative_to(src).as_posix(), name, line) for path, name, line in uncalled] == []
+    assert _uncalled_src("tests", "bench") == []
+
+
+def test_test_only_code_is_pinned():
+    # src/ code that only tests call, pinned by name: a new entry is a
+    # decision to make here, to wire the code in or delete it
+    assert [(path, name) for path, name, _ in _uncalled_src("bench", "tools")] == [
+        ("apps.py", "adjacency"),  # Graph.adjacency
+        ("apps.py", "empty_graph"),
+        ("apps.py", "paley_graph"),
+        ("apps.py", "parse_graph"),
+        ("apps.py", "sqp_bound"),
+        ("cones.py", "from_text"),  # SosCertificate.from_text
+        ("cones.py", "to_text"),  # SosCertificate.to_text
+        ("polycore.py", "coeff"),  # Poly.coeff
+        ("polycore.py", "total_degree"),  # Poly.total_degree
+        ("sdpcore/model.py", "pack"),  # BlockSdp.pack
+    ]
 
 
 def test_uncalled_check_finds_one():

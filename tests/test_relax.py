@@ -7,15 +7,13 @@ import pytest
 
 from conftest import hand_built_intspn, planted_spn, random_symmetric
 from coposos import relax
-from coposos.cones import ConeKind, parity_classes
-from coposos.polycore import LiftKind, SymMatrix, lift_table, polya_lift, quadratic_form
+from coposos.cones import ConeKind
+from coposos.polycore import SymMatrix
 from coposos.relax import (
     ConeConstraint,
     ConicProgram,
     SpnRefusal,
     SpnWitness,
-    _interior_seed,
-    build_interior_start,
     build_relaxation_sdp,
     check_intspn,
     solve_relaxation,
@@ -51,6 +49,16 @@ class TestBuilders:
         assert res.status == SdpStatus.OPTIMAL
         assert abs(res.value - (-0.5)) <= 1e-5
         assert abs(res.y[0] - (-0.5)) <= 1e-5
+
+    def test_sqp_identity3_value(self):
+        # at lambda = 2 the slack I + 2J splits exactly as P = I plus N = 2J
+        prog = sqp_like_program(SymMatrix.identity(3))
+        w = SpnWitness((Fraction(2),), SymMatrix.identity(3), SymMatrix.ones(3).scale(2),
+                       Fraction(1))
+        assert w.check_exact(prog.constraints[0])
+        res = solve_relaxation(prog, 0, ConeKind.K, 10)
+        assert res.status == SdpStatus.OPTIMAL
+        assert abs(res.value - (-1 / 3)) <= 1e-5
 
     def test_box_exclusion_is_infeasible(self):
         # lambda * I - 3I in SPN requires lambda >= 3; box R=1 caps at 2
@@ -158,11 +166,14 @@ class TestIntSpn:
             prog = ConicProgram.make([0], [(3, [SymMatrix.zero(3)], m.scale(-1))])
             w = check_intspn(prog.constraints[0], [0])
             assert isinstance(w, SpnWitness)
-            planted_min = float(np.linalg.eigvalsh(np.array(p.to_float()))[0])
+            planted_min = float(np.linalg.eigvalsh((p.num / p.den).astype(float))[0])
             # the auxiliary maximization can only beat the planted split
             assert float(w.lambda_min_lb) >= 0.9 * planted_min - 1e-6
             sol_quality = w.lambda_min_lb
             assert sol_quality > 0
+            # the SQP form min { lam : M + lam J in COP } splits at lam = max|M_ij| + 1
+            cons = sqp_like_program(m).constraints[0]
+            assert isinstance(check_intspn(cons, [m.max_abs_entry() + 1]), SpnWitness)
 
 
 def _searched_split(monkeypatch, cons):
@@ -212,103 +223,6 @@ class TestIntSpnOracle:
         # so |lam*| < R = n max|S_ij| + 1: strictly inside the box (-2R, 2R)
         _, lam, box = _searched_split(monkeypatch, cons)
         assert abs(lam) < box
-
-
-class TestInteriorStart:
-    def _witness_for_sqp_identity(self, n, lam_bar=2):
-        # slack at ybar = lam_bar: I + lam_bar * J = P + N with P = I
-        prog = sqp_like_program(SymMatrix.identity(n))
-        p = SymMatrix.identity(n)
-        nn = SymMatrix.ones(n).scale(lam_bar)
-        w = SpnWitness(
-            ybar=(Fraction(lam_bar),), p_mat=p, n_mat=nn, lambda_min_lb=Fraction(1)
-        )
-        assert w.check_exact(prog.constraints[0])
-        return prog, w
-
-    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
-    @pytest.mark.parametrize("r", [0, 1])
-    def test_seed_is_exactly_feasible(self, kind, r):
-        prog, w = self._witness_for_sqp_identity(3)
-        rel = build_relaxation_sdp(prog, r, kind, 10)
-        rep = build_interior_start(rel, [w])
-        assert rep.eq_residual <= 1e-10
-        assert rep.margin > 0
-
-    @pytest.mark.parametrize("n", [3, 5])
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    def test_k_seed_maps_onto_parity_blocks(self, n, r):
-        prog, w = self._witness_for_sqp_identity(n)
-        rel = build_relaxation_sdp(prog, r, ConeKind.K, 10)
-        rep = build_interior_start(rel, [w])
-        b = rep.b_shifts[0]
-        grams, scalars = _interior_seed(w, r, ConeKind.K, b)
-        # the seed as the dense padding over the whole basis: zero between
-        # parity classes, so the blocks and scalars hold all of it
-        table = lift_table(n, r)
-        p_b = (w.p_mat - SymMatrix.ones(n).scale(b)).rows
-        dense = [[Fraction(0)] * len(table.basis) for _ in table.basis]
-        for spots, weight in zip(table.target.diagonal(axis1=1, axis2=2).tolist(), table.weight):
-            for i, si in enumerate(spots):
-                for j, sj in enumerate(spots):
-                    dense[si][sj] += weight * p_b[i][j]
-        diag, den = table.lift(SymMatrix.ones(n).scale(b) + w.n_mat)
-        for t, c in enumerate(diag.tolist()):
-            dense[t][t] += Fraction(c, den)
-        classes = parity_classes(table.basis)
-        assert [g.rows for g in grams] == [tuple(tuple(dense[s][t] for t in c) for s in c)
-                                           for c in classes if len(c) > 1]
-        assert scalars == [dense[c[0]][c[0]] for c in classes if len(c) == 1]
-        where = {t: k for k, c in enumerate(classes) for t in c}
-        assert all(v == 0 for s, row in enumerate(dense) for t, v in enumerate(row)
-                   if where[s] != where[t])
-        layout = rel.layouts[0]
-        full = ([g.to_float() for g in grams], [float(v) for v in scalars])
-        again = layout.embed(layout.split(full))
-        assert [u.tolist() for u in again[0]] == full[0] and again[1].tolist() == full[1]
-        assert rep.ok
-        assert min(rep.block_margins[: rel.d_block]) >= rep.inner_radius
-
-    @pytest.mark.parametrize("n", [3, 5])
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    def test_q_seed_is_shifted_padding(self, n, r):
-        # blocks w_tau (P - bJ) + (b/2n) I; scalars the linear lift of
-        # bJ + N less b/2n per square x_i^2 dividing the monomial
-        prog, w = self._witness_for_sqp_identity(n)
-        rel = build_relaxation_sdp(prog, r, ConeKind.Q, 10)
-        rep = build_interior_start(rel, [w])
-        b = rep.b_shifts[0]
-        grams, scalars = _interior_seed(w, r, ConeKind.Q, b)
-        table = lift_table(n, r)
-        p_b = w.p_mat - SymMatrix.ones(n).scale(b)
-        shift = SymMatrix.identity(n).scale(b / (2 * n))
-        assert grams == [p_b.scale(weight) + shift for weight in table.weight]
-        lifted = polya_lift(quadratic_form(SymMatrix.ones(n).scale(b) + w.n_mat), r,
-                            LiftKind.LINEAR)
-        assert scalars == [lifted.coeff(gamma) - b / (2 * n) * sum(a >= 2 for a in gamma)
-                           for gamma in table.basis]
-        layout = rel.layouts[0]
-        full = ([g.to_float() for g in grams], [float(v) for v in scalars])
-        again = layout.embed(layout.split(full))
-        assert [u.tolist() for u in again[0]] == full[0] and again[1].tolist() == full[1]
-        assert rep.ok
-
-    def test_gram_margin_positive_on_corpus(self, rnd):
-        for _ in range(3):
-            m, p, nn, lb = planted_spn(rnd, 3)
-            prog = sqp_like_program(m)
-            lam_bar = m.max_abs_entry() + 1
-            w = check_intspn(prog.constraints[0], [lam_bar])
-            assert isinstance(w, SpnWitness)
-            rel = build_relaxation_sdp(prog, 0, ConeKind.K, float(lam_bar))
-            gram = build_interior_start(rel, [w]).x0_blocks[0]
-            assert float(np.linalg.eigvalsh(gram)[0]) > 0
-
-    def test_solve_relaxation_with_witness_reports_sandwich(self):
-        prog, w = self._witness_for_sqp_identity(3)
-        res = solve_relaxation(prog, 0, ConeKind.K, 10)
-        assert build_interior_start(res.relaxation, [w]).eq_residual <= 1e-10
-        assert res.status == SdpStatus.OPTIMAL
 
 
 class TestToBounded:
@@ -372,38 +286,14 @@ class TestToBounded:
         ]
 
 
-def _identity_split(ybar=2, lb=1):
-    """min lambda s.t. I + lambda J in cone on 3 variables, its level-0 K
-    relaxation with box 10, and the split I + ybar J at ybar with bound lb
-    (valid for lb <= 1)."""
-    prog = sqp_like_program(SymMatrix.identity(3))
-    rel = build_relaxation_sdp(prog, 0, ConeKind.K, 10)
-    return prog, rel, SpnWitness((Fraction(ybar),), SymMatrix.identity(3),
-                                 SymMatrix.ones(3).scale(ybar), Fraction(lb))
-
-
-def _disagreeing_witnesses():
-    prog, _, w = _identity_split()
-    boxed = build_relaxation_sdp(to_bounded(prog, 10), 0, ConeKind.K, 10)
-    return build_interior_start(boxed, [w, _identity_split(3)[2]])
-
-
 @pytest.mark.parametrize("call,message", [
     (lambda: ConeConstraint(3, (SymMatrix.identity(2),), SymMatrix.identity(3)),
      "constraint matrices have inconsistent dimensions"),
-    (lambda: build_relaxation_sdp(_identity_split()[0], 0, ConeKind.K, 0),
+    (lambda: build_relaxation_sdp(sqp_like_program(SymMatrix.identity(3)), 0, ConeKind.K, 0),
      "box bound must be positive"),
-    (lambda: to_bounded(_identity_split()[0], Fraction(-1, 2)), "box bound must be positive"),
-    (lambda: build_interior_start(_identity_split()[1], []),
-     "one witness per cone constraint is required"),
-    (_disagreeing_witnesses, "witnesses disagree on ybar"),
-    (lambda: build_interior_start(_identity_split()[1], [_identity_split(21)[2]]),
-     "ybar escapes the box [-2R, 2R]"),
-    # lambda_min(P) = 1, so P - 2I is not PSD
-    (lambda: build_interior_start(_identity_split()[1], [_identity_split(lb=2)[2]]),
-     "witness fails its exact feasibility check"),
-], ids=["dimensions", "relaxation-box", "bounded-box", "witness-count", "ybar-disagree",
-        "ybar-box", "witness-invalid"])
+    (lambda: to_bounded(sqp_like_program(SymMatrix.identity(3)), Fraction(-1, 2)),
+     "box bound must be positive"),
+], ids=["dimensions", "relaxation-box", "bounded-box"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
         call()

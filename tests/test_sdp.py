@@ -27,8 +27,6 @@ from coposos.cones import ConeKind, Verdict, build_K_membership, decide_membersh
 from coposos.polycore import SymMatrix
 from coposos.relax import (
     ConicProgram,
-    SpnWitness,
-    build_interior_start,
     build_relaxation_sdp,
     solve_relaxation,
     to_bounded,
@@ -148,7 +146,7 @@ def test_infeasibility_ray_reports_its_exact_slack(seed, objective):
     assert abs(sdp.b @ sol.y - 1.0) <= 1e-12
     slack = sdp.pack(sol.s_blocks)
     assert np.max(np.abs(sdp.A.T @ sol.y + slack)) <= 1e-12
-    quality, least = sol.diagnostics["ray_quality"], min(sdp.least_eigenvalues(slack))
+    quality, least = sol.diagnostics["ray_quality"], _least_eigenvalue(sdp, sdp.unpack(slack))
     assert 0.0 <= quality <= 1e-8
     assert least >= -quality
     assert quality == pytest.approx(max(0.0, -least), abs=1e-12)
@@ -447,8 +445,8 @@ def test_export_parse_roundtrip():
 
 
 def test_no_solve_path_reads_a_dense_a(monkeypatch):
-    # A stays in triplets from the builder to the solver, the interior
-    # seed's audit and the exchange format; only tests read the dense view
+    # A stays in triplets from the builder to the solver and the exchange
+    # format; only tests read the dense view
     def dense_view(self):
         raise AssertionError("dense A read")
 
@@ -461,13 +459,9 @@ def test_no_solve_path_reads_a_dense_a(monkeypatch):
     # no witness split: the split is searched for by check_intspn
     res = sqp_reciprocal_bound(stability_qp_matrix(cycle_graph(5)), 0, ConeKind.K)
     assert res.status == SdpStatus.OPTIMAL
-    # min lambda s.t. I + lambda J in K^(0); at lambda = 2 the slack splits
-    # as P = I plus N = 2J
+    # min lambda s.t. I + lambda J in K^(0)
     prog = ConicProgram.make([1], [(3, [SymMatrix.ones(3)], SymMatrix.identity(3).scale(-1))])
-    witness = SpnWitness((Fraction(2),), SymMatrix.identity(3), SymMatrix.ones(3).scale(2),
-                         Fraction(1))
     res = solve_relaxation(prog, 0, ConeKind.K, 10)
-    assert build_interior_start(res.relaxation, [witness]).ok
     assert res.status == SdpStatus.OPTIMAL
     back = parse_sparse(export_sparse(res.relaxation.sdp))
     assert back.num_constraints == res.relaxation.sdp.num_constraints
@@ -528,57 +522,6 @@ def test_parsers_name_the_malformed_line(parse, text, line):
 def test_block_sdp_rejects_non_finite_data(text, name):
     with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
         parse_sparse(text)
-
-
-def _identity_sandwich():
-    # min lambda s.t. I + lambda J in Q^(0) on 3 variables; at lambda = 2 the
-    # slack splits as P = I plus N = 2J
-    prog = ConicProgram.make([1], [(3, [SymMatrix.ones(3)], SymMatrix.identity(3).scale(-1))])
-    witness = SpnWitness((Fraction(2),), SymMatrix.identity(3), SymMatrix.ones(3).scale(2),
-                         Fraction(1))
-    return build_relaxation_sdp(prog, 0, ConeKind.Q, 10), witness
-
-
-def test_sandwich_identity_point():
-    rel, witness = _identity_sandwich()
-    rep = build_interior_start(rel, [witness])
-    assert rep.ok and rep.violations == []
-    assert rep.eq_residual <= 1e-10
-    assert rep.margin == min(rep.block_margins) > 0
-    assert 0 < rep.inner_radius <= rep.outer_radius
-    assert rep.log_ratio == math.log(rep.outer_radius / rep.inner_radius)
-
-
-def test_sandwich_flags_violation(monkeypatch):
-    # Q^(0): one Gram block on x_0..x_2, then one scalar per lift-table row;
-    # scalar 3 is the diagonal slot of row 3, x_1^2, as is Gram entry (1, 1)
-    rel, witness = _identity_sandwich()
-    seed = relax._interior_seed
-
-    def off_by_half(*args):
-        grams, scalars = seed(*args)
-        return grams, scalars[:3] + [scalars[3] + Fraction(1, 2)] + scalars[4:]
-
-    monkeypatch.setattr(relax, "_interior_seed", off_by_half)
-    rep = build_interior_start(rel, [witness])
-    assert not rep.ok and rep.margin > 0
-    assert rep.eq_residual == pytest.approx(0.5)
-    assert rel.sdp.row_labels[rep.worst_row] == (0, (0, 2, 0))
-    assert rep.violations == [f"equality residual 5.000e-01 exceeds 1.0e-08 "
-                              f"(row {rep.worst_row})"]
-
-    def indefinite(*args):
-        # 4 moved from Gram entry (1, 1) onto the scalar of its row: every
-        # row still holds, and the Gram block has a negative diagonal
-        grams, scalars = seed(*args)
-        return ([grams[0] - SymMatrix.diag([0, 4, 0])],
-                scalars[:3] + [scalars[3] + 4] + scalars[4:])
-
-    monkeypatch.setattr(relax, "_interior_seed", indefinite)
-    rep = build_interior_start(rel, [witness])
-    assert not rep.ok and rep.eq_residual <= 1e-10
-    assert rep.margin == rep.block_margins[0] < 0
-    assert rep.violations == [f"X0 is not in the cone interior (margin {rep.margin:.3e})"]
 
 
 def _stability_relaxation_sdp(n, r, kind):

@@ -38,7 +38,6 @@ from coposos.relax import (
     ConeConstraint,
     ConicProgram,
     SpnWitness,
-    build_interior_start,
     build_relaxation_sdp,
     to_bounded,
 )
@@ -290,6 +289,24 @@ class TestReducedVsTrivial:
         assert abs(bound - full_bound) <= 1e-6
         assert all(rep.ok for rep in reduced.certificate_reports + full.certificate_reports)
 
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_s4_program_folds_onto_fewer_rows(self, kind, r):
+        # min lambda s.t. I + lambda J in COP is invariant under S_4; its
+        # slack at lambda = 2 splits as P = I + bump*E_11, N = 2J - bump*E_11,
+        # which S_4 fixes only when bump = 0
+        n = 4
+        prog = ConicProgram.make([1], [ConeConstraint(
+            n, (SymMatrix.ones(n),), SymMatrix.identity(n).scale(-1),
+            complete_graph(n).symmetry)])
+        for bump in (0, Fraction(1, 2)):
+            e11 = SymMatrix.diag([0, bump, 0, 0])
+            w = SpnWitness((Fraction(2),), SymMatrix.identity(n) + e11,
+                           SymMatrix.ones(n).scale(2) - e11, Fraction(1))
+            assert w.check_exact(prog.constraints[0])
+        assert build_relaxation_sdp(prog, r, kind, 10).sdp.num_constraints < build_relaxation_sdp(
+            _trivial(prog), r, kind, 10).sdp.num_constraints
+
     def test_c7_chromatic_never_confidently_off(self):
         # once INCONCLUSIVE after about 90 s on 3540 rows; chi(C7) = 3
         bound, res = chromatic_bound(cycle_graph(7), 0)
@@ -297,45 +314,6 @@ class TestReducedVsTrivial:
             assert abs(bound - 3.0) <= 1e-6
         if res.value is not None:
             assert all(rep.ok for rep in res.certificate_reports)
-
-
-class TestFoldAndExpand:
-    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    @pytest.mark.parametrize("bump", [0, Fraction(1, 2)])
-    def test_seed_folds_onto_reduced_blocks(self, kind, r, bump):
-        # slack I + 2J at ybar = 2 split as P = I + bump*E_11, N = 2J -
-        # bump*E_11; the program is invariant under S_4, the split is not
-        # when bump > 0, and the seed is folded onto the orbits by averaging
-        n = 4
-        prog = ConicProgram.make([1], [ConeConstraint(
-            n, (SymMatrix.ones(n),), SymMatrix.identity(n).scale(-1),
-            complete_graph(n).symmetry)])
-        e11 = SymMatrix.diag([0, bump, 0, 0])
-        w = SpnWitness((Fraction(2),), SymMatrix.identity(n) + e11,
-                       SymMatrix.ones(n).scale(2) - e11, Fraction(1))
-        assert w.check_exact(prog.constraints[0])
-        rel = build_relaxation_sdp(prog, r, kind, 10)
-        assert rel.sdp.num_constraints < build_relaxation_sdp(
-            _trivial(prog), r, kind, 10).sdp.num_constraints
-        rep = build_interior_start(rel, [w])
-        assert rep.ok and rep.eq_residual <= 1e-10
-        assert min(rep.block_margins[: rel.d_block]) >= rep.inner_radius
-
-    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
-    def test_embed_inverts_split_on_invariant_data(self, kind):
-        g = cycle_graph(6)
-        layout = build_relaxation_sdp(
-            sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 1, kind, 10
-        ).layouts[0]
-        rng = np.random.default_rng(3)
-        blocks = [rng.standard_normal((b.size, b.size)) if b.kind == "psd"
-                  else rng.standard_normal(b.size) for b in layout.blocks()]
-        full = layout.embed(blocks)  # invariant by construction
-        again = layout.embed(layout.split(full))
-        assert len(again[0]) == len(full[0])
-        assert all(np.allclose(u, v, atol=1e-12) for u, v in zip(again[0], full[0]))
-        assert np.allclose(again[1], full[1], atol=1e-12)
 
 
 def _psd_sides(sdp) -> list[int]:
@@ -381,6 +359,7 @@ class TestDiagonalised:
         with orbit_blocks():
             psd = stability_bound(cycle_graph(n), 0, ConeKind.K)
         assert _psd_sides(res.relaxation.sdp) == [] and _psd_sides(psd.relaxation.sdp) == [n]
+        assert [b.kind for b in res.relaxation.layouts[0].blocks()] == ["nonneg", "nonneg"]
         assert res.status == psd.status == SdpStatus.OPTIMAL
         assert abs(res.value - psd.value) <= 1e-7
         assert all(rep.ok for rep in res.certificate_reports + psd.certificate_reports)
@@ -395,24 +374,6 @@ class TestDiagonalised:
         cones._membership_family.cache_clear()
         with orbit_blocks():
             assert _digest(sdp) == _digest(_sdp_of(name))
-
-    def test_embed_and_split_invert_each_other(self):
-        g = cycle_graph(6)
-        layout = build_relaxation_sdp(
-            sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 0, ConeKind.K, 10
-        ).layouts[0]
-        assert [b.kind for b in layout.blocks()] == ["nonneg", "nonneg"]
-        rng = np.random.default_rng(5)
-        x = [rng.random(b.size) for b in layout.blocks()]
-        full = layout.embed(x)
-        assert all(np.allclose(u, v, atol=1e-12) for u, v in zip(layout.split(full), x))
-        with orbit_blocks():  # the same Gram point on the PSD orbit block
-            psd = build_relaxation_sdp(
-                sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 0, ConeKind.K, 10
-            ).layouts[0]
-        again = psd.embed(psd.split(full))
-        assert np.allclose(again[0][0], full[0][0], atol=1e-12)
-        assert np.allclose(again[1], full[1], atol=1e-12)
 
     def test_shared_layouts_share_their_reduction(self):
         gens = cycle_graph(8).symmetry
