@@ -171,9 +171,6 @@ class TestIntSpn:
             assert float(w.lambda_min_lb) >= 0.9 * planted_min - 1e-6
             sol_quality = w.lambda_min_lb
             assert sol_quality > 0
-            # the SQP form min { lam : M + lam J in COP } splits at lam = max|M_ij| + 1
-            cons = sqp_like_program(m).constraints[0]
-            assert isinstance(check_intspn(cons, [m.max_abs_entry() + 1]), SpnWitness)
 
 
 def _searched_split(monkeypatch, cons):
@@ -223,6 +220,24 @@ class TestIntSpnOracle:
         # so |lam*| < R = n max|S_ij| + 1: strictly inside the box (-2R, 2R)
         _, lam, box = _searched_split(monkeypatch, cons)
         assert abs(lam) < box
+
+
+class TestInteriorStart:
+    """Strict feasibility of the SQP form min { lam : M + lam J in COP }:
+    at lam = max|M_ij| + 1 its slack splits as P + N with P positive
+    definite, checked exactly."""
+
+    def test_gram_margin_positive_on_corpus(self, rnd):
+        for _ in range(3):
+            m, _, _, _ = planted_spn(rnd, 3)
+            cons = sqp_like_program(m).constraints[0]
+            lam_bar = m.max_abs_entry() + 1
+            w = check_intspn(cons, [lam_bar])
+            assert isinstance(w, SpnWitness)
+            assert w.ybar == (lam_bar,) and w.check_exact(cons)
+            assert w.lambda_min_lb > 0
+            p = (w.p_mat.num / w.p_mat.den).astype(float)
+            assert float(np.linalg.eigvalsh(p)[0]) >= float(w.lambda_min_lb) * (1 - 1e-12)
 
 
 class TestToBounded:

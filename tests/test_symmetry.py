@@ -4,6 +4,7 @@ values, and the per-component eigenvalue audit."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -289,24 +290,6 @@ class TestReducedVsTrivial:
         assert abs(bound - full_bound) <= 1e-6
         assert all(rep.ok for rep in reduced.certificate_reports + full.certificate_reports)
 
-    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    def test_s4_program_folds_onto_fewer_rows(self, kind, r):
-        # min lambda s.t. I + lambda J in COP is invariant under S_4; its
-        # slack at lambda = 2 splits as P = I + bump*E_11, N = 2J - bump*E_11,
-        # which S_4 fixes only when bump = 0
-        n = 4
-        prog = ConicProgram.make([1], [ConeConstraint(
-            n, (SymMatrix.ones(n),), SymMatrix.identity(n).scale(-1),
-            complete_graph(n).symmetry)])
-        for bump in (0, Fraction(1, 2)):
-            e11 = SymMatrix.diag([0, bump, 0, 0])
-            w = SpnWitness((Fraction(2),), SymMatrix.identity(n) + e11,
-                           SymMatrix.ones(n).scale(2) - e11, Fraction(1))
-            assert w.check_exact(prog.constraints[0])
-        assert build_relaxation_sdp(prog, r, kind, 10).sdp.num_constraints < build_relaxation_sdp(
-            _trivial(prog), r, kind, 10).sdp.num_constraints
-
     def test_c7_chromatic_never_confidently_off(self):
         # once INCONCLUSIVE after about 90 s on 3540 rows; chi(C7) = 3
         bound, res = chromatic_bound(cycle_graph(7), 0)
@@ -314,6 +297,41 @@ class TestReducedVsTrivial:
             assert abs(bound - 3.0) <= 1e-6
         if res.value is not None:
             assert all(rep.ok for rep in res.certificate_reports)
+
+
+def _folded(w: SpnWitness, perms) -> SpnWitness:
+    """``w`` with P and N averaged over the permutations ``perms``, a group."""
+    def mean(m: SymMatrix) -> SymMatrix:
+        n = m.n
+        return SymMatrix.from_rows([[sum(m.entry(g[i], g[j]) for g in perms) / len(perms)
+                                     for j in range(n)] for i in range(n)])
+    return SpnWitness(w.ybar, mean(w.p_mat), mean(w.n_mat), w.lambda_min_lb)
+
+
+class TestFoldAndExpand:
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("bump", [0, Fraction(1, 2)])
+    def test_seed_folds_onto_reduced_blocks(self, kind, r, bump):
+        # slack I + 2J at ybar = 2 split as P = I + bump*E_11, N = 2J -
+        # bump*E_11; the program is invariant under S_4, the split is not
+        # when bump > 0, and its average over S_4 is an invariant split
+        n = 4
+        prog = ConicProgram.make([1], [ConeConstraint(
+            n, (SymMatrix.ones(n),), SymMatrix.identity(n).scale(-1),
+            complete_graph(n).symmetry)])
+        e11 = SymMatrix.diag([0, bump, 0, 0])
+        w = SpnWitness((Fraction(2),), SymMatrix.identity(n) + e11,
+                       SymMatrix.ones(n).scale(2) - e11, Fraction(1))
+        assert w.check_exact(prog.constraints[0])
+        perms = list(itertools.permutations(range(n)))
+        folded = _folded(w, perms)
+        assert folded.check_exact(prog.constraints[0])
+        assert _folded(folded, perms) == folded
+        assert (folded == w) == (bump == 0)
+        rel = build_relaxation_sdp(prog, r, kind, 10)
+        assert rel.sdp.num_constraints < build_relaxation_sdp(
+            _trivial(prog), r, kind, 10).sdp.num_constraints
 
 
 def _psd_sides(sdp) -> list[int]:
@@ -374,6 +392,36 @@ class TestDiagonalised:
         cones._membership_family.cache_clear()
         with orbit_blocks():
             assert _digest(sdp) == _digest(_sdp_of(name))
+
+    def test_embed_and_split_invert_each_other(self):
+        g = cycle_graph(6)
+
+        def layout():
+            return build_relaxation_sdp(
+                sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 0, ConeKind.K, 10
+            ).layouts[0]
+
+        def flat(full):
+            return np.concatenate([u.ravel() for u in full[0]] + [full[1]])
+
+        diag = layout()
+        sizes = [b.size for b in diag.blocks()]
+        cuts = np.cumsum(sizes)[:-1]
+        rng = np.random.default_rng(5)
+        x = [rng.random(k) for k in sizes]
+        full = diag.embed(x)
+        # embed is linear and one to one: its left inverse splits the Gram
+        # point back into the SDP blocks
+        e = np.column_stack([flat(diag.embed(np.split(u, cuts))) for u in np.eye(sum(sizes))])
+        assert np.linalg.matrix_rank(e) == sum(sizes)
+        back = np.split(np.linalg.lstsq(e, flat(full), rcond=None)[0], cuts)
+        assert all(np.allclose(u, v, atol=1e-12) for u, v in zip(back, x))
+        with orbit_blocks():  # the same Gram point on the PSD orbit block
+            psd = layout()
+        assert [b.kind for b in psd.blocks()] == ["psd", "nonneg"]
+        again = psd.embed([full[0][0], x[1]])
+        assert np.allclose(again[0][0], full[0][0], atol=1e-12)
+        assert np.allclose(again[1], full[1], atol=1e-12)
 
     def test_shared_layouts_share_their_reduction(self):
         gens = cycle_graph(8).symmetry
