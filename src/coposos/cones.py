@@ -225,9 +225,24 @@ class SosCertificate:
                 raise ValueError(f"{key}: {doc[key]!r} is not an integer {what}")
             if doc[key] < least:
                 raise ValueError(f"{key}: {doc[key]} is not a {what} >= {least}")
+        if not isinstance(doc["gram_blocks"], list):
+            raise ValueError("gram_blocks is not a list of square matrices")
+        for k, b in enumerate(doc["gram_blocks"]):
+            if not isinstance(b, list) or not all(_numbers(row, len(b)) for row in b):
+                raise ValueError(f"gram_blocks[{k}] is not a square matrix of numbers")
+        if not _numbers(doc["scalars"]):
+            raise ValueError("scalars is not a list of numbers")
+        if not isinstance(doc.get("provenance", {}), dict):
+            raise ValueError("provenance is not an object")
         return cls(doc["kind"], doc["r"], doc["n"],
                    [np.array(b, dtype=float) for b in doc["gram_blocks"]],
                    np.array(doc["scalars"], dtype=float), doc.get("provenance", {}))
+
+
+def _numbers(v, size: int | None = None) -> bool:
+    """Whether v is a JSON list of numbers, of ``size`` entries if given."""
+    return isinstance(v, list) and size in (None, len(v)) and all(
+        type(e) in (int, float) for e in v)  # a bool is not a number here
 
 
 def _unflatten(vals: np.ndarray, sides) -> tuple[list[np.ndarray], np.ndarray]:
@@ -512,7 +527,7 @@ def decide_membership(problem: MembershipProblem, eps: float = 1e-8) -> Membersh
     """MEMBER with validated certificate, certified NOT_MEMBER, or INCONCLUSIVE.
 
     The membership SDP has no objective, so the solver stops at its first
-    witness: a Gram point within feastol of the rows, or a ray.  MEMBER
+    witness: a Gram point within eps of the rows, or a ray.  MEMBER
     requires a certificate passing :func:`validate_certificate` at
     tolerance eps (re-expansion residual <= eps, least Gram eigenvalue and
     least scalar >= -eps); NOT_MEMBER requires an infeasibility ray y with

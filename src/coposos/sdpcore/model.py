@@ -292,6 +292,11 @@ class SdpBuilder:
 
 @dataclass
 class SdpSolution:
+    """What :func:`solve` returns.  ``diagnostics`` holds ``timings``, the
+    seconds per stage, and at a reported point (OPTIMAL or INCONCLUSIVE)
+    ``dual_objective`` and ``mu``, the iterate's complementarity; at a ray
+    (PRIMAL_INFEASIBLE or DUAL_INFEASIBLE_OR_UNBOUNDED) ``ray_quality``."""
+
     status: SdpStatus
     objective: float | None = None
     x_blocks: list | None = None

@@ -29,18 +29,22 @@ embedding's iterates carry one; Ye, Todd and Mizuno 1994, Math. Oper. Res.
 19; Permenter, Friberg and Andersen 2017, SIAM J. Optim. 27).  Every
 feasible x is optimal for min 0, and the zero dual (y, s) = 0 certifies it
 with no dual residual and no gap, so its points report that dual.  The solve
-ends OPTIMAL at the first x / tau (polished or not) within feastol of
+ends OPTIMAL at the first x / tau (polished or not) within eps of
 {A x = b}, or PRIMAL_INFEASIBLE at the first b^T y > 0 whose ray has
 quality <= eps.  The iterates are those of any other program; only the
 exits differ.
 
-Once the dual residual is within feastol (always, when c = 0), the
-reported primal point is x / tau projected onto {A x = b} in the
-Nesterov-Todd metric of the latest step, but only when the projection stays
-in the cone; otherwise it is x / tau itself, which is interior.  Its gap is
-the larger of the unclamped x.s and |c^T x - b^T y|, so OPTIMAL means an
-in-cone x, residuals within feastol and a primal-dual objective gap within
-eps.
+Once the dual residual is within eps (always, when c = 0), the reported
+primal point is x / tau projected onto {A x = b} in the Nesterov-Todd
+metric of the latest step, but only when the projection stays in the cone;
+otherwise it is x / tau itself, which is interior.  Its gap is the larger of
+the unclamped x.s and |c^T x - b^T y|, so OPTIMAL means an in-cone x,
+residuals within eps and a primal-dual objective gap within eps.
+
+The state of a solve is explicit: an ``_Iterate`` (x, y, s, tau, kappa),
+the ``_Newton`` system at it (scaling, scaled rows, Schur matrix and factor,
+and c's terms) and the ``_Point`` it reports.  A ``_Solve`` holds the data,
+set-up and clocks of one solve; its methods map one record to the next.
 
 Search directions come from a Schur-complement solve.  The cone blocks
 are grouped by side, a NONNEG(k) block counting as k PSD(1) blocks, and
@@ -78,8 +82,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
+from numbers import Integral
 from time import perf_counter
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,6 +101,24 @@ _KEPT_SETUP_BYTES = 4 << 20
 # point, with the constants the cone operations read, each formed once:
 # (lam_i + lam_j) / 2, lam^2, 1 / sqrt(lam) and, on side 1 only, w^2 (else None)
 _Scaling = namedtuple("_Scaling", "w lam half_sum lam_sq root w_sq")
+
+# an iterate (x, y, s, tau, kappa) of the embedding, or a search direction
+_Iterate = namedtuple("_Iterate", "x y s tau kappa")
+
+# the Newton system at an iterate (_Solve.newton): its scalings, the scaled
+# rows abar, their Schur matrix K and its factor, and c's terms cbar = H c (H
+# the NT scaling), ahc = A H c, u_g = K^-1 ahc and proj_resid = cbar - abar^T u_g
+_Newton = namedtuple("_Newton", "sc abar k_mat factor cbar ahc u_g proj_resid")
+
+# the embedding's residuals at an iterate, and the terms b - A H c, K^-1 (b +
+# A H c) and pivot of the (y, tau) system that the Newton system eliminates
+_Embedding = namedtuple("_Embedding", "r_p r_d r_g bhc u1 denom")
+
+# a reported point: x, y and s over tau, x polished or not, or a ray's
+# normalized parts (None where it has none); the iterate's tau, kappa and mu;
+# and the point's residuals, objectives and gap, which a ray lacks
+_Point = namedtuple("_Point", "x y s tau kappa mu pres dres pobj dobj gap relgap",
+                    defaults=(None, np.nan, np.nan, None, None, np.nan, np.nan))
 
 
 class _Cone:
@@ -325,16 +347,16 @@ class _Setup:
             self.start, cone.stack_at, cone.stack_scale, cone.flat_at, cone.flat_scale,
             *cone.eyes, *(cols for _, _, cols in cone.groups)))
 
-    def keep_first(self, first: tuple) -> None:
-        """Keep (sc, abar, K, factor, cbar, ahc, u_g, proj_resid) if it fits
-        the budget beside the rest; abar's indices are the rows'."""
-        sc, abar, *arrays = first
-        arrays += [v for g in sc for v in g if v is not None] + [abar.vals]
+    def keep_first(self, nt: _Newton) -> None:
+        """Keep the first step's Newton system if it fits the budget beside
+        the rest; its scaled rows' indices are the rows'."""
+        arrays = [v for g in nt.sc for v in g if v is not None] + [
+            nt.abar.vals, nt.k_mat, nt.factor, nt.cbar, nt.ahc, nt.u_g, nt.proj_resid]
         nbytes = self.nbytes + sum(v.nbytes for v in arrays)
         if nbytes <= _KEPT_SETUP_BYTES:
             for v in arrays:  # shared: never written
                 v.flags.writeable = False
-            self.first, self.nbytes = first, nbytes
+            self.first, self.nbytes = nt, nbytes
 
 
 @cache
@@ -398,285 +420,241 @@ def _refined_solve(factor, k_mat: np.ndarray, rhs: np.ndarray):
     return u
 
 
-def solve(
-    sdp: BlockSdp,
-    eps: float = 1e-8,
-    max_iter: int = 200,
-    feastol: float | None = None,
-) -> SdpSolution:
-    """Solve a block SDP via the homogeneous self-dual embedding.
+class _Clocked:
+    """``fn``, adding the seconds of each call to ``timings[stage]``."""
 
-    ``eps`` is the duality-gap and infeasibility-ray threshold and the
-    default ``feastol``.  A status of OPTIMAL certifies the objective
-    through the achieved duality gap, which is 0 for a program with c = 0;
-    infeasibility statuses carry the normalized improving ray and its
-    quality (see the module docstring).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
-    feastol = eps if feastol is None else feastol
-    _lapack()  # the first solve imports scipy, outside the stage clocks
+    def __init__(self, timings: dict, stage: str, fn):
+        self.timings, self.stage, self.fn = timings, stage, fn
 
-    a = sdp.coo
-    setup, setup_s = a.setup, 0.0
-    if setup is None:
+    def __call__(self, *args):
         t0 = perf_counter()
-        setup = _Setup(sdp)
-        # an A of one SDP frees its set-up with the solve, and so does a
-        # shared A whose set-up is too large to keep
-        if a.shared and setup.nbytes <= _KEPT_SETUP_BYTES:
-            a.setup = setup
-        setup_s = perf_counter() - t0
-    ops, rows, e = setup.cone, setup.rows, setup.start
-    b = sdp.b
-    c = sdp.c
-    m = sdp.num_constraints
-    nu = ops.degree + 1
+        try:
+            return self.fn(*args)
+        finally:
+            self.timings[self.stage] += perf_counter() - t0
 
-    # seconds per stage, charged by wrapping the calls that do its work
-    timings = {"setup_s": setup_s, "schur_s": 0.0, "cholesky_s": 0.0, "cone_s": 0.0}
 
-    def clocked(stage, fn):
-        def run(*args):
+class _Solve:
+    """One solve's data, set-up and clocked operations, and the steps of its
+    iteration as functions of the records above.  The clocked cone
+    operations live here, apart from the _Cone: set on it, they would close
+    a reference cycle through its bound methods."""
+
+    def __init__(self, sdp: BlockSdp, eps: float):
+        self.sdp, self.a, self.b, self.c, self.eps = sdp, sdp.coo, sdp.b, sdp.c, eps
+        setup, setup_s = self.a.setup, 0.0
+        if setup is None:
             t0 = perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                timings[stage] += perf_counter() - t0
-
-        return run
-
-    scale_rows = clocked("schur_s", rows.scale)
-    factorize = clocked("cholesky_s", _chol_with_regularization)
-    refined_solve = clocked("cholesky_s", _refined_solve)
-    # the clocked cone operations live apart from the _Cone: set on it, they
-    # would close a reference cycle through its bound methods
-    cone = SimpleNamespace(**{
-        name: clocked("cone_s", getattr(ops, name))
+            setup = _Setup(sdp)
+            # an A of one SDP frees its set-up with the solve, and so does a
+            # shared A whose set-up is too large to keep
+            if self.a.shared and setup.nbytes <= _KEPT_SETUP_BYTES:
+                self.a.setup = setup
+            setup_s = perf_counter() - t0
+        self.setup, self.m, self.nu = setup, sdp.num_constraints, setup.cone.degree + 1
+        self.norm_b, self.norm_c = 1.0 + _norm(self.b), 1.0 + _norm(self.c)
+        # min 0: every feasible x is optimal, and the zero dual certifies it
+        self.feasibility = not self.c.any()
+        # seconds per stage, charged by wrapping the calls that do its work
+        self.timings = {"setup_s": setup_s, "schur_s": 0.0, "cholesky_s": 0.0, "cone_s": 0.0}
+        self.scale_rows = _Clocked(self.timings, "schur_s", setup.rows.scale)
+        self.factorize = _Clocked(self.timings, "cholesky_s", _chol_with_regularization)
+        self.refined_solve = _Clocked(self.timings, "cholesky_s", _refined_solve)
         for name in ("scaling", "congruence", "jordan_solve", "jordan_product", "comp_rhs",
-                     "max_step", "min_eig")
-    })
+                     "max_step", "min_eig"):
+            setattr(self, name, _Clocked(self.timings, "cone_s", getattr(setup.cone, name)))
 
-    x = e.copy()
-    s = e.copy()
-    y = np.zeros(m)
-    tau = 1.0
-    kappa = 1.0
+    def newton(self, v: _Iterate, first: bool) -> _Newton | str:
+        """The Newton system at v: at the first step the set-up's, if a
+        solve on A kept it, and else formed and offered to a shared A's
+        set-up.  On a breakdown, the message of its INCONCLUSIVE exit."""
+        if first and self.setup.first is not None:
+            return self.setup.first
+        try:
+            sc = self.scaling(v.x, v.s)
+        except np.linalg.LinAlgError:
+            return "scaling breakdown (iterate left cone)"
+        abar, k_mat = self.scale_rows(sc)
+        cbar = self.congruence(sc, self.c)
+        factor = self.factorize(k_mat)
+        if factor is None:
+            return "Schur complement factorization failed"
+        ahc = abar.dot(cbar)
+        u_g = self.refined_solve(factor, k_mat, ahc)
+        # (b - g)^T K^{-1} (b + g) + c^T H c telescopes to
+        # b^T K^{-1} b + || (I - P) cbar ||^2 with P the projection onto
+        # the scaled row space; the residual form avoids catastrophic
+        # cancellation.
+        nt = _Newton(sc, abar, k_mat, factor, cbar, ahc, u_g, cbar - abar.tdot(u_g))
+        if first and self.a.setup is self.setup:
+            self.setup.keep_first(nt)
+        return nt
 
-    norm_b = 1.0 + _norm(b)
-    norm_c = 1.0 + _norm(c)
-    # min 0: every feasible x is optimal, and the zero dual certifies it
-    feasibility = not c.any()
-
-    mu0 = (float(x @ s) + tau * kappa) / nu
-
-    # Primal feasibility polish: reported iterates are pulled back onto
-    # {x : A x = b}, which removes the noise the scaled direction recovery
-    # injects into A x - b near the central path's end.  The projection is
-    # taken in the Nesterov-Todd metric of the latest step, reusing that
-    # step's scaled rows and Schur factor: dx = -W (sum_i u_i A_i) W^T with
-    # K u = A x - b.  A correction that leaves the cone is rejected, since on
-    # a degenerate face it can exceed the vanishing eigenvalues of x; the
-    # unpolished x / tau is interior.  The iteration state is never polished.
-    step = None  # (scaling, scaled rows, Schur matrix, its factor)
-
-    def polish_primal(xhat, resid):  # resid = A xhat - b; returns both, polished
-        if step is None:
-            return xhat, resid
-        sc, abar, k_mat, factor = step
-        u = refined_solve(factor, k_mat, resid)
-        corrected = xhat - cone.congruence(sc, abar.tdot(u), True)
-        new = a.dot(corrected) - b
-        if _norm(new) < _norm(resid) and cone.min_eig(corrected) >= 0.0:
+    def polish(self, nt: _Newton, x: np.ndarray, resid: np.ndarray):
+        """x and resid = A x - b, projected onto {A x = b} in the metric of
+        nt (dx = -W (sum_i u_i A_i) W^T with K u = A x - b), which removes the
+        noise the direction recovery injects into A x - b, unless that leaves
+        the cone, as it can on a degenerate face, or raises the residual."""
+        u = self.refined_solve(nt.factor, nt.k_mat, resid)
+        corrected = x - self.congruence(nt.sc, nt.abar.tdot(u), True)
+        new = self.a.dot(corrected) - self.b
+        if _norm(new) < _norm(resid) and self.min_eig(corrected) >= 0.0:
             return corrected, new
-        return xhat, resid
+        return x, resid
 
-    def current_metrics(ax, aty):
-        xhat = x / tau
-        resid = ax / tau - b
-        if feasibility:
-            yhat, shat, dres = np.zeros(m), np.zeros_like(x), 0.0
+    def point(self, v: _Iterate, mu: float, ax, aty, nt: _Newton | None) -> _Point:
+        """The point v reports, given A x and A^T y, polished by the latest
+        step's Newton system nt once its dual residual is within eps.  The
+        iterate itself is never polished."""
+        x, resid = v.x / v.tau, ax / v.tau - self.b
+        if self.feasibility:
+            y, s, dres = np.zeros(self.m), np.zeros_like(x), 0.0
         else:
-            yhat = y / tau
-            shat = s / tau
-            dres = _norm(aty / tau + shat - c) / norm_c
-        if dres <= feastol:
+            y, s = v.y / v.tau, v.s / v.tau
+            dres = _norm(aty / v.tau + s - self.c) / self.norm_c
+        if dres <= self.eps and nt is not None:
             # the polish leaves (y, s) alone, so only a point that can be
             # accepted is worth polishing
-            xhat, resid = polish_primal(xhat, resid)
-        pres = _norm(resid) / norm_b
-        pobj = float(c @ xhat)
-        dobj = float(b @ yhat)
+            x, resid = self.polish(nt, x, resid)
+        pobj, dobj = float(self.c @ x), float(self.b @ y)
         # honest gap: x.s unclamped, and the objective gap it stands for
-        gap = max(float(xhat @ shat), abs(pobj - dobj))
-        relgap = gap / max(1.0, abs(pobj), abs(dobj))
-        return xhat, yhat, shat, pres, dres, pobj, dobj, gap, relgap
+        gap = max(float(x @ s), abs(pobj - dobj))
+        return _Point(x, y, s, v.tau, v.kappa, mu, _norm(resid) / self.norm_b, dres, pobj, dobj,
+                      gap, gap / max(1.0, abs(pobj), abs(dobj)))
 
-    def converged(metrics):
-        _, _, _, pres, dres, _, _, gap, relgap = metrics
-        return pres <= feastol and dres <= feastol and (gap <= eps or relgap <= eps)
+    def direction(self, nt: _Newton, v: _Iterate, emb: _Embedding, eta: float, comp: list,
+                  rtk: float):
+        """The search direction for the given right-hand side, as an
+        _Iterate, and its x and s parts scaled."""
+        r2 = eta * emb.r_d  # enters the eliminated system with a flipped sign
+        d2 = self.jordan_solve(nt.sc, comp)
+        r2bar = self.congruence(nt.sc, r2)
+        u2 = self.refined_solve(nt.factor, nt.k_mat, -eta * emb.r_p - nt.abar.dot(d2 + r2bar))
+        rhs2 = -eta * emb.r_g + rtk / v.tau + float(nt.cbar @ (d2 + r2bar))
+        dtau = (rhs2 - float(emb.bhc @ u2)) / emb.denom
+        dy = u2 + dtau * emb.u1
+        ds = -r2 - self.a.tdot(dy) + self.c * dtau
+        ds_scaled = self.congruence(nt.sc, ds)
+        dx_scaled = d2 - ds_scaled
+        dx = self.congruence(nt.sc, dx_scaled, True)
+        return _Iterate(dx, dy, ds, dtau, (rtk - v.kappa * dtau) / v.tau), dx_scaled, ds_scaled
 
-    def report(status, iteration, point, message=""):
-        metrics, tau_p, kappa_p, mu_p = point
-        xhat, yhat, shat, pres, dres, pobj, dobj, gap, relgap = metrics
+    def step_to_boundary(self, nt: _Newton, v: _Iterate, d: _Iterate, dxs, dss) -> float:
+        """sup alpha keeping v + alpha * d in the cone, for d's x and s
+        given scaled."""
+        alpha = self.max_step(nt.sc, dxs, dss)
+        if d.tau < 0:
+            alpha = min(alpha, -v.tau / d.tau)
+        if d.kappa < 0:
+            alpha = min(alpha, -v.kappa / d.kappa)
+        return alpha
+
+    def solution(self, status: SdpStatus, iteration: int, p: _Point, message: str = "",
+                 quality: float | None = None) -> SdpSolution:
+        """The SdpSolution at a point or, given its quality, at a ray."""
+        diagnostics = ({"dual_objective": p.dobj, "mu": p.mu} if quality is None
+                       else {"ray_quality": quality})
+        x_blocks, s_blocks = (None if v is None else self.sdp.unpack(v) for v in (p.x, p.s))
         return SdpSolution(
-            status=status, objective=pobj, x_blocks=sdp.unpack(xhat), y=yhat,
-            s_blocks=sdp.unpack(shat), primal_res=pres, dual_res=dres, gap=gap, relgap=relgap,
-            iterations=iteration, tau=tau_p, kappa=kappa_p, message=message,
-            diagnostics={"dual_objective": dobj, "mu": mu_p, "mu0": mu0, "timings": timings},
-        )
+            status=status, objective=p.pobj, x_blocks=x_blocks, y=p.y, s_blocks=s_blocks,
+            primal_res=p.pres, dual_res=p.dres, gap=p.gap, relgap=p.relgap,
+            iterations=iteration, tau=p.tau, kappa=p.kappa, message=message,
+            diagnostics={**diagnostics, "timings": self.timings})
 
-    def ray(status, iteration, quality, message, **normalized):  # of the current iterate
-        return SdpSolution(status=status, iterations=iteration, tau=tau, kappa=kappa,
-                           message=message, **normalized,
-                           diagnostics={"ray_quality": quality, "timings": timings})
 
-    consecutive_small_steps = 0
-    best_err = np.inf
-    best_point = None
-    best_iteration = 0
+def solve(sdp: BlockSdp, eps: float = 1e-8, max_iter: int = 200) -> SdpSolution:
+    """Solve a block SDP via the homogeneous self-dual embedding.
 
+    ``eps`` bounds the residuals, the duality gap and an infeasibility ray's
+    quality; ``max_iter`` caps the iterations.  A status of OPTIMAL
+    certifies the objective through the achieved duality gap, which is 0 for
+    a program with c = 0; infeasibility statuses carry the normalized
+    improving ray and its quality (see the module docstring).
+    """
+    if not np.isfinite(eps):
+        raise ValueError("eps must be finite")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral):
+        raise ValueError("max_iter must be an integer")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
+    _lapack()  # the first solve imports scipy, outside the stage clocks
+
+    run = _Solve(sdp, eps)
+    b, c, e = sdp.b, sdp.c, run.setup.start
+    v = _Iterate(e.copy(), np.zeros(run.m), e.copy(), 1.0, 1.0)
+    nt, best, best_err, best_iteration, small_steps = None, None, np.inf, 0, 0
     for iteration in range(max_iter + 1):
-        mu = (float(x @ s) + tau * kappa) / nu
+        mu = (float(v.x @ v.s) + v.tau * v.kappa) / run.nu
 
         # -- convergence / certificate checks ---------------------------
-        # A x and A^T y, taken once here, serve the metrics, the ray checks
+        # A x and A^T y, taken once here, serve the point, the ray checks
         # and the residuals of the step
-        ax, aty = a.dot(x), a.tdot(y)
-        metrics = current_metrics(ax, aty)
-        _, _, _, pres, dres, pobj, dobj, gap, relgap = metrics
-        point = (metrics, tau, kappa, mu)
-        err = max(pres, dres, min(gap, relgap))
-        if best_point is None or err < best_err:
-            best_err = err
-            best_point = point
-            best_iteration = iteration
-        if converged(metrics):
-            return report(SdpStatus.OPTIMAL, iteration, point)
+        ax, aty = run.a.dot(v.x), run.a.tdot(v.y)
+        point = run.point(v, mu, ax, aty, nt)
+        err = max(point.pres, point.dres, min(point.gap, point.relgap))
+        if best is None or err < best_err:
+            best, best_err, best_iteration = point, err, iteration
+        if point.pres <= eps and point.dres <= eps and (point.gap <= eps or point.relgap <= eps):
+            return run.solution(SdpStatus.OPTIMAL, iteration, point)
 
-        bty, ctx = float(b @ y), float(c @ x)
-        if bty > 0 and (feasibility or _norm(aty + s) / bty <= eps):
+        bty, ctx = float(b @ v.y), float(c @ v.x)
+        if bty > 0 and (run.feasibility or _norm(aty + v.s) / bty <= eps):
             # the ray's exact slack; the norm test bounds its least eigenvalue
             # by -eps, and a feasibility problem tests that eigenvalue itself
             slack = -aty / bty
-            qual = max(0.0, -cone.min_eig(slack))
-            if qual <= eps or not feasibility:
-                return ray(SdpStatus.PRIMAL_INFEASIBLE, iteration, qual,
-                           "dual improving ray found", y=y / bty, s_blocks=sdp.unpack(slack))
+            qual = max(0.0, -run.min_eig(slack))
+            if qual <= eps or not run.feasibility:
+                return run.solution(SdpStatus.PRIMAL_INFEASIBLE, iteration,
+                                    _Point(None, v.y / bty, slack, v.tau, v.kappa),
+                                    "dual improving ray found", qual)
         if ctx < 0 and (qual := _norm(ax) / (-ctx)) <= eps:
-            return ray(SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED, iteration, qual,
-                       "primal improving ray found", x_blocks=sdp.unpack(x / (-ctx)))
+            return run.solution(SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED, iteration,
+                                _Point(v.x / (-ctx), None, None, v.tau, v.kappa),
+                                "primal improving ray found", qual)
 
+        # -- exits that report the best point ---------------------------
         # every point seen failed its own convergence check, the best one too
         stalled = iteration - best_iteration >= 12
         if iteration == max_iter or stalled:
-            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                          "progress stalled" if stalled else "iteration cap reached")
-        if tau < 1e-13 and kappa < 1e-13:
-            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                          "tau and kappa both vanished (ill-posed)")
+            message = "progress stalled" if stalled else "iteration cap reached"
+            break
+        if v.tau < 1e-13 and v.kappa < 1e-13:
+            message = "tau and kappa both vanished (ill-posed)"
+            break
         if mu < 1e-17:
-            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                          "complementarity at numerical floor")
-
-        # -- Nesterov-Todd scaling and Schur complement ------------------
-        # the first step's system is the set-up's when a solve on A kept it
-        if iteration == 0 and setup.first is not None:
-            sc, abar, k_mat, factor, cbar, ahc, u_g, proj_resid = setup.first
-        else:
-            try:
-                sc = cone.scaling(x, s)
-            except np.linalg.LinAlgError:
-                return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                              "scaling breakdown (iterate left cone)")
-            abar, k_mat = scale_rows(sc)
-            cbar = cone.congruence(sc, c)
-            factor = factorize(k_mat)
-            if factor is None:
-                return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                              "Schur complement factorization failed")
-            ahc = abar.dot(cbar)  # A H c with H the NT scaling operator
-            u_g = refined_solve(factor, k_mat, ahc)
-            # (b - g)^T K^{-1} (b + g) + c^T H c telescopes to
-            # b^T K^{-1} b + || (I - P) cbar ||^2 with P the projection onto
-            # the scaled row space; the residual form avoids catastrophic
-            # cancellation.
-            proj_resid = cbar - abar.tdot(u_g)
-            if iteration == 0 and a.setup is setup:
-                setup.keep_first((sc, abar, k_mat, factor, cbar, ahc, u_g, proj_resid))
-        step = (sc, abar, k_mat, factor)
-
-        # residual vectors of the embedding
-        r_p = ax - b * tau
-        r_d = aty + s - c * tau
-        r_g = float(b @ y - c @ x) - kappa
-
-        bhc = b - ahc
-        u_b = refined_solve(factor, k_mat, b)
-        u1 = u_b + u_g
-        denom = kappa / tau + float(b @ u_b) + float(proj_resid @ proj_resid)
-        if not np.isfinite(denom) or denom < 1e-300:
-            return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                          "singular embedding system")
-
-        def solve_kkt(eta, comp_rhs_blocks, rtk):
-            """Return the search direction for the given right-hand side."""
-            r1 = -eta * r_p
-            r2_vec = eta * r_d  # enters the eliminated system with a flipped sign
-            r3 = -eta * r_g
-            d2 = cone.jordan_solve(sc, comp_rhs_blocks)
-            r2bar = cone.congruence(sc, r2_vec)
-            u2 = refined_solve(factor, k_mat, r1 - abar.dot(d2 + r2bar))
-            rhs2 = r3 + rtk / tau + float(cbar @ (d2 + r2bar))
-            dtau = (rhs2 - float(bhc @ u2)) / denom
-            dy = u2 + dtau * u1
-            ds = -r2_vec - a.tdot(dy) + c * dtau
-            ds_scaled = cone.congruence(sc, ds)
-            dx_scaled = d2 - ds_scaled
-            dx = cone.congruence(sc, dx_scaled, True)
-            dkappa = (rtk - kappa * dtau) / tau
-            return dx, dy, ds, dtau, dkappa, dx_scaled, ds_scaled
-
-        def step_to_boundary(dxs, dss, dtau, dkappa):
-            """sup alpha keeping (x, s, tau, kappa) + alpha * d in the cone,
-            for dx and ds given scaled."""
-            alpha = cone.max_step(sc, dxs, dss)
-            if dtau < 0:
-                alpha = min(alpha, -tau / dtau)
-            if dkappa < 0:
-                alpha = min(alpha, -kappa / dkappa)
-            return alpha
+            message = "complementarity at numerical floor"
+            break
+        nt = run.newton(v, iteration == 0)
+        if isinstance(nt, str):
+            message = nt
+            break
+        u_b = run.refined_solve(nt.factor, nt.k_mat, b)
+        emb = _Embedding(ax - b * v.tau, aty + v.s - c * v.tau, bty - ctx - v.kappa,
+                         b - nt.ahc, u_b + nt.u_g,
+                         v.kappa / v.tau + float(b @ u_b) + float(nt.proj_resid @ nt.proj_resid))
+        if not np.isfinite(emb.denom) or emb.denom < 1e-300:
+            message = "singular embedding system"
+            break
 
         # -- predictor (affine) ------------------------------------------
-        comp_aff = cone.comp_rhs(sc, 0.0, None)
-        dx_a, _, ds_a, dtau_a, dkap_a, dxs_a, dss_a = solve_kkt(1.0, comp_aff, -tau * kappa)
-        alpha_a = min(1.0, step_to_boundary(dxs_a, dss_a, dtau_a, dkap_a))
-
-        mu_aff = (
-            float((x + alpha_a * dx_a) @ (s + alpha_a * ds_a))
-            + (tau + alpha_a * dtau_a) * (kappa + alpha_a * dkap_a)
-        ) / nu
+        d_a, dxs_a, dss_a = run.direction(nt, v, emb, 1.0, run.comp_rhs(nt.sc, 0.0, None),
+                                          -v.tau * v.kappa)
+        alpha_a = min(1.0, run.step_to_boundary(nt, v, d_a, dxs_a, dss_a))
+        mu_aff = (float((v.x + alpha_a * d_a.x) @ (v.s + alpha_a * d_a.s))
+                  + (v.tau + alpha_a * d_a.tau) * (v.kappa + alpha_a * d_a.kappa)) / run.nu
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
 
         # -- corrector (combined) -----------------------------------------
-        corr = cone.jordan_product(dxs_a, dss_a)
-        comp = cone.comp_rhs(sc, sigma * mu, corr)
-        rtk = sigma * mu - tau * kappa - dtau_a * dkap_a
-        dx, dy, ds, dtau, dkappa, dxs, dss = solve_kkt(1.0 - sigma, comp, rtk)
-        alpha = min(1.0, _STEP_FRACTION * step_to_boundary(dxs, dss, dtau, dkappa))
-
-        if alpha < _MIN_STEP:
-            consecutive_small_steps += 1
-            if consecutive_small_steps >= 3:
-                return report(SdpStatus.INCONCLUSIVE, iteration, best_point,
-                              "step length collapsed")
-        else:
-            consecutive_small_steps = 0
-
-        x = x + alpha * dx
-        y = y + alpha * dy
-        s = s + alpha * ds
-        tau = tau + alpha * dtau
-        kappa = kappa + alpha * dkappa
+        comp = run.comp_rhs(nt.sc, sigma * mu, run.jordan_product(dxs_a, dss_a))
+        rtk = sigma * mu - v.tau * v.kappa - d_a.tau * d_a.kappa
+        d, dxs, dss = run.direction(nt, v, emb, 1.0 - sigma, comp, rtk)
+        alpha = min(1.0, _STEP_FRACTION * run.step_to_boundary(nt, v, d, dxs, dss))
+        small_steps = small_steps + 1 if alpha < _MIN_STEP else 0
+        if small_steps >= 3:
+            message = "step length collapsed"
+            break
+        v = _Iterate(v.x + alpha * d.x, v.y + alpha * d.y, v.s + alpha * d.s,
+                     v.tau + alpha * d.tau, v.kappa + alpha * d.kappa)
+    return run.solution(SdpStatus.INCONCLUSIVE, iteration, best, message)

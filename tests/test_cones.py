@@ -375,7 +375,7 @@ class TestMembershipFamily:
         sdp = build_membership(SymMatrix.identity(6), 1, ConeKind.Q).sdp
         solve(sdp, max_iter=1)
         kept = sdp.coo.setup
-        sc = kept.first[0]
+        sc = kept.first.sc
         assert {g.w_sq is None for g in sc} == {True, False}  # PSD and side-1 groups
         consts = [v for g in sc for v in g if v is not None]
         assert not any(v.flags.writeable for v in consts)
@@ -829,8 +829,22 @@ class TestSerialization:
         ("n", 0, "n: 0 is not a variable count >= 1"),
         ("kind", "X", "kind: 'X' is not a cone kind, K or Q"),
         ("kind", None, "kind: None is not a cone kind, K or Q"),
+        ("gram_blocks", 5, "gram_blocks is not a list of square matrices"),
+        ("gram_blocks", [5], "gram_blocks[0] is not a square matrix of numbers"),
+        ("gram_blocks", [[1.0, 0.0], [0.0, 1.0], [[1.0]]],
+         "gram_blocks[0] is not a square matrix of numbers"),
+        ("gram_blocks", [[[1.0]], [[1.0, 0.0], [0.0]]],
+         "gram_blocks[1] is not a square matrix of numbers"),
+        ("gram_blocks", [[[True]]], "gram_blocks[0] is not a square matrix of numbers"),
+        ("scalars", "abc", "scalars is not a list of numbers"),
+        ("scalars", [1.0, "abc"], "scalars is not a list of numbers"),
+        ("scalars", [[1.0]], "scalars is not a list of numbers"),
+        ("provenance", 3, "provenance is not an object"),
+        ("provenance", None, "provenance is not an object"),
     ], ids=["r-float", "r-bool", "r-string", "r-negative", "n-bool", "n-float", "n-zero",
-            "kind-unknown", "kind-null"])
+            "kind-unknown", "kind-null", "blocks-int", "block-int", "block-rows",
+            "block-ragged", "block-bool", "scalars-string", "scalars-entry",
+            "scalars-nested", "provenance-int", "provenance-null"])
     def test_bad_field_is_named(self, field, value, message):
         # read as given: no coercion of 0.7 to level 0 or of true to n = 1
         shape = gram_shape(3, 1, ConeKind.Q)

@@ -247,6 +247,22 @@ def test_uncalled_check_finds_one():
     assert _uncalled(trees, ["a"]) == [("a", "loop", 1)]
 
 
+# per workload, the first 16 hex digits that tools/solve_digest.py prints: a
+# SHA-256 over the status, iteration count and x, y and s bytes of every solve
+# of the benchmark's corpora, warm membership families included (numpy 2.4.6,
+# OpenBLAS on x86-64, as the byte pins of test_sdp)
+_WORKLOAD_DIGESTS = {"alpha-K": "f617f3be653c30dd", "alpha-Q": "9ffe4844b80a823e",
+                     "chi": "14c9fe36e4f64a9c", "member": "04c4799588a8c811"}
+
+
+def test_benchmark_solves_are_pinned():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "solve_digest.py"
+    proc = subprocess.run([sys.executable, "-B", str(tool)], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert dict(re.findall(r"^(\S+) +\d+ solves +(\w+)$", proc.stdout, re.M)) == _WORKLOAD_DIGESTS
+
+
 def _load_bench(name, monkeypatch):
     """The module bench/<name>.py, loaded read-only: no bytecode is written."""
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"

@@ -122,7 +122,7 @@ def _feasibility_sdp(seed, feasible, objective=False, m=5):
 def test_feasibility_problem_ends_optimal_at_the_zero_dual(seed):
     # min 0 over a strictly feasible set: the zero dual is exact, so the
     # solve reports it with no dual residual and no gap, and the point it
-    # stops at is in the cone and within feastol of the rows
+    # stops at is in the cone and within eps of the rows
     sdp = _feasibility_sdp(seed, feasible=True)
     sol = solve(sdp)
     assert sol.status == SdpStatus.OPTIMAL
@@ -550,16 +550,23 @@ def test_optimal_point_in_cone_with_closed_gap():
     assert abs(pobj - dobj) <= gaptol * max(1.0, abs(pobj), abs(dobj))
 
 
-@pytest.mark.parametrize("n,r,kind", [(5, 1, ConeKind.K), (7, 1, ConeKind.Q)])
-def test_early_exit_reports_in_cone_point(n, r, kind):
-    # A loose feastol makes every point eligible for the primal polish; far
-    # from the optimum its correction is large and can leave the cone, and
-    # the reported point must not.
+@pytest.mark.parametrize("n,r,kind,least", [(5, 1, ConeKind.K, -0.98), (7, 1, ConeKind.Q, -2.30)],
+                         ids=["5-1-K", "7-1-Q"])
+def test_a_polish_that_leaves_the_cone_reports_x_over_tau(n, r, kind, least):
+    # Far from the optimum the primal polish's correction is large: at the
+    # identity start it leaves the cone, and the reported point must not.
     sdp = _stability_relaxation_sdp(n, r, kind)
-    for max_iter in range(1, 5):
-        sol = solve(sdp, max_iter=max_iter, feastol=100.0)
-        assert sol.status == SdpStatus.INCONCLUSIVE
-        assert _least_eigenvalue(sdp, sol.x_blocks) >= 0.0
+    run = solver._Solve(sdp, 1e-8)
+    e = run.setup.start
+    nt = run.newton(solver._Iterate(e, np.zeros(run.m), e, 1.0, 1.0), False)
+    x, resid = e / 1.0, sdp.coo.dot(e) - sdp.b
+    u = solver._refined_solve(nt.factor, nt.k_mat, resid)
+    corrected = x - run.congruence(nt.sc, nt.abar.tdot(u), True)
+    assert _least_eigenvalue(sdp, sdp.unpack(corrected)) == pytest.approx(least, abs=0.005)
+    assert np.linalg.norm(sdp.coo.dot(corrected) - sdp.b) < np.linalg.norm(resid)
+    polished, polished_resid = run.polish(nt, x, resid)
+    assert polished is x and polished_resid is resid
+    assert _least_eigenvalue(sdp, sdp.unpack(polished)) > 0.0
 
 
 _MIXED_BLOCKS = [
@@ -921,7 +928,10 @@ def test_no_iteration_gives_no_verdict_and_no_bound(monkeypatch):
 
 def test_solve_leaves_no_cone_in_a_reference_cycle():
     # the clocked cone operations must not hang on the _Cone they wrap, or
-    # every solve leaves its cone to the cyclic garbage collector
+    # every solve leaves its cone to the cyclic garbage collector; nor may
+    # any other per-solve state
+    per_solve = (_Cone, solver._Solve, solver._Clocked, solver._Iterate, solver._Newton,
+                 solver._Embedding, solver._Point, solver._Scaling)
     sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
     gc.collect()
     flags = gc.get_debug()
@@ -931,7 +941,7 @@ def test_solve_leaves_no_cone_in_a_reference_cycle():
         assert sol.status == SdpStatus.OPTIMAL and sol.diagnostics["timings"]["cone_s"] > 0
         del sol
         gc.collect()
-        assert not [obj for obj in gc.garbage if isinstance(obj, _Cone)]
+        assert not [obj for obj in gc.garbage if isinstance(obj, per_solve)]
         # the set-up kept with a shared A must not point back at A, or A and
         # its set-up outlive the SDPs until the collector runs
         shared = sdp.with_rhs(sdp.b)
@@ -947,7 +957,7 @@ def test_solve_leaves_no_cone_in_a_reference_cycle():
         finally:
             gc.enable()
         gc.collect()
-        assert not [obj for obj in gc.garbage if isinstance(obj, _Cone)]
+        assert not [obj for obj in gc.garbage if isinstance(obj, per_solve)]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
@@ -1002,7 +1012,18 @@ def test_a_solve_that_takes_no_step_keeps_no_first_step():
     (lambda: parse_sparse("rhs 1 1\n"), "missing blocks header"),
     (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), eps=0.0),
      "eps must be positive"),
-], ids=["block-kind", "block-size", "objective", "pack", "labels", "header", "eps"])
+    (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), eps=-1e-8),
+     "eps must be positive"),
+    (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), eps=math.nan),
+     "eps must be finite"),
+    (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), eps=math.inf),
+     "eps must be finite"),
+    (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), max_iter=2.5),
+     "max_iter must be an integer"),
+    (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), max_iter=True),
+     "max_iter must be an integer"),
+], ids=["block-kind", "block-size", "objective", "pack", "labels", "header", "eps",
+        "eps-negative", "eps-nan", "eps-inf", "max-iter-float", "max-iter-bool"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
         call()
