@@ -324,7 +324,8 @@ class SdpSolution:
 #   blocks <kind:size> <kind:size> ...
 #
 # Indices are 0-based within each block; for PSD blocks only the upper
-# triangle (row <= col) is listed and symmetry is implied.
+# triangle (row <= col) is listed and symmetry is implied.  A second header
+# or a second rhs line for one constraint is rejected, not merged.
 
 
 def export_sparse(sdp: BlockSdp) -> str:
@@ -359,15 +360,16 @@ def parse_sparse(text: str) -> BlockSdp:
         parts = line.split()
         try:
             if parts[0] == "blocks":
-                blocks = []
-                for token in parts[1:]:
-                    kind, size = token.split(":")
-                    blocks.append(BlockSpec(kind, int(size)))
+                if blocks is not None:
+                    raise ValueError("second blocks header")
+                blocks = [BlockSpec(k, int(size)) for k, size in (t.split(":") for t in parts[1:])]
             elif len(parts) != (3 if parts[0] == "rhs" else 5):
                 raise ValueError("expected 'rhs <constraint> <value>' or five fields")
             elif parts[0] == "rhs":
                 if int(parts[1]) < 1:
                     raise ValueError("constraint 0 is the objective, which has no rhs")
+                if int(parts[1]) in rhs:
+                    raise ValueError(f"constraint {int(parts[1])} already has a rhs")
                 rhs[int(parts[1])] = float(parts[2])
             else:
                 k, bi, r, col = (int(v) for v in parts[:4])

@@ -61,8 +61,8 @@ per block, and applies A, which the SDP keeps as triplets, and the scaled
 rows as COO products.  K is factorized by LAPACK ``potrf`` (with escalating
 diagonal regularization on breakdown) and solved by ``potrs``, and the 2 x 2
 (y, tau) system of the embedding is back-substituted.  potrf and potrs are
-loaded from scipy at the first solve: importing the package, parsing,
-building and auditing never load scipy.
+loaded from scipy's compiled ``scipy.linalg._flapack`` alone at the first
+solve: importing the package, parsing, building and auditing never load scipy.
 
 What depends on A and the blocks alone - the cone groups, the rows' pieces
 and their scatter indices, and the identity start - is set up at the first
@@ -80,8 +80,11 @@ cone operations are reported in ``diagnostics["timings"]``.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from functools import cache
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from numbers import Integral
 from time import perf_counter
 
@@ -361,10 +364,20 @@ class _Setup:
 
 @cache
 def _lapack():
-    """scipy's LAPACK wrappers, imported at the first call only."""
-    from scipy.linalg import lapack
-
-    return lapack
+    """scipy's compiled LAPACK module, whose dpotrf and dpotrs ``scipy.linalg.lapack``
+    exports, loaded at the first call without running the ``scipy.linalg`` package."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = find_spec("scipy")  # finds the package without importing it
+    linalg = [f"{d}/linalg" for d in (scipy and scipy.submodule_search_locations) or ()]
+    spec = PathFinder.find_spec(name, linalg)
+    if spec is None:
+        raise ImportError(f"no {name} in {linalg}" if linalg
+                          else f"scipy is not installed; the solver loads {name} from it")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -579,7 +592,7 @@ def solve(sdp: BlockSdp, eps: float = 1e-8, max_iter: int = 200) -> SdpSolution:
         raise ValueError("max_iter must be an integer")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    _lapack()  # the first solve imports scipy, outside the stage clocks
+    _lapack()  # the first solve loads scipy's _flapack, outside the stage clocks
 
     run = _Solve(sdp, eps)
     b, c, e = sdp.b, sdp.c, run.setup.start

@@ -1,4 +1,5 @@
 import ast
+import importlib.machinery
 import importlib.util
 import os
 import re
@@ -47,18 +48,81 @@ for sdp in (problem.sdp, rel.sdp):
 loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 assert not loaded, loaded
 assert solve(problem.sdp).status == SdpStatus.OPTIMAL
-assert "scipy.linalg.lapack" in sys.modules
+loaded = {m for m in sys.modules if m.partition(".")[0] == "scipy"}
+assert loaded == {"scipy.linalg._flapack"}, loaded
 """
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(coposos.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 def test_scipy_loads_at_the_first_solve():
     # only the Schur factorization needs scipy: importing, parsing, building
-    # and exporting run in a fresh interpreter without loading it
-    src = str(Path(coposos.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_AT_FIRST_SOLVE], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    # and exporting run in a fresh interpreter without loading it, and the
+    # first solve loads scipy's compiled LAPACK module and nothing else of it
+    proc = _fresh_python(_SCIPY_AT_FIRST_SOLVE)
     assert proc.returncode == 0, proc.stderr
+
+
+_SAME_ROUTINES = r"""
+import sys
+from coposos.cones import ConeKind, build_membership
+from coposos.polycore import SymMatrix
+from coposos.sdpcore import SdpStatus, solve, solver
+if sys.argv[1] == "before":
+    import scipy.linalg
+    solver.find_spec = None  # the loaded module is taken as it is, with no search
+assert solve(build_membership(SymMatrix.identity(3), 1, ConeKind.K).sdp).status == SdpStatus.OPTIMAL
+import scipy.linalg.lapack
+flapack = solver._lapack()
+assert flapack is sys.modules["scipy.linalg._flapack"]
+assert flapack.dpotrf is scipy.linalg.lapack.dpotrf
+assert flapack.dpotrs is scipy.linalg.lapack.dpotrs
+"""
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_the_solver_calls_scipy_lapack_routines(order):
+    # the module loaded apart from scipy.linalg is the one scipy.linalg.lapack
+    # exports from, whether scipy.linalg comes before the first solve or after
+    proc = _fresh_python(_SAME_ROUTINES, order)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture
+def unloaded_lapack(monkeypatch):
+    """``solver._lapack`` with its cache and scipy's LAPACK module out of
+    sight; both are back after the test."""
+    solver = sdpcore.solver
+    loaded = solver._lapack()
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    solver._lapack.cache_clear()
+    yield solver
+    monkeypatch.undo()
+    solver._lapack.cache_clear()
+    assert solver._lapack() is loaded
+
+
+def test_a_missing_scipy_is_named(unloaded_lapack, monkeypatch):
+    monkeypatch.setattr(unloaded_lapack, "find_spec", lambda name: None)
+    with pytest.raises(ImportError) as err:
+        unloaded_lapack._lapack()
+    assert str(err.value) == "scipy is not installed; the solver loads scipy.linalg._flapack from it"
+
+
+def test_a_missing_lapack_module_is_named(unloaded_lapack, monkeypatch, tmp_path):
+    # a scipy package whose linalg folder holds no _flapack
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(unloaded_lapack, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError) as err:
+        unloaded_lapack._lapack()
+    assert str(err.value) == f"no scipy.linalg._flapack in {[f'{tmp_path}/linalg']}"
 
 
 def test_console_scripts_resolve():

@@ -1010,6 +1010,10 @@ def test_a_solve_that_takes_no_step_keeps_no_first_step():
     (lambda: SdpBuilder([psd_block(2)]).add_rows(0, 0, 0, 0, 1.0, [1.0], ["a", "b"]),
      "one label per row is required"),
     (lambda: parse_sparse("rhs 1 1\n"), "missing blocks header"),
+    (lambda: parse_sparse("blocks psd:2\nblocks psd:3\n"),
+     "line 2 'blocks psd:3': second blocks header"),
+    (lambda: parse_sparse("blocks psd:1\nrhs 1 1\n1 0 0 0 1.0\nrhs 1 2\n"),
+     "line 4 'rhs 1 2': constraint 1 already has a rhs"),
     (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), eps=0.0),
      "eps must be positive"),
     (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), eps=-1e-8),
@@ -1022,8 +1026,9 @@ def test_a_solve_that_takes_no_step_keeps_no_first_step():
      "max_iter must be an integer"),
     (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), max_iter=True),
      "max_iter must be an integer"),
-], ids=["block-kind", "block-size", "objective", "pack", "labels", "header", "eps",
-        "eps-negative", "eps-nan", "eps-inf", "max-iter-float", "max-iter-bool"])
+], ids=["block-kind", "block-size", "objective", "pack", "labels", "header", "second-header",
+        "second-rhs", "eps", "eps-negative", "eps-nan", "eps-inf", "max-iter-float",
+        "max-iter-bool"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
         call()
