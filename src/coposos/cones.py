@@ -53,11 +53,12 @@ infeasibility ray; everything on the numerical boundary is INCONCLUSIVE.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from .polycore import (
     lift_table,
     monomial_basis,
     monomial_positions,
+    multinomial,
 )
 from .sdpcore import (
     BlockSdp,
@@ -156,9 +158,7 @@ class GramShape:
         self.sj = slots[start[self.blk] + within % self.width[self.blk]]
         both = self.key[self.si] + self.key[self.sj]
         self.row = monomial_positions(exps, both[:, :n] // 2 + both[:, n:])
-        degree = int(self.lifted[0].sum())
-        fact = np.array([factorial(k) for k in range(degree + 1)], dtype=object)  # exact past 20!
-        self.weight = (factorial(degree) // fact[self.lifted].prod(axis=1)).tolist()
+        self.weight = [multinomial(e) for e in map(tuple, self.lifted.tolist())]
         for shared in vars(self).values():  # cached: read-only
             if isinstance(shared, np.ndarray):
                 shared.flags.writeable = False
@@ -240,9 +240,9 @@ class SosCertificate:
 
 
 def _numbers(v, size: int | None = None) -> bool:
-    """Whether v is a JSON list of numbers, of ``size`` entries if given."""
+    """Whether v is a JSON list of finite numbers (no bool), of ``size`` entries if given."""
     return isinstance(v, list) and size in (None, len(v)) and all(
-        type(e) in (int, float) for e in v)  # a bool is not a number here
+        type(e) in (int, float) and abs(e) <= sys.float_info.max for e in v)
 
 
 def _unflatten(vals: np.ndarray, sides) -> tuple[list[np.ndarray], np.ndarray]:
@@ -324,17 +324,36 @@ class GramLayout:
         self._label = _orbits([shape.entry(p[shape.si], p[shape.sj]) for p in slot_act],
                               shape.blk.size)[0]
         # each orbit's first block stands for it in the SDP, in orbit order
-        self._rank = np.full(shape.width.size, -1)
-        self._rank[reps] = np.arange(reps.size)
-        self._rep = np.flatnonzero(self._rank[shape.blk] >= 0)
-        self._count = np.bincount(orbit)[orbit]
+        rank = np.full(shape.width.size, -1)
+        rank[reps] = np.arange(reps.size)
+        rep = np.flatnonzero(rank[shape.blk] >= 0)
+        self._entry_orbit = self._label[rep]  # each SDP entry's orbit, for embed
+        self._orbit_size = np.bincount(self._entry_orbit)
         self._sides = shape.width[reps[reps < len(shape.sides)]].tolist()
-        self._nscalar = reps.size - len(self._sides)
-        self._row_orbit, self._row_reps = _orbits(_images(shape.lifted, gens),
-                                                  len(shape.lifted))
-        self._bases = self._eigenbases(*self._orbit_entries())
-        self._rows = self._gram_rows()
-        arrays = [*vars(self).values(), *self._rows[0], *sum(self._bases.values(), ())]
+        nscalar = reps.size - len(self._sides)
+        row_orbit, self._row_reps = _orbits(_images(shape.lifted, gens), len(shape.lifted))
+        # the entries of rows() while every orbit block is PSD
+        rep = rep[shape.si[rep] <= shape.sj[rep]]
+        row = row_orbit[shape.row[rep]]
+        weight = np.bincount(orbit)[orbit][shape.blk[rep]] / np.bincount(row_orbit)[row]
+        rank = rank[shape.blk[rep]]
+        scalar = np.maximum(rank - len(self._sides), 0)  # a NONNEG entry's index
+        block = np.minimum(rank, len(self._sides))
+        i, j = shape.pos[shape.si[rep]] + scalar, shape.pos[shape.sj[rep]] + scalar
+        entries = row, block, i, j, weight
+        self._bases = self._eigenbases(*entries)
+        # a diagonalised block's trace rows replace its entries
+        keep = ~np.isin(block, list(self._bases))
+        entries = tuple(map(np.concatenate, zip([e[keep] for e in entries], *[
+            (np.repeat(rows, tr.shape[1]), np.full(tr.size, b),
+             *[np.tile(np.arange(tr.shape[1]), rows.size)] * 2, tr.ravel())
+            for b, (_, _, rows, tr) in self._bases.items()])))
+        self._rows = entries, tuple(map(tuple, shape.lifted[self._row_reps].tolist()))
+        spaces = {b: tr.shape[1] for b, (_, _, _, tr) in self._bases.items()}
+        self._blocks = tuple([nonneg_block(spaces[b]) if b in spaces else psd_block(k)
+                              for b, k in enumerate(self._sides)]
+                             + ([nonneg_block(nscalar)] if nscalar else []))
+        arrays = [*vars(self).values(), *entries, *sum(self._bases.values(), ())]
         for shared in arrays:  # shared: read-only
             if isinstance(shared, np.ndarray):
                 shared.flags.writeable = False
@@ -353,11 +372,7 @@ class GramLayout:
         return num[self._row_reps], den
 
     def blocks(self) -> list[BlockSpec]:
-        spaces = {b: tr.shape[1] for b, (_, _, _, tr) in self._bases.items()}
-        return [nonneg_block(spaces[b]) if b in spaces else psd_block(k)
-                for b, k in enumerate(self._sides)] + (
-            [nonneg_block(self._nscalar)] if self._nscalar else []
-        )
+        return list(self._blocks)
 
     def rows(self) -> tuple[tuple[np.ndarray, ...], tuple[MultiIndex, ...]]:
         """The Gram entries whose weighted sums match the lifted
@@ -369,28 +384,6 @@ class GramLayout:
         pairs.  On a diagonalised block, entry g of row i is tr(A_i P_g).
         Formed once with the layout and shared: the arrays are read-only."""
         return self._rows
-
-    def _gram_rows(self) -> tuple[tuple[np.ndarray, ...], tuple[MultiIndex, ...]]:
-        entries = self._orbit_entries()
-        if self._bases:
-            keep = ~np.isin(entries[1], list(self._bases))
-            entries = tuple(map(np.concatenate, zip([e[keep] for e in entries], *[
-                (np.repeat(rows, tr.shape[1]), np.full(tr.size, b),
-                 *[np.tile(np.arange(tr.shape[1]), rows.size)] * 2, tr.ravel())
-                for b, (_, _, rows, tr) in self._bases.items()])))
-        return entries, tuple(map(tuple, self._shape.lifted[self._row_reps].tolist()))
-
-    def _orbit_entries(self) -> tuple[np.ndarray, ...]:
-        """The arrays of :meth:`rows` while every orbit block is PSD."""
-        shape = self._shape
-        rep = self._rep[shape.si[self._rep] <= shape.sj[self._rep]]
-        row = self._row_orbit[shape.row[rep]]
-        weight = self._count[shape.blk[rep]] / np.bincount(self._row_orbit)[row]
-        rank = self._rank[shape.blk[rep]]
-        scalar = np.maximum(rank - len(self._sides), 0)  # a NONNEG entry's index
-        block = np.minimum(rank, len(self._sides))
-        i, j = shape.pos[shape.si[rep]] + scalar, shape.pos[shape.sj[rep]] + scalar
-        return row, block, i, j, weight
 
     def _eigenbases(self, row, blk, i, j, weight) -> dict:
         """The orbit blocks whose row matrices A_i commute, each with the
@@ -438,12 +431,11 @@ class GramLayout:
         """The Gram blocks and the scalars of a certificate from SDP blocks,
         each entry the mean of the SDP entries in its orbit; a diagonalised
         block's x enters as sum_g x_g P_g, P_g projecting on eigenspace g."""
-        blocks = list(blocks[: len(self._sides) + (self._nscalar > 0)])
+        blocks = list(blocks[: len(self._blocks)])
         for b, (q, group, _, _) in self._bases.items():
             blocks[b] = (q * np.asarray(blocks[b])[group]) @ q.T
         red = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
-        label = self._label[self._rep]
-        vals = (np.bincount(label, red) / np.bincount(label))[self._label]
+        vals = (np.bincount(self._entry_orbit, red) / self._orbit_size)[self._label]
         return _unflatten(vals, self._shape.sides)
 
     def certificate(self, sol, first: int = 0, **provenance) -> SosCertificate:
@@ -593,8 +585,13 @@ def validate_certificate(
     smallest eigenvalue of the Gram blocks' symmetric parts (the expansion
     reads every entry, so it sees only those parts), the smallest scalar
     and the largest entry magnitude (certificate bit-size audit).  Blocks
-    or scalars that do not match (kind, n, r) raise ``ValueError``.
+    or scalars that do not match (kind, n, r), and a ``tol`` that is
+    negative or not finite, raise ``ValueError``.
     """
+    if not np.isfinite(float(tol)):
+        raise ValueError("tol must be finite")
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
     if cert.n != m.n:
         raise ValueError("certificate dimension does not match the matrix")
     grams, rows, values = _entries(cert)

@@ -330,33 +330,24 @@ def is_psd_exact(m: SymMatrix) -> bool:
 
 def quadratic_form(m: SymMatrix) -> Poly:
     """sum_ij M_ij x_i x_j as a degree-2 homogeneous polynomial."""
-    terms: dict[MultiIndex, Fraction] = {}
-    n = m.n
-    for i in range(n):
-        for j in range(i, n):
-            c = m.rows[i][j] if i == j else 2 * m.rows[i][j]
-            if c == 0:
-                continue
-            exp = [0] * n
-            exp[i] += 1
-            exp[j] += 1
-            terms[tuple(exp)] = c
-    return Poly(n, terms)
+    return _form(m, 1)
 
 
 def quartic_form(m: SymMatrix) -> Poly:
     """sum_ij M_ij x_i^2 x_j^2; only even multi-indices appear."""
+    return _form(m, 2)
+
+
+def _form(m: SymMatrix, power: int) -> Poly:
+    """sum_ij M_ij x_i^power x_j^power; :class:`Poly` drops the zero terms."""
     terms: dict[MultiIndex, Fraction] = {}
     n = m.n
     for i in range(n):
         for j in range(i, n):
-            c = m.rows[i][j] if i == j else 2 * m.rows[i][j]
-            if c == 0:
-                continue
             exp = [0] * n
-            exp[i] += 2
-            exp[j] += 2
-            terms[tuple(exp)] = c
+            exp[i] += power
+            exp[j] += power
+            terms[tuple(exp)] = m.rows[i][j] if i == j else 2 * m.rows[i][j]
     return Poly(n, terms)
 
 

@@ -135,6 +135,8 @@ class BlockSdp:
 
     def __init__(self, blocks, a_triplets, b, c, row_labels=None):
         self.blocks: tuple[BlockSpec, ...] = tuple(blocks)
+        if not self.blocks:
+            raise ValueError("a block SDP needs at least one block")
         ends = np.cumsum([0] + [blk.vec_dim for blk in self.blocks]).tolist()
         self.slices: list[slice] = [slice(p, q) for p, q in zip(ends, ends[1:])]
         self.dim: int = ends[-1]
@@ -324,8 +326,9 @@ class SdpSolution:
 #   blocks <kind:size> <kind:size> ...
 #
 # Indices are 0-based within each block; for PSD blocks only the upper
-# triangle (row <= col) is listed and symmetry is implied.  A second header
-# or a second rhs line for one constraint is rejected, not merged.
+# triangle (row <= col) is listed and symmetry is implied.  A second header,
+# a second rhs line for one constraint or a second entry line for one
+# position of one constraint is rejected, not merged.
 
 
 def export_sparse(sdp: BlockSdp) -> str:
@@ -351,8 +354,7 @@ def export_sparse(sdp: BlockSdp) -> str:
 def parse_sparse(text: str) -> BlockSdp:
     blocks = None
     rhs: dict[int, float] = {}
-    entries = []  # (constraint, block, row, column, value)
-    where = []  # (line number, line) of each entry
+    entries = {}  # (constraint, block, row, column): (value, line number, line)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -362,6 +364,11 @@ def parse_sparse(text: str) -> BlockSdp:
             if parts[0] == "blocks":
                 if blocks is not None:
                     raise ValueError("second blocks header")
+                if len(parts) == 1:
+                    raise ValueError("the header lists no blocks")
+                for t in parts[1:]:
+                    if t.count(":") != 1:
+                        raise ValueError(f"block {t!r} is not kind:size")
                 blocks = [BlockSpec(k, int(size)) for k, size in (t.split(":") for t in parts[1:])]
             elif len(parts) != (3 if parts[0] == "rhs" else 5):
                 raise ValueError("expected 'rhs <constraint> <value>' or five fields")
@@ -372,23 +379,25 @@ def parse_sparse(text: str) -> BlockSdp:
                     raise ValueError(f"constraint {int(parts[1])} already has a rhs")
                 rhs[int(parts[1])] = float(parts[2])
             else:
-                k, bi, r, col = (int(v) for v in parts[:4])
+                k, bi, r, col = at = tuple(int(v) for v in parts[:4])
                 if k < 0:
                     raise ValueError("constraint below 0")
                 if r > col:
                     raise ValueError("entry below the diagonal: the format lists row <= col")
-                entries.append((k, bi, r, col, float(parts[4])))
-                where.append((lineno, line))
+                if at in entries:
+                    raise ValueError(f"constraint {k} already has an entry at block {bi} "
+                                     f"({r}, {col})")
+                entries[at] = float(parts[4]), lineno, line
         except ValueError as err:
             raise ValueError(f"line {lineno} {line!r}: {err}") from None
     if blocks is None:
         raise ValueError("missing blocks header")
-    cons, *cols = tuple(zip(*entries)) or ((),) * 5
+    cons, *cols = tuple(zip(*(at + v[:1] for at, v in entries.items()))) or ((),) * 5
     builder = SdpBuilder(blocks)
     try:  # constraint 0, the objective, is builder row -1
         builder.add_rows(np.asarray(cons, dtype=np.intp) - 1, *cols,
                          [rhs.get(k, 0.0) for k in range(1, max([0, *rhs, *cons]) + 1)])
     except EntryError as err:
-        lineno, line = where[err.entry]
+        _, lineno, line = list(entries.values())[err.entry]
         raise ValueError(f"line {lineno} {line!r}: {err}") from None
     return builder.build()

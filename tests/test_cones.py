@@ -841,10 +841,15 @@ class TestSerialization:
         ("scalars", [[1.0]], "scalars is not a list of numbers"),
         ("provenance", 3, "provenance is not an object"),
         ("provenance", None, "provenance is not an object"),
+        ("gram_blocks", [[[float("nan"), 0.0], [0.0, 1.0]]],
+         "gram_blocks[0] is not a square matrix of numbers"),
+        ("scalars", [1.0, float("inf")], "scalars is not a list of numbers"),
+        ("scalars", [10**400], "scalars is not a list of numbers"),
     ], ids=["r-float", "r-bool", "r-string", "r-negative", "n-bool", "n-float", "n-zero",
             "kind-unknown", "kind-null", "blocks-int", "block-int", "block-rows",
             "block-ragged", "block-bool", "scalars-string", "scalars-entry",
-            "scalars-nested", "provenance-int", "provenance-null"])
+            "scalars-nested", "provenance-int", "provenance-null", "block-nan",
+            "scalars-infinity", "scalars-huge-int"])
     def test_bad_field_is_named(self, field, value, message):
         # read as given: no coercion of 0.7 to level 0 or of true to n = 1
         shape = gram_shape(3, 1, ConeKind.Q)
@@ -856,10 +861,19 @@ class TestSerialization:
         assert str(err.value) == message
 
 
+def _validate_at(tol):
+    """validate_certificate of the identity's K r=0 certificate at ``tol``."""
+    cert = SosCertificate(ConeKind.K, 0, 2, [np.eye(2)], np.zeros(1))
+    return validate_certificate(SymMatrix.identity(2), cert, tol=tol)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: GramLayout(3, -1, ConeKind.K), "level must be >= 0"),
     (lambda: GramLayout.shared(3, -1, ConeKind.Q), "level must be >= 0"),
-], ids=["layout", "shared-layout"])
+    (lambda: _validate_at(float("nan")), "tol must be finite"),
+    (lambda: _validate_at(float("inf")), "tol must be finite"),
+    (lambda: _validate_at(-1.0), "tol must be >= 0"),
+], ids=["layout", "shared-layout", "tol-nan", "tol-inf", "tol-negative"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
         call()

@@ -13,6 +13,7 @@ from conftest import block_sdp, c5_matrix, dense_scaled_rows, dense_sdp, orbit_b
 from coposos import cones, polycore, relax
 from coposos.apps import (
     chromatic_bound,
+    chromatic_box_bound,
     chromatic_program,
     complete_graph,
     cycle_graph,
@@ -23,7 +24,13 @@ from coposos.apps import (
     stability_bound,
     stability_qp_matrix,
 )
-from coposos.cones import ConeKind, Verdict, build_K_membership, decide_membership
+from coposos.cones import (
+    ConeKind,
+    Verdict,
+    build_K_membership,
+    build_membership,
+    decide_membership,
+)
 from coposos.polycore import SymMatrix
 from coposos.relax import (
     ConicProgram,
@@ -428,6 +435,31 @@ def test_export_parse_roundtrip_keeps_every_row(case):
     assert np.allclose(back.coo.vals, sdp.coo.vals, rtol=1e-15, atol=0)
     if case == "empty-last-row":
         assert back.num_constraints == 3 and back.b.tolist() == [1.0, 1.0, 0.0]
+
+
+def _gram_sdp(case):
+    """A Gram SDP the package builds: the boxed chi(C5) relaxation at level
+    0, with its to_bounded constraint and D block; stability_bound's C7 K
+    r=1 relaxation; or the Q n=8 r=2 membership family."""
+    if case == "chi-c5":
+        box = chromatic_box_bound(cycle_graph(5))
+        prog = to_bounded(chromatic_program(cycle_graph(5)), box)
+        return build_relaxation_sdp(prog, 0, ConeKind.Q, box).sdp
+    if case == "alpha-c7-k1":
+        return stability_bound(cycle_graph(7), 1, ConeKind.K).relaxation.sdp
+    return build_membership(SymMatrix.identity(8), 2, ConeKind.Q).sdp
+
+
+@pytest.mark.parametrize("case", ["chi-c5", "alpha-c7-k1", "member-q8-r2"])
+def test_gram_sdps_roundtrip_through_the_exchange_format(case):
+    # no entry of a real Gram SDP is written twice, so none is refused
+    sdp = _gram_sdp(case)
+    back = parse_sparse(export_sparse(sdp))
+    assert back.blocks == sdp.blocks and np.array_equal(back.b, sdp.b)
+    assert np.array_equal(back.coo.rows, sdp.coo.rows)
+    assert np.array_equal(back.coo.cols, sdp.coo.cols)
+    assert np.allclose(back.coo.vals, sdp.coo.vals, rtol=1e-15, atol=0)
+    assert np.allclose(back.c, sdp.c, rtol=1e-15, atol=0)
 
 
 def test_export_parse_roundtrip():
@@ -1026,9 +1058,17 @@ def test_a_solve_that_takes_no_step_keeps_no_first_step():
      "max_iter must be an integer"),
     (lambda: solve(dense_sdp([nonneg_block(1)], [[1.0]], [1.0], [1.0]), max_iter=True),
      "max_iter must be an integer"),
+    (lambda: parse_sparse("blocks\n"), "line 1 'blocks': the header lists no blocks"),
+    (lambda: BlockSdp([], ([], [], []), [], []), "a block SDP needs at least one block"),
+    (lambda: parse_sparse("blocks foo\n"), "line 1 'blocks foo': block 'foo' is not kind:size"),
+    (lambda: parse_sparse("blocks psd:2:3\n"),
+     "line 1 'blocks psd:2:3': block 'psd:2:3' is not kind:size"),
+    (lambda: parse_sparse("blocks psd:1\nrhs 1 1\n1 0 0 0 1.0\n1 0 0 0 2.0\n"),
+     "line 4 '1 0 0 0 2.0': constraint 1 already has an entry at block 0 (0, 0)"),
 ], ids=["block-kind", "block-size", "objective", "pack", "labels", "header", "second-header",
         "second-rhs", "eps", "eps-negative", "eps-nan", "eps-inf", "max-iter-float",
-        "max-iter-bool"])
+        "max-iter-bool", "empty-header", "no-blocks", "block-no-colon", "block-two-colons",
+        "second-entry"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
         call()
