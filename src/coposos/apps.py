@@ -10,7 +10,9 @@ The bounds all route through the conic relaxations of :mod:`coposos.relax`:
                             min { t : t*B - J in cone } for B in the
                             Motzkin-Straus-type family of the graph
 - ``chromatic_bound``       two-variable program over products with complete
-                            graphs, boxed and relaxed constraint-wise
+                            graphs, with a box constraint
+                            (:func:`coposos.relax.to_bounded`), relaxed
+                            constraint-wise
 
 Relaxations are reduced by a group (:class:`coposos.cones.GramLayout`):
 ``stability_bound`` passes ``g.symmetry`` with the canonical B and the
@@ -256,10 +258,6 @@ def sqp_program(m_mat: SymMatrix) -> ConicProgram:
     )
 
 
-def sqp_box_bound(m_mat: SymMatrix) -> Fraction:
-    return m_mat.max_abs_entry() + 1
-
-
 def sqp_bound(
     m_mat: SymMatrix, r: int, kind: ConeKind, eps: float = 1e-8
 ) -> RelaxationResult:
@@ -268,8 +266,7 @@ def sqp_bound(
     ``result.value`` holds the raw program value (min lambda); the bound on
     the simplex minimum is its negative, ``-result.value``.
     """
-    prog = sqp_program(m_mat)
-    return solve_relaxation(prog, r, kind, sqp_box_bound(m_mat), eps=eps)
+    return solve_relaxation(sqp_program(m_mat), r, kind, eps=eps)
 
 
 def sqp_reciprocal_program(m_mat: SymMatrix, symmetry=()) -> ConicProgram:
@@ -293,9 +290,10 @@ def sqp_reciprocal_bound(
 
     Requires a split M = P + N with P positive definite: pass
     ``witness_split = (P, N, lambda_min_lower_bound)``; when omitted, the
-    split is searched for and a ValueError is raised on refusal.  The box
-    bound is 4n over half the certified eigenvalue lower bound.  The
-    relaxation is reduced by ``symmetry``, variable permutations fixing M.
+    split is searched for and a ValueError is raised on refusal.  The split
+    is the paper's interior condition, checked exactly; the relaxation
+    itself takes no bound from it.  The relaxation is reduced by
+    ``symmetry``, variable permutations fixing M.
     """
     # at y = 0 the slack is M itself, to be split as P + N
     split = ConeConstraint(m_mat.n, (SymMatrix.zero(m_mat.n),), m_mat.scale(-1))
@@ -309,8 +307,7 @@ def sqp_reciprocal_bound(
         if not w.check_exact(split):
             raise ValueError("witness is not a split M = P + N with N >= 0 and "
                              "P - lb*I positive semidefinite, lb > 0")
-    box = Fraction(4 * m_mat.n) / (w.lambda_min_lb / 2)
-    return solve_relaxation(sqp_reciprocal_program(m_mat, symmetry), r, kind, box, eps=eps)
+    return solve_relaxation(sqp_reciprocal_program(m_mat, symmetry), r, kind, eps=eps)
 
 
 # -- weighted stability bounds ------------------------------------------------
@@ -398,19 +395,19 @@ def chromatic_box_bound(g: Graph) -> Fraction:
 def chromatic_bound(
     g: Graph, r: int, kind: ConeKind = ConeKind.Q, eps: float = 1e-7
 ) -> tuple[float, RelaxationResult]:
-    """Lower bound on the chromatic number from the boxed relaxation.
+    """Lower bound on the chromatic number from the program's relaxation.
 
     Returns (bound, result) with bound = -value of the minimization form.
     The level-r cones lie inside the copositive cone, so they shrink the
     feasible set of max y and the bound never exceeds chi(G).
     The default kind Q keeps the largest PSD block at side n*t; at level 0
-    the two kinds define the same cone.  The boxing deliberately encodes the
-    variable box twice (as a separate cone constraint, :func:`to_bounded`,
-    and in the SDP diagonal), which leaves a degenerate optimal face; the
-    default eps reflects the accuracy reliably certifiable there.
+    the two kinds define the same cone.  The variable box enters once, as a
+    separate cone constraint (:func:`to_bounded`), which leaves a degenerate
+    optimal face; the default eps reflects the accuracy reliably certifiable
+    there.
     """
     prog = to_bounded(chromatic_program(g), chromatic_box_bound(g))
-    res = solve_relaxation(prog, r, kind, chromatic_box_bound(g), eps=eps)
+    res = solve_relaxation(prog, r, kind, eps=eps)
     if res.value is None:
         return float("nan"), res
     return -res.value, res

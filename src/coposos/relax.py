@@ -3,25 +3,23 @@
 A :class:`ConicProgram` is  min { b^T y : sum_i y_i A_i - C in COP }  with
 one or more cone constraints.  Replacing the copositive cone by the level-r
 inner cones (kind K or Q, see :mod:`coposos.cones`) turns it into a block
-SDP in which the variable vector y enters only through a nonnegative
-diagonal block D = (d_1+, d_1-, ..., d_m+, d_m-) with
-
-    d_i+  encodes  2R + y_i,       d_i- = 4R - d_i+,
-
-R being a caller-supplied box bound on the optimum, and objective block
-B = Diag(b_1/2, -b_1/2, ...) so that <D, B> = b^T y holds exactly.  Each
-cone constraint's Gram blocks, its rows and the extraction of its
-certificate come from one :class:`coposos.cones.GramLayout`, the one owner
-of the Gram structure; a Gram block whose rows commute enters as a NONNEG
-block, one scalar per common eigenspace.  A layout is immutable and built
-once per (n, r, kind, symmetry) in a process (:meth:`GramLayout.shared`);
-the relaxation records where each layout's blocks start
-(:attr:`RelaxationSdp.firsts`).  A layout's rows go to the SDP builder as
-the same flat arrays a membership SDP is built from, shifted to those
-blocks, with the D columns of every row appended as arrays and labelled
-(constraint, monomial).  A constraint's exactly checked ``symmetry`` is the group its
-layout reduces by: Aut(G) or Aut(G) x S_t from :mod:`coposos.apps`, and
-the trivial group otherwise.
+SDP in which each free variable y_i = (d_i+ - d_i-) / 2 is split over a
+nonnegative diagonal block D = (d_1+, d_1-, ..., d_m+, d_m-), with
+objective block B = Diag(b_1/2, -b_1/2, ...) so that <D, B> = b^T y holds
+exactly.  Its rows are one per (constraint, monomial) and nothing else: no
+bound on y enters the SDP, since the homogeneous embedding of
+:func:`coposos.sdpcore.solve` needs none.  Each cone constraint's Gram
+blocks, its rows and the extraction of its certificate come from one
+:class:`coposos.cones.GramLayout`, the one owner of the Gram structure; a
+Gram block whose rows commute enters as a NONNEG block, one scalar per
+common eigenspace.  A layout is immutable and built once per (n, r, kind,
+symmetry) in a process (:meth:`GramLayout.shared`); the relaxation records
+where each layout's blocks start (:attr:`RelaxationSdp.firsts`).  A
+layout's rows go to the SDP builder as the same flat arrays a membership
+SDP is built from, shifted to those blocks, with the D columns of every row
+appended as arrays and labelled (constraint, monomial).  A constraint's
+exactly checked ``symmetry`` is the group its layout reduces by: Aut(G) or
+Aut(G) x S_t from :mod:`coposos.apps`, and the trivial group otherwise.
 
 The module also holds the paper's interior-point condition at the conic
 level: a strictly feasible ybar whose slack splits as
@@ -29,7 +27,7 @@ sum_i ybar_i A_i - C = P + N  (P positive definite, N entrywise
 nonnegative).  :func:`check_intspn` searches for such a split, itself the
 Q^(0) relaxation of a one-variable program, and returns it as an
 :class:`SpnWitness` whose :meth:`SpnWitness.check_exact` re-checks it in
-exact arithmetic.  Last comes the value-preserving variable-boxing
+exact arithmetic.  Last comes :func:`to_bounded`, the value-preserving
 transform that appends the diagonal (2R -+ y_i) as one more cone
 constraint.
 """
@@ -113,7 +111,6 @@ class RelaxationSdp:
     prog: ConicProgram
     r: int
     kind: ConeKind
-    box_bound: Fraction
     d_block: int
     layouts: list[GramLayout]
     firsts: list[int]  # the SDP block where each layout's blocks start
@@ -123,14 +120,9 @@ class RelaxationSdp:
         return (d[0::2] - d[1::2]) / 2.0
 
 
-def build_relaxation_sdp(
-    prog: ConicProgram, r: int, kind: ConeKind, box_bound
-) -> RelaxationSdp:
+def build_relaxation_sdp(prog: ConicProgram, r: int, kind: ConeKind) -> RelaxationSdp:
     """Assemble the level-r block SDP of a conic program for either kind."""
-    big_r, kind = Fraction(box_bound), ConeKind(kind)
-    if big_r <= 0:
-        raise ValueError("box bound must be positive")
-    m = prog.m
+    kind, m = ConeKind(kind), prog.m
 
     blocks, layouts, firsts = [], [], []
     for cons in prog.constraints:
@@ -155,10 +147,8 @@ def build_relaxation_sdp(
         builder.add_rows(*map(np.concatenate, zip(entries, d_plus, d_minus)),
                          -(lift_c / den_c), list(zip([ci] * len(monomials), monomials)))
 
-    # box row i and the objective on the diagonal pair (d_i+, d_i-) of D
+    # the objective on the diagonal pair (d_i+, d_i-) of D
     pair = np.arange(2 * m)
-    builder.add_rows(pair // 2, d_block, pair, pair, 1.0, np.full(m, 4.0 * float(big_r)),
-                     list(zip(["box"] * m, range(m))))
     half_b = np.array(prog.b, dtype=float) / 2.0
     builder.add_rows(-1, d_block, pair, pair, np.column_stack([half_b, -half_b]).ravel(), [])
     return RelaxationSdp(
@@ -166,7 +156,6 @@ def build_relaxation_sdp(
         prog=prog,
         r=r,
         kind=kind,
-        box_bound=big_r,
         d_block=d_block,
         layouts=layouts,
         firsts=firsts,
@@ -210,18 +199,19 @@ def check_intspn(cons: ConeConstraint, ybar) -> SpnWitness | SpnRefusal:
 
     The search is the Q^(0) relaxation of  min { -lam : S - lam*I in COP }:
     its Gram block is P - lam*I and its scalar at x_i x_j is N_ij, doubled
-    off the diagonal.  Its box R = n*max|S_ij| + 1 never binds, since
-    lam <= min S_ii and lam = lambda_min(S) >= -n*max|S_ij| is feasible.
-    The optimum lam* is rounded to an exactly verified witness, which
-    :meth:`SpnWitness.check_exact` accepts for ``cons``.  Returns a refusal
-    carrying lam* when it is not above 1e-7.
+    off the diagonal.  It is bounded with no box: every point of the cone
+    has a nonnegative diagonal, so lam <= min S_ii, and lam = lambda_min(S)
+    is feasible, so lambda_min(S) <= lam*.  The optimum lam* is rounded to
+    an exactly verified witness, which :meth:`SpnWitness.check_exact`
+    accepts for ``cons``.  Returns a refusal carrying lam* when it is not
+    above 1e-7.
     """
     ybar = tuple(Fraction(v) for v in ybar)
     s_exact = cons.slack(ybar)
     n = cons.n
     aux = ConicProgram((Fraction(-1),), (
         ConeConstraint(n, (SymMatrix.identity(n).scale(-1),), s_exact.scale(-1)),))
-    rel = build_relaxation_sdp(aux, 0, ConeKind.Q, n * s_exact.max_abs_entry() + 1)
+    rel = build_relaxation_sdp(aux, 0, ConeKind.Q)
     sol = solve(rel.sdp)
     if sol.status != SdpStatus.OPTIMAL:
         return SpnRefusal(
@@ -256,7 +246,7 @@ def _psd_shift(p: SymMatrix, d: SymMatrix, start: Fraction, tries: int) -> Fract
     return None
 
 
-# -- variable boxing at the conic level ---------------------------------------
+# -- a variable box at the conic level -----------------------------------------
 
 
 def to_bounded(prog: ConicProgram, box_bound) -> ConicProgram:
@@ -300,19 +290,22 @@ def solve_relaxation(
     prog: ConicProgram,
     r: int,
     kind: ConeKind,
-    box_bound,
+    *,
     eps: float = 1e-7,
 ) -> RelaxationResult:
     """Assemble, solve and decode.
 
     The default eps is the value accuracy reliably certifiable in double
-    precision across this problem family (the boxing block makes many of
-    these programs dual degenerate); pass a smaller eps to insist.  A value
-    is returned only when every cone constraint's certificate passes exact
-    validation; otherwise an OPTIMAL solve is downgraded to INCONCLUSIVE
-    with ``value=None``, keeping the certificates and reports for audit.
+    precision across this problem family, whose optimal faces are often
+    degenerate; pass a smaller eps to insist.  A value is returned only
+    when every cone constraint's certificate passes exact validation;
+    otherwise an OPTIMAL solve is downgraded to INCONCLUSIVE with
+    ``value=None``, keeping the certificates and reports for audit.  No
+    bound is put on y, so a program whose level-r value is -infinity ends
+    DUAL_INFEASIBLE_OR_UNBOUNDED at a primal improving ray, with
+    ``value=None``: no finite value stands in for an unbounded one.
     """
-    rel = build_relaxation_sdp(prog, r, kind, box_bound)
+    rel = build_relaxation_sdp(prog, r, kind)
     sol = solve(rel.sdp, eps=eps)
     res = RelaxationResult(sol.status, relaxation=rel, solution=sol, message=sol.message)
     if sol.status != SdpStatus.OPTIMAL:

@@ -328,7 +328,8 @@ class SdpSolution:
 # Indices are 0-based within each block; for PSD blocks only the upper
 # triangle (row <= col) is listed and symmetry is implied.  A second header,
 # a second rhs line for one constraint or a second entry line for one
-# position of one constraint is rejected, not merged.
+# position of one constraint is rejected, not merged, and so is a value that
+# is not finite.
 
 
 def export_sparse(sdp: BlockSdp) -> str:
@@ -372,6 +373,8 @@ def parse_sparse(text: str) -> BlockSdp:
                 blocks = [BlockSpec(k, int(size)) for k, size in (t.split(":") for t in parts[1:])]
             elif len(parts) != (3 if parts[0] == "rhs" else 5):
                 raise ValueError("expected 'rhs <constraint> <value>' or five fields")
+            elif not math.isfinite(float(parts[-1])):
+                raise ValueError("value is not finite")
             elif parts[0] == "rhs":
                 if int(parts[1]) < 1:
                     raise ValueError("constraint 0 is the objective, which has no rhs")

@@ -266,8 +266,7 @@ class _Rows:
     most rows touching one block, padding rows being zero pieces charged to
     row 0.  A PSD group has one part of k x k pieces.  The side-1 group has a
     part of the columns touching one row, and one of the few touching several
-    rows (the split free variables of a boxed program) over their row
-    support."""
+    rows (the split free variables of a relaxation) over their row support."""
 
     def __init__(self, cone: _Cone, a: _Coo):
         m, dim = self.shape = a.shape

@@ -304,14 +304,21 @@ class TestStabilityBounds:
         assert res.certificate_reports
         assert all(rep.ok for rep in res.certificate_reports)
 
-    # C39 K r=1 ends on its degenerate face in a way that depends on the BLAS
-    # thread count: INCONCLUSIVE at a best objective of 18.99999975, below
-    # alpha = 19, with one thread, and OPTIMAL at 19.00000001 with two.
-    # Either way no value below alpha may come out.
-    _C39 = ("import json\n"
-            "from coposos.apps import cycle_graph, stability_bound\n"
-            "res = stability_bound(cycle_graph(39), 1)\n"
-            "print(json.dumps([res.value, [rep.ok for rep in res.certificate_reports]]))\n")
+    # Three calls whose answers lie on degenerate faces, where the solver's
+    # path depends on the BLAS thread count and once stalled short of the
+    # answer (C39 at 18.99999975 < alpha).  Each must end OPTIMAL with its
+    # certificates ok at alpha = 19, alpha = 3 and chi = 3, under one and
+    # two threads.
+    _DEGENERATE_CALLS = ("import json\n"
+            "from coposos.apps import chromatic_bound, cycle_graph, paley_graph, stability_bound\n"
+            "from coposos.cones import ConeKind\n"
+            "out = []\n"
+            "for res, sign in ((stability_bound(cycle_graph(39), 1), 1),\n"
+            "                  (stability_bound(paley_graph(17), 2, ConeKind.K), 1),\n"
+            "                  (chromatic_bound(cycle_graph(7), 1, ConeKind.Q)[1], -1)):\n"
+            "    value = None if res.value is None else sign * res.value\n"
+            "    out.append([res.status.value, value, [rep.ok for rep in res.certificate_reports]])\n"
+            "print(json.dumps(out))\n")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_c39_level1_returns_no_value_below_alpha(self, threads):
@@ -319,11 +326,13 @@ class TestStabilityBounds:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", self._C39], capture_output=True, text=True,
-                              env=env, timeout=300)
+        proc = subprocess.run([sys.executable, "-c", self._DEGENERATE_CALLS], capture_output=True,
+                              text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        value, oks = json.loads(proc.stdout)
-        assert value is None or (value >= 19 - 1e-6 and oks and all(oks))
+        for (status, value, oks), answer in zip(json.loads(proc.stdout), (19, 3, 3), strict=True):
+            assert status == SdpStatus.OPTIMAL.value
+            assert oks and all(oks)
+            assert abs(value - answer) <= 1e-6
 
 
 class TestProductGraph:

@@ -199,13 +199,12 @@ class TestGramRowsMatchAudit:
             dataclasses.replace(c, symmetry=()) for c in prog.constraints))
         assert [bool(c.symmetry) for c in prog.constraints] == [True, True, False]
         for p in (plain, prog):
-            rel = build_relaxation_sdp(p, r, kind, chromatic_box_bound(g))
+            rel = build_relaxation_sdp(p, r, kind)
             assert all(first > 0 for first in rel.firsts[1:])
             point = _IntegerPoint(rel.sdp, seed=10 + r, zero_blocks={rel.d_block})
             index = [{} for _ in rel.layouts]
             for row, (ci, gamma) in enumerate(rel.sdp.row_labels):
-                if ci != "box":
-                    index[ci][gamma] = row
+                index[ci][gamma] = row
             certs = extract_certificates(rel, point)
             gens = [cons.symmetry for cons in p.constraints]
             _assert_rows_match_audit(rel.sdp, point, list(zip(certs, index, gens)))
@@ -217,12 +216,11 @@ class TestGramRowsMatchAudit:
         # with nontrivial stabilisers; the block data is not invariant
         prog = sqp_reciprocal_program(stability_qp_matrix(cycle_graph(6)),
                                       cycle_graph(6).symmetry)
-        rel = build_relaxation_sdp(prog, r, kind, 100)
-        full = build_relaxation_sdp(sqp_reciprocal_program(prog.constraints[0].a_mats[0]),
-                                    r, kind, 100)
+        rel = build_relaxation_sdp(prog, r, kind)
+        full = build_relaxation_sdp(sqp_reciprocal_program(prog.constraints[0].a_mats[0]), r, kind)
         assert rel.sdp.num_constraints < full.sdp.num_constraints
         point = _IntegerPoint(rel.sdp, seed=20 + r, zero_blocks={rel.d_block})
-        index = {gamma: row for row, (_, gamma) in enumerate(rel.sdp.row_labels[:-1])}
+        index = {gamma: row for row, (_, gamma) in enumerate(rel.sdp.row_labels)}
         certs = extract_certificates(rel, point)
         _assert_rows_match_audit(rel.sdp, point, [(certs[0], index, prog.constraints[0].symmetry)])
 

@@ -7,6 +7,13 @@ import pytest
 
 from conftest import hand_built_intspn, planted_spn, random_symmetric
 from coposos import relax
+from coposos.apps import (
+    chromatic_box_bound,
+    chromatic_program,
+    cycle_graph,
+    sqp_reciprocal_program,
+    stability_qp_matrix,
+)
 from coposos.cones import ConeKind
 from coposos.polycore import SymMatrix
 from coposos.relax import (
@@ -33,10 +40,11 @@ def sqp_like_program(m_mat: SymMatrix) -> ConicProgram:
 class TestBuilders:
     def test_objective_identity_exact(self):
         prog = sqp_like_program(SymMatrix.identity(2))
-        rel = build_relaxation_sdp(prog, 0, ConeKind.K, 10)
-        # telescoping: <D, B> - b^T y == 0 for any D with the box coupling
+        rel = build_relaxation_sdp(prog, 0, ConeKind.K)
+        assert rel.sdp.blocks[rel.d_block].size == 2 * prog.m
+        # telescoping: <D, B> - b^T y == 0 for any split d+ - d- = 2y
         y = Fraction(-1, 3)
-        d = [2 * Fraction(10) + y, 2 * Fraction(10) - y]
+        d = [Fraction(7) + y, Fraction(7) - y]
         decoded = [(d[0] - d[1]) / 2]
         assert decoded == [y]
         b_diag = [Fraction(1, 2), Fraction(-1, 2)]
@@ -45,7 +53,7 @@ class TestBuilders:
 
     def test_sqp_identity2_value(self):
         prog = sqp_like_program(SymMatrix.identity(2))
-        res = solve_relaxation(prog, 0, ConeKind.K, 10)
+        res = solve_relaxation(prog, 0, ConeKind.K)
         assert res.status == SdpStatus.OPTIMAL
         assert abs(res.value - (-0.5)) <= 1e-5
         assert abs(res.y[0] - (-0.5)) <= 1e-5
@@ -56,29 +64,35 @@ class TestBuilders:
         w = SpnWitness((Fraction(2),), SymMatrix.identity(3), SymMatrix.ones(3).scale(2),
                        Fraction(1))
         assert w.check_exact(prog.constraints[0])
-        res = solve_relaxation(prog, 0, ConeKind.K, 10)
+        res = solve_relaxation(prog, 0, ConeKind.K)
         assert res.status == SdpStatus.OPTIMAL
         assert abs(res.value - (-1 / 3)) <= 1e-5
 
-    def test_box_exclusion_is_infeasible(self):
-        # lambda * I - 3I in SPN requires lambda >= 3; box R=1 caps at 2
+    def test_shifted_identity_value(self):
+        # lambda * I - 3I in SPN requires lambda >= 3
         prog = ConicProgram.make(
             [1],
             [(2, [SymMatrix.identity(2)], SymMatrix.identity(2).scale(3))],
         )
-        res = solve_relaxation(prog, 0, ConeKind.K, 1)
-        assert res.status == SdpStatus.PRIMAL_INFEASIBLE
-        ok = solve_relaxation(prog, 0, ConeKind.K, 4)
+        ok = solve_relaxation(prog, 0, ConeKind.K)
         assert ok.status == SdpStatus.OPTIMAL
         assert abs(ok.value - 3.0) <= 1e-5
+
+    @pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+    def test_unbounded_program_has_no_value(self, kind):
+        # min { y : 0*y + I in COP } is -infinity: an improving ray, no value
+        prog = ConicProgram.make([1], [(3, [SymMatrix.zero(3)], SymMatrix.identity(3).scale(-1))])
+        res = solve_relaxation(prog, 0, kind)
+        assert res.status == SdpStatus.DUAL_INFEASIBLE_OR_UNBOUNDED
+        assert res.message == "primal improving ray found"
+        assert res.value is None and res.y is None and not res.certificates
 
     def test_kinds_agree_level0(self, rnd):
         for _ in range(8):
             m = random_symmetric(rnd, 3)
             prog = sqp_like_program(m)
-            big_r = float(m.max_abs_entry()) + 1
-            vk = solve_relaxation(prog, 0, ConeKind.K, big_r)
-            vq = solve_relaxation(prog, 0, ConeKind.Q, big_r)
+            vk = solve_relaxation(prog, 0, ConeKind.K)
+            vq = solve_relaxation(prog, 0, ConeKind.Q)
             assert vk.status == vq.status == SdpStatus.OPTIMAL
             assert abs(vk.value - vq.value) <= 1e-5
 
@@ -86,10 +100,9 @@ class TestBuilders:
         for _ in range(4):
             m = random_symmetric(rnd, 3)
             prog = sqp_like_program(m)
-            big_r = float(m.max_abs_entry()) + 1
-            v0k = solve_relaxation(prog, 0, ConeKind.K, big_r)
-            v1k = solve_relaxation(prog, 1, ConeKind.K, big_r)
-            v1q = solve_relaxation(prog, 1, ConeKind.Q, big_r)
+            v0k = solve_relaxation(prog, 0, ConeKind.K)
+            v1k = solve_relaxation(prog, 1, ConeKind.K)
+            v1q = solve_relaxation(prog, 1, ConeKind.Q)
             assert v0k.status == v1k.status == v1q.status == SdpStatus.OPTIMAL
             assert v1k.value <= v0k.value + 1e-6
             assert v1q.value >= v1k.value - 1e-6
@@ -97,7 +110,7 @@ class TestBuilders:
     def test_certificates_validate(self, rnd):
         m = random_symmetric(rnd, 3)
         prog = sqp_like_program(m)
-        res = solve_relaxation(prog, 1, ConeKind.K, float(m.max_abs_entry()) + 1)
+        res = solve_relaxation(prog, 1, ConeKind.K)
         assert res.status == SdpStatus.OPTIMAL
         assert all(rep.ok for rep in res.certificate_reports)
 
@@ -108,7 +121,7 @@ class TestBuilders:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relax, "validate_certificate",
                        lambda m, cert, tol: real(m, cert, tol=1e-30))
-            res = solve_relaxation(prog, 0, ConeKind.K, 10)
+            res = solve_relaxation(prog, 0, ConeKind.K)
         assert res.solution.status == SdpStatus.OPTIMAL
         assert res.status == SdpStatus.INCONCLUSIVE
         assert res.value is None
@@ -127,7 +140,7 @@ class TestBuilders:
 
     def test_cpq_block_count(self):
         prog = sqp_like_program(SymMatrix.identity(3))
-        rel = build_relaxation_sdp(prog, 2, ConeKind.Q, 5)
+        rel = build_relaxation_sdp(prog, 2, ConeKind.Q)
         psd = [b for b in rel.sdp.blocks if b.kind == "psd"]
         assert len(psd) == 6  # binom(3+2-1, 2) degree-2 monomials in 3 vars
         assert all(b.size == 3 for b in psd)
@@ -174,8 +187,7 @@ class TestIntSpn:
 
 
 def _searched_split(monkeypatch, cons):
-    """check_intspn's outcome at y = 0, the lam* of its relaxation and its
-    box R."""
+    """check_intspn's outcome at y = 0 and the lam* of its relaxation."""
     seen = {}
 
     def build(*args):
@@ -189,7 +201,7 @@ def _searched_split(monkeypatch, cons):
     monkeypatch.setattr(relax, "build_relaxation_sdp", build)
     monkeypatch.setattr(relax, "solve", run)
     out = check_intspn(cons, [0])
-    return out, float(seen["rel"].decode_y(seen["sol"])[0]), float(seen["rel"].box_bound)
+    return out, float(seen["rel"].decode_y(seen["sol"])[0])
 
 
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "random"])
@@ -206,7 +218,7 @@ class TestIntSpnOracle:
         return ConeConstraint(n, (SymMatrix.zero(n),), m.scale(-1))
 
     def test_matches_hand_built_search(self, monkeypatch, cons, planted):
-        out, lam, _ = _searched_split(monkeypatch, cons)
+        out, lam = _searched_split(monkeypatch, cons)
         want, lam_want = hand_built_intspn(cons, [0])
         assert isinstance(out, SpnWitness) == isinstance(want, SpnWitness) == planted
         assert lam == pytest.approx(lam_want, rel=1e-7)
@@ -216,10 +228,15 @@ class TestIntSpnOracle:
             assert out.lambda_star == lam
 
     def test_box_never_binds(self, monkeypatch, cons):
-        # lam* <= min S_ii <= max|S_ij| and lam* >= lambda_min(S) >= -n max|S_ij|,
-        # so |lam*| < R = n max|S_ij| + 1: strictly inside the box (-2R, 2R)
-        _, lam, box = _searched_split(monkeypatch, cons)
-        assert abs(lam) < box
+        # the search needs no box: S - lam*I in Q^(0) has a nonnegative
+        # diagonal, so lam* <= min S_ii, and lam = lambda_min(S) is feasible;
+        # each bound is attained on some case, so lam* is held to the solve's
+        # eps = 1e-8 on the scale of S
+        _, lam = _searched_split(monkeypatch, cons)
+        s = cons.slack([0])
+        s = (s.num / s.den).astype(float)
+        tol = 1e-8 * (1 + np.abs(s).max())
+        assert np.linalg.eigvalsh(s)[0] - tol <= lam <= s.diagonal().min() + tol
 
 
 class TestInteriorStart:
@@ -266,8 +283,8 @@ class TestToBounded:
 
     def test_value_preserved_on_sqp(self):
         prog = sqp_like_program(SymMatrix.identity(2))
-        direct = solve_relaxation(prog, 0, ConeKind.K, 2)
-        boxed = solve_relaxation(to_bounded(prog, 2), 0, ConeKind.K, 2)
+        direct = solve_relaxation(prog, 0, ConeKind.K)
+        boxed = solve_relaxation(to_bounded(prog, 2), 0, ConeKind.K)
         assert direct.status == boxed.status == SdpStatus.OPTIMAL
         assert abs(direct.value - boxed.value) <= 1e-5
         assert abs(direct.value - (-0.5)) <= 1e-5
@@ -301,14 +318,38 @@ class TestToBounded:
         ]
 
 
+def _relaxation_programs():
+    c5, c6 = cycle_graph(5), cycle_graph(6)
+    return {
+        "alpha-C6-reduced": sqp_reciprocal_program(stability_qp_matrix(c6), c6.symmetry),
+        "alpha-C5": sqp_reciprocal_program(stability_qp_matrix(c5)),
+        "chi-C5-bounded": to_bounded(chromatic_program(c5), chromatic_box_bound(c5)),
+        "two-constraints-bounded": to_bounded(ConicProgram.make([1, -1], [
+            (2, [SymMatrix.identity(2), SymMatrix.ones(2)], SymMatrix.zero(2)),
+            (3, [SymMatrix.ones(3), SymMatrix.zero(3)], SymMatrix.identity(3))]), 4),
+    }
+
+
+@pytest.mark.parametrize("kind", [ConeKind.K, ConeKind.Q])
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("name", list(_relaxation_programs()))
+def test_every_row_is_a_constraint_monomial(name, r, kind):
+    # a relaxation SDP holds the Gram rows of its constraints and nothing
+    # else: each row is labelled (constraint index, monomial), in layout order
+    prog = _relaxation_programs()[name]
+    rel = build_relaxation_sdp(prog, r, kind)
+    want = [(ci, gamma) for ci, layout in enumerate(rel.layouts) for gamma in layout.rows()[1]]
+    assert list(rel.sdp.row_labels) == want
+    assert rel.sdp.num_constraints == len(want)
+    assert all(len(gamma) == prog.constraints[ci].n for ci, gamma in want)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: ConeConstraint(3, (SymMatrix.identity(2),), SymMatrix.identity(3)),
      "constraint matrices have inconsistent dimensions"),
-    (lambda: build_relaxation_sdp(sqp_like_program(SymMatrix.identity(3)), 0, ConeKind.K, 0),
-     "box bound must be positive"),
     (lambda: to_bounded(sqp_like_program(SymMatrix.identity(3)), Fraction(-1, 2)),
      "box bound must be positive"),
-], ids=["dimensions", "relaxation-box", "bounded-box"])
+], ids=["dimensions", "bounded-box"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
         call()

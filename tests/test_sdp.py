@@ -2,8 +2,8 @@ import functools
 import gc
 import hashlib
 import math
+import re
 import weakref
-from fractions import Fraction
 from time import perf_counter
 
 import numpy as np
@@ -162,13 +162,14 @@ def test_infeasibility_ray_reports_its_exact_slack(seed, objective):
 # SHA-256 of the bytes of every x block, y and every s block, with the
 # iteration count, of relaxation solves (OpenBLAS on x86-64); a program with
 # an objective must keep its path bit for bit.  "chi-C5-Q-r0" was recorded
-# while every orbit block stayed PSD and is solved so.
+# while every orbit block stayed PSD and is solved so.  All four were
+# re-pinned when the SDP lost its box rows.
 _SOLUTION_DIGESTS = {
-    "C7-K-r1": ("32cf726869d13f5be8c9ca963bc1e80b033fcadbc9fef3dfe16dd190850f8590", 14),
-    "C9-Q-r2": ("fd9fe8d3bfab482d486296e21c27b09305699cee75f0881b793669f9f8c237b7", 15),
-    "chi-C5-Q-r0": ("3f5cd811ac7becf485109215020f1f454e9693c274b5e0f18293cfe8cd1c64f2", 12),
+    "C7-K-r1": ("cc19be21a9b60fe55de2510a3c5a4a50bd6a5d8086a6799d18dd2878342e2337", 10),
+    "C9-Q-r2": ("3eb28ba66fd4fa4f55aa7a8e5147a6f6f339796b7df48321363df2d042451f3e", 14),
+    "chi-C5-Q-r0": ("9a4134e996096eed7192e01cf4db2fd4f064dfd7009be0b1a7db1dff7244880b", 12),
     "chi-C5-Q-r0-diagonalised": (
-        "3fd3aafdb56bb6ba17f4a85dc5b084d2d64772d7370e254489e33800ce53b349", 11),
+        "4c65ed74b589980bd221135a0fbfaa2886f0c6127ba3857e0064e05b116de5ff", 11),
 }
 
 
@@ -438,13 +439,12 @@ def test_export_parse_roundtrip_keeps_every_row(case):
 
 
 def _gram_sdp(case):
-    """A Gram SDP the package builds: the boxed chi(C5) relaxation at level
-    0, with its to_bounded constraint and D block; stability_bound's C7 K
-    r=1 relaxation; or the Q n=8 r=2 membership family."""
+    """A Gram SDP the package builds: the chi(C5) relaxation at level 0,
+    with its to_bounded constraint and D block; stability_bound's C7 K r=1
+    relaxation; or the Q n=8 r=2 membership family."""
     if case == "chi-c5":
-        box = chromatic_box_bound(cycle_graph(5))
-        prog = to_bounded(chromatic_program(cycle_graph(5)), box)
-        return build_relaxation_sdp(prog, 0, ConeKind.Q, box).sdp
+        prog = to_bounded(chromatic_program(cycle_graph(5)), chromatic_box_bound(cycle_graph(5)))
+        return build_relaxation_sdp(prog, 0, ConeKind.Q).sdp
     if case == "alpha-c7-k1":
         return stability_bound(cycle_graph(7), 1, ConeKind.K).relaxation.sdp
     return build_membership(SymMatrix.identity(8), 2, ConeKind.Q).sdp
@@ -493,7 +493,7 @@ def test_no_solve_path_reads_a_dense_a(monkeypatch):
     assert res.status == SdpStatus.OPTIMAL
     # min lambda s.t. I + lambda J in K^(0)
     prog = ConicProgram.make([1], [(3, [SymMatrix.ones(3)], SymMatrix.identity(3).scale(-1))])
-    res = solve_relaxation(prog, 0, ConeKind.K, 10)
+    res = solve_relaxation(prog, 0, ConeKind.K)
     assert res.status == SdpStatus.OPTIMAL
     back = parse_sparse(export_sparse(res.relaxation.sdp))
     assert back.num_constraints == res.relaxation.sdp.num_constraints
@@ -552,14 +552,22 @@ def test_parsers_name_the_malformed_line(parse, text, line):
     ("blocks psd:2\nrhs 1 1\n0 0 0 0 1\n1 0 0 0 -inf\n", "A"),
 ])
 def test_block_sdp_rejects_non_finite_data(text, name):
-    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+    # parse_sparse refuses the line; BlockSdp, handed the same data, names
+    # the field: the text's one non-finite value replaces the one nonzero
+    # of that field in the SDP parsed with a finite value there
+    with pytest.raises(ValueError, match="value is not finite"):
         parse_sparse(text)
+    bad = re.search(r"-?(nan|inf)", text).group()
+    sdp = parse_sparse(text.replace(bad, "2"))
+    data = {"b": sdp.b.copy(), "A": sdp.coo.vals.copy(), "c": sdp.c.copy()}
+    data[name][data[name] != 0] = float(bad)
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+        BlockSdp(sdp.blocks, (sdp.coo.rows, sdp.coo.cols, data["A"]), data["b"], data["c"])
 
 
 def _stability_relaxation_sdp(n, r, kind):
-    # the box 8n is the one stability_bound derives for unit weights
     prog = sqp_reciprocal_program(stability_qp_matrix(cycle_graph(n)))
-    return build_relaxation_sdp(prog, r, kind, Fraction(8 * n)).sdp
+    return build_relaxation_sdp(prog, r, kind).sdp
 
 
 def _least_eigenvalue(sdp, x_blocks):
@@ -787,7 +795,7 @@ def test_refinement_stops_at_the_noise_floor(monkeypatch):
 
 # PSD sides 1-6, a NONNEG block, then three blocks with a set touching
 # pattern: NONNEG(2) whose columns touch every row (like the split free
-# variables of a boxed program), PSD(3) that no row touches and PSD(2) that
+# variables of a relaxation), PSD(3) that no row touches and PSD(2) that
 # exactly one row touches.
 _SPARSE_BLOCKS = [psd_block(k) for k in range(1, 7)] + [
     nonneg_block(4), nonneg_block(2), psd_block(3), psd_block(2)
@@ -824,7 +832,7 @@ def test_block_sparse_rows_match_dense_oracle(case):
         sdp = _stability_relaxation_sdp(5, 1, ConeKind.Q)
     elif case == "chi-K2":
         prog = to_bounded(chromatic_program(complete_graph(2)), 5)
-        sdp = build_relaxation_sdp(prog, 0, ConeKind.Q, 5).sdp
+        sdp = build_relaxation_sdp(prog, 0, ConeKind.Q).sdp
     else:
         sdp = _sparse_mixed_sdp(case)
         touched = [np.any(sdp.A[:, sl] != 0, axis=1) for sl in sdp.slices]
@@ -1065,10 +1073,16 @@ def test_a_solve_that_takes_no_step_keeps_no_first_step():
      "line 1 'blocks psd:2:3': block 'psd:2:3' is not kind:size"),
     (lambda: parse_sparse("blocks psd:1\nrhs 1 1\n1 0 0 0 1.0\n1 0 0 0 2.0\n"),
      "line 4 '1 0 0 0 2.0': constraint 1 already has an entry at block 0 (0, 0)"),
+    (lambda: parse_sparse("blocks psd:1\nrhs 1 nan\n1 0 0 0 1\n"),
+     "line 2 'rhs 1 nan': value is not finite"),
+    (lambda: parse_sparse("blocks psd:1\nrhs 1 1\n1 0 0 0 nan\n"),
+     "line 3 '1 0 0 0 nan': value is not finite"),
+    (lambda: parse_sparse("blocks psd:1\nrhs 1 1\n1 0 0 0 1e400\n"),
+     "line 3 '1 0 0 0 1e400': value is not finite"),
 ], ids=["block-kind", "block-size", "objective", "pack", "labels", "header", "second-header",
         "second-rhs", "eps", "eps-negative", "eps-nan", "eps-inf", "max-iter-float",
         "max-iter-bool", "empty-header", "no-blocks", "block-no-colon", "block-two-colons",
-        "second-entry"])
+        "second-entry", "rhs-nan", "entry-nan", "entry-overflow"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
         call()

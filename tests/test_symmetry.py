@@ -98,7 +98,7 @@ class TestGenerators:
         assert not to_bounded(prog, 26).constraints[-1].symmetry
         b = stability_qp_matrix(g)
         assert stability_bound(g, 0, b_mat=b).relaxation.layouts[0].blocks() == (
-            build_relaxation_sdp(sqp_reciprocal_program(b), 0, ConeKind.K, 1).layouts[0].blocks()
+            build_relaxation_sdp(sqp_reciprocal_program(b), 0, ConeKind.K).layouts[0].blocks()
         )
 
 
@@ -108,6 +108,9 @@ class TestGenerators:
 # and boxed chromatic relaxations of P3 and C4 with their generators removed;
 # then, recorded while the lifts were Fraction Poly products, membership of
 # random rational matrices and the boxed chromatic relaxations of K2 and C5.
+# The relaxation digests here and below were re-pinned when the SDP lost its
+# box rows d_i+ + d_i- = 4R: each is the digest of the SDP as it was before,
+# with its ("box", i) rows cut from A and b.
 _PARENT_DIGESTS = {
     "member-K-n3-r0": "d1f2f14c2efe8916",
     "member-K-n3-r1": "99eb2b3babed5fbc",
@@ -121,12 +124,12 @@ _PARENT_DIGESTS = {
     "member-K-n6-r0": "74a302994ddff248",
     "member-K-n6-r1": "79b35e69b719544c",
     "member-K-n6-r2": "f8c80f0e8bb69740",
-    "alpha-C5-K-r0": "b8f18c54d3cac226",
-    "alpha-C5-K-r1": "807d1f04bdab45d7",
-    "alpha-C7-K-r0": "b027bdf5de685d65",
-    "alpha-C7-K-r1": "0efb31105b4188de",
-    "chi-P3-K-r0": "879362a8dcab2695",
-    "chi-C4-K-r0": "826a9f3f278f69e2",
+    "alpha-C5-K-r0": "ebcfc371b7645f0f",
+    "alpha-C5-K-r1": "32f601ed15ac21a7",
+    "alpha-C7-K-r0": "0fb68e1e3cef8329",
+    "alpha-C7-K-r1": "4f07ba735e344bc8",
+    "chi-P3-K-r0": "a41ca96829056229",
+    "chi-C4-K-r0": "3076377c5130c9d3",
     "member-Q-n3-r0": "40dcae3ca2fd6820",
     "member-Q-n3-r1": "be8ec4cd629130c5",
     "member-Q-n3-r2": "303524a62a8bff0e",
@@ -139,13 +142,13 @@ _PARENT_DIGESTS = {
     "member-Q-n6-r0": "4f8016d8e65bb820",
     "member-Q-n6-r1": "9fff8923027ba5a1",
     "member-Q-n6-r2": "f742a533dde08bd4",
-    "alpha-C5-Q-r0": "259bc842a3333992",
-    "alpha-C5-Q-r1": "2e508899f62f1dbf",
-    "alpha-C7-Q-r0": "5f045dbf6480b7b4",
-    "alpha-C7-Q-r1": "76d58b4ac5f23e53",
-    "chi-P3-Q-r0": "e460d73750f59517",
-    "chi-C4-Q-r0": "5c21f2527c38610a",
-    "chi-P3-Q-r1": "7784d99377cdb65e",
+    "alpha-C5-Q-r0": "83bb9dc5764af195",
+    "alpha-C5-Q-r1": "360f3056532df756",
+    "alpha-C7-Q-r0": "99b7bba902d2082e",
+    "alpha-C7-Q-r1": "aeeafaed1544a65d",
+    "chi-P3-Q-r0": "c5faf66292a9a0be",
+    "chi-C4-Q-r0": "489a50759ff85a11",
+    "chi-P3-Q-r1": "8a61a290b88958e5",
     "random-K-n4-r0": "eb62232e5e9d5dbc",
     "random-K-n4-r1": "b7f7a806e4e1517c",
     "random-K-n4-r2": "462d7ee64b051a9a",
@@ -157,8 +160,8 @@ _PARENT_DIGESTS = {
     "random-K-n6-r2": "e02d9b59c6054165",
     "random-K-n7-r0": "67ad8d89c92e7bc8",
     "random-K-n7-r1": "679ab533d83a5681",
-    "chi-K2-K-r0": "1ae859b3537b799c",
-    "chi-C5-K-r0": "79c0c52125fd7a7e",
+    "chi-K2-K-r0": "6ff6cf29ae54605f",
+    "chi-C5-K-r0": "320f41810eb09c80",
     "random-Q-n4-r0": "a46606085f2d77bc",
     "random-Q-n4-r1": "dc79a517cbccf90a",
     "random-Q-n4-r2": "4634ef54585b5def",
@@ -171,8 +174,8 @@ _PARENT_DIGESTS = {
     "random-Q-n7-r0": "28537b6de83486b0",
     "random-Q-n7-r1": "a7a1d2371f870b0e",
     "random-Q-n7-r2": "4071c89ddbb1a609",
-    "chi-K2-Q-r0": "5d168acbe3596a8d",
-    "chi-C5-Q-r0": "b0be74b917cfde79",
+    "chi-K2-Q-r0": "93a045015d461bd2",
+    "chi-C5-Q-r0": "73c7a39a380d9c59",
 }
 
 # The same digests of SDPs the benchmark solves, reduced by their
@@ -180,10 +183,10 @@ _PARENT_DIGESTS = {
 # were assembled as arrays and built with every orbit block PSD; the blocks
 # of all but the chromatic SDP do not commute, so they stay PSD anyway.
 _REDUCED_DIGESTS = {
-    "alpha-C7-K-r1-reduced": "96ce1989faf8b77e",
-    "alpha-C10-K-r2-reduced": "33da9839af310660",
-    "alpha-C9-Q-r2-reduced": "8a980ec3667e7cfd",
-    "chi-C5-Q-r0-reduced": "cddd853d3ede5b6e",
+    "alpha-C7-K-r1-reduced": "59779821001442bb",
+    "alpha-C10-K-r2-reduced": "6a19ab3a9b3ed12e",
+    "alpha-C9-Q-r2-reduced": "f7ff4b0b85ea7ef4",
+    "chi-C5-Q-r0-reduced": "0140d54f582cb716",
     "member-K-horn-r1": "7343e600ea99e620",
 }
 
@@ -209,16 +212,16 @@ def _build(name: str):
         return build_membership(m, r, kind).sdp
     if family == "alpha":
         g = cycle_graph(int(case[1:]))
-        if reduced:  # stability_bound's program and box, 4n over half of 1/w
+        if reduced:  # stability_bound's program
             prog = sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry)
-            return build_relaxation_sdp(prog, r, kind, 8 * g.n).sdp
+            return build_relaxation_sdp(prog, r, kind).sdp
         prog = sqp_reciprocal_program(stability_qp_matrix(g))
-        return build_relaxation_sdp(prog, r, kind, 40 * g.n).sdp
+        return build_relaxation_sdp(prog, r, kind).sdp
     g = {"K2": complete_graph(2), "P3": path_graph(3), "C4": cycle_graph(4),
          "C5": cycle_graph(5)}[case]
     prog = chromatic_program(g) if reduced else _trivial(chromatic_program(g))
     prog = to_bounded(prog, chromatic_box_bound(g))
-    return build_relaxation_sdp(prog, r, kind, chromatic_box_bound(g)).sdp
+    return build_relaxation_sdp(prog, r, kind).sdp
 
 
 @pytest.mark.parametrize("name", list(_PARENT_DIGESTS))
@@ -237,7 +240,7 @@ def test_reduced_sdp_is_bit_identical(name):
 
 def test_diagonalised_sdp_is_bit_identical():
     # chi-C5-Q-r0-reduced with its commuting orbit blocks diagonalised
-    assert _digest(_build("chi-C5-Q-r0-reduced")) == "8e826211a9df3417"
+    assert _digest(_build("chi-C5-Q-r0-reduced")) == "5b1c7fca131a23e6"
 
 
 @pytest.mark.parametrize("case", ["C9-Q-r2-slots", "Paley13-K-r1-lifted"])
@@ -329,9 +332,9 @@ class TestFoldAndExpand:
         assert folded.check_exact(prog.constraints[0])
         assert _folded(folded, perms) == folded
         assert (folded == w) == (bump == 0)
-        rel = build_relaxation_sdp(prog, r, kind, 10)
+        rel = build_relaxation_sdp(prog, r, kind)
         assert rel.sdp.num_constraints < build_relaxation_sdp(
-            _trivial(prog), r, kind, 10).sdp.num_constraints
+            _trivial(prog), r, kind).sdp.num_constraints
 
 
 def _psd_sides(sdp) -> list[int]:
@@ -350,10 +353,10 @@ def _sdp_of(name: str):
     if family == "alpha":
         g = cycle_graph(int(case[1:]))
         prog = sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry)
-        return build_relaxation_sdp(prog, r, kind, 8 * g.n).sdp
+        return build_relaxation_sdp(prog, r, kind).sdp
     g = _GRAPHS[case]
     prog = to_bounded(chromatic_program(g), chromatic_box_bound(g))
-    return build_relaxation_sdp(prog, r, kind, chromatic_box_bound(g)).sdp
+    return build_relaxation_sdp(prog, r, kind).sdp
 
 
 class TestDiagonalised:
@@ -398,7 +401,7 @@ class TestDiagonalised:
 
         def layout():
             return build_relaxation_sdp(
-                sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 0, ConeKind.K, 10
+                sqp_reciprocal_program(stability_qp_matrix(g), g.symmetry), 0, ConeKind.K
             ).layouts[0]
 
         def flat(full):
